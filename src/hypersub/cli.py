@@ -1,8 +1,9 @@
 """Command line interface: batch file-to-file runs of the library.
 
-Exit codes: 0 success, 2 malformed or inconsistent input, 3 numerical
-failure during training. The default output directory is the HYPERSUB_OUT
-environment variable, falling back to the working directory.
+Exit codes: 0 success, 2 malformed or inconsistent input (or an input path
+the OS cannot read), 3 numerical failure during training. The default output
+directory is the HYPERSUB_OUT environment variable, falling back to the
+working directory.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def cmd_predict(args) -> int:
                                     *(repr(float(v)) for v in row),
                                     ",".join(chosen) if chosen else "-"]))
     if table.excluded_subjects:
-        lines.append("# excluded subjects (no catalog genes)")
+        lines.append("# excluded subjects (no catalog gene with a positive weight)")
         lines += [f"# {sid}" for sid in table.excluded_subjects]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
     except (InputDataError, EmptyClass, EmptySplit, InvalidLabel) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:   # missing, unreadable, or a directory
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalDivergence as e:

@@ -178,8 +178,9 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
     comma-separated gene[:weight] members (weight defaults to 1.0).
 
     Genes missing from the catalog are dropped with a warning count. A
-    subject left with no members raises EmptySubgraph, or lands in
-    ``excluded_subjects`` when ``skip_empty`` is set. With a declared
+    subject left with no members raises EmptySubgraph, and one whose kept
+    members all weigh 0 raises MalformedLine; with ``skip_empty`` set, both
+    land in ``excluded_subjects`` instead. With a declared
     ``class_vocab`` unknown labels fail; without one the vocabulary is
     collected from the file and sorted.
     """
@@ -239,11 +240,14 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
             genes.append(gene)
             weights.append(w)
 
-        if not genes:
+        if not genes or max(weights) <= 0:
             if skip_empty:
                 excluded.append(sid)
                 continue
-            raise EmptySubgraph(f"line {no}: subject {sid!r} has no catalog genes")
+            if not genes:
+                raise EmptySubgraph(f"line {no}: subject {sid!r} has no catalog genes")
+            raise MalformedLine(no, f"subject {sid!r} has no catalog gene with a "
+                                    "positive weight")
         subjects.append(SubjectRecord(sid, labels, genes, weights))
 
     if dropped:

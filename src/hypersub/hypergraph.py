@@ -7,12 +7,15 @@ passing can iterate without transposing anything.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyHyperedge, InvalidWeight, IsolatedNode
+from .kernel import Segments
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,30 +48,36 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.values.size
 
-    def entries(self) -> Iterable[tuple[int, int, float]]:
-        return zip(self.row_idx.tolist(), self.col_idx.tolist(), self.values.tolist())
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=self.values.dtype)
         out[self.row_idx, self.col_idx] = self.values
         return out
 
+    @cached_property
+    def _by_row(self) -> Segments:
+        # the sorted keys make this the identity: entries are already CSR
+        return Segments(self.row_idx, self.rows)
+
+    @cached_property
+    def _by_col(self) -> Segments:
+        return Segments(self.col_idx, self.cols)
+
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.rows, dtype=self.values.dtype)
-        np.add.at(out, self.row_idx, self.values)
-        return out
+        return np.bincount(self.row_idx, weights=self.values, minlength=self.rows)
 
     def dot_dense(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a dense 2-D x."""
-        out = np.zeros((self.rows, x.shape[1]), dtype=np.result_type(self.values, x))
-        np.add.at(out, self.row_idx, self.values[:, None].astype(out.dtype) * x[self.col_idx])
-        return out
+        return self._reduce(self._by_row, self.col_idx, x)
 
     def t_dot_dense(self, x: np.ndarray) -> np.ndarray:
         """self.T @ x for a dense 2-D x."""
-        out = np.zeros((self.cols, x.shape[1]), dtype=np.result_type(self.values, x))
-        np.add.at(out, self.col_idx, self.values[:, None].astype(out.dtype) * x[self.row_idx])
-        return out
+        return self._reduce(self._by_col, self.row_idx, x)
+
+    def _reduce(self, by: Segments, other: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Sum over ``by``'s groups of value * x[other index] per entry."""
+        dtype = np.result_type(self.values, x)
+        pos = by.positions()
+        return by.sum(self.values[pos, None].astype(dtype) * x[other[pos]])
 
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
@@ -118,16 +127,24 @@ def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
     )
 
 
+def incidences(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """(edge, node) of every incidence, edge-major with members ascending."""
+    sizes = np.fromiter(map(len, h.edge_members), dtype=np.intp, count=h.num_edges)
+    nodes = np.fromiter(itertools.chain.from_iterable(h.edge_members),
+                        dtype=np.intp, count=int(sizes.sum()))
+    return np.repeat(np.arange(h.num_edges, dtype=np.intp), sizes), nodes
+
+
 def degrees(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     """(node_degrees, edge_degrees).
 
-    A node's degree is the summed weight of its incident hyperedges; a
-    hyperedge's degree is its member count.
+    A node's degree is the summed weight of its incident hyperedges, added
+    in hyperedge order; a hyperedge's degree is its member count.
     """
-    node_deg = np.zeros(h.num_nodes, dtype=np.float64)
-    for j, mem in enumerate(h.edge_members):
-        node_deg[list(mem)] += h.edge_weights[j]
-    edge_deg = np.array([len(m) for m in h.edge_members], dtype=np.float64)
+    edge_of, node_of = incidences(h)
+    node_deg = np.bincount(node_of, weights=h.edge_weights[edge_of],
+                           minlength=h.num_nodes)
+    edge_deg = np.bincount(edge_of, minlength=h.num_edges).astype(np.float64)
     return node_deg, edge_deg
 
 
@@ -136,30 +153,31 @@ def theta(h: Hypergraph) -> SparseMatrix:
 
     Entry (i, i') accumulates w_j / edge_degree_j over every hyperedge j
     containing both nodes, scaled by the inverse square roots of both node
-    degrees. Rows of zero-degree nodes stay empty. Symmetric by construction,
-    exactly: the (i, i') and (i', i) accumulations see identical sequences of
-    identical products.
+    degrees, summed in hyperedge order. Rows of zero-degree nodes stay
+    empty. Symmetric by construction, exactly: the (i, i') and (i', i)
+    accumulations see identical sequences of identical products.
     """
     node_deg, edge_deg = degrees(h)
     inv_sqrt = np.zeros(h.num_nodes, dtype=np.float64)
     pos = node_deg > 0
     inv_sqrt[pos] = node_deg[pos] ** -0.5
 
-    acc: dict[tuple[int, int], float] = {}
-    for j, mem in enumerate(h.edge_members):
-        idx = np.fromiter(mem, dtype=np.intp, count=len(mem))
-        v = inv_sqrt[idx]
-        block = (h.edge_weights[j] / edge_deg[j]) * np.outer(v, v)
-        for a, i in enumerate(mem):
-            for b, i2 in enumerate(mem):
-                key = (i, i2)
-                acc[key] = acc.get(key, 0.0) + block[a, b]
-
-    keys = sorted(acc)
-    row_idx = np.fromiter((k[0] for k in keys), dtype=np.intp, count=len(keys))
-    col_idx = np.fromiter((k[1] for k in keys), dtype=np.intp, count=len(keys))
-    values = np.fromiter((acc[k] for k in keys), dtype=np.float64, count=len(keys))
-    return SparseMatrix(h.num_nodes, h.num_nodes, row_idx, col_idx, values)
+    # every (a, b) member pair of every hyperedge, edge-major: incidence a
+    # repeats once per member of its edge, and b runs over those members
+    edge_of, node_of = incidences(h)
+    sizes = np.bincount(edge_of, minlength=h.num_edges)
+    first = np.cumsum(sizes) - sizes               # first incidence of each edge
+    reps = sizes[edge_of]
+    run = np.cumsum(reps) - reps                   # where each repeat run starts
+    left = np.repeat(np.arange(node_of.size), reps)
+    right = np.arange(left.size) + np.repeat(first[edge_of] - run, reps)
+    v = inv_sqrt[node_of]
+    block = (h.edge_weights / edge_deg)[edge_of[left]] * (v[left] * v[right])
+    keys, slot = np.unique(node_of[left] * h.num_nodes + node_of[right],
+                           return_inverse=True)
+    values = np.bincount(slot, weights=block, minlength=keys.size)
+    return SparseMatrix(h.num_nodes, h.num_nodes, keys // h.num_nodes,
+                        keys % h.num_nodes, values)
 
 
 def dual(h: Hypergraph) -> Hypergraph:
@@ -179,14 +197,6 @@ def dual(h: Hypergraph) -> Hypergraph:
         node_memberships=h.edge_members,
         edge_weights=np.ones(h.num_nodes, dtype=np.float64),
     )
-
-
-def incidence_equal(a: Hypergraph, b: Hypergraph) -> bool:
-    """Structural equality: same sizes, same incidence, same weights."""
-    return (a.num_nodes == b.num_nodes and a.num_edges == b.num_edges
-            and a.edge_members == b.edge_members
-            and a.node_memberships == b.node_memberships
-            and np.array_equal(a.edge_weights, b.edge_weights))
 
 
 def incidence_matrix(h: Hypergraph) -> np.ndarray:

@@ -39,26 +39,28 @@ def _member_attention(node_states, batch, params):
     if params.use_subgraph_attention:
         return M.subgraph_attention(node_states, batch,
                                     params.subgraph_context).data
-    out = np.zeros(batch.member_rows.size, dtype=node_states.data.dtype)
-    for g in batch.groups:
-        out[list(g)] = 1.0 / len(g)
-    return out
+    share = (1.0 / batch.groups.counts).astype(node_states.data.dtype)
+    return batch.groups.expand(share)
 
 
 def class_edge_scores(params: M.ModelParams, h: Hypergraph,
-                      batch: M.SubgraphBatch, class_index: int,
+                      batch: M.SubgraphBatch, class_index,
                       pairs: M.IncidencePairs | None = None) -> np.ndarray:
     """Average hyperedge attribution over one class's subjects.
 
     Each subject contributes total mass 1 (member attention sums to one and
     the per-node edge mixture sums to one), so the returned vector sums to 1
-    whenever every member node touches at least one hyperedge.
+    whenever every member node touches at least one hyperedge. A sequence of
+    class indices gives one row per class from a single backbone pass.
     """
     if pairs is None:
         pairs = M.incidence_pairs(h)
-    rows = np.where(batch.labels[:, class_index] > 0.5)[0]
-    if rows.size == 0:
-        raise EmptyClass(f"no subjects carry class index {class_index}")
+    classes = np.atleast_1d(np.asarray(class_index, dtype=np.intp))
+    carries = batch.labels[:, classes] > 0.5          # (subjects, classes)
+    sizes = carries.sum(axis=0)
+    if np.any(sizes == 0):
+        empty = int(classes[np.flatnonzero(sizes == 0)[0]])
+        raise EmptyClass(f"no subjects carry class index {empty}")
 
     trace = M.ForwardTrace()
     with K.no_grad():
@@ -66,13 +68,25 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
         member_attn = _member_attention(x, batch, params)
     node_attn = trace.layers[-1].node_attention.data
 
-    scores = np.zeros(h.num_edges, dtype=np.float64)
-    for r in rows:
-        for pos, node in zip(batch.groups[r], batch.members[r]):
-            a = float(member_attn[pos])
-            for p in pairs.by_node[node]:
-                scores[pairs.edge_of_pair[p]] += a * float(node_attn[p])
-    return scores / rows.size
+    # member attention summed per (class, node), then spread over each
+    # node's incident edges by its final-layer attention
+    c = classes.size
+    mass = carries[batch.groups.ids] * member_attn[:, None].astype(np.float64)
+    node_mass = np.bincount(
+        (np.arange(c) * h.num_nodes + batch.member_rows[:, None]).ravel(),
+        weights=mass.ravel(), minlength=c * h.num_nodes).reshape(c, h.num_nodes)
+    flow = node_mass[:, pairs.node_of_pair] * node_attn
+    scores = np.bincount(
+        (np.arange(c)[:, None] * h.num_edges + pairs.edge_of_pair).ravel(),
+        weights=flow.ravel(), minlength=c * h.num_edges).reshape(c, h.num_edges)
+    scores /= sizes[:, None]
+    return scores if np.ndim(class_index) else scores[0]
+
+
+def _top(scores: np.ndarray, top_k: int, names: list[str]) -> list[tuple[str, float]]:
+    """Highest attribution first; score ties break toward the lower index."""
+    order = np.argsort(-scores, kind="stable")[:max(top_k, 0)]
+    return [(names[j], float(scores[j])) for j in order]
 
 
 def rank_hyperedges(params: M.ModelParams, h: Hypergraph,
@@ -82,19 +96,16 @@ def rank_hyperedges(params: M.ModelParams, h: Hypergraph,
     """Top hyperedges for one class, highest attribution first; score ties
     break toward the lower hyperedge index."""
     scores = class_edge_scores(params, h, batch, class_index, pairs=pairs)
-    names = edge_names or [str(j) for j in range(h.num_edges)]
-    order = sorted(range(h.num_edges), key=lambda j: (-scores[j], j))
-    return [(names[j], float(scores[j])) for j in order[:max(top_k, 0)]]
+    return _top(scores, top_k, edge_names or [str(j) for j in range(h.num_edges)])
 
 
 def class_enrichment(params: M.ModelParams, h: Hypergraph,
                      batch: M.SubgraphBatch, class_vocab: list[str],
                      top_k: int, edge_names: list[str] | None = None) -> EnrichmentReport:
-    pairs = M.incidence_pairs(h)
-    rankings = {}
-    for ci, cname in enumerate(class_vocab):
-        rankings[cname] = rank_hyperedges(params, h, batch, ci, top_k,
-                                          edge_names=edge_names, pairs=pairs)
+    scores = class_edge_scores(params, h, batch, list(range(len(class_vocab))))
+    names = edge_names or [str(j) for j in range(h.num_edges)]
+    rankings = {cname: _top(row, top_k, names)
+                for cname, row in zip(class_vocab, scores)}
     return EnrichmentReport(classes=list(class_vocab), rankings=rankings,
                             aggregation=AGGREGATION_RULE,
                             num_layers=params.num_layers)

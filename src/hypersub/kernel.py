@@ -246,7 +246,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    factor = np.where(x.data > 0, 1.0, slope).astype(x.data.dtype)
+    # 1 where x > 0 and slope elsewhere, in x's dtype; exact arithmetic on
+    # the mask is several times faster than np.where over two scalars
+    positive = x.data > 0
+    factor = (~positive).astype(x.data.dtype)
+    factor *= x.data.dtype.type(slope)
+    factor += positive
 
     def grad_fn(g):
         _accum(x, g * factor)
@@ -297,68 +302,144 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _result(x.data.reshape(shape), (x,), grad_fn)
 
 
-def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D tensor; gradient scatter-adds back."""
+class Segments:
+    """Disjoint groups over the positions 0..size-1 of a flat array, as CSR.
+
+    ``ids[p]`` is the group of position p, or ``len(self)`` for a position
+    outside every group. ``order`` is the stable sort of the positions by
+    group, or None where the positions already run in that order (the
+    identity), so group k holds positions ``order[offsets[k]:offsets[k+1]]``
+    in ascending order and the outside positions come last. Built once per
+    grouping; the segment reductions below run on it with ``reduceat``
+    instead of scatter-adds.
+    """
+
+    def __init__(self, ids, num_groups: int):
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim != 1:
+            raise ShapeError("segment ids must be 1-D")
+        if ids.size and (ids.min() < 0 or ids.max() > num_groups):
+            raise ShapeError(f"segment ids must lie in [0, {num_groups}]")
+        counts = np.bincount(ids, minlength=num_groups + 1)[:num_groups]
+        self.ids = ids
+        self.counts = counts
+        self.offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+        in_order = bool(np.all(ids[:-1] <= ids[1:]))
+        self.order = None if in_order else np.argsort(ids, kind="stable")
+        self.nonempty = np.flatnonzero(counts)   # groups holding a position
+        self.starts = self.offsets[self.nonempty]
+
+    @classmethod
+    def from_groups(cls, groups, size: int) -> "Segments":
+        """Layout of explicit position groups, e.g. ``[(0, 1), (), (3,)]``."""
+        lens = [len(g) for g in groups]
+        flat = np.fromiter((p for g in groups for p in g), dtype=np.intp,
+                           count=sum(lens))
+        ids = np.full(size, len(lens), dtype=np.intp)
+        if np.unique(flat).size != flat.size:
+            raise ShapeError("groups must be disjoint")
+        ids[flat] = np.repeat(np.arange(len(lens), dtype=np.intp), lens)
+        return cls(ids, len(lens))
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        """Positions of group k, ascending."""
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        return np.arange(lo, hi) if self.order is None else self.order[lo:hi]
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    @property
+    def size(self) -> int:
+        return self.ids.size
+
+    def positions(self):
+        """Index of the grouped positions in segment order."""
+        inside = self.offsets[-1]
+        return slice(0, inside) if self.order is None else self.order[:inside]
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """Rows of ``a`` at the grouped positions, in segment order."""
+        return a[self.positions()]
+
+    def scatter(self, a: np.ndarray) -> np.ndarray:
+        """Inverse of ``gather``: segment-order rows back to their positions,
+        zeros at the outside positions."""
+        if self.order is None and a.shape[0] == self.size:
+            return a
+        out = np.zeros((self.size,) + a.shape[1:], dtype=a.dtype)
+        out[self.positions()] = a
+        return out
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """Per-group rows repeated over their groups' positions, in segment
+        order."""
+        return np.repeat(v, self.counts, axis=0)
+
+    def sum(self, a: np.ndarray, length: int | None = None) -> np.ndarray:
+        """Per-group sums of segment-order rows; empty groups give zeros.
+        ``length`` pads the result with zero rows past the last group."""
+        length = len(self) if length is None else length
+        if self.starts.size == length:
+            return np.add.reduceat(a, self.starts, axis=0)
+        out = np.zeros((length,) + a.shape[1:], dtype=a.dtype)
+        if self.starts.size:
+            out[self.nonempty] = np.add.reduceat(a, self.starts, axis=0)
+        return out
+
+
+def _layout(groups, size: int) -> Segments:
+    if isinstance(groups, Segments):
+        if groups.size != size:
+            raise ShapeError(f"layout covers {groups.size} positions, not {size}")
+        return groups
+    return Segments.from_groups(groups, size)
+
+
+def gather_rows(x: Tensor, indices, layout: Segments | None = None) -> Tensor:
+    """Select rows of a 2-D tensor. The gradient sums back over ``layout``,
+    the grouping of positions by their index, built from ``indices`` when
+    not given."""
     _need_2d("gather_rows input", x)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("gather_rows indices must be 1-D")
 
     def grad_fn(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
-        _accum(x, dx)
+        by_row = layout if layout is not None else Segments(idx, x.data.shape[0])
+        _accum(x, by_row.sum(by_row.gather(g), x.data.shape[0]))
 
     return _result(x.data[idx], (x,), grad_fn)
-
-
-def _segments(groups, n: int, allow_empty: bool) -> np.ndarray:
-    """Map flat positions to group ids (-1 = outside every group).
-
-    Groups must be disjoint; overlap would corrupt the mapping.
-    """
-    seg = np.full(n, -1, dtype=np.intp)
-    for gi, idx in enumerate(groups):
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size == 0:
-            if not allow_empty:
-                raise EmptyGroup(f"group {gi} is empty")
-            continue
-        seg[idx] = gi
-    return seg
 
 
 def masked_softmax(scores: Tensor, groups) -> Tensor:
     """Softmax normalized independently within each group of a 1-D tensor.
 
-    Entries outside every group come out as 0. The per-group maximum is
-    subtracted before exponentiation, so uniform score shifts within a group
-    change nothing.
+    ``groups`` is a Segments layout or a sequence of position groups. Entries
+    outside every group come out as 0. The per-group maximum is subtracted
+    before exponentiation, so uniform score shifts within a group change
+    nothing.
     """
     x = scores.data
     if x.ndim != 1:
         raise ShapeError(f"masked_softmax needs a 1-D tensor, got shape {x.shape}")
-    ngroups = len(groups)
-    seg = _segments(groups, x.size, allow_empty=False)
-    inside = seg >= 0
-    gmax = np.full(ngroups, -np.inf, dtype=x.dtype)
-    np.maximum.at(gmax, seg[inside], x[inside])
-    e = np.zeros_like(x)
-    e[inside] = np.exp(x[inside] - gmax[seg[inside]])
-    tot = np.zeros(ngroups, dtype=x.dtype)
-    np.add.at(tot, seg[inside], e[inside])
-    y = np.zeros_like(x)
-    y[inside] = e[inside] / tot[seg[inside]]
+    seg = _layout(groups, x.size)
+    if seg.starts.size != len(seg):
+        raise EmptyGroup(f"group {int(np.flatnonzero(seg.counts == 0)[0])} is empty")
+    xs = seg.gather(x)
+    e = np.exp(xs - seg.expand(np.maximum.reduceat(xs, seg.starts)))
+    ys = e / seg.expand(np.add.reduceat(e, seg.starts))
 
     def grad_fn(g):
         # per group: dx = y * (g - sum(g * y))
-        dot = np.zeros(ngroups, dtype=x.dtype)
-        np.add.at(dot, seg[inside], (g * y)[inside])
-        dx = np.zeros_like(x)
-        dx[inside] = y[inside] * (g[inside] - dot[seg[inside]])
-        _accum(scores, dx)
+        gs = seg.gather(g)
+        dot = np.add.reduceat(gs * ys, seg.starts)
+        _accum(scores, seg.scatter(ys * (gs - seg.expand(dot))))
 
-    return _result(y, (scores,), grad_fn)
+    return _result(seg.scatter(ys), (scores,), grad_fn)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -374,12 +455,15 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), grad_fn)
 
 
-def weighted_row_sum(x: Tensor, weights: Tensor, row_indices, groups) -> Tensor:
+def weighted_row_sum(x: Tensor, weights: Tensor, row_indices, groups,
+                     row_layout: Segments | None = None) -> Tensor:
     """Per-group weighted sums of rows of x.
 
     Position p contributes weights[p] * x[row_indices[p]] to the row of its
-    group. Output has one row per group; groups may be empty and produce
-    all-zero rows.
+    group. ``groups`` is a Segments layout or a sequence of position groups.
+    Output has one row per group; groups may be empty and produce all-zero
+    rows. ``row_layout`` groups the positions by row index for the gradient
+    into x; it is built from ``row_indices`` when not given.
     """
     _need_2d("weighted_row_sum input", x)
     w = weights.data
@@ -388,20 +472,21 @@ def weighted_row_sum(x: Tensor, weights: Tensor, row_indices, groups) -> Tensor:
     rows = np.asarray(row_indices, dtype=np.intp)
     if rows.shape != w.shape:
         raise ShapeError("row_indices length must match weights")
-    seg = _segments(groups, w.size, allow_empty=True)
-    inside = seg >= 0
-    out = np.zeros((len(groups), x.data.shape[1]), dtype=np.result_type(x.data, w))
-    np.add.at(out, seg[inside], w[inside, None] * x.data[rows[inside]])
+    seg = _layout(groups, w.size)
+    pos = seg.positions()
+    out = seg.sum(w[pos, None] * x.data[rows[pos]])
 
     def grad_fn(g):
         if weights.requires_grad:
-            dw = np.zeros_like(w)
-            dw[inside] = np.einsum("ij,ij->i", g[seg[inside]], x.data[rows[inside]])
-            _accum(weights, dw)
+            dw = np.einsum("ij,ij->i", seg.expand(g), x.data[rows[pos]])
+            _accum(weights, seg.scatter(dw))
         if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            np.add.at(dx, rows[inside], w[inside, None] * g[seg[inside]])
-            _accum(x, dx)
+            by_row = row_layout if row_layout is not None \
+                else Segments(rows, x.data.shape[0])
+            if seg.offsets[-1] < seg.size:   # outside positions pull zeros
+                g = np.concatenate([g, np.zeros((1, g.shape[1]), dtype=g.dtype)])
+            q = by_row.positions()
+            _accum(x, by_row.sum(w[q, None] * g[seg.ids[q]], x.data.shape[0]))
 
     return _result(out, (x, weights), grad_fn)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernel as K
 from .errors import InvalidLabel, ShapeError
-from .hypergraph import Hypergraph, SparseMatrix
+from .hypergraph import Hypergraph, SparseMatrix, incidences
 from .kernel import Tensor
 
 
@@ -28,37 +28,33 @@ class IncidencePairs:
 
     Pair p couples hyperedge edge_of_pair[p] with node node_of_pair[p]. Pairs
     are sorted by edge then node, so the layout is reproducible from the
-    hypergraph alone. ``score_evals`` counts score-tensor constructions, which
-    lets tests assert that each layer computes its scores exactly once.
+    hypergraph alone. ``by_edge`` groups the pairs by edge (contiguous),
+    ``by_node`` by node (permuted; isolated nodes hold empty groups) and
+    ``by_node_nonempty`` by node over the nodes with a membership only.
+    ``score_evals`` counts score-tensor constructions, which lets tests
+    assert that each layer computes its scores exactly once.
     """
 
     edge_of_pair: np.ndarray
     node_of_pair: np.ndarray
-    by_edge: tuple[tuple[int, ...], ...]
-    by_node: tuple[tuple[int, ...], ...]
-    by_node_nonempty: tuple[tuple[int, ...], ...]
+    by_edge: K.Segments
+    by_node: K.Segments
+    by_node_nonempty: K.Segments
     num_nodes: int
     num_edges: int
     score_evals: int = 0
 
 
 def incidence_pairs(h: Hypergraph) -> IncidencePairs:
-    edge_of, node_of, by_edge = [], [], []
-    p = 0
-    for j, mem in enumerate(h.edge_members):
-        by_edge.append(tuple(range(p, p + len(mem))))
-        edge_of.extend([j] * len(mem))
-        node_of.extend(mem)
-        p += len(mem)
-    by_node = [[] for _ in range(h.num_nodes)]
-    for q, i in enumerate(node_of):
-        by_node[i].append(q)
+    edge_of, node_of = incidences(h)
+    by_node = K.Segments(node_of, h.num_nodes)
+    rank = np.cumsum(by_node.counts > 0) - 1   # node -> index among members
     return IncidencePairs(
-        edge_of_pair=np.asarray(edge_of, dtype=np.intp),
-        node_of_pair=np.asarray(node_of, dtype=np.intp),
-        by_edge=tuple(by_edge),
-        by_node=tuple(tuple(g) for g in by_node),
-        by_node_nonempty=tuple(tuple(g) for g in by_node if g),
+        edge_of_pair=edge_of,
+        node_of_pair=node_of,
+        by_edge=K.Segments(edge_of, h.num_edges),
+        by_node=by_node,
+        by_node_nonempty=K.Segments(rank[node_of], by_node.nonempty.size),
         num_nodes=h.num_nodes,
         num_edges=h.num_edges,
     )
@@ -195,7 +191,11 @@ def init_model(num_nodes: int, hidden_dim: int, num_layers: int, num_classes: in
 @dataclass
 class SubgraphBatch:
     """A batch of subject subgraphs: member node indices, per-member weights,
-    and a dense label matrix (one row per subject, one column per class)."""
+    and a dense label matrix (one row per subject, one column per class).
+
+    Members of all subjects are flattened into positions; ``groups`` groups
+    the positions by subject (contiguous) and ``by_row`` by node row.
+    """
 
     members: list[np.ndarray]
     weights: list[np.ndarray]
@@ -203,15 +203,15 @@ class SubgraphBatch:
     subject_ids: list[str] | None = None
     member_rows: np.ndarray = field(init=False)
     member_weights: np.ndarray = field(init=False)
-    groups: tuple[tuple[int, ...], ...] = field(init=False)
+    groups: K.Segments = field(init=False)
+    by_row: K.Segments = field(init=False)
 
     def __post_init__(self):
         if len(self.members) != len(self.weights):
             raise ShapeError("members and weights must align")
         if self.labels.ndim != 2 or self.labels.shape[0] != len(self.members):
             raise ShapeError("labels must be (num_subgraphs, num_classes)")
-        rows, wvals, groups = [], [], []
-        p = 0
+        rows, wvals = [], []
         for si, (mem, w) in enumerate(zip(self.members, self.weights)):
             mem = np.asarray(mem, dtype=np.intp)
             w = np.asarray(w, dtype=np.float64)
@@ -225,13 +225,13 @@ class SubgraphBatch:
                 raise ShapeError(f"subgraph {si} has invalid member weights")
             if not np.any(w > 0):
                 raise ShapeError(f"subgraph {si} has no positive member weight")
-            groups.append(tuple(range(p, p + mem.size)))
             rows.append(mem)
             wvals.append(w)
-            p += mem.size
         self.member_rows = np.concatenate(rows)
         self.member_weights = np.concatenate(wvals)
-        self.groups = tuple(groups)
+        sizes = [mem.size for mem in rows]
+        self.groups = K.Segments(np.repeat(np.arange(len(rows)), sizes), len(rows))
+        self.by_row = K.Segments(self.member_rows, int(self.member_rows.max()) + 1)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -268,10 +268,10 @@ class ForwardTrace:
 
 def init_edge_states(pairs: IncidencePairs, node_embeddings: Tensor) -> Tensor:
     """Layer-0 hyperedge states: plain mean of member node embeddings."""
-    counts = np.array([len(g) for g in pairs.by_edge], dtype=np.float64)
+    counts = pairs.by_edge.counts.astype(np.float64)
     w = (1.0 / counts[pairs.edge_of_pair]).astype(node_embeddings.data.dtype)
     return K.weighted_row_sum(node_embeddings, K.constant(w),
-                              pairs.node_of_pair, pairs.by_edge)
+                              pairs.node_of_pair, pairs.by_edge, pairs.by_node)
 
 
 def dual_attention_scores(pairs: IncidencePairs, node_states: Tensor,
@@ -284,8 +284,8 @@ def dual_attention_scores(pairs: IncidencePairs, node_states: Tensor,
     """
     tn = K.add_bias(K.matmul(node_states, layer.node_weight), layer.node_bias)
     te = K.add_bias(K.matmul(edge_states, layer.edge_weight), layer.edge_bias)
-    joint = K.elementwise_mul(K.gather_rows(te, pairs.edge_of_pair),
-                              K.gather_rows(tn, pairs.node_of_pair))
+    joint = K.elementwise_mul(K.gather_rows(te, pairs.edge_of_pair, pairs.by_edge),
+                              K.gather_rows(tn, pairs.node_of_pair, pairs.by_node))
     scores = K.matmul(K.leaky_relu(joint, slope), layer.context)
     pairs.score_evals += 1
     return K.reshape(scores, (-1,))
@@ -297,7 +297,7 @@ def edge_update(pairs: IncidencePairs, scores: Tensor,
     then a rectified attention-weighted sum of member node states."""
     attn = K.masked_softmax(scores, pairs.by_edge)
     out = K.relu(K.weighted_row_sum(node_states, attn, pairs.node_of_pair,
-                                    pairs.by_edge))
+                                    pairs.by_edge, pairs.by_node))
     return out, attn
 
 
@@ -307,7 +307,7 @@ def node_update(pairs: IncidencePairs, scores: Tensor,
     incident edges. Nodes with no membership yield all-zero rows."""
     attn = K.masked_softmax(scores, pairs.by_node_nonempty)
     out = K.relu(K.weighted_row_sum(edge_states, attn, pairs.edge_of_pair,
-                                    pairs.by_node))
+                                    pairs.by_node, pairs.by_edge))
     return out, attn
 
 
@@ -361,7 +361,7 @@ def subgraph_attention(node_states: Tensor, batch: SubgraphBatch,
     the context vector; softmax runs within each subgraph's member group.
     """
     proj = K.reshape(K.gather_rows(K.matmul(node_states, context),
-                                   batch.member_rows), (-1,))
+                                   batch.member_rows, batch.by_row), (-1,))
     w = K.constant(batch.member_weights, dtype=node_states.data.dtype)
     return K.masked_softmax(K.elementwise_mul(w, proj), batch.groups)
 
@@ -382,7 +382,7 @@ def subgraph_repr(node_states: Tensor, batch: SubgraphBatch,
     if trace is not None:
         trace.subgraph_attention = attn
     return K.relu(K.weighted_row_sum(node_states, attn, batch.member_rows,
-                                     batch.groups))
+                                     batch.groups, batch.by_row))
 
 
 def classify(subgraph_states: Tensor, params: ModelParams, *,

@@ -214,7 +214,8 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
         use_subgraph_attention=config.use_subgraph_attention,
     )
     pairs = M.incidence_pairs(h)
-    theta_sp = theta(h)  # built once per run and reused every epoch
+    # built once per run and reused every epoch, and only when it is used
+    theta_sp = theta(h) if config.reg_weight != 0.0 else None
     train_batch = dataset.batch(train_idx)
     val_batch = dataset.batch(val_idx)
     tensors = params.parameters()

@@ -110,6 +110,29 @@ def test_train_rejects_unknown_config_key(synth_dir, tmp_path, capsys):
     assert "hidden_dims" in capsys.readouterr().err
 
 
+def test_train_rejects_subject_without_positive_weight(synth_dir, tmp_path, capsys):
+    lines = (synth_dir / "subgraphs.tsv").read_text().splitlines()
+    sid, labels, members = lines[0].split("\t")
+    zeroed = ",".join(tok.split(":")[0] + ":0" for tok in members.split(","))
+    lines[0] = "\t".join([sid, labels, zeroed])
+    table = tmp_path / "zero.tsv"
+    table.write_text("\n".join(lines) + "\n")
+    code = run(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                "--subgraphs", str(table),
+                "--split", str(synth_dir / "split.tsv"), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "MalformedLine: line 1:" in err and sid in err
+
+
+def test_train_gmt_directory_exits_2(synth_dir, tmp_path, capsys):
+    code = run(["train", "--gmt", str(synth_dir),
+                "--subgraphs", str(synth_dir / "subgraphs.tsv"),
+                "--split", str(synth_dir / "split.tsv"), "--out", str(tmp_path)])
+    assert code == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
 def test_evaluate_matches_training_metrics(synth_dir, train_dir, capsys):
     code = run(["evaluate", "--checkpoint", str(train_dir / "model.ckpt"),
                 "--subgraphs", str(synth_dir / "subgraphs.tsv"),
@@ -167,6 +190,17 @@ def test_predict_lists_excluded_subjects(train_dir, tmp_path, capsys):
     assert "# excluded subjects" in text
     assert "# ghost" in text
     assert text.splitlines()[1].startswith("p1\t")
+
+
+def test_predict_excludes_subject_without_positive_weight(train_dir, tmp_path):
+    probe = tmp_path / "probe.tsv"
+    probe.write_text("p1\t-\tg0000\nnull\t-\tg0001:0,g0002:0\n")
+    code = run(["predict", "--checkpoint", str(train_dir / "model.ckpt"),
+                "--subgraphs", str(probe), "--out", str(tmp_path / "pred.tsv")])
+    assert code == 0
+    lines = (tmp_path / "pred.tsv").read_text().splitlines()
+    assert lines[1].startswith("p1\t") and len(lines) == 4
+    assert lines[2].startswith("# excluded subjects") and lines[3] == "# null"
 
 
 def test_interpret_writes_rankings(synth_dir, train_dir, tmp_path):

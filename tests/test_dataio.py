@@ -142,6 +142,16 @@ def test_load_subgraphs_empty_after_filtering():
     assert table.excluded_subjects == ["s"]
 
 
+def test_load_subgraphs_needs_a_positive_weight():
+    text = "ok\tluminal\tTP53\nnull\tluminal\tTP53:0,BRCA1:0.0,NOSUCH:2\n"
+    with pytest.raises(MalformedLine) as err:
+        D.load_subgraphs(text, catalog())
+    assert err.value.line_no == 2
+    table = D.load_subgraphs(text, catalog(), skip_empty=True)
+    assert [r.subject_id for r in table.subjects] == ["ok"]
+    assert table.excluded_subjects == ["null"]
+
+
 def test_load_subgraphs_rejects_malformed():
     with pytest.raises(MalformedLine):
         D.load_subgraphs("toofew\tluminal\n", catalog())

@@ -90,6 +90,100 @@ def test_masked_softmax_normalizes_and_shifts(values, shift):
     assert np.max(np.abs(y - y2)) <= 1e-9
 
 
+@st.composite
+def grouped_positions(draw, allow_empty):
+    """(size, group id per position or None for outside, group count)."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    ngroups = draw(st.integers(min_value=0 if allow_empty else 1, max_value=5))
+    slot = st.one_of(st.none(), st.integers(min_value=0, max_value=ngroups - 1)) \
+        if ngroups else st.none()
+    ids = draw(st.lists(slot, min_size=size, max_size=size))
+    if not allow_empty:   # every group holds a position; drop the unused ids
+        used = sorted({i for i in ids if i is not None})
+        ids = [None if i is None else used.index(i) for i in ids]
+        ngroups = len(used)
+    return size, ids, ngroups
+
+
+def _groups(ids, ngroups, rng):
+    """Explicit position groups, each listed in a random order."""
+    return [tuple(rng.permutation([p for p, i in enumerate(ids) if i == k]).tolist())
+            for k in range(ngroups)]
+
+
+def _layout(ids, ngroups):
+    return K.Segments([ngroups if i is None else i for i in ids], ngroups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_positions(allow_empty=False), st.integers(0, 2**32 - 1))
+def test_layout_softmax_matches_group_loop(case, seed):
+    size, ids, ngroups = case
+    if ngroups == 0:
+        return
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=5.0, size=size)
+    groups = _groups(ids, ngroups, rng)
+    want = np.zeros(size)
+    for g in groups:
+        e = np.exp(x[list(g)] - x[list(g)].max())
+        want[list(g)] = e / e.sum()
+    for layout in (groups, _layout(ids, ngroups)):
+        got = K.masked_softmax(K.constant(x), layout).data
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    s = K.parameter(x)
+    c = K.constant(rng.normal(size=size))
+    report = K.grad_check(
+        lambda: K.reduce_sum(K.elementwise_mul(K.masked_softmax(s, groups), c)),
+        [s], epsilon=1e-6)
+    assert report.passed, report.max_rel_error
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_positions(allow_empty=True), st.integers(0, 2**32 - 1))
+def test_layout_weighted_row_sum_matches_group_loop(case, seed):
+    size, ids, ngroups = case
+    rng = np.random.default_rng(seed)
+    nrows = int(rng.integers(1, 5))
+    x0 = rng.normal(size=(nrows, 3))
+    w0 = rng.normal(size=size)
+    rows = rng.integers(0, nrows, size=size)
+    groups = _groups(ids, ngroups, rng)
+    want = np.zeros((ngroups, 3))
+    for k, g in enumerate(groups):
+        for p in g:
+            want[k] += w0[p] * x0[rows[p]]
+    layout = _layout(ids, ngroups)
+    by_row = K.Segments(rows, nrows)
+    for grouping, row_layout in ((groups, None), (layout, by_row)):
+        got = K.weighted_row_sum(K.constant(x0), K.constant(w0), rows,
+                                 grouping, row_layout).data
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+    x, w = K.parameter(x0), K.parameter(w0)
+    c = K.constant(rng.normal(size=(ngroups, 3)))
+    for grouping, row_layout in ((groups, None), (layout, by_row)):
+        def f():
+            gathered = K.gather_rows(x, rows, row_layout)
+            pooled = K.weighted_row_sum(gathered, w, np.arange(size), grouping)
+            direct = K.weighted_row_sum(x, w, rows, grouping, row_layout)
+            return K.reduce_sum(K.elementwise_mul(K.add(pooled, direct), c))
+        report = K.grad_check(f, [x, w], epsilon=1e-6)
+        assert report.passed, report.max_rel_error
+
+
+def test_layout_rejects_overlap_and_bad_ids():
+    with pytest.raises(ShapeError):
+        K.masked_softmax(K.constant([1.0, 2.0]), [(0, 1), (1,)])
+    with pytest.raises(ShapeError):
+        K.Segments([0, 3], 2)
+    layout = K.Segments([1, 2, 0, 1], 2)   # position 1 is outside
+    assert len(layout) == 2 and layout.counts.tolist() == [1, 2]
+    assert layout[1].tolist() == [0, 3] and layout.order is not None
+
+
 def test_backward_hand_gradients():
     x = K.parameter([1.0, 2.0])
     K.backward(K.reduce_sum(x))

@@ -172,7 +172,7 @@ def test_zero_membership_node_state_is_zero():
     assert np.all(x.data[2] == 0.0) and np.all(x.data[3] == 0.0)
     # and they appear in no attention group
     assert all(len(g) > 0 for g in pairs.by_node_nonempty)
-    assert pairs.by_node[2] == () and pairs.by_node[3] == ()
+    assert pairs.by_node[2].size == 0 and pairs.by_node[3].size == 0
 
 
 def test_one_score_tensor_per_layer_feeds_both_directions():

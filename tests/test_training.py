@@ -188,6 +188,20 @@ def test_train_stops_after_patience(monkeypatch):
     assert report.val_losses == [5.0, 4.0, 3.0] + [3.0] * 10
 
 
+def test_train_without_regularizer_never_builds_theta(monkeypatch):
+    import hypersub.training as T
+
+    def refuse(h):
+        raise AssertionError("theta built although reg_weight is 0")
+
+    monkeypatch.setattr(T, "theta", refuse)
+    ds, h = tiny_dataset()
+    _, report = train(ds, h, tiny_config(max_epochs=3, reg_weight=0.0))
+    assert report.epochs_run == 3
+    with pytest.raises(AssertionError):
+        train(ds, h, tiny_config(max_epochs=1, reg_weight=0.5))
+
+
 def test_train_caps_at_max_epochs():
     ds, h = tiny_dataset()
     _, report = train(ds, h, tiny_config(max_epochs=5, patience=50))
