@@ -28,8 +28,8 @@ from .dataio import (Checkpoint, GeneSetCatalog, build_dataset, load_checkpoint,
                      stratified_split)
 from .errors import (EmptyClass, EmptySplit, InputDataError, InvalidLabel,
                      NumericalDivergence)
-from .interpret import (class_enrichment, correlation_tsv, enrichment_tsv,
-                        hyperedge_correlation)
+from .interpret import (backbone_trace, class_enrichment, correlation_tsv,
+                        enrichment_tsv, hyperedge_correlation)
 from .synthetic import make_synthetic
 from .training import (TrainConfig, micro_f1, predictions_from_scores, train)
 
@@ -220,13 +220,17 @@ def cmd_interpret(args) -> int:
     dataset = build_dataset(table, catalog, assignment)
     batch = dataset.batch(np.arange(len(table.subjects)))
 
+    # both views read one evaluation-mode backbone pass
+    pairs = M.incidence_pairs(ckpt.hypergraph)
+    trace = backbone_trace(ckpt.params, pairs)
     report = class_enrichment(ckpt.params, ckpt.hypergraph, batch,
                               ckpt.class_vocab, args.top_k,
-                              edge_names=ckpt.edge_names)
+                              edge_names=ckpt.edge_names, pairs=pairs,
+                              trace=trace)
     enrich_path = out / "enrichment.tsv"
     enrich_path.write_text(enrichment_tsv(report))
 
-    corr = hyperedge_correlation(ckpt.params, ckpt.hypergraph)
+    corr = hyperedge_correlation(ckpt.params, ckpt.hypergraph, trace=trace)
     corr_path = out / "correlation.tsv"
     corr_path.write_text(correlation_tsv(corr, ckpt.edge_names))
 

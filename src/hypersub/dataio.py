@@ -26,7 +26,8 @@ from .training import TrainConfig, config_field_types
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = "hypersub-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2          # the version written; version 1 is still read
+SECTIONS = ("config", "classes", "genes", "edges", "tensors")
 
 
 def _lines(source) -> Iterable[tuple[int, str]]:
@@ -438,34 +439,37 @@ class Checkpoint:
     hypergraph: Hypergraph
 
 
-def _header_lines(ckpt: Checkpoint) -> list[str]:
+def _sections(ckpt: Checkpoint) -> list[list[str]]:
+    """Header lines of each of SECTIONS, in order."""
     h = ckpt.hypergraph
-    lines = [CHECKPOINT_MAGIC,
-             f"version: {CHECKPOINT_VERSION}",
-             "endian: little",
-             "dtype: float32",
-             "[config]"]
-    lines += [l for l in serialize_config(ckpt.config).splitlines()]
-    lines.append("[classes]")
-    lines += ckpt.class_vocab
-    lines.append("[genes]")
-    lines += ckpt.gene_names
-    lines.append("[edges]")
-    for name, w, mem in zip(ckpt.edge_names, h.edge_weights, h.edge_members):
-        lines.append(f"{name}\t{float(w)!r}\t{','.join(map(str, mem))}")
-    lines.append("[tensors]")
-    for name, t in ckpt.params.named_parameters():
-        lines.append(f"{name}\t{','.join(map(str, t.data.shape))}")
-    lines.append("[payload]")
-    return lines
+    edges = [f"{name}\t{float(w)!r}\t{','.join(map(str, mem))}"
+             for name, w, mem in zip(ckpt.edge_names, h.edge_weights, h.edge_members)]
+    tensors = [f"{name}\t{','.join(map(str, t.data.shape))}"
+               for name, t in ckpt.params.named_parameters()]
+    return [serialize_config(ckpt.config).splitlines(), list(ckpt.class_vocab),
+            list(ckpt.gene_names), edges, tensors]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write header plus raw little-endian float32 tensor blocks, atomically:
-    the file appears under its final name only once complete."""
-    head = "\n".join(_header_lines(ckpt)) + "\n"
+    the file appears under its final name only once complete.
+
+    The header is three lines (magic, version, ``header_bytes: N``) and then
+    N bytes of UTF-8 lines: the storage declaration, each section as a
+    ``[name] count`` line followed by exactly ``count`` lines, and a closing
+    ``[payload]`` line. Counts and the byte length, not line contents, mark
+    where things end, so any name without a newline round-trips.
+    """
+    body = ["endian: little", "dtype: float32"]
+    for name, lines in zip(SECTIONS, _sections(ckpt)):
+        body.append(f"[{name}] {len(lines)}")
+        body += lines
+    body.append("[payload]")
+    rest = ("\n".join(body) + "\n").encode("utf-8")
     blob = io.BytesIO()
-    blob.write(head.encode("utf-8"))
+    blob.write(f"{CHECKPOINT_MAGIC}\nversion: {CHECKPOINT_VERSION}\n"
+               f"header_bytes: {len(rest)}\n".encode("utf-8"))
+    blob.write(rest)
     for _, t in ckpt.params.named_parameters():
         blob.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
     payload = blob.getvalue()
@@ -481,52 +485,91 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise
 
 
-def _take_section(lines: list[str], pos: int, tag: str) -> tuple[list[str], int]:
-    if pos >= len(lines) or lines[pos] != tag:
-        raise CorruptCheckpoint(f"expected section {tag}")
-    pos += 1
-    out = []
-    while pos < len(lines) and not lines[pos].startswith("["):
-        out.append(lines[pos])
+def _decode(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CorruptCheckpoint("undecodable header") from e
+
+
+def _line(raw: bytes, pos: int) -> tuple[str, int]:
+    """The header line starting at byte ``pos``, and where the next starts."""
+    end = raw.find(b"\n", pos)
+    if end < 0:
+        raise CorruptCheckpoint("truncated header")
+    return _decode(raw[pos:end]), end + 1
+
+
+def _counted_sections(lines: list[str]) -> list[list[str]]:
+    """Version 2: each section is ``[name] count`` and ``count`` lines."""
+    out, pos = [], 0
+    for name in SECTIONS:
+        tag, _, count = lines[pos].partition(" ") if pos < len(lines) else ("", "", "")
+        if tag != f"[{name}]" or not count.isdecimal():
+            raise CorruptCheckpoint(f"expected section [{name}] with a count")
         pos += 1
-    return out, pos
+        out.append(lines[pos:pos + int(count)])
+        pos += int(count)
+    if lines[pos:] != ["[payload]", ""]:
+        raise CorruptCheckpoint("header does not end with [payload]")
+    return out
+
+
+def _marked_sections(lines: list[str]) -> list[list[str]]:
+    """Version 1: a section runs up to the next line starting with '['."""
+    out, pos = [], 0
+    for name in SECTIONS:
+        if pos >= len(lines) or lines[pos] != f"[{name}]":
+            raise CorruptCheckpoint(f"expected section [{name}]")
+        pos += 1
+        section = []
+        while pos < len(lines) and not lines[pos].startswith("["):
+            section.append(lines[pos])
+            pos += 1
+        out.append(section)
+    if pos != len(lines):
+        raise CorruptCheckpoint("unexpected trailing header content")
+    return out
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; every structural inconsistency raises
-    CorruptCheckpoint, a version mismatch raises UnsupportedVersion."""
+    """Read a checkpoint of version 1 or 2; every structural inconsistency
+    raises CorruptCheckpoint, any other version raises UnsupportedVersion."""
     raw = open(path, "rb").read()
-    marker = b"\n[payload]\n"
-    cut = raw.find(marker)
-    if cut < 0:
-        raise CorruptCheckpoint("missing payload marker")
-    try:
-        head = raw[:cut].decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise CorruptCheckpoint("undecodable header") from e
-    payload = raw[cut + len(marker):]
-    lines = head.splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+    magic, pos = _line(raw, 0)
+    if magic != CHECKPOINT_MAGIC:
         raise CorruptCheckpoint("bad magic")
-    if len(lines) < 4 or not lines[1].startswith("version: "):
+    line, pos = _line(raw, pos)
+    if not line.startswith("version: "):
         raise CorruptCheckpoint("missing version")
     try:
-        version = int(lines[1].split(": ", 1)[1])
+        version = int(line.split(": ", 1)[1])
     except ValueError as e:
         raise CorruptCheckpoint("unreadable version") from e
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersion(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    if lines[2] != "endian: little" or lines[3] != "dtype: float32":
+    if version == 2:
+        line, pos = _line(raw, pos)
+        key, _, length = line.partition(": ")
+        if key != "header_bytes" or not length.isdecimal():
+            raise CorruptCheckpoint("missing header length")
+        cut = pos + int(length)
+        if cut > len(raw):
+            raise CorruptCheckpoint("header truncated")
+        lines = _decode(raw[pos:cut]).split("\n")
+        payload = memoryview(raw)[cut:]
+    elif version == 1:
+        marker = b"\n[payload]\n"
+        cut = raw.find(marker)
+        if cut < 0:
+            raise CorruptCheckpoint("missing payload marker")
+        lines = _decode(raw[pos:cut]).splitlines()
+        payload = memoryview(raw)[cut + len(marker):]
+    else:
+        raise UnsupportedVersion(
+            f"checkpoint version {version}, expected 1 or {CHECKPOINT_VERSION}")
+    if lines[:2] != ["endian: little", "dtype: float32"]:
         raise CorruptCheckpoint("unexpected storage declaration")
-
-    pos = 4
-    config_lines, pos = _take_section(lines, pos, "[config]")
-    class_vocab, pos = _take_section(lines, pos, "[classes]")
-    gene_names, pos = _take_section(lines, pos, "[genes]")
-    edge_lines, pos = _take_section(lines, pos, "[edges]")
-    tensor_lines, pos = _take_section(lines, pos, "[tensors]")
-    if pos != len(lines):
-        raise CorruptCheckpoint("unexpected trailing header content")
+    sections = (_counted_sections if version == 2 else _marked_sections)(lines[2:])
+    config_lines, class_vocab, gene_names, edge_lines, tensor_lines = sections
     try:
         config = parse_config("\n".join(config_lines))
     except Exception as e:

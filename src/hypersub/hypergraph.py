@@ -67,17 +67,11 @@ class SparseMatrix:
 
     def dot_dense(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a dense 2-D x."""
-        return self._reduce(self._by_row, self.col_idx, x)
+        return self._by_row.gather_sum(x, self.values, self.col_idx)
 
     def t_dot_dense(self, x: np.ndarray) -> np.ndarray:
         """self.T @ x for a dense 2-D x."""
-        return self._reduce(self._by_col, self.row_idx, x)
-
-    def _reduce(self, by: Segments, other: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Sum over ``by``'s groups of value * x[other index] per entry."""
-        dtype = np.result_type(self.values, x)
-        pos = by.positions()
-        return by.sum(self.values[pos, None].astype(dtype) * x[other[pos]])
+        return self._by_col.gather_sum(x, self.values, self.row_idx)
 
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],

@@ -43,15 +43,27 @@ def _member_attention(node_states, batch, params):
     return batch.groups.expand(share)
 
 
+def backbone_trace(params: M.ModelParams,
+                   pairs: M.IncidencePairs) -> M.ForwardTrace:
+    """One evaluation-mode backbone pass, recorded; every view below can
+    take it as ``trace`` instead of running its own."""
+    trace = M.ForwardTrace()
+    with K.no_grad():
+        M.forward_backbone(pairs, params, training=False, trace=trace)
+    return trace
+
+
 def class_edge_scores(params: M.ModelParams, h: Hypergraph,
                       batch: M.SubgraphBatch, class_index,
-                      pairs: M.IncidencePairs | None = None) -> np.ndarray:
+                      pairs: M.IncidencePairs | None = None,
+                      trace: M.ForwardTrace | None = None) -> np.ndarray:
     """Average hyperedge attribution over one class's subjects.
 
     Each subject contributes total mass 1 (member attention sums to one and
     the per-node edge mixture sums to one), so the returned vector sums to 1
     whenever every member node touches at least one hyperedge. A sequence of
-    class indices gives one row per class from a single backbone pass.
+    class indices gives one row per class from a single backbone pass, or
+    from ``trace`` when given.
     """
     if pairs is None:
         pairs = M.incidence_pairs(h)
@@ -62,10 +74,10 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
         empty = int(classes[np.flatnonzero(sizes == 0)[0]])
         raise EmptyClass(f"no subjects carry class index {empty}")
 
-    trace = M.ForwardTrace()
+    if trace is None:
+        trace = backbone_trace(params, pairs)
     with K.no_grad():
-        x = M.forward_backbone(pairs, params, training=False, trace=trace)
-        member_attn = _member_attention(x, batch, params)
+        member_attn = _member_attention(trace.final_node_states, batch, params)
     node_attn = trace.layers[-1].node_attention.data
 
     # member attention summed per (class, node), then spread over each
@@ -101,8 +113,11 @@ def rank_hyperedges(params: M.ModelParams, h: Hypergraph,
 
 def class_enrichment(params: M.ModelParams, h: Hypergraph,
                      batch: M.SubgraphBatch, class_vocab: list[str],
-                     top_k: int, edge_names: list[str] | None = None) -> EnrichmentReport:
-    scores = class_edge_scores(params, h, batch, list(range(len(class_vocab))))
+                     top_k: int, edge_names: list[str] | None = None,
+                     pairs: M.IncidencePairs | None = None,
+                     trace: M.ForwardTrace | None = None) -> EnrichmentReport:
+    scores = class_edge_scores(params, h, batch, list(range(len(class_vocab))),
+                               pairs=pairs, trace=trace)
     names = edge_names or [str(j) for j in range(h.num_edges)]
     rankings = {cname: _top(row, top_k, names)
                 for cname, row in zip(class_vocab, scores)}
@@ -112,13 +127,13 @@ def class_enrichment(params: M.ModelParams, h: Hypergraph,
 
 
 def hyperedge_correlation(params: M.ModelParams, h: Hypergraph,
-                          pairs: M.IncidencePairs | None = None) -> np.ndarray:
-    """Pairwise cosine similarity of final-layer hyperedge states."""
-    if pairs is None:
-        pairs = M.incidence_pairs(h)
-    trace = M.ForwardTrace()
-    with K.no_grad():
-        M.forward_backbone(pairs, params, training=False, trace=trace)
+                          pairs: M.IncidencePairs | None = None,
+                          trace: M.ForwardTrace | None = None) -> np.ndarray:
+    """Pairwise cosine similarity of final-layer hyperedge states, from
+    ``trace`` when given."""
+    if trace is None:
+        trace = backbone_trace(params, pairs if pairs is not None
+                               else M.incidence_pairs(h))
     return cosine_matrix(trace.final_edge_states.data.astype(np.float64))
 
 

@@ -10,6 +10,7 @@ verifies any composition against central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -310,8 +311,8 @@ class Segments:
     group, or None where the positions already run in that order (the
     identity), so group k holds positions ``order[offsets[k]:offsets[k+1]]``
     in ascending order and the outside positions come last. Built once per
-    grouping; the segment reductions below run on it with ``reduceat``
-    instead of scatter-adds.
+    grouping; the softmax below reduces over it with 1-D ``reduceat``, and
+    every weighted row sum goes through ``gather_sum``.
     """
 
     def __init__(self, ids, num_groups: int):
@@ -379,15 +380,50 @@ class Segments:
         order."""
         return np.repeat(v, self.counts, axis=0)
 
-    def sum(self, a: np.ndarray, length: int | None = None) -> np.ndarray:
-        """Per-group sums of segment-order rows; empty groups give zeros.
-        ``length`` pads the result with zero rows past the last group."""
+    @cached_property
+    def _blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(groups, positions) per size bucket: the nonempty groups whose size
+        rounds up to the same power of two L, and their positions as a
+        (groups, L) block padded with ``size``, one past the last position."""
+        counts = self.counts[self.nonempty]
+        width = np.left_shift(1, np.frexp(counts - 1)[1])   # next power of two
+        perm = self.order
+        blocks = []
+        for span in np.unique(width):
+            groups = self.nonempty[width == span]
+            idx = self.offsets[groups, None] + np.arange(span)
+            valid = idx < self.offsets[groups + 1, None]
+            pos = np.full(idx.shape, self.size, dtype=np.intp)
+            pos[valid] = idx[valid] if perm is None else perm[idx[valid]]
+            blocks.append((groups, pos))
+        return blocks
+
+    def gather_sum(self, x: np.ndarray, weights: np.ndarray | None = None,
+                   rows: np.ndarray | None = None,
+                   length: int | None = None) -> np.ndarray:
+        """Fused gather-scale-reduce: ``out[k] = sum over p in group k of
+        weights[p] * x[rows[p]]``, for a 2-D ``x``. ``weights`` default to
+        one and ``rows`` to the positions themselves; empty groups give
+        zeros, and ``length`` pads the result with zero rows past the last
+        group.
+
+        Each size bucket is one batched product of its (groups, 1, L) weights
+        with its (groups, L, d) gathered rows. Padding slots take zero weight
+        on an appended zero row, so a non-finite row of ``x`` reaches only
+        the groups that hold it.
+        """
         length = len(self) if length is None else length
-        if self.starts.size == length:
-            return np.add.reduceat(a, self.starts, axis=0)
-        out = np.zeros((length,) + a.shape[1:], dtype=a.dtype)
-        if self.starts.size:
-            out[self.nonempty] = np.add.reduceat(a, self.starts, axis=0)
+        n = x.shape[0]
+        dtype = x.dtype if weights is None else np.result_type(weights, x)
+        xz = np.zeros((n + 1, x.shape[1]), dtype=dtype)
+        xz[:n] = x
+        w = np.zeros(self.size + 1, dtype=dtype)
+        w[:-1] = 1 if weights is None else weights
+        r = np.full(self.size + 1, n, dtype=np.intp)
+        r[:-1] = np.arange(self.size) if rows is None else rows
+        out = np.zeros((length, x.shape[1]), dtype=dtype)
+        for groups, pos in self._blocks:
+            out[groups] = np.matmul(w[pos][:, None, :], xz[r[pos]])[:, 0]
         return out
 
 
@@ -410,7 +446,7 @@ def gather_rows(x: Tensor, indices, layout: Segments | None = None) -> Tensor:
 
     def grad_fn(g):
         by_row = layout if layout is not None else Segments(idx, x.data.shape[0])
-        _accum(x, by_row.sum(by_row.gather(g), x.data.shape[0]))
+        _accum(x, by_row.gather_sum(g, length=x.data.shape[0]))
 
     return _result(x.data[idx], (x,), grad_fn)
 
@@ -473,20 +509,18 @@ def weighted_row_sum(x: Tensor, weights: Tensor, row_indices, groups,
     if rows.shape != w.shape:
         raise ShapeError("row_indices length must match weights")
     seg = _layout(groups, w.size)
-    pos = seg.positions()
-    out = seg.sum(w[pos, None] * x.data[rows[pos]])
+    out = seg.gather_sum(x.data, w, rows)
 
     def grad_fn(g):
         if weights.requires_grad:
+            pos = seg.positions()
             dw = np.einsum("ij,ij->i", seg.expand(g), x.data[rows[pos]])
             _accum(weights, seg.scatter(dw))
         if x.requires_grad:
             by_row = row_layout if row_layout is not None \
                 else Segments(rows, x.data.shape[0])
-            if seg.offsets[-1] < seg.size:   # outside positions pull zeros
-                g = np.concatenate([g, np.zeros((1, g.shape[1]), dtype=g.dtype)])
-            q = by_row.positions()
-            _accum(x, by_row.sum(w[q, None] * g[seg.ids[q]], x.data.shape[0]))
+            # outside positions carry the id len(seg), the zero row past g
+            _accum(x, by_row.gather_sum(g, w, seg.ids, x.data.shape[0]))
 
     return _result(out, (x, weights), grad_fn)
 

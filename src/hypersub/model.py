@@ -473,11 +473,19 @@ def forward(pairs: IncidencePairs, params: ModelParams, batch: SubgraphBatch, *,
     )
 
 
+def scores_from_states(node_states: Tensor, params: ModelParams,
+                       batch: SubgraphBatch) -> np.ndarray:
+    """Evaluation-mode class scores of a batch from final node states, so
+    that several batches can share one backbone pass."""
+    with K.no_grad():
+        s = subgraph_repr(node_states, batch, params)
+        z = classify(s, params, training=False)
+    return z.data.copy()
+
+
 def subgraph_scores(pairs: IncidencePairs, params: ModelParams,
                     batch: SubgraphBatch) -> np.ndarray:
     """Evaluation-mode class scores for a batch, as a plain array."""
     with K.no_grad():
         x = forward_backbone(pairs, params, training=False)
-        s = subgraph_repr(x, batch, params)
-        z = classify(s, params, training=False)
-    return z.data.copy()
+    return scores_from_states(x, params, batch)

@@ -263,13 +263,16 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
     for t, saved in zip(tensors, best_snapshot):
         t.data[...] = saved
 
+    # one evaluation-mode backbone pass scores every split
+    with K.no_grad():
+        node_states = M.forward_backbone(pairs, params, training=False)
     metrics: dict[str, float] = {}
     for split in ("train", "val", "test"):
         idx = dataset.indices(split)
         if idx.size == 0:
             continue
         batch = dataset.batch(idx)
-        scores = M.subgraph_scores(pairs, params, batch)
+        scores = M.scores_from_states(node_states, params, batch)
         pred = predictions_from_scores(scores, config.mode, config.threshold)
         metrics[f"micro_f1_{split}"] = micro_f1(pred, batch.labels)
 

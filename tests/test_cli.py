@@ -1,12 +1,18 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypersub import cli
+from hypersub import dataio as D
+from hypersub import interpret as I
 from hypersub import model as M
 from hypersub.dataio import load_checkpoint
 from hypersub.errors import NumericalDivergence
+from hypersub.training import TrainConfig, train
 
 PROFILE = ["--nodes", "40", "--edges", "8", "--classes", "4",
            "--subjects", "60", "--seed", "3"]
@@ -271,3 +277,118 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         run(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_interpret_runs_one_backbone_pass(synth_dir, train_dir, tmp_path,
+                                          monkeypatch):
+    calls = []
+    original = M.forward_backbone
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(M, "forward_backbone", counting)
+    code = run(["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
+                "--subgraphs", str(synth_dir / "subgraphs.tsv"),
+                "--top-k", "3", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    # each view on a backbone pass of its own writes the same bytes
+    ckpt = load_checkpoint(train_dir / "model.ckpt")
+    catalog = cli._catalog_from_checkpoint(ckpt)
+    table = D.load_subgraphs((synth_dir / "subgraphs.tsv").read_text(), catalog,
+                             class_vocab=ckpt.class_vocab)
+    dataset = D.build_dataset(table, catalog,
+                              {rec.subject_id: "train" for rec in table.subjects})
+    batch = dataset.batch(np.arange(len(table.subjects)))
+    report = I.class_enrichment(ckpt.params, ckpt.hypergraph, batch,
+                                ckpt.class_vocab, 3, edge_names=ckpt.edge_names)
+    corr = I.hyperedge_correlation(ckpt.params, ckpt.hypergraph)
+    assert (tmp_path / "enrichment.tsv").read_bytes() == \
+        I.enrichment_tsv(report).encode()
+    assert (tmp_path / "correlation.tsv").read_bytes() == \
+        I.correlation_tsv(corr, ckpt.edge_names).encode()
+
+
+# names as the text formats allow them: no tab, no line break, no surrogate
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\t" + _LINE_BREAKS),
+                min_size=1, max_size=6)
+_BRACKETED = st.sampled_from(["[g1", "[payload]", "[edges]", "[genes] 2",
+                              "[tensors", "[", "]["])
+# genes and classes are comma-separated tokens, stripped; genes also carry
+# ":weight"; a class "-" means unlabeled
+_GENE = st.one_of(_BRACKETED, _TEXT).map(str.strip).filter(
+    lambda s: s and not set(s) & set(",:"))
+_CLASS = st.one_of(_BRACKETED, _TEXT).map(str.strip).filter(
+    lambda s: s and s != "-" and "," not in s)
+# a GMT line starting with '#' is a comment
+_EDGE = st.one_of(_BRACKETED, _TEXT).filter(
+    lambda s: s.strip() and not s.lstrip().startswith("#"))
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_GENE, min_size=4, max_size=7, unique=True),
+       st.lists(_EDGE, min_size=2, max_size=3, unique=True),
+       st.lists(_CLASS, min_size=2, max_size=2, unique=True))
+def test_names_round_trip_through_train_checkpoint_predict(genes, edges, classes):
+    gmt = "".join(f"{name}\tdesc\t" + "\t".join(genes[j::len(edges)] + genes[:1]) + "\n"
+                  for j, name in enumerate(edges))
+    catalog = D.parse_gmt(gmt)
+    assert catalog.names == edges and set(catalog.genes) == set(genes)
+    subjects = "".join(f"s{i}\t{classes[i % 2]}\t{genes[i % len(genes)]}:0.5,"
+                       f"{genes[(i + 1) % len(genes)]}\n" for i in range(8))
+    table = D.load_subgraphs(subjects, catalog)
+    split = {f"s{i}": ("train", "train", "val", "test")[i % 4] for i in range(8)}
+    dataset = D.build_dataset(table, catalog, split)
+    config = TrainConfig(hidden_dim=4, num_layers=1, max_epochs=2, patience=2,
+                         dropout_rate=0.0, seed=1)
+    params, _ = train(dataset, catalog.to_hypergraph(), config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/model.ckpt"
+        D.save_checkpoint(D.Checkpoint(
+            params=params, config=config, gene_names=catalog.genes,
+            class_vocab=dataset.class_vocab, edge_names=list(catalog.names),
+            hypergraph=catalog.to_hypergraph()), path)
+        loaded = D.load_checkpoint(path)
+        assert loaded.gene_names == catalog.genes
+        assert loaded.edge_names == edges
+        assert loaded.class_vocab == sorted(classes)
+        assert all(np.array_equal(a.data, b.data) for a, b in
+                   zip(params.parameters(), loaded.params.parameters()))
+
+        probe = f"{tmp}/probe.tsv"
+        with open(probe, "w", encoding="utf-8") as fh:
+            fh.write(f"p1\t-\t{genes[0]},{genes[-1]}:2\n")
+        out = f"{tmp}/pred.tsv"
+        assert run(["predict", "--checkpoint", path, "--subgraphs", probe,
+                    "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            header, row = fh.read().splitlines()
+        assert header.split("\t") == ["subject_id", *sorted(classes), "predicted"]
+        assert row.split("\t")[0] == "p1"
+
+
+def test_bracketed_gene_name_trains_and_predicts(tmp_path):
+    # a gene "[g1" used to end the [genes] section of the checkpoint header
+    gmt = tmp_path / "sets.gmt"
+    gmt.write_text("[payload]\tx\t[g1\tg2\tg3\nB\ty\tg3\t[edges]\n")
+    subjects = tmp_path / "subjects.tsv"
+    subjects.write_text("".join(f"s{i}\t{'ab'[i % 2]}\t[g1:0.5,{'g2' if i % 2 else '[edges]'}\n"
+                                for i in range(10)))
+    cfg = tmp_path / "cfg"
+    cfg.write_text("hidden_dim = 4\nmax_epochs = 2\n")
+    out = tmp_path / "run"
+    assert run(["train", "--gmt", str(gmt), "--subgraphs", str(subjects),
+                "--split-ratios", "0.6,0.2,0.2", "--config", str(cfg),
+                "--out", str(out)]) == 0
+    ckpt = load_checkpoint(out / "model.ckpt")
+    assert ckpt.gene_names == ["[g1", "g2", "g3", "[edges]"]
+    assert ckpt.edge_names == ["[payload]", "B"]
+    assert run(["predict", "--checkpoint", str(out / "model.ckpt"),
+                "--subgraphs", str(subjects), "--out", str(tmp_path / "p.tsv")]) == 0

@@ -1,5 +1,10 @@
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersub import dataio as D
 from hypersub import model as M
@@ -347,11 +352,85 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
 def test_checkpoint_rejects_other_version(tmp_path):
     ckpt, path = trained_fixture(tmp_path)
-    raw = path.read_bytes().replace(b"version: 1", b"version: 2", 1)
+    current = f"version: {D.CHECKPOINT_VERSION}\n".encode()
+    raw = path.read_bytes()
+    assert current in raw
+    raw = raw.replace(current, f"version: {D.CHECKPOINT_VERSION + 1}\n".encode(), 1)
     with pytest.raises(UnsupportedVersion):
-        D.load_checkpoint(write(tmp_path / "v2", raw))
+        D.load_checkpoint(write(tmp_path / "next", raw))
 
 
 def write(path, blob):
     path.write_bytes(blob)
     return path
+
+
+V1_FIXTURE = pathlib.Path(__file__).parent / "data" / "v1.ckpt"
+
+
+def test_version_1_checkpoint_still_loads(tmp_path):
+    # tests/data/v1.ckpt was written by the version 1 writer: a [section]
+    # line ends the previous section and a marker search finds the payload
+    assert V1_FIXTURE.read_bytes().startswith(b"hypersub-checkpoint\nversion: 1\n")
+    ckpt = D.load_checkpoint(V1_FIXTURE)
+    assert ckpt.config.hidden_dim == 4 and ckpt.config.seed == 3
+    assert ckpt.class_vocab == ["X", "Y"]
+    assert ckpt.gene_names == ["G1", "G2", "G3", "G4", "G5", "G6"]
+    assert ckpt.edge_names == ["PW_A", "PW_B", "PW_C"]
+    assert ckpt.hypergraph.edge_members == ((0, 1, 2), (2, 3), (0, 4, 5))
+    batch = M.SubgraphBatch(members=[np.array([0, 1]), np.array([4, 5])],
+                            weights=[np.array([0.5, 1.0]), np.array([1.0, 2.0])],
+                            labels=np.zeros((2, 2)))
+    scores = M.subgraph_scores(M.incidence_pairs(ckpt.hypergraph), ckpt.params, batch)
+    assert np.all(np.isfinite(scores)) and np.allclose(scores.sum(axis=1), 1.0)
+    # re-saved, it is a current-version file with the same content
+    path = tmp_path / "v2.ckpt"
+    D.save_checkpoint(ckpt, path)
+    assert path.read_bytes().startswith(
+        f"hypersub-checkpoint\nversion: {D.CHECKPOINT_VERSION}\n".encode())
+    again = D.load_checkpoint(path)
+    assert again.gene_names == ckpt.gene_names and again.config == ckpt.config
+    assert all(np.array_equal(a.data, b.data) for a, b in
+               zip(ckpt.params.parameters(), again.params.parameters()))
+
+
+_NAME = st.one_of(
+    st.sampled_from(["[payload]", "[edges]", "[genes] 3", "[g1", "[", "a\rb",
+                     "x y", "\x0c"]),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\n\t"), min_size=1, max_size=8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_NAME, min_size=4, max_size=4, unique=True),
+       st.lists(_NAME, min_size=3, max_size=3, unique=True),
+       st.lists(_NAME, min_size=2, max_size=2, unique=True))
+def test_checkpoint_names_round_trip(genes, classes, edges):
+    rng = np.random.default_rng(0)
+    h = build_hypergraph([[0, 1, 2], [1, 3]])
+    params = M.init_model(h.num_nodes, 3, 1, 3, rng)
+    config = TrainConfig(hidden_dim=3, num_layers=1)
+    ckpt = D.Checkpoint(params=params, config=config, gene_names=genes,
+                        class_vocab=classes, edge_names=edges, hypergraph=h)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "model.ckpt"
+        D.save_checkpoint(ckpt, path)
+        loaded = D.load_checkpoint(path)
+    assert loaded.gene_names == genes
+    assert loaded.class_vocab == classes
+    assert loaded.edge_names == edges
+    assert all(np.array_equal(a.data, b.data) for a, b in
+               zip(params.parameters(), loaded.params.parameters()))
+
+
+def test_checkpoint_rejects_bad_counts_and_lengths(tmp_path):
+    ckpt, path = trained_fixture(tmp_path)
+    raw = path.read_bytes()
+    for old, new in ((b"[genes] 4", b"[genes] 5"), (b"[genes] 4", b"[genes] 3"),
+                     (b"[genes] 4", b"[genes] x"), (b"[tensors] ", b"[tensor] "),
+                     (b"header_bytes: ", b"header_bytes: 9"),
+                     (b"header_bytes: ", b"header_bytes: -"),
+                     (b"header_bytes: ", b"header_size: ")):
+        assert old in raw
+        with pytest.raises(CorruptCheckpoint):
+            D.load_checkpoint(write(tmp_path / "bad", raw.replace(old, new, 1)))

@@ -366,3 +366,142 @@ def test_grad_check_sigmoid_and_sub():
 
     report = K.grad_check(f, [a, b], epsilon=1e-6)
     assert report.passed
+
+
+# ------------------------------------------------ bucketed segment kernel
+
+# group sizes across several power-of-two buckets: 1, the powers, +-1 around
+BUCKET_SIZES = sorted({1, 2, 3} | {s + k for s in (4, 8, 16, 32) for k in (-1, 0, 1)})
+
+
+def _loop_gather_sum(x, w, rows, ids, ngroups):
+    """Per-group loop reference for Segments.gather_sum, in float64."""
+    out = np.zeros((ngroups, x.shape[1]))
+    for p, k in enumerate(ids):
+        if k < ngroups:
+            out[k] += float(w[p]) * x[rows[p]].astype(np.float64)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(BUCKET_SIZES + [0]), min_size=1, max_size=12),
+       st.integers(0, 8), st.sampled_from([np.float32, np.float64]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
+                                                      hub, seed):
+    rng = np.random.default_rng(seed)
+    sizes = list(sizes) + ([int(rng.integers(300, 700))] if hub else [])
+    ngroups = len(sizes)
+    ids = np.concatenate([np.repeat(np.arange(ngroups), sizes),
+                          np.full(outside, ngroups)]).astype(np.intp)
+    rng.shuffle(ids)
+    layout = K.Segments(ids, ngroups)
+    nrows = int(rng.integers(1, 30))
+    x = rng.normal(size=(nrows, 4)).astype(dtype)
+    w = rng.normal(size=ids.size).astype(dtype)
+    rows = rng.integers(0, nrows, size=ids.size)
+    want = _loop_gather_sum(x, w, rows, ids, ngroups)
+    tol = 1e-4 if dtype == np.float32 else 1e-11
+    scale = 1.0 + np.abs(want)
+
+    got = layout.gather_sum(x, w, rows)
+    assert got.dtype == dtype and got.shape == (ngroups, 4)
+    assert np.all(np.abs(got - want) <= tol * scale * np.sqrt(max(sizes + [1])))
+    padded = layout.gather_sum(x, w, rows, length=ngroups + 3)
+    assert np.array_equal(padded[:ngroups], got) and not padded[ngroups:].any()
+    # unit weights over the positions themselves sum rows per group
+    xp = rng.normal(size=(ids.size, 4)).astype(dtype)
+    plain = _loop_gather_sum(xp, np.ones(ids.size), np.arange(ids.size), ids, ngroups)
+    assert np.all(np.abs(layout.gather_sum(xp) - plain)
+                  <= tol * (1.0 + np.abs(plain)) * np.sqrt(max(sizes + [1])))
+    assert not got[np.asarray(sizes) == 0].any()   # empty groups give zeros
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(BUCKET_SIZES), min_size=2, max_size=8),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+def test_gather_sum_keeps_a_non_finite_row_in_its_groups(sizes, dtype, seed):
+    rng = np.random.default_rng(seed)
+    ngroups = len(sizes)
+    ids = np.concatenate([np.repeat(np.arange(ngroups), sizes), [ngroups]])
+    rng.shuffle(ids)
+    layout = K.Segments(ids, ngroups)
+    nrows = 6
+    rows = rng.integers(0, nrows, size=ids.size)
+    w = rng.normal(size=ids.size).astype(dtype)
+    for bad in range(nrows):
+        x = rng.normal(size=(nrows, 3)).astype(dtype)
+        x[bad] = [np.nan, np.inf, -np.inf]
+        with np.errstate(invalid="ignore"):   # inf - inf in the touched groups
+            got = layout.gather_sum(x, w, rows)
+        touched = np.zeros(ngroups, dtype=bool)
+        touched[ids[(rows == bad) & (ids < ngroups)]] = True
+        assert np.all(np.isfinite(got[~touched]))
+        assert not np.all(np.isfinite(got[touched]), axis=1).any()
+
+
+def test_gather_sum_hub_group_matches_loop():
+    rng = np.random.default_rng(11)
+    sizes = [1, 2, 3, 4, 5, 7, 8, 9, 0, 0, 300, 513]
+    ngroups = len(sizes)
+    ids = np.concatenate([np.repeat(np.arange(ngroups), sizes),
+                          np.full(17, ngroups)])
+    rng.shuffle(ids)
+    layout = K.Segments(ids, ngroups)
+    x = rng.normal(size=(50, 8))
+    w = rng.normal(size=ids.size)
+    rows = rng.integers(0, 50, size=ids.size)
+    want = _loop_gather_sum(x, w, rows, ids, ngroups)
+    assert np.max(np.abs(layout.gather_sum(x, w, rows) - want)) <= 1e-11
+    # every nonempty group sits in exactly one bucket, padded below 2x
+    buckets = layout._blocks
+    held = np.concatenate([g for g, _ in buckets])
+    assert sorted(held.tolist()) == [k for k, s in enumerate(sizes) if s]
+    for groups, pos in buckets:
+        assert np.all(np.asarray(sizes)[groups] * 2 > pos.shape[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(BUCKET_SIZES[:8] + [0]), min_size=1, max_size=6),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_grad_check_through_bucketed_kernels(sizes, outside, seed):
+    rng = np.random.default_rng(seed)
+    ngroups = len(sizes)
+    ids = np.concatenate([np.repeat(np.arange(ngroups), sizes),
+                          np.full(outside, ngroups)]).astype(np.intp)
+    rng.shuffle(ids)
+    size = ids.size
+    if size == 0:
+        return
+    layout = K.Segments(ids, ngroups)
+    nrows = int(rng.integers(1, 6))
+    rows = rng.integers(0, nrows, size=size)
+    by_row = K.Segments(rows, nrows)
+    x = K.parameter(rng.normal(size=(nrows, 3)))
+    w = K.parameter(rng.normal(size=size))
+    c = K.constant(rng.normal(size=(ngroups, 3)))
+
+    def f():
+        direct = K.weighted_row_sum(x, w, rows, layout, by_row)
+        pooled = K.weighted_row_sum(K.gather_rows(x, rows, by_row), w,
+                                    np.arange(size), layout)
+        return K.reduce_sum(K.elementwise_mul(K.add(direct, pooled), c))
+
+    report = K.grad_check(f, [x, w], epsilon=1e-6)
+    assert report.passed, report.max_rel_error
+
+
+def test_grad_check_through_spmm():
+    rng = np.random.default_rng(4)
+    h = build_hypergraph([[0, 1, 2, 3, 4], [1, 3], [2, 5, 6], [0, 6], [4]])
+    sp = theta(h)
+    x = K.parameter(rng.normal(size=(h.num_nodes, 3)))
+    c = K.constant(rng.normal(size=(h.num_nodes, 3)))
+    report = K.grad_check(
+        lambda: K.reduce_sum(K.elementwise_mul(K.spmm(sp, x), c)), [x],
+        epsilon=1e-6)
+    assert report.passed, report.max_rel_error
+    dense = sp.to_dense()
+    y = rng.normal(size=(h.num_nodes, 4))
+    assert np.max(np.abs(sp.dot_dense(y) - dense @ y)) <= 1e-12
+    assert np.max(np.abs(sp.t_dot_dense(y) - dense.T @ y)) <= 1e-12

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hypersub import dataio as D
 from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.dataio import build_dataset, load_subgraphs
@@ -280,3 +283,60 @@ def test_grid_search_rejects_bad_input():
         grid_search(ds, h, {"not_a_key": [1]}, seeds=[1])
     with pytest.raises(ValueError):
         grid_search(ds, h, {"hidden_dim": [8]}, seeds=[])
+
+
+def test_train_runs_one_backbone_pass_per_forward_and_one_final(monkeypatch):
+    # E epochs without early stopping: a training and a validation pass per
+    # epoch, and a single evaluation pass that scores every split
+    calls = []
+    original = M.forward_backbone
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("training", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(M, "forward_backbone", counting)
+    ds, h = tiny_dataset()
+    epochs = 4
+    _, report = train(ds, h, tiny_config(max_epochs=epochs, patience=epochs))
+    assert report.epochs_run == epochs
+    assert len(calls) == 2 * epochs + 1
+    assert calls.count(True) == epochs
+
+
+def test_final_metrics_match_per_split_scores():
+    ds, h = tiny_dataset()
+    cfg = tiny_config(max_epochs=6, dropout_rate=0.2)
+    params, report = train(ds, h, cfg)
+    pairs = M.incidence_pairs(h)
+    for split in ("train", "val", "test"):
+        batch = ds.batch(ds.indices(split))
+        scores = M.subgraph_scores(pairs, params, batch)
+        with K.no_grad():
+            x = M.forward_backbone(pairs, params)
+        assert np.array_equal(M.scores_from_states(x, params, batch), scores)
+        pred = predictions_from_scores(scores, cfg.mode, cfg.threshold)
+        assert report.metrics[f"micro_f1_{split}"] == micro_f1(pred, batch.labels)
+
+
+@pytest.mark.parametrize("extra", [0, 5])
+def test_minibatch_covering_the_train_split_equals_full_batch(tmp_path, extra):
+    ds, h = tiny_dataset()
+    n_train = ds.indices("train").size
+    full_cfg = tiny_config(max_epochs=4, dropout_rate=0.3)
+    saved = []
+    for cfg in (full_cfg, replace(full_cfg, batch_size=n_train + extra)):
+        params, report = train(ds, h, cfg)
+        # the same config in both headers, so any byte that differs is a
+        # trained parameter
+        path = tmp_path / f"b{cfg.batch_size}.ckpt"
+        D.save_checkpoint(D.Checkpoint(
+            params=params, config=full_cfg,
+            gene_names=[str(i) for i in range(h.num_nodes)],
+            class_vocab=list(ds.class_vocab),
+            edge_names=[str(j) for j in range(h.num_edges)], hypergraph=h), path)
+        saved.append((path.read_bytes(), report))
+    (full, full_report), (chunked, chunked_report) = saved
+    assert full == chunked
+    assert full_report.train_losses == chunked_report.train_losses
+    assert full_report.val_losses == chunked_report.val_losses
