@@ -17,8 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
-                     InputDataError, InvalidDepth, MalformedLine,
-                     UnknownClass, UnknownConfigKey, UnsupportedVersion)
+                     InputDataError, InvalidConfigValue, InvalidDepth,
+                     MalformedLine, UnknownClass, UnknownConfigKey,
+                     UnsupportedVersion)
 from .hypergraph import Hypergraph, build_hypergraph
 from .model import HeadParams, LayerParams, ModelParams, SubgraphBatch
 from .training import TrainConfig, config_field_types
@@ -390,9 +391,11 @@ def build_dataset(table: SubgraphTable, catalog: GeneSetCatalog,
 
 def parse_config(source, base: TrainConfig | None = None) -> TrainConfig:
     """Flat key = value config. Unknown keys fail fast; values are coerced to
-    the field's type. Missing keys keep the base (or default) value."""
+    the field's type. Missing keys keep the base (or default) value. A value
+    out of range raises InvalidConfigValue naming its key and line."""
     types = config_field_types()
     overrides = {}
+    line_of = {}
     for no, line in _lines(source):
         if "=" not in line:
             raise MalformedLine(no, "expected key = value")
@@ -411,8 +414,14 @@ def parse_config(source, base: TrainConfig | None = None) -> TrainConfig:
                 overrides[key] = t(value)
         except ValueError:
             raise MalformedLine(no, f"cannot parse {value!r} as {t.__name__} for {key!r}") from None
+        line_of[key] = no
     config = replace(base or TrainConfig(), **overrides)
-    config.validate()
+    try:
+        config.validate()
+    except InvalidConfigValue as e:   # name the line that set the value
+        if e.key not in line_of:
+            raise
+        raise InvalidConfigValue(e.key, e.reason, line_of[e.key]) from None
     return config
 
 

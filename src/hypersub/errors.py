@@ -95,3 +95,14 @@ class CorruptCheckpoint(InputDataError):
 
 class UnknownConfigKey(InputDataError):
     """A configuration file names a key this package does not define."""
+
+
+class InvalidConfigValue(InputDataError, ValueError):
+    """A configuration value is out of its range or not a finite number."""
+
+    def __init__(self, key: str, reason: str, line_no: int | None = None):
+        where = "" if line_no is None else f"line {line_no}: "
+        super().__init__(f"{where}{key} {reason}")
+        self.key = key
+        self.reason = reason
+        self.line_no = line_no

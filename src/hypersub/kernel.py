@@ -303,6 +303,12 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _result(x.data.reshape(shape), (x,), grad_fn)
 
 
+# Byte budget of one block of gathered rows: ``Segments.gather_sum`` and
+# ``attention_scores`` walk their rows in blocks of about this size, which
+# keeps each block in cache and holds no rows x d array at once.
+BLOCK_BYTES = 256 * 1024
+
+
 class Segments:
     """Disjoint groups over the positions 0..size-1 of a flat array, as CSR.
 
@@ -407,10 +413,11 @@ class Segments:
         zeros, and ``length`` pads the result with zero rows past the last
         group.
 
-        Each size bucket is one batched product of its (groups, 1, L) weights
-        with its (groups, L, d) gathered rows. Padding slots take zero weight
-        on an appended zero row, so a non-finite row of ``x`` reaches only
-        the groups that hold it.
+        Each size bucket is reduced by batched products of its (groups, 1, L)
+        weights with its (groups, L, d) gathered rows, taken in slices of
+        about ``BLOCK_BYTES`` of rows. Padding slots take zero weight on an
+        appended zero row, so a non-finite row of ``x`` reaches only the
+        groups that hold it.
         """
         length = len(self) if length is None else length
         n = x.shape[0]
@@ -423,7 +430,10 @@ class Segments:
         r[:-1] = np.arange(self.size) if rows is None else rows
         out = np.zeros((length, x.shape[1]), dtype=dtype)
         for groups, pos in self._blocks:
-            out[groups] = np.matmul(w[pos][:, None, :], xz[r[pos]])[:, 0]
+            step = max(1, BLOCK_BYTES // max(1, pos.shape[1] * xz[0].nbytes))
+            for lo in range(0, groups.size, step):
+                p = pos[lo:lo + step]
+                out[groups[lo:lo + step]] = np.matmul(w[p][:, None, :], xz[r[p]])[:, 0]
         return out
 
 
@@ -449,6 +459,93 @@ def gather_rows(x: Tensor, indices, layout: Segments | None = None) -> Tensor:
         _accum(x, by_row.gather_sum(g, length=x.data.shape[0]))
 
     return _result(x.data[idx], (x,), grad_fn)
+
+
+# Blocks hold whole multiples of this many rows, padded at the end, so BLAS
+# scores every pair with the same full-width kernel wherever it sits.
+_SCORE_ROW_ALIGN = 64
+
+
+def attention_scores(te: Tensor, tn: Tensor, context: Tensor, edge_of_pair,
+                     node_of_pair, by_edge: Segments, by_node: Segments,
+                     slope: float = 0.01) -> Tensor:
+    """One score per incident pair p = (e, n):
+    ``leaky(te[e] * tn[n]) @ context``, a 1-D tensor. ``by_edge`` and
+    ``by_node`` are the layouts of ``edge_of_pair`` and ``node_of_pair``.
+
+    The pairs are scored block by block through fixed work buffers, so no
+    pairs x d array is ever held. The gradient keeps none either: per
+    coordinate, leaky(u v) = max(u, 0) L+(v) + min(u, 0) L-(v) with
+    L+(v) = v if v > 0 else slope v and L-(v) = v if v < 0 else slope v, so
+    the sums over an edge's pairs are one ``gather_sum`` of the node table
+    [L+(tn), L-(tn)] over ``by_edge`` (and symmetrically over ``by_node``).
+    At an exact zero the rule takes the mean of the one-sided derivatives.
+    """
+    _need_2d("attention_scores edge input", te)
+    _need_2d("attention_scores node input", tn)
+    _need_2d("attention_scores context", context)
+    d = te.data.shape[1]
+    if tn.data.shape[1] != d or context.data.shape != (d, 1):
+        raise ShapeError(f"attention_scores widths differ: {te.data.shape}, "
+                         f"{tn.data.shape}, context {context.data.shape}")
+    e = np.asarray(edge_of_pair, dtype=np.intp)
+    n = np.asarray(node_of_pair, dtype=np.intp)
+    if e.ndim != 1 or e.shape != n.shape or not by_edge.size == by_node.size == e.size:
+        raise ShapeError("edge_of_pair, node_of_pair and their layouts must align")
+    for idx, t in ((e, te), (n, tn)):
+        if idx.size and (idx.min() < 0 or idx.max() >= t.data.shape[0]):
+            raise ShapeError(f"pair indices must lie in [0, {t.data.shape[0]})")
+    dtype = np.result_type(te.data, tn.data, context.data)
+    ted, tnd, ctx = (t.data.astype(dtype, copy=False) for t in (te, tn, context))
+    s = dtype.type(slope)
+    # leaky(x) = L+(x) = x * (1 if x > 0 else slope) is the larger of x and
+    # slope * x when slope <= 1 and the smaller above 1; L-(x) is the other
+    pick, other = (np.maximum, np.minimum) if slope <= 1 else (np.minimum, np.maximum)
+
+    total = e.size
+    rows = max(_SCORE_ROW_ALIGN, BLOCK_BYTES // max(1, d * dtype.itemsize)
+               // _SCORE_ROW_ALIGN * _SCORE_ROW_ALIGN)
+    a = np.zeros((min(rows, total + -total % _SCORE_ROW_ALIGN), d), dtype=dtype)
+    b = np.empty_like(a)
+    out = np.empty(total, dtype=dtype)
+    for lo in range(0, total, rows):
+        k = min(rows, total - lo)
+        padded = k + -k % _SCORE_ROW_ALIGN
+        # the indices are checked above; "clip" skips take's buffered check
+        np.take(ted, e[lo:lo + k], axis=0, out=a[:k], mode="clip")
+        np.take(tnd, n[lo:lo + k], axis=0, out=b[:k], mode="clip")
+        np.multiply(a[:k], b[:k], out=a[:k])
+        np.multiply(a[:k], s, out=b[:k])
+        pick(a[:k], b[:k], out=a[:k])
+        # each row's score reads that row alone, so the padding rows' stale
+        # values only reach scores that are dropped
+        out[lo:lo + k] = (a[:padded] @ ctx)[:k, 0]
+
+    def grad_fn(g):
+        def split(x):   # [L+(x), L-(x)] side by side
+            table = np.empty((x.shape[0], 2 * d), dtype=dtype)
+            np.multiply(x, s, out=table[:, d:])
+            pick(x, table[:, d:], out=table[:, :d])
+            other(x, table[:, d:], out=table[:, d:])
+            return table
+
+        def dstate(x, sums):   # step weights 1, 1/2, 0 for x > 0, x == 0, x < 0
+            up = (np.sign(x) + 1) * dtype.type(0.5)
+            return ctx[:, 0] * (up * sums[:, :d] + (1 - up) * sums[:, d:])
+
+        if te.requires_grad or context.requires_grad:
+            at_edge = by_edge.gather_sum(split(tnd), g, n, ted.shape[0])
+            if te.requires_grad:
+                _accum(te, dstate(ted, at_edge))
+            if context.requires_grad:
+                dc = np.maximum(ted, 0) * at_edge[:, :d] \
+                    + np.minimum(ted, 0) * at_edge[:, d:]
+                _accum(context, dc.sum(axis=0)[:, None])
+        if tn.requires_grad:
+            at_node = by_node.gather_sum(split(ted), g, e, tnd.shape[0])
+            _accum(tn, dstate(tnd, at_node))
+
+    return _result(out, (te, tn, context), grad_fn)
 
 
 def masked_softmax(scores: Tensor, groups) -> Tensor:

@@ -280,15 +280,15 @@ def dual_attention_scores(pairs: IncidencePairs, node_states: Tensor,
     """One raw score per incident pair.
 
     Both projected states are gathered onto the pairs, multiplied entrywise,
-    passed through a leaky rectifier, and contracted with the layer context.
+    passed through a leaky rectifier, and contracted with the layer context,
+    in one fused kernel that never holds a pairs x d array.
     """
     tn = K.add_bias(K.matmul(node_states, layer.node_weight), layer.node_bias)
     te = K.add_bias(K.matmul(edge_states, layer.edge_weight), layer.edge_bias)
-    joint = K.elementwise_mul(K.gather_rows(te, pairs.edge_of_pair, pairs.by_edge),
-                              K.gather_rows(tn, pairs.node_of_pair, pairs.by_node))
-    scores = K.matmul(K.leaky_relu(joint, slope), layer.context)
     pairs.score_evals += 1
-    return K.reshape(scores, (-1,))
+    return K.attention_scores(te, tn, layer.context, pairs.edge_of_pair,
+                              pairs.node_of_pair, pairs.by_edge, pairs.by_node,
+                              slope)
 
 
 def edge_update(pairs: IncidencePairs, scores: Tensor,

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import kernel as K
 from . import model as M
-from .errors import EmptySplit, NumericalDivergence, ShapeError
+from .errors import (EmptySplit, InvalidConfigValue, NumericalDivergence,
+                     ShapeError)
 from .hypergraph import Hypergraph, theta
 
 logger = logging.getLogger(__name__)
@@ -40,24 +41,31 @@ class TrainConfig:
     threshold: float = 0.5       # multilabel decision cutoff
 
     def validate(self):
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate must be positive, weight_decay non-negative")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.hidden_dim < 1 or self.num_layers < 1:
-            raise ValueError("hidden_dim and num_layers must be positive")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("max_epochs and patience must be positive")
-        if self.reg_weight < 0:
-            raise ValueError("reg_weight must be non-negative")
-        if self.mode not in ("multiclass", "multilabel"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be 0 (full batch) or positive")
-        if self.monitor not in ("total", "classification"):
-            raise ValueError(f"unknown monitor {self.monitor!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
+        """Raise InvalidConfigValue naming the first field out of range."""
+        for name, kind in config_field_types().items():
+            value = getattr(self, name)
+            if kind is float and not math.isfinite(value):
+                raise InvalidConfigValue(name, f"must be finite, got {value!r}")
+        checks = (
+            ("learning_rate", self.learning_rate > 0, "must be positive"),
+            ("weight_decay", self.weight_decay >= 0, "must be non-negative"),
+            ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "must be in [0, 1)"),
+            ("hidden_dim", self.hidden_dim >= 1, "must be positive"),
+            ("num_layers", self.num_layers >= 1, "must be positive"),
+            ("max_epochs", self.max_epochs >= 1, "must be positive"),
+            ("patience", self.patience >= 1, "must be positive"),
+            ("reg_weight", self.reg_weight >= 0, "must be non-negative"),
+            ("mode", self.mode in ("multiclass", "multilabel"),
+             "must be multiclass or multilabel"),
+            ("batch_size", self.batch_size >= 0, "must be 0 (full batch) or positive"),
+            ("seed", self.seed >= 0, "must be non-negative"),
+            ("monitor", self.monitor in ("total", "classification"),
+             "must be total or classification"),
+            ("threshold", 0.0 < self.threshold < 1.0, "must be in (0, 1)"),
+        )
+        for name, ok, reason in checks:
+            if not ok:
+                raise InvalidConfigValue(name, f"{reason}, got {getattr(self, name)!r}")
 
 
 def config_field_types() -> dict[str, type]:
@@ -266,12 +274,12 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
     # one evaluation-mode backbone pass scores every split
     with K.no_grad():
         node_states = M.forward_backbone(pairs, params, training=False)
+    batches = {"train": train_batch, "val": val_batch}
+    test_idx = dataset.indices("test")
+    if test_idx.size:
+        batches["test"] = dataset.batch(test_idx)
     metrics: dict[str, float] = {}
-    for split in ("train", "val", "test"):
-        idx = dataset.indices(split)
-        if idx.size == 0:
-            continue
-        batch = dataset.batch(idx)
+    for split, batch in batches.items():
         scores = M.scores_from_states(node_states, params, batch)
         pred = predictions_from_scores(scores, config.mode, config.threshold)
         metrics[f"micro_f1_{split}"] = micro_f1(pred, batch.labels)

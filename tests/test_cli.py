@@ -116,6 +116,35 @@ def test_train_rejects_unknown_config_key(synth_dir, tmp_path, capsys):
     assert "hidden_dims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["learning_rate = -1", "dropout_rate = 1.5",
+                                  "hidden_dim = 0", "leaky_slope = nan",
+                                  "learning_rate = nan", "weight_decay = nan",
+                                  "reg_weight = nan", "threshold = inf",
+                                  "seed = -1"])
+def test_train_rejects_bad_config_value(synth_dir, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("max_epochs = 2\n" + line + "\n")
+    code = run(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                "--subgraphs", str(synth_dir / "subgraphs.tsv"),
+                "--split", str(synth_dir / "split.tsv"),
+                "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"InvalidConfigValue: line 2: {line.split(' = ')[0]} must" in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_train_rejects_negative_seed_flag(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "config.cfg"
+    cfg.write_text(CONFIG)
+    code = run(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                "--subgraphs", str(synth_dir / "subgraphs.tsv"),
+                "--split", str(synth_dir / "split.tsv"),
+                "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "InvalidConfigValue: seed must be non-negative" in capsys.readouterr().err
+
+
 def test_train_rejects_subject_without_positive_weight(synth_dir, tmp_path, capsys):
     lines = (synth_dir / "subgraphs.tsv").read_text().splitlines()
     sid, labels, members = lines[0].split("\t")

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypersub import dataio as D
 from hypersub import model as M
 from hypersub.errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
-                             InvalidDepth, MalformedLine, UnknownClass,
-                             UnknownConfigKey, UnsupportedVersion)
+                             InvalidConfigValue, InvalidDepth, MalformedLine,
+                             UnknownClass, UnknownConfigKey,
+                             UnsupportedVersion)
 from hypersub.hypergraph import build_hypergraph
 from hypersub.training import TrainConfig
 
@@ -280,6 +281,17 @@ def test_parse_config_rejects_unknown_and_bad_values():
         D.parse_config("no equals sign\n")
     with pytest.raises(MalformedLine):
         D.parse_config("use_subgraph_attention = yes\n")
+
+
+def test_parse_config_names_the_line_of_a_bad_value():
+    with pytest.raises(InvalidConfigValue) as info:
+        D.parse_config("# tuning\nhidden_dim = 8\nleaky_slope = nan\n")
+    assert (info.value.key, info.value.line_no) == ("leaky_slope", 3)
+    assert str(info.value).startswith("line 3: leaky_slope must be finite")
+    # a bad base value is named without a line
+    with pytest.raises(InvalidConfigValue) as info:
+        D.parse_config("hidden_dim = 8\n", base=TrainConfig(learning_rate=-1.0))
+    assert (info.value.key, info.value.line_no) == ("learning_rate", None)
 
 
 # --------------------------------------------------------------- checkpoints

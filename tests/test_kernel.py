@@ -407,6 +407,12 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
     got = layout.gather_sum(x, w, rows)
     assert got.dtype == dtype and got.shape == (ngroups, 4)
     assert np.all(np.abs(got - want) <= tol * scale * np.sqrt(max(sizes + [1])))
+    saved = K.BLOCK_BYTES
+    try:   # one group per slice of a bucket sums every group the same way
+        K.BLOCK_BYTES = 1
+        assert np.array_equal(layout.gather_sum(x, w, rows), got)
+    finally:
+        K.BLOCK_BYTES = saved
     padded = layout.gather_sum(x, w, rows, length=ngroups + 3)
     assert np.array_equal(padded[:ngroups], got) and not padded[ngroups:].any()
     # unit weights over the positions themselves sum rows per group
@@ -505,3 +511,121 @@ def test_grad_check_through_spmm():
     y = rng.normal(size=(h.num_nodes, 4))
     assert np.max(np.abs(sp.dot_dense(y) - dense @ y)) <= 1e-12
     assert np.max(np.abs(sp.t_dot_dense(y) - dense.T @ y)) <= 1e-12
+
+
+# ------------------------------------------------- fused attention scores
+
+SLOPES = [0.0, 0.01, 0.2, 1.5]
+
+
+def _random_pairs(rng, num_edges, num_nodes, size):
+    edge = np.sort(rng.integers(0, num_edges, size=size))
+    node = rng.integers(0, num_nodes, size=size)
+    return edge, node, K.Segments(edge, num_edges), K.Segments(node, num_nodes)
+
+
+def _states(rng, rows, d, dtype, zero_share=0.2):
+    """Normal entries with some exact zeros, and row 0 all zero."""
+    x = rng.normal(size=(rows, d))
+    x[rng.random(size=x.shape) < zero_share] = 0.0
+    x[0] = 0.0
+    return x.astype(dtype)
+
+
+def _chain_scores(te, tn, ctx, edge, node, slope):
+    """The composed chain the kernel fuses. Its product runs over the rows
+    zero-padded to whole 64-row groups, as the kernel's does: BLAS takes a
+    narrower path for the last few rows of a product, so without padding
+    the last scores of the chain depend on their position."""
+    joint = K.elementwise_mul(K.gather_rows(te, edge), K.gather_rows(tn, node))
+    leaky = K.leaky_relu(joint, slope).data
+    padded = np.zeros((leaky.shape[0] + -leaky.shape[0] % 64, leaky.shape[1]),
+                      dtype=leaky.dtype)
+    padded[:leaky.shape[0]] = leaky
+    return K.matmul(K.constant(padded), ctx).data[:leaky.shape[0], 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 24), st.sampled_from([np.float32, np.float64]),
+       st.sampled_from(SLOPES), st.integers(0, 2**32 - 1))
+def test_attention_scores_bit_identical_to_composed_chain(size, d, dtype, slope, seed):
+    rng = np.random.default_rng(seed)
+    num_edges, num_nodes = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+    edge, node, by_edge, by_node = _random_pairs(rng, num_edges, num_nodes, size)
+    te = K.constant(_states(rng, num_edges, d, dtype))
+    tn = K.constant(_states(rng, num_nodes, d, dtype))
+    ctx = K.constant(rng.normal(size=(d, 1)).astype(dtype))
+    want = _chain_scores(te, tn, ctx, edge, node, slope)
+    saved = K.BLOCK_BYTES
+    try:
+        for budget in (saved, 1):   # 1 byte: blocks of 64 rows
+            K.BLOCK_BYTES = budget
+            got = K.attention_scores(te, tn, ctx, edge, node, by_edge, by_node, slope)
+            assert got.data.dtype == dtype and got.data.shape == (size,)
+            assert np.array_equal(got.data, want)
+    finally:
+        K.BLOCK_BYTES = saved
+
+
+@pytest.mark.parametrize("slope", SLOPES)
+def test_grad_check_through_attention_scores(slope):
+    rng = np.random.default_rng(int(slope * 100) + 5)
+    edge, node, by_edge, by_node = _random_pairs(rng, 5, 7, 40)
+    edge[:3] = 0   # the all-zero edge row 0 holds pairs
+    edge.sort()
+    by_edge = K.Segments(edge, 5)
+    te = K.parameter(_states(rng, 5, 3, np.float64))
+    tn = K.parameter(_states(rng, 7, 3, np.float64))
+    ctx = K.parameter(rng.normal(size=(3, 1)))
+    w = K.constant(rng.normal(size=edge.size))
+
+    def f():
+        s = K.attention_scores(te, tn, ctx, edge, node, by_edge, by_node, slope)
+        attn = K.masked_softmax(s, by_edge)
+        return K.reduce_sum(K.elementwise_mul(K.add(s, attn), w))
+
+    report = K.grad_check(f, [te, tn, ctx], epsilon=1e-6)
+    assert report.passed, report.max_rel_error
+
+
+def test_grad_check_through_a_dead_edge_row():
+    # te = relu(x) @ W + b with zero bias: a dead ReLU row of x gives an
+    # edge row of te that is exactly zero
+    rng = np.random.default_rng(8)
+    edge, node, by_edge, by_node = _random_pairs(rng, 4, 6, 30)
+    x = rng.normal(size=(4, 3))
+    x[int(edge[0])] = -np.abs(x[int(edge[0])]) - 1.0
+    x = K.parameter(x)
+    w_edge = K.parameter(rng.normal(size=(3, 3)))
+    tn = K.parameter(rng.normal(size=(6, 3)))
+    ctx = K.parameter(rng.normal(size=(3, 1)))
+    bias = K.constant(np.zeros(3))
+    g = K.constant(rng.normal(size=edge.size))
+
+    def f():
+        te = K.add_bias(K.matmul(K.relu(x), w_edge), bias)
+        s = K.attention_scores(te, tn, ctx, edge, node, by_edge, by_node, 0.01)
+        return K.reduce_sum(K.elementwise_mul(s, g))
+
+    report = K.grad_check(f, [x, w_edge, tn, ctx], epsilon=1e-6)
+    assert report.passed, report.max_rel_error
+
+
+def test_attention_scores_rejects_bad_operands():
+    te, tn = K.constant(np.ones((2, 3))), K.constant(np.ones((4, 3)))
+    ctx = K.constant(np.ones((3, 1)))
+    by_edge, by_node = K.Segments([0, 1], 2), K.Segments([0, 3], 4)
+    with pytest.raises(ShapeError):
+        K.attention_scores(te, tn, K.constant(np.ones((2, 1))), [0, 1], [0, 3],
+                           by_edge, by_node)
+    with pytest.raises(ShapeError):
+        K.attention_scores(te, tn, ctx, [0, 1], [0], by_edge, by_node)
+    with pytest.raises(ShapeError):
+        K.attention_scores(te, tn, ctx, [0, 2], [0, 3], by_edge, by_node)
+    with pytest.raises(ShapeError):
+        K.attention_scores(te, tn, ctx, [0, 1], [-1, 3], by_edge, by_node)
+    with pytest.raises(ShapeError):
+        K.attention_scores(te, tn, ctx, [0, 1], [0, 3], K.Segments([0], 2), by_node)
+    empty = K.attention_scores(te, tn, ctx, [], [], K.Segments([], 2),
+                               K.Segments([], 4))
+    assert empty.data.shape == (0,)

@@ -234,6 +234,67 @@ def test_dual_run_with_swapped_roles_transposes_scores(rng):
             hn, he = hn_next, he_next
 
 
+@pytest.mark.parametrize("dtype,d,budget", [(np.float64, 4, 1), (np.float32, 16, 1),
+                                             (np.float32, 64, None)])
+def test_swapped_role_transpose_is_bit_exact_across_blocks(dtype, d, budget,
+                                                            monkeypatch):
+    # more pairs than one block of the score kernel: with a 1-byte budget the
+    # blocks hold 64 rows, with the default budget 1024 rows at d = 64
+    if budget is not None:
+        monkeypatch.setattr(K, "BLOCK_BYTES", budget)
+    rng = np.random.default_rng(d)
+    num_nodes, num_edges = 300, 60
+    lists = [rng.choice(num_nodes, size=int(rng.integers(5, 60)), replace=False)
+             for _ in range(num_edges)]
+    lists[0] = np.arange(num_nodes)   # no isolated node
+    # a pair count that is no multiple of 4 leaves trailing rows, which BLAS
+    # scores on a narrower path than the rest of a product
+    lists[1] = lists[1][:lists[1].size - (sum(map(len, lists)) + 1) % 4]
+    h = build_hypergraph([sorted(m.tolist()) for m in lists], num_nodes=num_nodes)
+    pairs, dual_pairs = M.incidence_pairs(h), M.incidence_pairs(dual(h))
+    assert pairs.edge_of_pair.size > 1024 and pairs.edge_of_pair.size % 4 == 3
+    params = M.init_model(num_nodes, d, 2, 3, rng, dtype=dtype)
+    hn = params.node_embeddings
+    he = M.init_edge_states(pairs, hn)
+    for lp in params.layers:
+        s = M.dual_attention_scores(pairs, hn, he, lp, params.leaky_slope)
+        sd = M.dual_attention_scores(dual_pairs, he, hn, swap_roles(lp),
+                                     params.leaky_slope)
+        # dual pair (node i, edge j) sits where the primal pair (j, i) does
+        key = pairs.edge_of_pair * num_nodes + pairs.node_of_pair
+        at = np.searchsorted(key, dual_pairs.node_of_pair * num_nodes
+                             + dual_pairs.edge_of_pair)
+        assert np.array_equal(key[at], dual_pairs.node_of_pair * num_nodes
+                              + dual_pairs.edge_of_pair)
+        assert np.array_equal(sd.data, s.data[at])
+        hn, he = M.node_update(pairs, s, he)[0], M.edge_update(pairs, s, hn)[0]
+
+
+def test_eval_scores_hold_no_pairs_by_width_array():
+    import tracemalloc
+
+    rng = np.random.default_rng(2)
+    num_nodes, num_edges, d = 2000, 100, 64
+    h = build_hypergraph([sorted(rng.choice(num_nodes, size=200, replace=False).tolist())
+                          for _ in range(num_edges)], num_nodes=num_nodes)
+    pairs = M.incidence_pairs(h)
+    size = pairs.edge_of_pair.size
+    assert size >= 20000
+    params = M.init_model(num_nodes, d, 1, 2, rng, dtype=np.float32)
+    he = M.init_edge_states(pairs, params.node_embeddings)
+    with K.no_grad():
+        M.dual_attention_scores(pairs, params.node_embeddings, he, params.layers[0])
+        tracemalloc.start()
+        try:
+            s = M.dual_attention_scores(pairs, params.node_embeddings, he,
+                                        params.layers[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert s.data.shape == (size,)
+    assert peak < size * d * np.dtype(np.float32).itemsize, peak
+
+
 # ------------------------------------------------------------- regularizer
 
 def test_regularizer_hand_values():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,12 @@ from hypersub import dataio as D
 from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.dataio import build_dataset, load_subgraphs
-from hypersub.errors import EmptySplit, NumericalDivergence, ShapeError
+from hypersub.errors import (EmptySplit, InputDataError, InvalidConfigValue,
+                             NumericalDivergence, ShapeError)
 from hypersub.synthetic import make_synthetic
 from hypersub.training import (AdamState, EarlyStopping, TrainConfig,
-                               adam_step, grid_search, micro_f1,
-                               predictions_from_scores, train)
+                               adam_step, config_field_types, grid_search,
+                               micro_f1, predictions_from_scores, train)
 
 
 def tiny_dataset(seed=3, subjects=60, noise=0.1):
@@ -249,6 +251,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(num_layers=0).validate()
     TrainConfig().validate()
+
+
+@pytest.mark.parametrize("name", [n for n, t in config_field_types().items()
+                                  if t is float])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(InvalidConfigValue) as info:
+        replace(TrainConfig(), **{name: value}).validate()
+    assert info.value.key == name and isinstance(info.value, InputDataError)
 
 
 # --------------------------------------------------------------- grid search
