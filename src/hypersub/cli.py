@@ -97,9 +97,13 @@ def cmd_train(args) -> int:
         assignment = load_split(pathlib.Path(args.split))
         split_source = args.split
     else:
-        ratios = tuple(float(tok) for tok in args.split_ratios.split(","))
+        try:
+            ratios = tuple(float(tok) for tok in args.split_ratios.split(","))
+        except ValueError:
+            ratios = ()
         if len(ratios) != 3:
-            raise InputDataError("--split-ratios needs three comma-separated numbers")
+            raise InputDataError("--split-ratios needs three comma-separated "
+                                 f"numbers, got {args.split_ratios!r}")
         keys = [tuple(sorted(rec.labels)) for rec in table.subjects]
         assignment = stratified_split([rec.subject_id for rec in table.subjects],
                                       keys, ratios, seed=config.seed)
@@ -163,8 +167,7 @@ def cmd_evaluate(args) -> int:
         raise InputDataError(
             f"no subjects of split {args.split_name!r} appear in {args.subgraphs}")
     batch = dataset.batch(idx)
-    pairs = M.incidence_pairs(ckpt.hypergraph)
-    scores = M.subgraph_scores(pairs, ckpt.params, batch)
+    scores = M.subgraph_scores(ckpt.hypergraph, ckpt.params, batch)
     pred = predictions_from_scores(scores, ckpt.config.mode, ckpt.config.threshold)
     value = micro_f1(pred, batch.labels)
     print(f"micro_f1\t{args.split_name}\t{value!r}")
@@ -187,8 +190,7 @@ def cmd_predict(args) -> int:
             labels=np.zeros((len(table.subjects), len(names)), dtype=np.float64),
             subject_ids=[rec.subject_id for rec in table.subjects],
         )
-        pairs = M.incidence_pairs(ckpt.hypergraph)
-        scores = M.subgraph_scores(pairs, ckpt.params, batch)
+        scores = M.subgraph_scores(ckpt.hypergraph, ckpt.params, batch)
         decisions = predictions_from_scores(scores, ckpt.config.mode,
                                             ckpt.config.threshold)
         for rec, row, dec in zip(table.subjects, scores, decisions):
@@ -221,12 +223,10 @@ def cmd_interpret(args) -> int:
     batch = dataset.batch(np.arange(len(table.subjects)))
 
     # both views read one evaluation-mode backbone pass
-    pairs = M.incidence_pairs(ckpt.hypergraph)
-    trace = backbone_trace(ckpt.params, pairs)
+    trace = backbone_trace(ckpt.params, ckpt.hypergraph)
     report = class_enrichment(ckpt.params, ckpt.hypergraph, batch,
                               ckpt.class_vocab, args.top_k,
-                              edge_names=ckpt.edge_names, pairs=pairs,
-                              trace=trace)
+                              edge_names=ckpt.edge_names, trace=trace)
     enrich_path = out / "enrichment.tsv"
     enrich_path.write_text(enrichment_tsv(report))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
-                     InputDataError, InvalidConfigValue, InvalidDepth,
+                     InputDataError, InvalidConfigValue, InvalidSplitRatios,
                      MalformedLine, UnknownClass, UnknownConfigKey,
                      UnsupportedVersion)
 from .hypergraph import Hypergraph, build_hypergraph
@@ -97,10 +98,7 @@ def parse_gmt(source) -> GeneSetCatalog:
         if name in seen:
             raise DuplicateSet(f"gene set {name!r} appears twice")
         seen.add(name)
-        genes = []
-        for g in parts[2:]:
-            if g and g not in genes:
-                genes.append(g)
+        genes = list(dict.fromkeys(g for g in parts[2:] if g))
         if not genes:
             raise MalformedLine(no, f"gene set {name!r} has no genes")
         for g in genes:
@@ -117,42 +115,6 @@ def serialize_gmt(catalog: GeneSetCatalog) -> str:
     for name, desc, mem in zip(catalog.names, catalog.descriptions, catalog.members):
         out.write("\t".join([name, desc, *mem]) + "\n")
     return out.getvalue()
-
-
-# ------------------------------------------------------------------ variants
-
-@dataclass(frozen=True)
-class VariantRecord:
-    subject: str
-    gene: str
-    ref_depth: int
-    alt_depth: int
-    pass_filter: bool
-
-
-def aggregate_variants(records: Iterable[VariantRecord],
-                       subject: str) -> dict[str, float]:
-    """Per-gene mutation rate for one subject.
-
-    Rate = total alt depth / total (alt + ref) depth over the subject's
-    passing variants of that gene. Genes whose total depth is zero are
-    omitted. Insensitive to record order.
-    """
-    alt: dict[str, int] = {}
-    ref: dict[str, int] = {}
-    for r in records:
-        if r.subject != subject or not r.pass_filter:
-            continue
-        if r.ref_depth < 0 or r.alt_depth < 0:
-            raise InvalidDepth(f"negative read depth for {r.gene} of {r.subject}")
-        alt[r.gene] = alt.get(r.gene, 0) + r.alt_depth
-        ref[r.gene] = ref.get(r.gene, 0) + r.ref_depth
-    rates = {}
-    for gene, a in alt.items():
-        total = a + ref[gene]
-        if total > 0:
-            rates[gene] = a / total
-    return rates
 
 
 # ----------------------------------------------------------------- subgraphs
@@ -215,7 +177,7 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
                     labels.append(lab)
                 seen_labels.add(lab)
 
-        genes, weights = [], []
+        kept: dict[str, float] = {}   # gene -> weight, first occurrence wins
         if not member_field:
             raise MalformedLine(no, "empty member list")
         for token in member_field.split(","):
@@ -237,11 +199,9 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
             if gene not in catalog.gene_index:
                 dropped += 1
                 continue
-            if gene in genes:
-                continue  # keep the first occurrence
-            genes.append(gene)
-            weights.append(w)
+            kept.setdefault(gene, w)
 
+        genes, weights = list(kept), list(kept.values())
         if not genes or max(weights) <= 0:
             if skip_empty:
                 excluded.append(sid)
@@ -295,10 +255,11 @@ def stratified_split(subjects: Sequence[str], label_keys: Sequence,
     """
     if len(subjects) != len(label_keys):
         raise ValueError("subjects and label_keys must align")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise InvalidSplitRatios(f"split ratios must be finite and non-negative, "
+                                 f"got {tuple(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
-    if any(r < 0 for r in ratios):
-        raise ValueError("split ratios must be non-negative")
+        raise InvalidSplitRatios(f"split ratios must sum to 1, got {tuple(ratios)}")
     rng = np.random.default_rng(seed)
     by_key: dict = {}
     for sid, key in zip(subjects, label_keys):

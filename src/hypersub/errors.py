@@ -73,10 +73,6 @@ class DuplicateSet(InputDataError):
     """Two records in one catalog or table share an identifier."""
 
 
-class InvalidDepth(InputDataError):
-    """A sequencing read count is negative."""
-
-
 class UnknownClass(InputDataError):
     """A subject label does not appear in the declared class vocabulary."""
 
@@ -106,3 +102,7 @@ class InvalidConfigValue(InputDataError, ValueError):
         self.key = key
         self.reason = reason
         self.line_no = line_no
+
+
+class InvalidSplitRatios(InputDataError, ValueError):
+    """Split ratios are negative, not finite, or do not sum to 1."""

@@ -1,8 +1,9 @@
 """Hypergraph topology and its normalized adjacency.
 
 Nodes and hyperedges are integer-indexed. The incidence relation is stored
-twice (members per edge, memberships per node) so both directions of message
-passing can iterate without transposing anything.
+once, as edge-major integer arrays; the per-edge and per-node groupings that
+both directions of message passing reduce over are segment layouts of those
+arrays, built on first use and cached.
 """
 
 from __future__ import annotations
@@ -22,16 +23,43 @@ from .kernel import Segments
 class Hypergraph:
     """Incidence structure with one positive weight per hyperedge.
 
-    ``edge_members[j]`` lists the nodes of hyperedge j, deduplicated and
-    ascending; ``node_memberships[i]`` lists the hyperedges incident on node
-    i, ascending. The two views describe the same relation.
+    Incidence pair p couples hyperedge ``edge_of_pair[p]`` with node
+    ``node_of_pair[p]``; pairs run edge by edge, members ascending and
+    unique within an edge. ``by_edge`` groups the pairs by edge
+    (contiguous), ``by_node`` by node (permuted; isolated nodes hold empty
+    groups) and ``by_node_nonempty`` by node over the nodes with a
+    membership only. The three arrays are made read-only on construction.
     """
 
     num_nodes: int
     num_edges: int
-    edge_members: tuple[tuple[int, ...], ...]
-    node_memberships: tuple[tuple[int, ...], ...]
+    edge_of_pair: np.ndarray
+    node_of_pair: np.ndarray
     edge_weights: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.edge_of_pair, self.node_of_pair, self.edge_weights):
+            a.flags.writeable = False
+
+    @cached_property
+    def by_edge(self) -> Segments:
+        return Segments(self.edge_of_pair, self.num_edges)
+
+    @cached_property
+    def by_node(self) -> Segments:
+        return Segments(self.node_of_pair, self.num_nodes)
+
+    @cached_property
+    def by_node_nonempty(self) -> Segments:
+        rank = np.cumsum(self.by_node.counts > 0) - 1   # node -> index among members
+        return Segments(rank[self.node_of_pair], self.by_node.nonempty.size)
+
+    @property
+    def edge_members(self) -> tuple[tuple[int, ...], ...]:
+        """Members of each hyperedge, ascending; derived on every call."""
+        nodes = self.node_of_pair.tolist()
+        bounds = self.by_edge.offsets.tolist()
+        return tuple(tuple(nodes[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,50 +111,39 @@ def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
     be positive and finite. Nodes are 0..num_nodes-1; when num_nodes is not
     given it is inferred from the largest index seen.
     """
-    members = []
-    max_node = -1
-    for j, lst in enumerate(edge_node_lists):
-        uniq = sorted(set(lst))
-        if not uniq:
-            raise EmptyHyperedge(f"hyperedge {j} has no members")
-        if uniq[0] < 0:
-            raise ValueError(f"hyperedge {j} contains a negative node index")
-        members.append(tuple(uniq))
-        max_node = max(max_node, uniq[-1])
+    lists = list(edge_node_lists)
+    sizes = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    node_of = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                          count=int(sizes.sum()))
+    edge_of = np.repeat(np.arange(len(lists), dtype=np.intp), sizes)
+    # the first failing edge names the error, as a walk over the lists would
+    empty = np.flatnonzero(sizes == 0)
+    negative = edge_of[node_of < 0]
+    if empty.size and (not negative.size or empty[0] < negative[0]):
+        raise EmptyHyperedge(f"hyperedge {empty[0]} has no members")
+    if negative.size:
+        raise ValueError(f"hyperedge {negative[0]} contains a negative node index")
+    max_node = int(node_of.max()) if node_of.size else -1
     if num_nodes is None:
         num_nodes = max_node + 1
     elif max_node >= num_nodes:
         raise ValueError(f"node index {max_node} out of range for num_nodes={num_nodes}")
 
     if edge_weights is None:
-        weights = np.ones(len(members), dtype=np.float64)
+        weights = np.ones(len(lists), dtype=np.float64)
     else:
         weights = np.asarray(edge_weights, dtype=np.float64).copy()
-        if weights.shape != (len(members),):
+        if weights.shape != (len(lists),):
             raise ValueError("edge_weights length must match the number of hyperedges")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
             raise InvalidWeight("hyperedge weights must be positive and finite")
-    weights.flags.writeable = False
 
-    memberships = [[] for _ in range(num_nodes)]
-    for j, mem in enumerate(members):
-        for i in mem:
-            memberships[i].append(j)
-    return Hypergraph(
-        num_nodes=num_nodes,
-        num_edges=len(members),
-        edge_members=tuple(members),
-        node_memberships=tuple(tuple(m) for m in memberships),
-        edge_weights=weights,
-    )
-
-
-def incidences(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """(edge, node) of every incidence, edge-major with members ascending."""
-    sizes = np.fromiter(map(len, h.edge_members), dtype=np.intp, count=h.num_edges)
-    nodes = np.fromiter(itertools.chain.from_iterable(h.edge_members),
-                        dtype=np.intp, count=int(sizes.sum()))
-    return np.repeat(np.arange(h.num_edges, dtype=np.intp), sizes), nodes
+    # one sorted key per distinct (edge, node): edge-major, members ascending;
+    # sorting and dropping repeats is far faster than np.unique on numpy 2.4
+    span = max(max_node, 0) + 1
+    keys = np.sort(edge_of * span + node_of)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return Hypergraph(num_nodes, len(lists), keys // span, keys % span, weights)
 
 
 def degrees(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +152,9 @@ def degrees(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     A node's degree is the summed weight of its incident hyperedges, added
     in hyperedge order; a hyperedge's degree is its member count.
     """
-    edge_of, node_of = incidences(h)
-    node_deg = np.bincount(node_of, weights=h.edge_weights[edge_of],
+    node_deg = np.bincount(h.node_of_pair, weights=h.edge_weights[h.edge_of_pair],
                            minlength=h.num_nodes)
-    edge_deg = np.bincount(edge_of, minlength=h.num_edges).astype(np.float64)
+    edge_deg = h.by_edge.counts.astype(np.float64)
     return node_deg, edge_deg
 
 
@@ -158,8 +174,8 @@ def theta(h: Hypergraph) -> SparseMatrix:
 
     # every (a, b) member pair of every hyperedge, edge-major: incidence a
     # repeats once per member of its edge, and b runs over those members
-    edge_of, node_of = incidences(h)
-    sizes = np.bincount(edge_of, minlength=h.num_edges)
+    edge_of, node_of = h.edge_of_pair, h.node_of_pair
+    sizes = h.by_edge.counts
     first = np.cumsum(sizes) - sizes               # first incidence of each edge
     reps = sizes[edge_of]
     run = np.cumsum(reps) - reps                   # where each repeat run starts
@@ -181,21 +197,17 @@ def dual(h: Hypergraph) -> Hypergraph:
     would contain an empty hyperedge. Dual edge weights are 1.0: the original
     weights attach to hyperedges and have no counterpart on nodes.
     """
-    for i, mems in enumerate(h.node_memberships):
-        if not mems:
-            raise IsolatedNode(f"node {i} belongs to no hyperedge")
-    return Hypergraph(
-        num_nodes=h.num_edges,
-        num_edges=h.num_nodes,
-        edge_members=h.node_memberships,
-        node_memberships=h.edge_members,
-        edge_weights=np.ones(h.num_nodes, dtype=np.float64),
-    )
+    isolated = np.flatnonzero(h.by_node.counts == 0)
+    if isolated.size:
+        raise IsolatedNode(f"node {isolated[0]} belongs to no hyperedge")
+    # the stable node-major order keeps each node's edges ascending
+    pos = h.by_node.positions()
+    return Hypergraph(h.num_edges, h.num_nodes, h.node_of_pair[pos],
+                      h.edge_of_pair[pos], np.ones(h.num_nodes, dtype=np.float64))
 
 
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
     """Dense 0/1 incidence, nodes by hyperedges."""
     m = np.zeros((h.num_nodes, h.num_edges), dtype=np.float64)
-    for j, mem in enumerate(h.edge_members):
-        m[list(mem), j] = 1.0
+    m[h.node_of_pair, h.edge_of_pair] = 1.0
     return m

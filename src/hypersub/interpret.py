@@ -43,19 +43,17 @@ def _member_attention(node_states, batch, params):
     return batch.groups.expand(share)
 
 
-def backbone_trace(params: M.ModelParams,
-                   pairs: M.IncidencePairs) -> M.ForwardTrace:
+def backbone_trace(params: M.ModelParams, h: Hypergraph) -> M.ForwardTrace:
     """One evaluation-mode backbone pass, recorded; every view below can
     take it as ``trace`` instead of running its own."""
     trace = M.ForwardTrace()
     with K.no_grad():
-        M.forward_backbone(pairs, params, training=False, trace=trace)
+        M.forward_backbone(h, params, training=False, trace=trace)
     return trace
 
 
 def class_edge_scores(params: M.ModelParams, h: Hypergraph,
                       batch: M.SubgraphBatch, class_index,
-                      pairs: M.IncidencePairs | None = None,
                       trace: M.ForwardTrace | None = None) -> np.ndarray:
     """Average hyperedge attribution over one class's subjects.
 
@@ -65,8 +63,6 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
     class indices gives one row per class from a single backbone pass, or
     from ``trace`` when given.
     """
-    if pairs is None:
-        pairs = M.incidence_pairs(h)
     classes = np.atleast_1d(np.asarray(class_index, dtype=np.intp))
     carries = batch.labels[:, classes] > 0.5          # (subjects, classes)
     sizes = carries.sum(axis=0)
@@ -75,7 +71,7 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
         raise EmptyClass(f"no subjects carry class index {empty}")
 
     if trace is None:
-        trace = backbone_trace(params, pairs)
+        trace = backbone_trace(params, h)
     with K.no_grad():
         member_attn = _member_attention(trace.final_node_states, batch, params)
     node_attn = trace.layers[-1].node_attention.data
@@ -87,9 +83,9 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
     node_mass = np.bincount(
         (np.arange(c) * h.num_nodes + batch.member_rows[:, None]).ravel(),
         weights=mass.ravel(), minlength=c * h.num_nodes).reshape(c, h.num_nodes)
-    flow = node_mass[:, pairs.node_of_pair] * node_attn
+    flow = node_mass[:, h.node_of_pair] * node_attn
     scores = np.bincount(
-        (np.arange(c)[:, None] * h.num_edges + pairs.edge_of_pair).ravel(),
+        (np.arange(c)[:, None] * h.num_edges + h.edge_of_pair).ravel(),
         weights=flow.ravel(), minlength=c * h.num_edges).reshape(c, h.num_edges)
     scores /= sizes[:, None]
     return scores if np.ndim(class_index) else scores[0]
@@ -103,21 +99,19 @@ def _top(scores: np.ndarray, top_k: int, names: list[str]) -> list[tuple[str, fl
 
 def rank_hyperedges(params: M.ModelParams, h: Hypergraph,
                     batch: M.SubgraphBatch, class_index: int, top_k: int,
-                    edge_names: list[str] | None = None,
-                    pairs: M.IncidencePairs | None = None) -> list[tuple[str, float]]:
+                    edge_names: list[str] | None = None) -> list[tuple[str, float]]:
     """Top hyperedges for one class, highest attribution first; score ties
     break toward the lower hyperedge index."""
-    scores = class_edge_scores(params, h, batch, class_index, pairs=pairs)
+    scores = class_edge_scores(params, h, batch, class_index)
     return _top(scores, top_k, edge_names or [str(j) for j in range(h.num_edges)])
 
 
 def class_enrichment(params: M.ModelParams, h: Hypergraph,
                      batch: M.SubgraphBatch, class_vocab: list[str],
                      top_k: int, edge_names: list[str] | None = None,
-                     pairs: M.IncidencePairs | None = None,
                      trace: M.ForwardTrace | None = None) -> EnrichmentReport:
     scores = class_edge_scores(params, h, batch, list(range(len(class_vocab))),
-                               pairs=pairs, trace=trace)
+                               trace=trace)
     names = edge_names or [str(j) for j in range(h.num_edges)]
     rankings = {cname: _top(row, top_k, names)
                 for cname, row in zip(class_vocab, scores)}
@@ -127,13 +121,11 @@ def class_enrichment(params: M.ModelParams, h: Hypergraph,
 
 
 def hyperedge_correlation(params: M.ModelParams, h: Hypergraph,
-                          pairs: M.IncidencePairs | None = None,
                           trace: M.ForwardTrace | None = None) -> np.ndarray:
     """Pairwise cosine similarity of final-layer hyperedge states, from
     ``trace`` when given."""
     if trace is None:
-        trace = backbone_trace(params, pairs if pairs is not None
-                               else M.incidence_pairs(h))
+        trace = backbone_trace(params, h)
     return cosine_matrix(trace.final_edge_states.data.astype(np.float64))
 
 

@@ -18,46 +18,15 @@ import numpy as np
 
 from . import kernel as K
 from .errors import InvalidLabel, ShapeError
-from .hypergraph import Hypergraph, SparseMatrix, incidences
+from .hypergraph import Hypergraph, SparseMatrix
 from .kernel import Tensor
 
 
-@dataclass
-class IncidencePairs:
-    """Flattened incidence relation in canonical (edge, node) order.
-
-    Pair p couples hyperedge edge_of_pair[p] with node node_of_pair[p]. Pairs
-    are sorted by edge then node, so the layout is reproducible from the
-    hypergraph alone. ``by_edge`` groups the pairs by edge (contiguous),
-    ``by_node`` by node (permuted; isolated nodes hold empty groups) and
-    ``by_node_nonempty`` by node over the nodes with a membership only.
-    ``score_evals`` counts score-tensor constructions, which lets tests
-    assert that each layer computes its scores exactly once.
-    """
-
-    edge_of_pair: np.ndarray
-    node_of_pair: np.ndarray
-    by_edge: K.Segments
-    by_node: K.Segments
-    by_node_nonempty: K.Segments
-    num_nodes: int
-    num_edges: int
-    score_evals: int = 0
-
-
-def incidence_pairs(h: Hypergraph) -> IncidencePairs:
-    edge_of, node_of = incidences(h)
-    by_node = K.Segments(node_of, h.num_nodes)
-    rank = np.cumsum(by_node.counts > 0) - 1   # node -> index among members
-    return IncidencePairs(
-        edge_of_pair=edge_of,
-        node_of_pair=node_of,
-        by_edge=K.Segments(edge_of, h.num_edges),
-        by_node=by_node,
-        by_node_nonempty=K.Segments(rank[node_of], by_node.nonempty.size),
-        num_nodes=h.num_nodes,
-        num_edges=h.num_edges,
-    )
+def incidence_pairs(h: Hypergraph) -> Hypergraph:
+    """``h`` with its segment layouts built; they are cached on it, so this
+    costs nothing after the first call."""
+    h.by_edge, h.by_node, h.by_node_nonempty
+    return h
 
 
 # ------------------------------------------------------------------- params
@@ -266,15 +235,15 @@ class ForwardTrace:
 
 # ------------------------------------------------------------- forward pass
 
-def init_edge_states(pairs: IncidencePairs, node_embeddings: Tensor) -> Tensor:
+def init_edge_states(h: Hypergraph, node_embeddings: Tensor) -> Tensor:
     """Layer-0 hyperedge states: plain mean of member node embeddings."""
-    counts = pairs.by_edge.counts.astype(np.float64)
-    w = (1.0 / counts[pairs.edge_of_pair]).astype(node_embeddings.data.dtype)
+    counts = h.by_edge.counts.astype(np.float64)
+    w = (1.0 / counts[h.edge_of_pair]).astype(node_embeddings.data.dtype)
     return K.weighted_row_sum(node_embeddings, K.constant(w),
-                              pairs.node_of_pair, pairs.by_edge, pairs.by_node)
+                              h.node_of_pair, h.by_edge, h.by_node)
 
 
-def dual_attention_scores(pairs: IncidencePairs, node_states: Tensor,
+def dual_attention_scores(h: Hypergraph, node_states: Tensor,
                           edge_states: Tensor, layer: LayerParams,
                           slope: float = 0.01) -> Tensor:
     """One raw score per incident pair.
@@ -285,48 +254,46 @@ def dual_attention_scores(pairs: IncidencePairs, node_states: Tensor,
     """
     tn = K.add_bias(K.matmul(node_states, layer.node_weight), layer.node_bias)
     te = K.add_bias(K.matmul(edge_states, layer.edge_weight), layer.edge_bias)
-    pairs.score_evals += 1
-    return K.attention_scores(te, tn, layer.context, pairs.edge_of_pair,
-                              pairs.node_of_pair, pairs.by_edge, pairs.by_node,
-                              slope)
+    return K.attention_scores(te, tn, layer.context, h.edge_of_pair,
+                              h.node_of_pair, h.by_edge, h.by_node, slope)
 
 
-def edge_update(pairs: IncidencePairs, scores: Tensor,
+def edge_update(h: Hypergraph, scores: Tensor,
                 node_states: Tensor) -> tuple[Tensor, Tensor]:
     """New hyperedge states: scores normalized per edge over its members,
     then a rectified attention-weighted sum of member node states."""
-    attn = K.masked_softmax(scores, pairs.by_edge)
-    out = K.relu(K.weighted_row_sum(node_states, attn, pairs.node_of_pair,
-                                    pairs.by_edge, pairs.by_node))
+    attn = K.masked_softmax(scores, h.by_edge)
+    out = K.relu(K.weighted_row_sum(node_states, attn, h.node_of_pair,
+                                    h.by_edge, h.by_node))
     return out, attn
 
 
-def node_update(pairs: IncidencePairs, scores: Tensor,
+def node_update(h: Hypergraph, scores: Tensor,
                 edge_states: Tensor) -> tuple[Tensor, Tensor]:
     """New node states from the same scores, normalized per node over its
     incident edges. Nodes with no membership yield all-zero rows."""
-    attn = K.masked_softmax(scores, pairs.by_node_nonempty)
-    out = K.relu(K.weighted_row_sum(edge_states, attn, pairs.edge_of_pair,
-                                    pairs.by_node, pairs.by_edge))
+    attn = K.masked_softmax(scores, h.by_node_nonempty)
+    out = K.relu(K.weighted_row_sum(edge_states, attn, h.edge_of_pair,
+                                    h.by_node, h.by_edge))
     return out, attn
 
 
-def forward_backbone(pairs: IncidencePairs, params: ModelParams, *,
+def forward_backbone(h: Hypergraph, params: ModelParams, *,
                      training: bool = False,
                      rng: np.random.Generator | None = None,
                      trace: ForwardTrace | None = None) -> Tensor:
     """Run all message passing layers; returns final node states (N, d)."""
-    if pairs.num_nodes != params.num_nodes:
+    if h.num_nodes != params.num_nodes:
         raise ShapeError("hypergraph and embeddings disagree on node count")
     drop = training and params.dropout_rate > 0.0
     if drop and rng is None:
         raise ValueError("training with dropout needs an rng")
     hn = params.node_embeddings
-    he = init_edge_states(pairs, hn)
+    he = init_edge_states(h, hn)
     for layer in params.layers:
-        scores = dual_attention_scores(pairs, hn, he, layer, params.leaky_slope)
-        he_next, a_edge = edge_update(pairs, scores, hn)
-        hn_next, a_node = node_update(pairs, scores, he)
+        scores = dual_attention_scores(h, hn, he, layer, params.leaky_slope)
+        he_next, a_edge = edge_update(h, scores, hn)
+        hn_next, a_node = node_update(h, scores, he)
         if trace is not None:
             trace.layers.append(LayerTrace(scores, a_edge, a_node))
         if drop:
@@ -448,13 +415,13 @@ class ForwardResult:
     regularization: float
 
 
-def forward(pairs: IncidencePairs, params: ModelParams, batch: SubgraphBatch, *,
+def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
             theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
             training: bool = False, rng: np.random.Generator | None = None,
             trace: ForwardTrace | None = None,
             include_reg_in_total: bool = True) -> ForwardResult:
     """Full pass: backbone, pooling, head, and loss assembly."""
-    x = forward_backbone(pairs, params, training=training, rng=rng, trace=trace)
+    x = forward_backbone(h, params, training=training, rng=rng, trace=trace)
     s = subgraph_repr(x, batch, params, trace=trace)
     z = classify(s, params, training=training, rng=rng)
     reg_value = None
@@ -483,9 +450,9 @@ def scores_from_states(node_states: Tensor, params: ModelParams,
     return z.data.copy()
 
 
-def subgraph_scores(pairs: IncidencePairs, params: ModelParams,
+def subgraph_scores(h: Hypergraph, params: ModelParams,
                     batch: SubgraphBatch) -> np.ndarray:
     """Evaluation-mode class scores for a batch, as a plain array."""
     with K.no_grad():
-        x = forward_backbone(pairs, params, training=False)
+        x = forward_backbone(h, params, training=False)
     return scores_from_states(x, params, batch)

@@ -187,10 +187,10 @@ def micro_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
 
 # ----------------------------------------------------------------- training
 
-def _epoch_val_loss(pairs, params, batch, theta_sp, config) -> tuple[float, float]:
+def _epoch_val_loss(h, params, batch, theta_sp, config) -> tuple[float, float]:
     """(monitored, total) validation losses in evaluation mode."""
     with K.no_grad():
-        res = M.forward(pairs, params, batch, theta_sp=theta_sp,
+        res = M.forward(h, params, batch, theta_sp=theta_sp,
                         reg_weight=config.reg_weight, training=False)
     total = float(res.total_loss.data)
     monitored = res.classification_loss if config.monitor == "classification" else total
@@ -221,7 +221,7 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
         leaky_slope=config.leaky_slope,
         use_subgraph_attention=config.use_subgraph_attention,
     )
-    pairs = M.incidence_pairs(h)
+    M.incidence_pairs(h)   # build the segment layouts once, before epoch 1
     # built once per run and reused every epoch, and only when it is used
     theta_sp = theta(h) if config.reg_weight != 0.0 else None
     train_batch = dataset.batch(train_idx)
@@ -245,7 +245,7 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
         reg_last = 0.0
         for chunk in chunks:
             batch = train_batch if chunk is None else train_batch.subset(chunk)
-            res = M.forward(pairs, params, batch, theta_sp=theta_sp,
+            res = M.forward(h, params, batch, theta_sp=theta_sp,
                             reg_weight=config.reg_weight, training=True, rng=rng)
             if not np.isfinite(res.total_loss.data):
                 raise NumericalDivergence(f"training loss non-finite at epoch {epoch}")
@@ -258,7 +258,7 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
             reg_last = res.regularization
         train_losses.append(ce_sum + config.reg_weight * reg_last)
 
-        monitored, total_val = _epoch_val_loss(pairs, params, val_batch,
+        monitored, total_val = _epoch_val_loss(h, params, val_batch,
                                                theta_sp, config)
         if not np.isfinite(total_val):
             raise NumericalDivergence(f"validation loss non-finite at epoch {epoch}")
@@ -273,7 +273,7 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
 
     # one evaluation-mode backbone pass scores every split
     with K.no_grad():
-        node_states = M.forward_backbone(pairs, params, training=False)
+        node_states = M.forward_backbone(h, params, training=False)
     batches = {"train": train_batch, "val": val_batch}
     test_idx = dataset.indices("test")
     if test_idx.size:

@@ -21,6 +21,15 @@ def random_hypergraph(rng, max_nodes=12, max_edges=6, allow_isolated=True):
     return build_hypergraph(lists, edge_weights=weights, num_nodes=n)
 
 
+def memberships(h):
+    """Hyperedges incident on each node, ascending, by a plain loop."""
+    out = [[] for _ in range(h.num_nodes)]
+    for j, mem in enumerate(h.edge_members):
+        for i in mem:
+            out[i].append(j)
+    return tuple(tuple(m) for m in out)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -143,6 +147,28 @@ def test_train_rejects_negative_seed_flag(synth_dir, tmp_path, capsys):
                 "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path)])
     assert code == 2
     assert "InvalidConfigValue: seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios", ["a,b,c", "0.5,0.3,0.3", "0.6,0.2,nan",
+                                    "inf,0.2,0.2", "-0.2,0.6,0.6",
+                                    "nan,0.2,0.2"])
+def test_train_rejects_bad_split_ratios(synth_dir, tmp_path, ratios):
+    # a separate process, so an uncaught exception shows as a traceback
+    cfg = tmp_path / "config.cfg"
+    cfg.write_text("hidden_dim = 4\nmax_epochs = 2\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypersub.cli", "train",
+         "--gmt", str(synth_dir / "synthetic.gmt"),
+         "--subgraphs", str(synth_dir / "subgraphs.tsv"),
+         f"--split-ratios={ratios}", "--config", str(cfg), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "split-ratios" in proc.stderr or "split ratios" in proc.stderr
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_train_rejects_subject_without_positive_weight(synth_dir, tmp_path, capsys):

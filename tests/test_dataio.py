@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypersub import dataio as D
 from hypersub import model as M
 from hypersub.errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
-                             InvalidConfigValue, InvalidDepth, MalformedLine,
+                             InvalidConfigValue, InvalidSplitRatios,
+                             MalformedLine,
                              UnknownClass, UnknownConfigKey,
                              UnsupportedVersion)
 from hypersub.hypergraph import build_hypergraph
@@ -50,6 +51,20 @@ def test_parse_gmt_rejects_malformed():
         D.parse_gmt(GMT + "pathway_a\tagain\tMYC\n")
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(["TP53", "BRCA1", "EGFR", "tp53", ""]),
+                min_size=1, max_size=12).filter(any))
+def test_parse_gmt_keeps_first_occurrence_order(fields):
+    # duplicates and empty fields anywhere in the set
+    want = []
+    for g in fields:
+        if g and g not in want:
+            want.append(g)
+    cat = D.parse_gmt("s\tdesc\t" + "\t".join(fields) + "\n")
+    assert cat.members == [want]
+    assert list(cat.gene_index) == want
+
+
 def test_gmt_round_trip_identity():
     cat = D.parse_gmt(GMT)
     assert D.serialize_gmt(cat) == GMT
@@ -64,45 +79,6 @@ def test_catalog_to_hypergraph():
     h = cat.to_hypergraph()
     assert h.num_nodes == 4 and h.num_edges == 2
     assert h.edge_members == ((0, 1, 2), (1, 3))
-
-
-# ------------------------------------------------------------------ variants
-
-def records():
-    return [
-        D.VariantRecord("subj1", "TP53", ref_depth=70, alt_depth=30, pass_filter=True),
-        D.VariantRecord("subj1", "KRAS", ref_depth=17, alt_depth=3, pass_filter=True),
-        D.VariantRecord("subj1", "KRAS", ref_depth=63, alt_depth=9, pass_filter=True),
-        D.VariantRecord("subj1", "EGFR", ref_depth=50, alt_depth=0, pass_filter=True),
-        D.VariantRecord("subj1", "MYC", ref_depth=10, alt_depth=90, pass_filter=False),
-        D.VariantRecord("subj2", "TP53", ref_depth=0, alt_depth=99, pass_filter=True),
-    ]
-
-
-def test_aggregate_variants_hand_values():
-    rates = D.aggregate_variants(records(), "subj1")
-    assert abs(rates["TP53"] - 0.3) <= 1e-12
-    # two variants pool depths: (3 + 9) / (3 + 9 + 17 + 63)
-    assert abs(rates["KRAS"] - 12.0 / 92.0) <= 1e-12
-    assert rates["EGFR"] == 0.0
-    assert "MYC" not in rates  # non-passing calls are excluded
-
-
-def test_aggregate_variants_order_invariant():
-    fwd = D.aggregate_variants(records(), "subj1")
-    rev = D.aggregate_variants(list(reversed(records())), "subj1")
-    assert fwd == rev
-
-
-def test_aggregate_variants_zero_depth_omitted():
-    recs = [D.VariantRecord("s", "GENE", 0, 0, True)]
-    assert D.aggregate_variants(recs, "s") == {}
-
-
-def test_aggregate_variants_rejects_negative_depth():
-    recs = [D.VariantRecord("s", "GENE", -1, 5, True)]
-    with pytest.raises(InvalidDepth):
-        D.aggregate_variants(recs, "s")
 
 
 # ----------------------------------------------------------------- subgraphs
@@ -175,6 +151,20 @@ def test_load_subgraphs_duplicate_member_keeps_first():
     assert table.subjects[0].weights == [0.9]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["TP53", "BRCA1", "EGFR", "KRAS"]),
+                          st.sampled_from([None, 0.5, 1.0, 2.0])),
+                min_size=1, max_size=10))
+def test_load_subgraphs_keeps_first_occurrence_and_weight(members):
+    want = {}
+    for gene, w in members:
+        want.setdefault(gene, 1.0 if w is None else w)
+    tokens = [gene if w is None else f"{gene}:{w!r}" for gene, w in members]
+    table = D.load_subgraphs("s\tluminal\t" + ",".join(tokens) + "\n", catalog())
+    assert table.subjects[0].genes == list(want)
+    assert table.subjects[0].weights == list(want.values())
+
+
 def test_load_subgraphs_unlabeled():
     table = D.load_subgraphs("s\t-\tTP53\n", catalog())
     assert table.subjects[0].labels == []
@@ -242,6 +232,17 @@ def test_stratified_split_deterministic_and_total():
 
 
 # ------------------------------------------------------------------- dataset
+
+@pytest.mark.parametrize("ratios", [(float("nan"), 0.2, 0.2),
+                                    (0.6, 0.2, float("nan")),
+                                    (float("inf"), 0.2, 0.2),
+                                    (-0.2, 0.6, 0.6), (0.5, 0.3, 0.3)])
+def test_stratified_split_rejects_bad_ratios(ratios):
+    ids = [f"s{i}" for i in range(9)]
+    with pytest.raises(InvalidSplitRatios):
+        D.stratified_split(ids, ["x"] * 9, ratios)
+    assert issubclass(InvalidSplitRatios, ValueError)
+
 
 def test_build_dataset_and_batches():
     cat = catalog()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersub.errors import EmptyHyperedge, InvalidWeight, IsolatedNode
 from hypersub.hypergraph import (build_hypergraph, degrees, dual,
                                  incidence_matrix, theta)
 
-from conftest import random_hypergraph
+from conftest import memberships, random_hypergraph
 
 
 def dense_theta(h):
@@ -22,7 +24,7 @@ def dense_theta(h):
 def test_build_dedupes_and_sorts():
     h = build_hypergraph([[2, 0, 2, 1], [1]])
     assert h.edge_members == ((0, 1, 2), (1,))
-    assert h.node_memberships == ((0,), (0, 1), (0,))
+    assert memberships(h) == ((0,), (0, 1), (0,))
     assert h.num_nodes == 3 and h.num_edges == 2
     assert np.array_equal(h.edge_weights, [1.0, 1.0])
 
@@ -31,7 +33,7 @@ def test_build_infers_and_checks_node_count():
     assert build_hypergraph([[0, 5]]).num_nodes == 6
     h = build_hypergraph([[0, 1]], num_nodes=4)
     assert h.num_nodes == 4
-    assert h.node_memberships[3] == ()
+    assert memberships(h)[3] == ()
     with pytest.raises(ValueError):
         build_hypergraph([[0, 4]], num_nodes=4)
 
@@ -49,6 +51,42 @@ def test_build_rejects_bad_input():
         build_hypergraph([[-1, 0]])
 
 
+def test_build_names_the_first_bad_edge():
+    with pytest.raises(EmptyHyperedge, match="hyperedge 1 has no members"):
+        build_hypergraph([[0], [], [-1]])
+    with pytest.raises(ValueError, match="hyperedge 1 contains a negative node index"):
+        build_hypergraph([[0], [2, -1], []])
+    with pytest.raises(ValueError, match="node index 4 out of range for num_nodes=4"):
+        build_hypergraph([[0, 4], [3]], num_nodes=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=12), max_size=8),
+       st.integers(0, 3))
+def test_build_matches_sorted_set_reference(lists, extra):
+    # random lists repeat and shuffle members and skip indices; extra > 0
+    # declares nodes past the largest index, which are isolated too
+    ref = [sorted(set(lst)) for lst in lists]
+    largest = max((m[-1] for m in ref), default=-1)
+    h = build_hypergraph(lists, num_nodes=largest + extra if extra else None)
+    assert (h.num_nodes, h.num_edges) == (largest + max(extra, 1), len(lists))
+    assert h.edge_of_pair.tolist() == [j for j, m in enumerate(ref) for _ in m]
+    assert h.node_of_pair.tolist() == [i for m in ref for i in m]
+    assert h.edge_of_pair.dtype == h.node_of_pair.dtype == np.intp
+    assert h.edge_members == tuple(map(tuple, ref))
+    assert [h.edge_of_pair[g].tolist() for g in h.by_node] == \
+        [list(m) for m in memberships(h)]
+    assert [g.tolist() for g in h.by_node_nonempty] == \
+        [g.tolist() for g in h.by_node if g.size]
+
+
+def test_layout_arrays_are_read_only():
+    h = build_hypergraph([[0, 1], [1, 2]])
+    for a in (h.edge_of_pair, h.node_of_pair, h.edge_weights):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_round_trip_from_edge_lists(rng):
     for _ in range(20):
         h = random_hypergraph(rng)
@@ -57,7 +95,7 @@ def test_round_trip_from_edge_lists(rng):
                                  num_nodes=h.num_nodes)
         assert (again.num_nodes, again.num_edges) == (h.num_nodes, h.num_edges)
         assert again.edge_members == h.edge_members
-        assert again.node_memberships == h.node_memberships
+        assert memberships(again) == memberships(h)
         assert np.array_equal(again.edge_weights, h.edge_weights)
 
 
@@ -133,8 +171,18 @@ def test_dual_involution_is_exact(rng):
         h = random_hypergraph(rng, allow_isolated=False)
         hh = dual(dual(h))
         assert hh.edge_members == h.edge_members
-        assert hh.node_memberships == h.node_memberships
+        assert memberships(hh) == memberships(h)
         assert hh.num_nodes == h.num_nodes and hh.num_edges == h.num_edges
+
+
+def test_dual_arrays_are_the_stable_node_major_reorder(rng):
+    for _ in range(20):
+        h = random_hypergraph(rng, allow_isolated=False)
+        d = dual(h)
+        assert d.edge_members == memberships(h)
+        dd = dual(d)
+        assert np.array_equal(dd.edge_of_pair, h.edge_of_pair)
+        assert np.array_equal(dd.node_of_pair, h.node_of_pair)
 
 
 def test_dual_rejects_isolated_node():

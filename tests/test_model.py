@@ -6,7 +6,7 @@ from hypersub import model as M
 from hypersub.errors import InvalidLabel, ShapeError
 from hypersub.hypergraph import SparseMatrix, build_hypergraph, dual, theta
 
-from conftest import random_hypergraph
+from conftest import memberships, random_hypergraph
 
 
 def toy_model(h, d=4, num_classes=3, num_layers=2, seed=0, **kw):
@@ -56,7 +56,7 @@ def backbone_oracle(h, params):
             a_edge.update({(j, i): a[k] for k, i in enumerate(mem)})
         hn_new = np.zeros_like(hn)
         a_node = {}
-        for i, mems in enumerate(h.node_memberships):
+        for i, mems in enumerate(memberships(h)):
             if not mems:
                 continue
             s = np.array([score[(j, i)] for j in mems])
@@ -175,13 +175,26 @@ def test_zero_membership_node_state_is_zero():
     assert pairs.by_node[2].size == 0 and pairs.by_node[3].size == 0
 
 
-def test_one_score_tensor_per_layer_feeds_both_directions():
+def test_incidence_pairs_builds_the_layouts_once():
+    h = build_hypergraph([[0, 1, 2], [2, 3]], num_nodes=5)
+    g = M.incidence_pairs(h)
+    first = (g.by_edge, g.by_node, g.by_node_nonempty)
+    g = M.incidence_pairs(h)
+    assert all(a is b for a, b in zip(first, (g.by_edge, g.by_node,
+                                               g.by_node_nonempty)))
+
+
+def test_one_score_tensor_per_layer_feeds_both_directions(monkeypatch):
     h = build_hypergraph([[0, 1, 2], [2, 3]])
     params = toy_model(h, num_layers=2)
     pairs = M.incidence_pairs(h)
+    score_evals = []
+    attention_scores = K.attention_scores
+    monkeypatch.setattr(K, "attention_scores",
+                        lambda *a: score_evals.append(1) or attention_scores(*a))
     trace = M.ForwardTrace()
     M.forward_backbone(pairs, params, trace=trace)
-    assert pairs.score_evals == 2  # exactly one score build per layer
+    assert len(score_evals) == 2  # exactly one score build per layer
     for tr in trace.layers:
         assert tr.edge_attention._parents[0] is tr.scores
         assert tr.node_attention._parents[0] is tr.scores
