@@ -213,6 +213,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_interpret(args) -> int:
+    if args.top_k < 0:
+        raise InputDataError(f"--top-k must be non-negative, got {args.top_k}")
     out = _out_dir(args)
     ckpt = load_checkpoint(pathlib.Path(args.checkpoint))
     catalog = _catalog_from_checkpoint(ckpt)
@@ -244,6 +246,10 @@ def cmd_interpret(args) -> int:
 
 
 def cmd_make_synthetic(args) -> int:
+    if args.classes < 1:
+        raise InputDataError(f"--classes must be at least 1, got {args.classes}")
+    if args.seed < 0:
+        raise InputDataError(f"--seed must be non-negative, got {args.seed}")
     out = _out_dir(args)
     data = make_synthetic(num_nodes=args.nodes, num_edges=args.edges,
                           num_classes=args.classes, num_subjects=args.subjects,

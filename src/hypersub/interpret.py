@@ -97,15 +97,6 @@ def _top(scores: np.ndarray, top_k: int, names: list[str]) -> list[tuple[str, fl
     return [(names[j], float(scores[j])) for j in order]
 
 
-def rank_hyperedges(params: M.ModelParams, h: Hypergraph,
-                    batch: M.SubgraphBatch, class_index: int, top_k: int,
-                    edge_names: list[str] | None = None) -> list[tuple[str, float]]:
-    """Top hyperedges for one class, highest attribution first; score ties
-    break toward the lower hyperedge index."""
-    scores = class_edge_scores(params, h, batch, class_index)
-    return _top(scores, top_k, edge_names or [str(j) for j in range(h.num_edges)])
-
-
 def class_enrichment(params: M.ModelParams, h: Hypergraph,
                      batch: M.SubgraphBatch, class_vocab: list[str],
                      top_k: int, edge_names: list[str] | None = None,

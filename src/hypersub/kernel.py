@@ -317,8 +317,9 @@ class Segments:
     group, or None where the positions already run in that order (the
     identity), so group k holds positions ``order[offsets[k]:offsets[k+1]]``
     in ascending order and the outside positions come last. Built once per
-    grouping; the softmax below reduces over it with 1-D ``reduceat``, and
-    every weighted row sum goes through ``gather_sum``.
+    grouping. The segment kernels below read every index they use as the
+    ``ids`` of a Segments argument: the softmax reduces over one with 1-D
+    ``reduceat``, and every weighted row sum goes through ``gather_sum``.
     """
 
     def __init__(self, ids, num_groups: int):
@@ -335,18 +336,6 @@ class Segments:
         self.order = None if in_order else np.argsort(ids, kind="stable")
         self.nonempty = np.flatnonzero(counts)   # groups holding a position
         self.starts = self.offsets[self.nonempty]
-
-    @classmethod
-    def from_groups(cls, groups, size: int) -> "Segments":
-        """Layout of explicit position groups, e.g. ``[(0, 1), (), (3,)]``."""
-        lens = [len(g) for g in groups]
-        flat = np.fromiter((p for g in groups for p in g), dtype=np.intp,
-                           count=sum(lens))
-        ids = np.full(size, len(lens), dtype=np.intp)
-        if np.unique(flat).size != flat.size:
-            raise ShapeError("groups must be disjoint")
-        ids[flat] = np.repeat(np.arange(len(lens), dtype=np.intp), lens)
-        return cls(ids, len(lens))
 
     def __len__(self) -> int:
         return self.offsets.size - 1
@@ -437,28 +426,35 @@ class Segments:
         return out
 
 
-def _layout(groups, size: int) -> Segments:
-    if isinstance(groups, Segments):
-        if groups.size != size:
-            raise ShapeError(f"layout covers {groups.size} positions, not {size}")
-        return groups
-    return Segments.from_groups(groups, size)
+def _rows_of(layout: Segments, x: Tensor, name: str) -> np.ndarray:
+    """The row of ``x`` that each position of a row layout reads: its ids.
+
+    Two O(1) checks make every id a row of ``x``: every position is in a
+    group (no id is the outside marker), and there are no more groups than
+    rows."""
+    if layout.offsets[-1] != layout.size:
+        raise ShapeError(f"{name} leaves a position outside every row")
+    if len(layout) > x.data.shape[0]:
+        raise ShapeError(f"{name} has {len(layout)} groups for "
+                         f"{x.data.shape[0]} rows")
+    return layout.ids
 
 
-def gather_rows(x: Tensor, indices, layout: Segments | None = None) -> Tensor:
-    """Select rows of a 2-D tensor. The gradient sums back over ``layout``,
-    the grouping of positions by their index, built from ``indices`` when
-    not given."""
+def _covers(layout: Segments, size: int, name: str):
+    if layout.size != size:
+        raise ShapeError(f"{name} covers {layout.size} positions, not {size}")
+
+
+def gather_rows(x: Tensor, by_row: Segments) -> Tensor:
+    """Rows ``by_row.ids`` of a 2-D tensor, one per position. The gradient
+    sums back over ``by_row``, the grouping of the positions by row."""
     _need_2d("gather_rows input", x)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows indices must be 1-D")
+    rows = _rows_of(by_row, x, "gather_rows layout")
 
     def grad_fn(g):
-        by_row = layout if layout is not None else Segments(idx, x.data.shape[0])
         _accum(x, by_row.gather_sum(g, length=x.data.shape[0]))
 
-    return _result(x.data[idx], (x,), grad_fn)
+    return _result(x.data[rows], (x,), grad_fn)
 
 
 # Blocks hold whole multiples of this many rows, padded at the end, so BLAS
@@ -466,12 +462,12 @@ def gather_rows(x: Tensor, indices, layout: Segments | None = None) -> Tensor:
 _SCORE_ROW_ALIGN = 64
 
 
-def attention_scores(te: Tensor, tn: Tensor, context: Tensor, edge_of_pair,
-                     node_of_pair, by_edge: Segments, by_node: Segments,
+def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
+                     by_edge: Segments, by_node: Segments,
                      slope: float = 0.01) -> Tensor:
     """One score per incident pair p = (e, n):
-    ``leaky(te[e] * tn[n]) @ context``, a 1-D tensor. ``by_edge`` and
-    ``by_node`` are the layouts of ``edge_of_pair`` and ``node_of_pair``.
+    ``leaky(te[e] * tn[n]) @ context``, a 1-D tensor. ``by_edge`` groups
+    the pairs by their row e of ``te``, ``by_node`` by their row n of ``tn``.
 
     The pairs are scored block by block through fixed work buffers, so no
     pairs x d array is ever held. The gradient keeps none either: per
@@ -488,13 +484,9 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor, edge_of_pair,
     if tn.data.shape[1] != d or context.data.shape != (d, 1):
         raise ShapeError(f"attention_scores widths differ: {te.data.shape}, "
                          f"{tn.data.shape}, context {context.data.shape}")
-    e = np.asarray(edge_of_pair, dtype=np.intp)
-    n = np.asarray(node_of_pair, dtype=np.intp)
-    if e.ndim != 1 or e.shape != n.shape or not by_edge.size == by_node.size == e.size:
-        raise ShapeError("edge_of_pair, node_of_pair and their layouts must align")
-    for idx, t in ((e, te), (n, tn)):
-        if idx.size and (idx.min() < 0 or idx.max() >= t.data.shape[0]):
-            raise ShapeError(f"pair indices must lie in [0, {t.data.shape[0]})")
+    e = _rows_of(by_edge, te, "attention_scores edge layout")
+    n = _rows_of(by_node, tn, "attention_scores node layout")
+    _covers(by_node, by_edge.size, "attention_scores node layout")
     dtype = np.result_type(te.data, tn.data, context.data)
     ted, tnd, ctx = (t.data.astype(dtype, copy=False) for t in (te, tn, context))
     s = dtype.type(slope)
@@ -511,7 +503,7 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor, edge_of_pair,
     for lo in range(0, total, rows):
         k = min(rows, total - lo)
         padded = k + -k % _SCORE_ROW_ALIGN
-        # the indices are checked above; "clip" skips take's buffered check
+        # the layouts are checked above; "clip" skips take's buffered check
         np.take(ted, e[lo:lo + k], axis=0, out=a[:k], mode="clip")
         np.take(tnd, n[lo:lo + k], axis=0, out=b[:k], mode="clip")
         np.multiply(a[:k], b[:k], out=a[:k])
@@ -548,18 +540,16 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor, edge_of_pair,
     return _result(out, (te, tn, context), grad_fn)
 
 
-def masked_softmax(scores: Tensor, groups) -> Tensor:
-    """Softmax normalized independently within each group of a 1-D tensor.
-
-    ``groups`` is a Segments layout or a sequence of position groups. Entries
-    outside every group come out as 0. The per-group maximum is subtracted
-    before exponentiation, so uniform score shifts within a group change
-    nothing.
+def masked_softmax(scores: Tensor, seg: Segments) -> Tensor:
+    """Softmax normalized independently within each group of ``seg`` over a
+    1-D tensor. Entries outside every group come out as 0. The per-group
+    maximum is subtracted before exponentiation, so uniform score shifts
+    within a group change nothing.
     """
     x = scores.data
     if x.ndim != 1:
         raise ShapeError(f"masked_softmax needs a 1-D tensor, got shape {x.shape}")
-    seg = _layout(groups, x.size)
+    _covers(seg, x.size, "masked_softmax layout")
     if seg.starts.size != len(seg):
         raise EmptyGroup(f"group {int(np.flatnonzero(seg.counts == 0)[0])} is empty")
     xs = seg.gather(x)
@@ -588,24 +578,22 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), grad_fn)
 
 
-def weighted_row_sum(x: Tensor, weights: Tensor, row_indices, groups,
-                     row_layout: Segments | None = None) -> Tensor:
+def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
+                     seg: Segments) -> Tensor:
     """Per-group weighted sums of rows of x.
 
-    Position p contributes weights[p] * x[row_indices[p]] to the row of its
-    group. ``groups`` is a Segments layout or a sequence of position groups.
-    Output has one row per group; groups may be empty and produce all-zero
-    rows. ``row_layout`` groups the positions by row index for the gradient
-    into x; it is built from ``row_indices`` when not given.
+    Position p contributes weights[p] * x[by_row.ids[p]] to the row of its
+    group in ``seg``. Output has one row per group; groups may be empty and
+    produce all-zero rows. ``by_row`` groups the positions by row of x, which
+    is the reduction the gradient into x runs over.
     """
     _need_2d("weighted_row_sum input", x)
     w = weights.data
     if w.ndim != 1:
         raise ShapeError("weighted_row_sum weights must be 1-D")
-    rows = np.asarray(row_indices, dtype=np.intp)
-    if rows.shape != w.shape:
-        raise ShapeError("row_indices length must match weights")
-    seg = _layout(groups, w.size)
+    rows = _rows_of(by_row, x, "weighted_row_sum row layout")
+    _covers(by_row, w.size, "weighted_row_sum row layout")
+    _covers(seg, w.size, "weighted_row_sum layout")
     out = seg.gather_sum(x.data, w, rows)
 
     def grad_fn(g):
@@ -614,8 +602,6 @@ def weighted_row_sum(x: Tensor, weights: Tensor, row_indices, groups,
             dw = np.einsum("ij,ij->i", seg.expand(g), x.data[rows[pos]])
             _accum(weights, seg.scatter(dw))
         if x.requires_grad:
-            by_row = row_layout if row_layout is not None \
-                else Segments(rows, x.data.shape[0])
             # outside positions carry the id len(seg), the zero row past g
             _accum(x, by_row.gather_sum(g, w, seg.ids, x.data.shape[0]))
 

@@ -239,8 +239,8 @@ def init_edge_states(h: Hypergraph, node_embeddings: Tensor) -> Tensor:
     """Layer-0 hyperedge states: plain mean of member node embeddings."""
     counts = h.by_edge.counts.astype(np.float64)
     w = (1.0 / counts[h.edge_of_pair]).astype(node_embeddings.data.dtype)
-    return K.weighted_row_sum(node_embeddings, K.constant(w),
-                              h.node_of_pair, h.by_edge, h.by_node)
+    return K.weighted_row_sum(node_embeddings, K.constant(w), h.by_node,
+                              h.by_edge)
 
 
 def dual_attention_scores(h: Hypergraph, node_states: Tensor,
@@ -254,8 +254,8 @@ def dual_attention_scores(h: Hypergraph, node_states: Tensor,
     """
     tn = K.add_bias(K.matmul(node_states, layer.node_weight), layer.node_bias)
     te = K.add_bias(K.matmul(edge_states, layer.edge_weight), layer.edge_bias)
-    return K.attention_scores(te, tn, layer.context, h.edge_of_pair,
-                              h.node_of_pair, h.by_edge, h.by_node, slope)
+    return K.attention_scores(te, tn, layer.context, h.by_edge, h.by_node,
+                              slope)
 
 
 def edge_update(h: Hypergraph, scores: Tensor,
@@ -263,8 +263,7 @@ def edge_update(h: Hypergraph, scores: Tensor,
     """New hyperedge states: scores normalized per edge over its members,
     then a rectified attention-weighted sum of member node states."""
     attn = K.masked_softmax(scores, h.by_edge)
-    out = K.relu(K.weighted_row_sum(node_states, attn, h.node_of_pair,
-                                    h.by_edge, h.by_node))
+    out = K.relu(K.weighted_row_sum(node_states, attn, h.by_node, h.by_edge))
     return out, attn
 
 
@@ -273,8 +272,7 @@ def node_update(h: Hypergraph, scores: Tensor,
     """New node states from the same scores, normalized per node over its
     incident edges. Nodes with no membership yield all-zero rows."""
     attn = K.masked_softmax(scores, h.by_node_nonempty)
-    out = K.relu(K.weighted_row_sum(edge_states, attn, h.edge_of_pair,
-                                    h.by_node, h.by_edge))
+    out = K.relu(K.weighted_row_sum(edge_states, attn, h.by_edge, h.by_node))
     return out, attn
 
 
@@ -328,7 +326,7 @@ def subgraph_attention(node_states: Tensor, batch: SubgraphBatch,
     the context vector; softmax runs within each subgraph's member group.
     """
     proj = K.reshape(K.gather_rows(K.matmul(node_states, context),
-                                   batch.member_rows, batch.by_row), (-1,))
+                                   batch.by_row), (-1,))
     w = K.constant(batch.member_weights, dtype=node_states.data.dtype)
     return K.masked_softmax(K.elementwise_mul(w, proj), batch.groups)
 
@@ -348,8 +346,8 @@ def subgraph_repr(node_states: Tensor, batch: SubgraphBatch,
                           dtype=node_states.data.dtype)
     if trace is not None:
         trace.subgraph_attention = attn
-    return K.relu(K.weighted_row_sum(node_states, attn, batch.member_rows,
-                                     batch.groups, batch.by_row))
+    return K.relu(K.weighted_row_sum(node_states, attn, batch.by_row,
+                                     batch.groups))
 
 
 def classify(subgraph_states: Tensor, params: ModelParams, *,
@@ -418,8 +416,7 @@ class ForwardResult:
 def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
             theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
             training: bool = False, rng: np.random.Generator | None = None,
-            trace: ForwardTrace | None = None,
-            include_reg_in_total: bool = True) -> ForwardResult:
+            trace: ForwardTrace | None = None) -> ForwardResult:
     """Full pass: backbone, pooling, head, and loss assembly."""
     x = forward_backbone(h, params, training=training, rng=rng, trace=trace)
     s = subgraph_repr(x, batch, params, trace=trace)
@@ -429,8 +426,7 @@ def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
     if theta_sp is not None and reg_weight != 0.0:
         reg_value = regularizer(x, theta_sp)
         reg_float = float(reg_value.data)
-    total, ce = loss(z, batch.labels, params.mode,
-                     reg_value=reg_value if include_reg_in_total else None,
+    total, ce = loss(z, batch.labels, params.mode, reg_value=reg_value,
                      reg_weight=reg_weight)
     return ForwardResult(
         predictions=z,

@@ -22,7 +22,7 @@ from hypersub import kernel as K
 from hypersub import model as M
 from hypersub import training as T
 from hypersub.hypergraph import build_hypergraph, dual, theta
-from hypersub.interpret import rank_hyperedges
+from hypersub.interpret import class_enrichment
 from hypersub.synthetic import make_synthetic
 
 from conftest import random_hypergraph
@@ -427,11 +427,10 @@ def test_a9_interpretation_recovery(synth, a5_run):
     # least 3 of the 4 classes
     params, _, _ = a5_run
     batch = synth.dataset.batch(np.arange(len(synth.dataset.subject_ids)))
-    hits = []
-    for ci, cname in enumerate(synth.dataset.class_vocab):
-        top = rank_hyperedges(params, synth.h, batch, ci, top_k=1,
-                              edge_names=list(synth.catalog.names))
-        hits.append(top[0][0] in set(synth.planted[cname]))
+    report = class_enrichment(params, synth.h, batch, synth.dataset.class_vocab,
+                              top_k=1, edge_names=list(synth.catalog.names))
+    hits = [report.rankings[cname][0][0] in set(synth.planted[cname])
+            for cname in synth.dataset.class_vocab]
     verdict("A9", sum(hits) >= 3,
             f"planted hyperedge ranked first for {sum(hits)}/4 classes "
             f"(need >= 3)")

@@ -28,6 +28,16 @@ def run(argv):
     return cli.main(argv)
 
 
+def run_process(argv):
+    """The CLI in a separate process, so an uncaught exception shows as a
+    traceback in its stderr."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "hypersub.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("synth")
@@ -153,22 +163,32 @@ def test_train_rejects_negative_seed_flag(synth_dir, tmp_path, capsys):
                                     "inf,0.2,0.2", "-0.2,0.6,0.6",
                                     "nan,0.2,0.2"])
 def test_train_rejects_bad_split_ratios(synth_dir, tmp_path, ratios):
-    # a separate process, so an uncaught exception shows as a traceback
     cfg = tmp_path / "config.cfg"
     cfg.write_text("hidden_dim = 4\nmax_epochs = 2\n")
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypersub.cli", "train",
-         "--gmt", str(synth_dir / "synthetic.gmt"),
-         "--subgraphs", str(synth_dir / "subgraphs.tsv"),
-         f"--split-ratios={ratios}", "--config", str(cfg), "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_process(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                        "--subgraphs", str(synth_dir / "subgraphs.tsv"),
+                        f"--split-ratios={ratios}", "--config", str(cfg),
+                        "--out", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "split-ratios" in proc.stderr or "split ratios" in proc.stderr
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("argv", [["make-synthetic", "--classes", "0"],
+                                  ["make-synthetic", "--classes", "-1"],
+                                  ["make-synthetic", "--seed", "-1"],
+                                  ["interpret", "--top-k", "-1"]],
+                         ids=["classes=0", "classes=-1", "seed=-1", "top-k=-1"])
+def test_bad_flag_value_exits_2(synth_dir, train_dir, tmp_path, argv):
+    if argv[0] == "interpret":
+        argv = argv + ["--checkpoint", str(train_dir / "model.ckpt"),
+                       "--subgraphs", str(synth_dir / "subgraphs.tsv")]
+    proc = run_process(argv + ["--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"InputDataError: {argv[1]} " in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_subject_without_positive_weight(synth_dir, tmp_path, capsys):

@@ -86,9 +86,9 @@ def test_rank_breaks_ties_toward_lower_index():
     batch = M.SubgraphBatch(members=[np.array([0])],
                             weights=[np.array([1.0])],
                             labels=one_hot([0], 2))
-    ranked = I.rank_hyperedges(params, h, batch, 0, top_k=2,
-                               edge_names=["beta", "alpha"])
-    assert ranked == [("beta", 0.5), ("alpha", 0.5)]
+    report = I.class_enrichment(params, h, batch, ["c0"], top_k=2,
+                                edge_names=["beta", "alpha"])
+    assert report.rankings["c0"] == [("beta", 0.5), ("alpha", 0.5)]
 
 
 def test_rank_top_k_clamps():
@@ -97,8 +97,11 @@ def test_rank_top_k_clamps():
     batch = M.SubgraphBatch(members=[np.array([1])],
                             weights=[np.array([1.0])],
                             labels=one_hot([0], 2))
-    assert len(I.rank_hyperedges(params, h, batch, 0, top_k=99)) == 2
-    assert I.rank_hyperedges(params, h, batch, 0, top_k=0) == []
+
+    def top(k):
+        return I.class_enrichment(params, h, batch, ["c0"], top_k=k).rankings["c0"]
+    assert len(top(99)) == 2
+    assert top(0) == []
 
 
 def test_ablated_model_uses_uniform_member_attention():

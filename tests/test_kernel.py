@@ -55,27 +55,36 @@ def test_activations_hand_values():
     assert abs(s[0] - 0.5) <= 1e-12 and s[1] <= 1.0 and s[2] >= 0.0
 
 
+def _segments(groups, size):
+    """The layout of explicit position groups over positions 0..size-1;
+    positions in no group lie outside every group."""
+    ids = np.full(size, len(groups), dtype=np.intp)
+    for k, g in enumerate(groups):
+        ids[list(g)] = k
+    return K.Segments(ids, len(groups))
+
+
 def test_masked_softmax_values():
-    two = K.masked_softmax(K.constant([0.0, 0.0]), [(0, 1)])
+    two = K.masked_softmax(K.constant([0.0, 0.0]), _segments([(0, 1)], 2))
     assert np.allclose(two.data, [0.5, 0.5], atol=1e-12)
-    one = K.masked_softmax(K.constant([3.7]), [(0,)])
+    one = K.masked_softmax(K.constant([3.7]), _segments([(0,)], 1))
     assert one.data.tolist() == [1.0]
     x = np.array([1.0, 2.0, 3.0])
     want = np.exp(x) / np.exp(x).sum()
-    got = K.masked_softmax(K.constant(x), [(0, 1, 2)]).data
+    got = K.masked_softmax(K.constant(x), _segments([(0, 1, 2)], 3)).data
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_masked_softmax_groups_and_outside_entries():
     out = K.masked_softmax(K.constant([1.0, 1.0, 5.0, 2.0, 9.0]),
-                           [(0, 1), (3, 2)]).data
+                           _segments([(0, 1), (3, 2)], 5)).data
     assert abs(out[0] - 0.5) <= 1e-12 and abs(out[1] - 0.5) <= 1e-12
     assert abs(out[2] + out[3] - 1.0) <= 1e-12
     assert out[4] == 0.0  # not a member of any group
     with pytest.raises(EmptyGroup):
-        K.masked_softmax(K.constant([1.0]), [(0,), ()])
+        K.masked_softmax(K.constant([1.0]), _segments([(0,), ()], 1))
     with pytest.raises(ShapeError):
-        K.masked_softmax(K.constant([[1.0]]), [(0,)])
+        K.masked_softmax(K.constant([[1.0]]), _segments([(0,)], 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,7 +92,7 @@ def test_masked_softmax_groups_and_outside_entries():
        st.floats(min_value=-30, max_value=30))
 def test_masked_softmax_normalizes_and_shifts(values, shift):
     x = np.asarray(values)
-    groups = [tuple(range(x.size))]
+    groups = _segments([tuple(range(x.size))], x.size)
     y = K.masked_softmax(K.constant(x), groups).data
     assert abs(y.sum() - 1.0) <= 1e-6
     y2 = K.masked_softmax(K.constant(x + shift), groups).data
@@ -111,10 +120,6 @@ def _groups(ids, ngroups, rng):
             for k in range(ngroups)]
 
 
-def _layout(ids, ngroups):
-    return K.Segments([ngroups if i is None else i for i in ids], ngroups)
-
-
 @settings(max_examples=60, deadline=None)
 @given(grouped_positions(allow_empty=False), st.integers(0, 2**32 - 1))
 def test_layout_softmax_matches_group_loop(case, seed):
@@ -128,14 +133,14 @@ def test_layout_softmax_matches_group_loop(case, seed):
     for g in groups:
         e = np.exp(x[list(g)] - x[list(g)].max())
         want[list(g)] = e / e.sum()
-    for layout in (groups, _layout(ids, ngroups)):
-        got = K.masked_softmax(K.constant(x), layout).data
-        assert np.max(np.abs(got - want)) <= 1e-12
+    layout = _segments(groups, size)
+    got = K.masked_softmax(K.constant(x), layout).data
+    assert np.max(np.abs(got - want)) <= 1e-12
 
     s = K.parameter(x)
     c = K.constant(rng.normal(size=size))
     report = K.grad_check(
-        lambda: K.reduce_sum(K.elementwise_mul(K.masked_softmax(s, groups), c)),
+        lambda: K.reduce_sum(K.elementwise_mul(K.masked_softmax(s, layout), c)),
         [s], epsilon=1e-6)
     assert report.passed, report.max_rel_error
 
@@ -154,31 +159,30 @@ def test_layout_weighted_row_sum_matches_group_loop(case, seed):
     for k, g in enumerate(groups):
         for p in g:
             want[k] += w0[p] * x0[rows[p]]
-    layout = _layout(ids, ngroups)
+    layout = _segments(groups, size)
     by_row = K.Segments(rows, nrows)
-    for grouping, row_layout in ((groups, None), (layout, by_row)):
-        got = K.weighted_row_sum(K.constant(x0), K.constant(w0), rows,
-                                 grouping, row_layout).data
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    got = K.weighted_row_sum(K.constant(x0), K.constant(w0), by_row, layout).data
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
     x, w = K.parameter(x0), K.parameter(w0)
     c = K.constant(rng.normal(size=(ngroups, 3)))
-    for grouping, row_layout in ((groups, None), (layout, by_row)):
-        def f():
-            gathered = K.gather_rows(x, rows, row_layout)
-            pooled = K.weighted_row_sum(gathered, w, np.arange(size), grouping)
-            direct = K.weighted_row_sum(x, w, rows, grouping, row_layout)
-            return K.reduce_sum(K.elementwise_mul(K.add(pooled, direct), c))
-        report = K.grad_check(f, [x, w], epsilon=1e-6)
-        assert report.passed, report.max_rel_error
+    itself = K.Segments(np.arange(size), size)
+
+    def f():
+        gathered = K.gather_rows(x, by_row)
+        pooled = K.weighted_row_sum(gathered, w, itself, layout)
+        direct = K.weighted_row_sum(x, w, by_row, layout)
+        return K.reduce_sum(K.elementwise_mul(K.add(pooled, direct), c))
+    report = K.grad_check(f, [x, w], epsilon=1e-6)
+    assert report.passed, report.max_rel_error
 
 
-def test_layout_rejects_overlap_and_bad_ids():
-    with pytest.raises(ShapeError):
-        K.masked_softmax(K.constant([1.0, 2.0]), [(0, 1), (1,)])
+def test_layout_rejects_bad_ids():
     with pytest.raises(ShapeError):
         K.Segments([0, 3], 2)
+    with pytest.raises(ShapeError):
+        K.Segments([-1, 0], 2)
     layout = K.Segments([1, 2, 0, 1], 2)   # position 1 is outside
     assert len(layout) == 2 and layout.counts.tolist() == [1, 2]
     assert layout[1].tolist() == [0, 3] and layout.order is not None
@@ -248,10 +252,11 @@ def test_no_grad_suppresses_graph():
 
 def test_gather_and_weighted_row_sum_values():
     x = K.constant(np.arange(8.0).reshape(4, 2))
-    g = K.gather_rows(x, [2, 0, 2])
+    g = K.gather_rows(x, K.Segments([2, 0, 2], 4))
     assert g.data.tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
     w = K.constant([0.5, 2.0, 1.0])
-    out = K.weighted_row_sum(x, w, [0, 1, 3], [(0, 1), (), (2,)])
+    out = K.weighted_row_sum(x, w, K.Segments([0, 1, 3], 4),
+                             _segments([(0, 1), (), (2,)], 3))
     assert out.data.tolist() == [[4.0, 6.5], [0.0, 0.0], [6.0, 7.0]]
 
 
@@ -342,13 +347,14 @@ def test_grad_check_composite_ops():
     rng = np.random.default_rng(3)
     x = K.parameter(rng.normal(size=(5, 3)))
     w = K.parameter(rng.normal(size=(3, 3)))
-    groups = [(0, 1, 2), (3, 4)]
+    groups = _segments([(0, 1, 2), (3, 4)], 5)
+    itself = K.Segments(np.arange(5), 5)
 
     def f():
         scores = K.reshape(K.matmul(K.leaky_relu(K.matmul(x, w), 0.1),
                                     K.constant(np.ones((3, 1)))), (-1,))
         attn = K.masked_softmax(scores, groups)
-        pooled = K.weighted_row_sum(x, attn, [0, 1, 2, 3, 4], groups)
+        pooled = K.weighted_row_sum(x, attn, itself, groups)
         z = K.softmax_rows(pooled)
         return K.scale(K.reduce_sum(K.elementwise_mul(z, K.log(z))), -1.0)
 
@@ -483,14 +489,14 @@ def test_grad_check_through_bucketed_kernels(sizes, outside, seed):
     nrows = int(rng.integers(1, 6))
     rows = rng.integers(0, nrows, size=size)
     by_row = K.Segments(rows, nrows)
+    itself = K.Segments(np.arange(size), size)
     x = K.parameter(rng.normal(size=(nrows, 3)))
     w = K.parameter(rng.normal(size=size))
     c = K.constant(rng.normal(size=(ngroups, 3)))
 
     def f():
-        direct = K.weighted_row_sum(x, w, rows, layout, by_row)
-        pooled = K.weighted_row_sum(K.gather_rows(x, rows, by_row), w,
-                                    np.arange(size), layout)
+        direct = K.weighted_row_sum(x, w, by_row, layout)
+        pooled = K.weighted_row_sum(K.gather_rows(x, by_row), w, itself, layout)
         return K.reduce_sum(K.elementwise_mul(K.add(direct, pooled), c))
 
     report = K.grad_check(f, [x, w], epsilon=1e-6)
@@ -519,9 +525,10 @@ SLOPES = [0.0, 0.01, 0.2, 1.5]
 
 
 def _random_pairs(rng, num_edges, num_nodes, size):
+    """Layouts of ``size`` random pairs by edge (sorted) and by node."""
     edge = np.sort(rng.integers(0, num_edges, size=size))
     node = rng.integers(0, num_nodes, size=size)
-    return edge, node, K.Segments(edge, num_edges), K.Segments(node, num_nodes)
+    return K.Segments(edge, num_edges), K.Segments(node, num_nodes)
 
 
 def _states(rng, rows, d, dtype, zero_share=0.2):
@@ -532,12 +539,12 @@ def _states(rng, rows, d, dtype, zero_share=0.2):
     return x.astype(dtype)
 
 
-def _chain_scores(te, tn, ctx, edge, node, slope):
+def _chain_scores(te, tn, ctx, by_edge, by_node, slope):
     """The composed chain the kernel fuses. Its product runs over the rows
     zero-padded to whole 64-row groups, as the kernel's does: BLAS takes a
     narrower path for the last few rows of a product, so without padding
     the last scores of the chain depend on their position."""
-    joint = K.elementwise_mul(K.gather_rows(te, edge), K.gather_rows(tn, node))
+    joint = K.elementwise_mul(K.gather_rows(te, by_edge), K.gather_rows(tn, by_node))
     leaky = K.leaky_relu(joint, slope).data
     padded = np.zeros((leaky.shape[0] + -leaky.shape[0] % 64, leaky.shape[1]),
                       dtype=leaky.dtype)
@@ -551,16 +558,16 @@ def _chain_scores(te, tn, ctx, edge, node, slope):
 def test_attention_scores_bit_identical_to_composed_chain(size, d, dtype, slope, seed):
     rng = np.random.default_rng(seed)
     num_edges, num_nodes = int(rng.integers(1, 12)), int(rng.integers(1, 40))
-    edge, node, by_edge, by_node = _random_pairs(rng, num_edges, num_nodes, size)
+    by_edge, by_node = _random_pairs(rng, num_edges, num_nodes, size)
     te = K.constant(_states(rng, num_edges, d, dtype))
     tn = K.constant(_states(rng, num_nodes, d, dtype))
     ctx = K.constant(rng.normal(size=(d, 1)).astype(dtype))
-    want = _chain_scores(te, tn, ctx, edge, node, slope)
+    want = _chain_scores(te, tn, ctx, by_edge, by_node, slope)
     saved = K.BLOCK_BYTES
     try:
         for budget in (saved, 1):   # 1 byte: blocks of 64 rows
             K.BLOCK_BYTES = budget
-            got = K.attention_scores(te, tn, ctx, edge, node, by_edge, by_node, slope)
+            got = K.attention_scores(te, tn, ctx, by_edge, by_node, slope)
             assert got.data.dtype == dtype and got.data.shape == (size,)
             assert np.array_equal(got.data, want)
     finally:
@@ -570,7 +577,8 @@ def test_attention_scores_bit_identical_to_composed_chain(size, d, dtype, slope,
 @pytest.mark.parametrize("slope", SLOPES)
 def test_grad_check_through_attention_scores(slope):
     rng = np.random.default_rng(int(slope * 100) + 5)
-    edge, node, by_edge, by_node = _random_pairs(rng, 5, 7, 40)
+    by_edge, by_node = _random_pairs(rng, 5, 7, 40)
+    edge = by_edge.ids.copy()
     edge[:3] = 0   # the all-zero edge row 0 holds pairs
     edge.sort()
     by_edge = K.Segments(edge, 5)
@@ -580,7 +588,7 @@ def test_grad_check_through_attention_scores(slope):
     w = K.constant(rng.normal(size=edge.size))
 
     def f():
-        s = K.attention_scores(te, tn, ctx, edge, node, by_edge, by_node, slope)
+        s = K.attention_scores(te, tn, ctx, by_edge, by_node, slope)
         attn = K.masked_softmax(s, by_edge)
         return K.reduce_sum(K.elementwise_mul(K.add(s, attn), w))
 
@@ -592,19 +600,20 @@ def test_grad_check_through_a_dead_edge_row():
     # te = relu(x) @ W + b with zero bias: a dead ReLU row of x gives an
     # edge row of te that is exactly zero
     rng = np.random.default_rng(8)
-    edge, node, by_edge, by_node = _random_pairs(rng, 4, 6, 30)
+    by_edge, by_node = _random_pairs(rng, 4, 6, 30)
+    dead = int(by_edge.ids[0])
     x = rng.normal(size=(4, 3))
-    x[int(edge[0])] = -np.abs(x[int(edge[0])]) - 1.0
+    x[dead] = -np.abs(x[dead]) - 1.0
     x = K.parameter(x)
     w_edge = K.parameter(rng.normal(size=(3, 3)))
     tn = K.parameter(rng.normal(size=(6, 3)))
     ctx = K.parameter(rng.normal(size=(3, 1)))
     bias = K.constant(np.zeros(3))
-    g = K.constant(rng.normal(size=edge.size))
+    g = K.constant(rng.normal(size=by_edge.size))
 
     def f():
         te = K.add_bias(K.matmul(K.relu(x), w_edge), bias)
-        s = K.attention_scores(te, tn, ctx, edge, node, by_edge, by_node, 0.01)
+        s = K.attention_scores(te, tn, ctx, by_edge, by_node, 0.01)
         return K.reduce_sum(K.elementwise_mul(s, g))
 
     report = K.grad_check(f, [x, w_edge, tn, ctx], epsilon=1e-6)
@@ -616,16 +625,44 @@ def test_attention_scores_rejects_bad_operands():
     ctx = K.constant(np.ones((3, 1)))
     by_edge, by_node = K.Segments([0, 1], 2), K.Segments([0, 3], 4)
     with pytest.raises(ShapeError):
-        K.attention_scores(te, tn, K.constant(np.ones((2, 1))), [0, 1], [0, 3],
-                           by_edge, by_node)
+        K.attention_scores(te, tn, K.constant(np.ones((2, 1))), by_edge, by_node)
+    with pytest.raises(ShapeError):   # the layouts cover 2 and 1 pairs
+        K.attention_scores(te, tn, ctx, by_edge, K.Segments([0], 4))
+    with pytest.raises(ShapeError):   # edge id 2 of 2 groups: outside
+        K.attention_scores(te, tn, ctx, K.Segments([0, 2], 2), by_node)
+    with pytest.raises(ShapeError):   # a negative node id is no layout
+        K.Segments([-1, 3], 4)
     with pytest.raises(ShapeError):
-        K.attention_scores(te, tn, ctx, [0, 1], [0], by_edge, by_node)
-    with pytest.raises(ShapeError):
-        K.attention_scores(te, tn, ctx, [0, 2], [0, 3], by_edge, by_node)
-    with pytest.raises(ShapeError):
-        K.attention_scores(te, tn, ctx, [0, 1], [-1, 3], by_edge, by_node)
-    with pytest.raises(ShapeError):
-        K.attention_scores(te, tn, ctx, [0, 1], [0, 3], K.Segments([0], 2), by_node)
-    empty = K.attention_scores(te, tn, ctx, [], [], K.Segments([], 2),
-                               K.Segments([], 4))
+        K.attention_scores(te, tn, ctx, K.Segments([0], 2), by_node)
+    empty = K.attention_scores(te, tn, ctx, K.Segments([], 2), K.Segments([], 4))
     assert empty.data.shape == (0,)
+
+
+def test_segment_kernels_check_their_layouts():
+    x = K.constant(np.arange(8.0).reshape(4, 2))
+    w = K.constant([1.0, 2.0, 3.0])
+    rows, groups = K.Segments([0, 1, 3], 4), _segments([(0, 1), (2,)], 3)
+    outside = K.Segments([0, 2, 1], 2)   # position 1 is in no group
+    too_many = K.Segments([0, 1, 4], 5)  # 5 groups for 4 rows of x
+    ctx = K.constant(np.ones((2, 1)))
+    for bad in (outside, too_many):
+        with pytest.raises(ShapeError):
+            K.gather_rows(x, bad)
+        with pytest.raises(ShapeError):
+            K.weighted_row_sum(x, w, bad, groups)
+        with pytest.raises(ShapeError):
+            K.attention_scores(x, x, ctx, bad, rows)
+        with pytest.raises(ShapeError):
+            K.attention_scores(x, x, ctx, rows, bad)
+    short_rows, short_groups = K.Segments([0, 1], 4), _segments([(0, 1)], 2)
+    with pytest.raises(ShapeError):
+        K.weighted_row_sum(x, w, short_rows, groups)
+    with pytest.raises(ShapeError):
+        K.weighted_row_sum(x, w, rows, short_groups)
+    with pytest.raises(ShapeError):
+        K.masked_softmax(w, short_groups)
+    # the same layouts at full cover pass every check
+    assert K.gather_rows(x, rows).data.shape == (3, 2)
+    assert K.weighted_row_sum(x, w, rows, groups).data.shape == (2, 2)
+    assert K.masked_softmax(w, groups).data.shape == (3,)
+    assert K.attention_scores(x, x, ctx, rows, rows).data.shape == (3,)

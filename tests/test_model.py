@@ -411,6 +411,15 @@ def test_batch_validation():
                         labels=np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("attention", [True, False], ids=["attention", "sum"])
+def test_member_past_the_last_node_is_rejected(attention):
+    h = build_hypergraph([[0, 1], [1, 2]])
+    params = toy_model(h, use_subgraph_attention=attention)
+    batch = toy_batch([[0, h.num_nodes]], 3)
+    with pytest.raises(ShapeError):
+        M.subgraph_scores(h, params, batch)
+
+
 # ------------------------------------------------------------------- head
 
 def test_classify_zero_head_is_uniform():
