@@ -24,7 +24,7 @@ from . import __version__
 from . import model as M
 from .dataio import (Checkpoint, GeneSetCatalog, build_dataset, load_checkpoint,
                      load_split, load_subgraphs, parse_config, parse_gmt,
-                     save_checkpoint, serialize_config, serialize_split,
+                     resolve_subjects, save_checkpoint, serialize_split,
                      stratified_split)
 from .errors import (EmptyClass, EmptySplit, InputDataError, InvalidLabel,
                      NumericalDivergence)
@@ -182,21 +182,13 @@ def cmd_predict(args) -> int:
     names = ckpt.class_vocab
     lines = ["\t".join(["subject_id", *names, "predicted"])]
     if table.subjects:
-        batch = M.SubgraphBatch(
-            members=[np.array([catalog.gene_index[g] for g in rec.genes],
-                              dtype=np.intp) for rec in table.subjects],
-            weights=[np.array(rec.weights, dtype=np.float64)
-                     for rec in table.subjects],
-            labels=np.zeros((len(table.subjects), len(names)), dtype=np.float64),
-            subject_ids=[rec.subject_id for rec in table.subjects],
-        )
+        batch = resolve_subjects(table, catalog)
         scores = M.subgraph_scores(ckpt.hypergraph, ckpt.params, batch)
         decisions = predictions_from_scores(scores, ckpt.config.mode,
                                             ckpt.config.threshold)
-        for rec, row, dec in zip(table.subjects, scores, decisions):
+        for sid, row, dec in zip(batch.subject_ids, scores, decisions):
             chosen = [names[k] for k in np.where(dec > 0.5)[0]]
-            lines.append("\t".join([rec.subject_id,
-                                    *(repr(float(v)) for v in row),
+            lines.append("\t".join([sid, *(repr(float(v)) for v in row),
                                     ",".join(chosen) if chosen else "-"]))
     if table.excluded_subjects:
         lines.append("# excluded subjects (no catalog gene with a positive weight)")
@@ -220,9 +212,7 @@ def cmd_interpret(args) -> int:
     catalog = _catalog_from_checkpoint(ckpt)
     table = load_subgraphs(pathlib.Path(args.subgraphs), catalog,
                            class_vocab=ckpt.class_vocab)
-    assignment = {rec.subject_id: "train" for rec in table.subjects}
-    dataset = build_dataset(table, catalog, assignment)
-    batch = dataset.batch(np.arange(len(table.subjects)))
+    batch = resolve_subjects(table, catalog)
 
     # both views read one evaluation-mode backbone pass
     trace = backbone_trace(ckpt.params, ckpt.hypergraph)

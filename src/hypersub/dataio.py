@@ -13,6 +13,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -300,52 +302,53 @@ def stratified_split(subjects: Sequence[str], label_keys: Sequence,
 
 @dataclass
 class SubgraphDataset:
-    """Subjects resolved against a catalog: member node indices, weights,
-    dense labels, and a split assignment per subject."""
+    """Subjects resolved against a catalog, as one batch of every subject in
+    file order, with the class vocabulary and a split name per subject."""
 
-    subject_ids: list[str]
-    members: list[np.ndarray]
-    weights: list[np.ndarray]
-    labels: np.ndarray
+    subjects: SubgraphBatch
     class_vocab: list[str]
     split: list[str]
 
+    @property
+    def subject_ids(self) -> list[str]:
+        return self.subjects.subject_ids
+
     def indices(self, split_name: str) -> np.ndarray:
-        return np.array([i for i, s in enumerate(self.split) if s == split_name],
-                        dtype=np.intp)
+        return np.flatnonzero(np.asarray(self.split) == split_name)
 
     def batch(self, indices) -> SubgraphBatch:
-        idx = np.asarray(indices, dtype=np.intp)
-        return SubgraphBatch(
-            members=[self.members[i] for i in idx],
-            weights=[self.weights[i] for i in idx],
-            labels=self.labels[idx],
-            subject_ids=[self.subject_ids[i] for i in idx],
-        )
+        return self.subjects.subset(indices)
+
+
+def resolve_subjects(table: SubgraphTable,
+                     catalog: GeneSetCatalog) -> SubgraphBatch:
+    """The table's subjects as one batch in file order: member genes looked
+    up in the catalog in one flat pass, labels a dense 0/1 matrix over the
+    table's class vocabulary. A table with no subjects raises InputDataError."""
+    if not table.subjects:
+        raise InputDataError("no subjects in the subgraph table")
+    ids, labels, genes, weights = zip(*map(
+        attrgetter("subject_id", "labels", "genes", "weights"), table.subjects))
+    n = len(ids)
+    col = {c: i for i, c in enumerate(table.class_vocab)}
+    dense = np.zeros((n, len(col)), dtype=np.float64)
+    dense[np.repeat(np.arange(n), np.fromiter(map(len, labels), np.intp, n)),
+          np.fromiter(map(col.__getitem__, chain.from_iterable(labels)), np.intp)] = 1.0
+    rows = np.fromiter(map(catalog.gene_index.__getitem__, chain.from_iterable(genes)),
+                       np.intp)
+    return SubgraphBatch.from_flat(rows, np.fromiter(chain.from_iterable(weights), np.float64),
+                                   np.fromiter(map(len, genes), np.intp, n), dense, list(ids))
 
 
 def build_dataset(table: SubgraphTable, catalog: GeneSetCatalog,
                   assignment: dict[str, str]) -> SubgraphDataset:
-    """Resolve a parsed table into arrays, attaching split assignments.
-
-    Every subject must be assigned; labels become a dense 0/1 matrix over the
-    table's class vocabulary.
-    """
-    vocab = table.class_vocab
-    col = {c: i for i, c in enumerate(vocab)}
-    ids, members, weights, split = [], [], [], []
-    labels = np.zeros((len(table.subjects), len(vocab)), dtype=np.float64)
-    for r, rec in enumerate(table.subjects):
-        if rec.subject_id not in assignment:
-            raise InputDataError(f"subject {rec.subject_id!r} has no split assignment")
-        ids.append(rec.subject_id)
-        members.append(np.array([catalog.gene_index[g] for g in rec.genes],
-                                dtype=np.intp))
-        weights.append(np.array(rec.weights, dtype=np.float64))
-        for lab in rec.labels:
-            labels[r, col[lab]] = 1.0
-        split.append(assignment[rec.subject_id])
-    return SubgraphDataset(ids, members, weights, labels, vocab, split)
+    """Resolve a parsed table into one batch (``resolve_subjects``) with a
+    split assignment per subject; every subject must be assigned."""
+    ids = list(map(attrgetter("subject_id"), table.subjects))
+    split = list(map(assignment.get, ids))
+    if None in split:
+        raise InputDataError(f"subject {ids[split.index(None)]!r} has no split assignment")
+    return SubgraphDataset(resolve_subjects(table, catalog), table.class_vocab, split)
 
 
 # -------------------------------------------------------------------- config

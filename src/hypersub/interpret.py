@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernel as K
 from . import model as M
-from .errors import EmptyClass
+from .errors import EmptyClass, ShapeError
 from .hypergraph import Hypergraph
 
 AGGREGATION_RULE = ("subject attention distributed over incident hyperedges "
@@ -63,6 +63,9 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
     class indices gives one row per class from a single backbone pass, or
     from ``trace`` when given.
     """
+    if len(batch.by_row) > h.num_nodes:
+        raise ShapeError(f"subgraph batch has {len(batch.by_row)} member rows "
+                         f"for {h.num_nodes} nodes")
     classes = np.atleast_1d(np.asarray(class_index, dtype=np.intp))
     carries = batch.labels[:, classes] > 0.5          # (subjects, classes)
     sizes = carries.sum(axis=0)

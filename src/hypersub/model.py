@@ -12,7 +12,8 @@ states only, so within a layer nothing is refreshed mid-flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -157,17 +158,53 @@ def init_model(num_nodes: int, hidden_dim: int, num_layers: int, num_classes: in
 
 # -------------------------------------------------------------------- batch
 
+# A subject's checks, in the order they run.
+_SUBJECT_FAULTS = ("members are not a 1-D array", "has no members",
+                   "has duplicate members", "weights do not align with members",
+                   "has invalid member weights", "has no positive member weight")
+
+
+def _check_subjects(labels, rows, weights, sizes, weight_sizes, flat=True, aligned=True):
+    """Raise ShapeError naming the first subject that fails a check, and that
+    check, all run over the flat arrays at once: subject k holds ``sizes[k]``
+    rows and ``weight_sizes[k]`` weights, its members are ``flat`` (1-D) and
+    its weights ``aligned`` with them."""
+    n = sizes.size
+    if labels.ndim != 2 or labels.shape[0] != n:
+        raise ShapeError("labels must be (num_subgraphs, num_classes)")
+    if n == 0:
+        raise ShapeError("a batch needs at least one subgraph")
+    subject, owner = (np.repeat(np.arange(n), s) for s in (sizes, weight_sizes))
+    lo = int(rows.min(initial=0))
+    span = int(rows.max(initial=0)) - lo + 1
+    if span * n >= 2 ** 62:
+        raise ShapeError("member rows span too wide a range to lay out")
+    keys = np.sort(subject * span + (rows - lo))   # one per (subject, member)
+    fails = np.zeros((len(_SUBJECT_FAULTS), n), dtype=bool)   # fault x subject
+    fails[0] = np.logical_not(flat)
+    fails[1] = sizes == 0
+    fails[2, keys[1:][keys[1:] == keys[:-1]] // span] = True
+    fails[3] = np.logical_not(aligned)
+    fails[4, owner[~np.isfinite(weights) | (weights < 0)]] = True
+    fails[5] = np.bincount(owner[weights > 0], minlength=n) == 0
+    if fails.any():
+        k = fails.any(axis=0).argmax()
+        raise ShapeError(f"subgraph {k} {_SUBJECT_FAULTS[fails[:, k].argmax()]}")
+
+
 @dataclass
 class SubgraphBatch:
     """A batch of subject subgraphs: member node indices, per-member weights,
     and a dense label matrix (one row per subject, one column per class).
 
-    Members of all subjects are flattened into positions; ``groups`` groups
-    the positions by subject (contiguous) and ``by_row`` by node row.
+    Members are held once, flat and subject by subject: ``member_rows`` and
+    ``member_weights`` per position, ``groups`` grouping the positions by
+    subject and ``by_row`` by node row. The constructor flattens one member
+    and one weight array per subject; ``from_flat`` takes flat arrays.
     """
 
-    members: list[np.ndarray]
-    weights: list[np.ndarray]
+    members: InitVar[Sequence]
+    weights: InitVar[Sequence]
     labels: np.ndarray
     subject_ids: list[str] | None = None
     member_rows: np.ndarray = field(init=False)
@@ -175,45 +212,62 @@ class SubgraphBatch:
     groups: K.Segments = field(init=False)
     by_row: K.Segments = field(init=False)
 
-    def __post_init__(self):
-        if len(self.members) != len(self.weights):
+    def __post_init__(self, members, weights):
+        if len(members) != len(weights):
             raise ShapeError("members and weights must align")
-        if self.labels.ndim != 2 or self.labels.shape[0] != len(self.members):
-            raise ShapeError("labels must be (num_subgraphs, num_classes)")
-        rows, wvals = [], []
-        for si, (mem, w) in enumerate(zip(self.members, self.weights)):
-            mem = np.asarray(mem, dtype=np.intp)
-            w = np.asarray(w, dtype=np.float64)
-            if mem.size == 0:
-                raise ShapeError(f"subgraph {si} has no members")
-            if mem.size != len(set(mem.tolist())):
-                raise ShapeError(f"subgraph {si} has duplicate members")
-            if w.shape != mem.shape:
-                raise ShapeError(f"subgraph {si} weights do not align with members")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise ShapeError(f"subgraph {si} has invalid member weights")
-            if not np.any(w > 0):
-                raise ShapeError(f"subgraph {si} has no positive member weight")
-            rows.append(mem)
-            wvals.append(w)
-        self.member_rows = np.concatenate(rows)
-        self.member_weights = np.concatenate(wvals)
-        sizes = [mem.size for mem in rows]
-        self.groups = K.Segments(np.repeat(np.arange(len(rows)), sizes), len(rows))
-        self.by_row = K.Segments(self.member_rows, int(self.member_rows.max()) + 1)
+
+        def per_subject(f, arrays):
+            return np.fromiter(map(f, arrays), np.intp, len(arrays))
+
+        sizes, weight_sizes = per_subject(np.size, members), per_subject(np.size, weights)
+        # the leading empty arrays keep the joins defined for an empty batch
+        rows = np.concatenate([np.zeros(0, np.intp), *members], axis=None)
+        rows = rows.astype(np.intp, copy=False)
+        w = np.concatenate([np.zeros(0), *weights], axis=None)
+        _check_subjects(self.labels, rows, w, sizes, weight_sizes,
+                        per_subject(np.ndim, members) == 1,
+                        (per_subject(np.ndim, weights) == 1) & (weight_sizes == sizes))
+        self._lay_out(rows, w, sizes)
+
+    @classmethod
+    def from_flat(cls, rows, weights, sizes, labels,
+                  subject_ids: list[str] | None = None) -> "SubgraphBatch":
+        """Subject k holds the next ``sizes[k]`` of the flat ``rows`` and
+        ``weights``; checked as the constructor checks."""
+        rows, weights = np.asarray(rows, np.intp), np.asarray(weights, np.float64)
+        sizes = np.asarray(sizes, np.intp)
+        if sizes.ndim != 1 or np.any(sizes < 0) or not rows.shape == weights.shape == (sizes.sum(),):
+            raise ShapeError("flat members and weights must match their sizes")
+        _check_subjects(labels, rows, weights, sizes, sizes)
+        out = cls.__new__(cls)
+        out.labels, out.subject_ids = labels, subject_ids
+        out._lay_out(rows, weights, sizes)
+        return out
+
+    def _lay_out(self, rows, weights, sizes):
+        """Hold the flat arrays; group their positions by subject and row."""
+        self.member_rows, self.member_weights = rows, weights
+        self.groups = K.Segments(np.repeat(np.arange(sizes.size), sizes), sizes.size)
+        self.by_row = K.Segments(rows, int(rows.max()) + 1)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.groups)
 
     def subset(self, indices) -> "SubgraphBatch":
+        """The subjects at ``indices`` (any order, repeats allowed), gathered
+        from the flat arrays, unchecked: a subset of a valid batch is valid."""
         idx = np.asarray(indices, dtype=np.intp)
-        return SubgraphBatch(
-            members=[self.members[i] for i in idx],
-            weights=[self.weights[i] for i in idx],
-            labels=self.labels[idx],
-            subject_ids=None if self.subject_ids is None
-            else [self.subject_ids[i] for i in idx],
-        )
+        if idx.ndim != 1 or idx.size == 0:
+            raise ShapeError("a subset needs a nonempty 1-D index")
+        sizes = self.groups.counts[idx]
+        ends = np.cumsum(sizes)
+        pos = np.repeat(self.groups.offsets[idx] - ends + sizes, sizes) + np.arange(ends[-1])
+        out = type(self).__new__(type(self))
+        out.labels = self.labels[idx]
+        out.subject_ids = None if self.subject_ids is None \
+            else list(map(self.subject_ids.__getitem__, idx.tolist()))
+        out._lay_out(self.member_rows[pos], self.member_weights[pos], sizes)
+        return out
 
 
 # ------------------------------------------------------------ forward trace

@@ -217,9 +217,11 @@ def test_a4_attention_normalization_and_symmetry():
     emb = np.empty_like(params.node_embeddings.data)
     emb[perm] = params.node_embeddings.data
     params2 = dataclasses.replace(params, node_embeddings=K.parameter(emb))
+    members = [batch.member_rows[g] for g in batch.groups]
+    weights = [batch.member_weights[g] for g in batch.groups]
     batch2 = M.SubgraphBatch(
-        members=[np.array([perm[i] for i in mem]) for mem in batch.members],
-        weights=[w.copy() for w in batch.weights], labels=batch.labels.copy())
+        members=[np.array([perm[i] for i in mem]) for mem in members],
+        weights=[w.copy() for w in weights], labels=batch.labels.copy())
     x2 = M.forward_backbone(M.incidence_pairs(h2), params2)
     s2 = M.subgraph_repr(x2, batch2, params2)
     z2 = M.classify(s2, params2)
@@ -227,9 +229,9 @@ def test_a4_attention_normalization_and_symmetry():
                       float(np.abs(z1.data - z2.data).max()))
 
     # member-order permutation leaves S rows unchanged within 1e-9
-    order = [rng.permutation(m.size) for m in batch.members]
-    batch3 = M.SubgraphBatch(members=[m[o] for m, o in zip(batch.members, order)],
-                             weights=[w[o] for w, o in zip(batch.weights, order)],
+    order = [rng.permutation(m.size) for m in members]
+    batch3 = M.SubgraphBatch(members=[m[o] for m, o in zip(members, order)],
+                             weights=[w[o] for w, o in zip(weights, order)],
                              labels=batch.labels.copy())
     s3 = M.subgraph_repr(x, batch3, params)
     order_err = float(np.abs(s1.data - s3.data).max())

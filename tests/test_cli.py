@@ -298,6 +298,15 @@ def test_interpret_writes_rankings(synth_dir, train_dir, tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_interpret_without_subjects_exits_2(train_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no subjects\n")
+    code = run(["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
+                "--subgraphs", str(empty), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "InputDataError: no subjects" in capsys.readouterr().err
+
+
 def test_evaluate_corrupt_checkpoint_exits_2(synth_dir, train_dir, tmp_path, capsys):
     broken = tmp_path / "broken.ckpt"
     broken.write_bytes((train_dir / "model.ckpt").read_bytes()[:-16])

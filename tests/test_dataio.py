@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypersub import dataio as D
 from hypersub import model as M
 from hypersub.errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
-                             InvalidConfigValue, InvalidSplitRatios,
-                             MalformedLine,
+                             InputDataError, InvalidConfigValue,
+                             InvalidSplitRatios, MalformedLine, ShapeError,
                              UnknownClass, UnknownConfigKey,
                              UnsupportedVersion)
 from hypersub.hypergraph import build_hypergraph
@@ -250,11 +250,30 @@ def test_build_dataset_and_batches():
     ds = D.build_dataset(table, cat, {"subj1": "train", "subj2": "val"})
     assert ds.indices("train").tolist() == [0]
     assert ds.indices("test").size == 0
-    assert ds.labels.shape == (2, 2)
-    assert ds.labels[0].tolist() == [0.0, 1.0]  # vocab sorted: basal, luminal
+    assert ds.subjects.labels.shape == (2, 2)
+    assert ds.subjects.labels[0].tolist() == [0.0, 1.0]  # vocab sorted: basal, luminal
     batch = ds.batch(ds.indices("train"))
     assert batch.subject_ids == ["subj1"]
-    assert batch.members[0].tolist() == [0, 1]
+    assert [batch.member_rows[g] for g in batch.groups][0].tolist() == [0, 1]
+
+
+def test_resolved_subjects_are_one_batch_in_file_order():
+    cat = catalog()
+    table = D.load_subgraphs(SUBGRAPHS, cat)
+    batch = D.resolve_subjects(table, cat)
+    assert batch.subject_ids == ["subj1", "subj2"]
+    assert batch.member_rows.tolist() == [0, 1, 3]
+    assert batch.member_weights.tolist() == [0.3, 0.05, 1.0]
+    assert batch.groups.counts.tolist() == [2, 1]
+    assert batch.labels.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    ds = D.build_dataset(table, cat, {"subj1": "train", "subj2": "val"})
+    assert np.array_equal(ds.subjects.member_rows, batch.member_rows)
+    with pytest.raises(ShapeError):   # no subject is in the test split
+        ds.batch(ds.indices("test"))
+    with pytest.raises(InputDataError, match="no split assignment"):
+        D.build_dataset(table, cat, {"subj1": "train"})
+    with pytest.raises(InputDataError, match="no subjects"):
+        D.resolve_subjects(D.SubgraphTable(subjects=[], class_vocab=[]), cat)
 
 
 # -------------------------------------------------------------------- config

@@ -4,7 +4,7 @@ import pytest
 from hypersub import interpret as I
 from hypersub import kernel as K
 from hypersub import model as M
-from hypersub.errors import EmptyClass
+from hypersub.errors import EmptyClass, ShapeError
 from hypersub.hypergraph import build_hypergraph
 
 
@@ -115,6 +115,22 @@ def test_ablated_model_uses_uniform_member_attention():
                             labels=one_hot([0], 2))
     scores = I.class_edge_scores(params, h, batch, 0)
     assert np.allclose(scores, [0.5, 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("attention", [True, False], ids=["attention", "sum"])
+@pytest.mark.parametrize("traced", [False, True], ids=["own-pass", "trace"])
+def test_member_past_the_last_node_is_rejected(attention, traced):
+    h = build_hypergraph([[0, 1], [1, 2]])
+    params = make_model(h, np.random.default_rng(2),
+                        use_subgraph_attention=attention)
+    batch = M.SubgraphBatch(members=[np.array([0, h.num_nodes]), np.array([1])],
+                            weights=[np.ones(2), np.ones(1)],
+                            labels=one_hot([0, 1], 2))
+    trace = I.backbone_trace(params, h) if traced else None
+    with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
+        I.class_edge_scores(params, h, batch, 0, trace=trace)
+    with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
+        I.class_enrichment(params, h, batch, ["c0", "c1"], 2, trace=trace)
 
 
 def test_enrichment_report_covers_all_classes():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersub import kernel as K
 from hypersub import model as M
@@ -411,6 +413,145 @@ def test_batch_validation():
                         labels=np.zeros((1, 2)))
 
 
+def test_empty_batch_and_bad_member_shapes_raise_shape_error():
+    with pytest.raises(ShapeError, match="at least one subgraph"):
+        M.SubgraphBatch(members=[], weights=[], labels=np.zeros((0, 2)))
+    batch = toy_batch([[0, 1], [2]], 2)
+    for empty in ([], np.zeros(0, dtype=np.intp)):
+        with pytest.raises(ShapeError):
+            batch.subset(empty)
+    with pytest.raises(ShapeError):
+        batch.subset([[0, 1]])
+    for members in (np.array([[1, 2], [3, 4]]), np.array([[1], [2]]),
+                    np.int64(1)):
+        with pytest.raises(ShapeError, match="subgraph 1 members are not a 1-D"):
+            M.SubgraphBatch(members=[np.array([0]), members],
+                            weights=[np.ones(1), np.ones(np.size(members))],
+                            labels=np.zeros((2, 2)))
+    with pytest.raises(ShapeError, match="subgraph 0 weights do not align"):
+        M.SubgraphBatch(members=[np.array([0, 1])], weights=[np.ones((2, 1))],
+                        labels=np.zeros((1, 2)))
+    with pytest.raises(ShapeError, match="too wide a range"):
+        M.SubgraphBatch(members=[np.array([0, 2 ** 62])], weights=[np.ones(2)],
+                        labels=np.zeros((1, 2)))
+    with pytest.raises(ShapeError, match="flat members and weights"):
+        M.SubgraphBatch.from_flat([0, 1, 2], np.ones(3), [2, 2],
+                                  labels=np.zeros((2, 2)))
+
+
+# Per-subject reference for the flat checks: the loop they replace.
+def first_fault_oracle(members, weights):
+    for si, (mem, w) in enumerate(zip(members, weights)):
+        mem, w = np.asarray(mem), np.asarray(w, dtype=np.float64)
+        if mem.ndim != 1:
+            return f"subgraph {si} members are not a 1-D array"
+        if mem.size == 0:
+            return f"subgraph {si} has no members"
+        if mem.size != len(set(mem.tolist())):
+            return f"subgraph {si} has duplicate members"
+        if w.shape != mem.shape:
+            return f"subgraph {si} weights do not align with members"
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            return f"subgraph {si} has invalid member weights"
+        if not np.any(w > 0):
+            return f"subgraph {si} has no positive member weight"
+    return None
+
+
+subject_lists = st.lists(
+    st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(
+            st.floats(0.01, 10.0), min_size=len(m), max_size=len(m)))),
+    min_size=1, max_size=8)
+
+
+def ragged_batch(subjects, labels=None):
+    members = [np.array(m, dtype=np.intp) for m, _ in subjects]
+    weights = [np.array(w) for _, w in subjects]
+    if labels is None:
+        labels = np.arange(2.0 * len(subjects)).reshape(-1, 2)
+    batch = M.SubgraphBatch(members=members, weights=weights, labels=labels,
+                            subject_ids=[f"s{k}" for k in range(len(subjects))])
+    return batch, members, weights
+
+
+def assert_same_segments(a, b):
+    assert len(a) == len(b)
+    for name in ("ids", "counts", "offsets", "nonempty", "starts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.order is None) == (b.order is None)
+    assert a.order is None or np.array_equal(a.order, b.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subject_lists)
+def test_flat_batch_is_the_concatenated_ragged_lists(subjects):
+    batch, members, weights = ragged_batch(subjects)
+    rows = np.concatenate(members)
+    assert len(batch) == len(subjects)
+    assert batch.member_rows.dtype == np.intp and np.array_equal(batch.member_rows, rows)
+    assert batch.member_weights.dtype == np.float64
+    assert np.array_equal(batch.member_weights, np.concatenate(weights))
+    assert [batch.member_rows[g].tolist() for g in batch.groups] == \
+        [m.tolist() for m in members]
+    assert len(batch.by_row) == rows.max() + 1
+    for r in range(len(batch.by_row)):
+        assert batch.by_row[r].tolist() == np.flatnonzero(rows == r).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(subject_lists, st.data())
+def test_subset_equals_the_batch_of_the_selected_lists(subjects, data):
+    batch, members, weights = ragged_batch(subjects)
+    idx = data.draw(st.lists(st.integers(0, len(subjects) - 1),
+                             min_size=1, max_size=12))
+    got = batch.subset(idx)
+    want = M.SubgraphBatch(members=[members[i] for i in idx],
+                           weights=[weights[i] for i in idx],
+                           labels=batch.labels[idx],
+                           subject_ids=[batch.subject_ids[i] for i in idx])
+    assert np.array_equal(got.member_rows, want.member_rows)
+    assert got.member_rows.dtype == want.member_rows.dtype
+    assert np.array_equal(got.member_weights, want.member_weights)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.subject_ids == want.subject_ids
+    assert_same_segments(got.groups, want.groups)
+    assert_same_segments(got.by_row, want.by_row)
+
+
+FAULTS = ("not 1-D", "empty", "duplicate", "misaligned", "invalid", "no positive")
+
+
+@settings(max_examples=100, deadline=None)
+@given(subject_lists, st.data())
+def test_injected_fault_is_named_as_the_loop_names_it(subjects, data):
+    _, members, weights = ragged_batch(subjects)
+    n = len(subjects)
+    faults = data.draw(st.lists(st.tuples(st.sampled_from(FAULTS),
+                                          st.integers(0, n - 1)),
+                                min_size=1, max_size=3, unique_by=lambda f: f[1]))
+    for kind, k in faults:
+        if kind == "not 1-D":
+            members[k] = members[k][:, None]
+        elif kind == "empty":
+            members[k], weights[k] = members[k][:0], weights[k][:0]
+        elif kind == "duplicate":
+            members[k] = np.append(members[k], members[k][-1])
+            weights[k] = np.append(weights[k], 1.0)
+        elif kind == "misaligned":
+            weights[k] = np.append(weights[k], 1.0)
+        elif kind == "invalid":
+            weights[k][data.draw(st.integers(0, weights[k].size - 1))] = \
+                data.draw(st.sampled_from([-1.0, np.nan, np.inf]))
+        else:
+            weights[k] = np.zeros_like(weights[k])
+    want = first_fault_oracle(members, weights)
+    assert want is not None
+    with pytest.raises(ShapeError) as err:
+        M.SubgraphBatch(members=members, weights=weights, labels=np.zeros((n, 2)))
+    assert str(err.value) == want
+
+
 @pytest.mark.parametrize("attention", [True, False], ids=["attention", "sum"])
 def test_member_past_the_last_node_is_rejected(attention):
     h = build_hypergraph([[0, 1], [1, 2]])
@@ -504,8 +645,10 @@ def apply_permutation(h, params, batch, perm):
         leaky_slope=params.leaky_slope,
         use_subgraph_attention=params.use_subgraph_attention)
     batch2 = M.SubgraphBatch(
-        members=[np.array([perm[i] for i in mem]) for mem in batch.members],
-        weights=[w.copy() for w in batch.weights], labels=batch.labels.copy())
+        members=[np.array([perm[i] for i in batch.member_rows[g]])
+                 for g in batch.groups],
+        weights=[batch.member_weights[g].copy() for g in batch.groups],
+        labels=batch.labels.copy())
     return h2, params2, batch2
 
 

@@ -222,10 +222,7 @@ def test_train_minibatch_runs():
 
 def test_train_empty_split_raises():
     ds, h = tiny_dataset()
-    ds2 = type(ds)(subject_ids=ds.subject_ids, members=ds.members,
-                   weights=ds.weights, labels=ds.labels,
-                   class_vocab=ds.class_vocab,
-                   split=["train"] * len(ds.split))
+    ds2 = replace(ds, split=["train"] * len(ds.split))
     with pytest.raises(EmptySplit):
         train(ds2, h, tiny_config())
 
