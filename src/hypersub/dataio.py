@@ -19,12 +19,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernel as K
+from . import model as M
 from .errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
                      InputDataError, InvalidConfigValue, InvalidSplitRatios,
                      MalformedLine, UnknownClass, UnknownConfigKey,
                      UnsupportedVersion)
 from .hypergraph import Hypergraph, build_hypergraph
-from .model import HeadParams, LayerParams, ModelParams, SubgraphBatch
 from .training import TrainConfig, config_field_types
 
 logger = logging.getLogger(__name__)
@@ -305,7 +306,7 @@ class SubgraphDataset:
     """Subjects resolved against a catalog, as one batch of every subject in
     file order, with the class vocabulary and a split name per subject."""
 
-    subjects: SubgraphBatch
+    subjects: M.SubgraphBatch
     class_vocab: list[str]
     split: list[str]
 
@@ -316,12 +317,12 @@ class SubgraphDataset:
     def indices(self, split_name: str) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.split) == split_name)
 
-    def batch(self, indices) -> SubgraphBatch:
+    def batch(self, indices) -> M.SubgraphBatch:
         return self.subjects.subset(indices)
 
 
 def resolve_subjects(table: SubgraphTable,
-                     catalog: GeneSetCatalog) -> SubgraphBatch:
+                     catalog: GeneSetCatalog) -> M.SubgraphBatch:
     """The table's subjects as one batch in file order: member genes looked
     up in the catalog in one flat pass, labels a dense 0/1 matrix over the
     table's class vocabulary. A table with no subjects raises InputDataError."""
@@ -336,8 +337,9 @@ def resolve_subjects(table: SubgraphTable,
           np.fromiter(map(col.__getitem__, chain.from_iterable(labels)), np.intp)] = 1.0
     rows = np.fromiter(map(catalog.gene_index.__getitem__, chain.from_iterable(genes)),
                        np.intp)
-    return SubgraphBatch.from_flat(rows, np.fromiter(chain.from_iterable(weights), np.float64),
-                                   np.fromiter(map(len, genes), np.intp, n), dense, list(ids))
+    return M.SubgraphBatch.from_flat(
+        rows, np.fromiter(chain.from_iterable(weights), np.float64),
+        np.fromiter(map(len, genes), np.intp, n), dense, list(ids))
 
 
 def build_dataset(table: SubgraphTable, catalog: GeneSetCatalog,
@@ -404,7 +406,7 @@ class Checkpoint:
     """A trained model plus everything needed to run it on new files: the
     training config, gene dictionary, class vocabulary, and hypergraph."""
 
-    params: ModelParams
+    params: M.ModelParams
     config: TrainConfig
     gene_names: list[str]
     class_vocab: list[str]
@@ -412,12 +414,16 @@ class Checkpoint:
     hypergraph: Hypergraph
 
 
+def _tensor_line(name: str, shape: tuple[int, ...]) -> str:
+    return f"{name}\t{','.join(map(str, shape))}"
+
+
 def _sections(ckpt: Checkpoint) -> list[list[str]]:
     """Header lines of each of SECTIONS, in order."""
     h = ckpt.hypergraph
     edges = [f"{name}\t{float(w)!r}\t{','.join(map(str, mem))}"
              for name, w, mem in zip(ckpt.edge_names, h.edge_weights, h.edge_members)]
-    tensors = [f"{name}\t{','.join(map(str, t.data.shape))}"
+    tensors = [_tensor_line(name, t.data.shape)
                for name, t in ckpt.params.named_parameters()]
     return [serialize_config(ckpt.config).splitlines(), list(ckpt.class_vocab),
             list(ckpt.gene_names), edges, tensors]
@@ -567,77 +573,28 @@ def load_checkpoint(path) -> Checkpoint:
     except Exception as e:
         raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
 
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for line in tensor_lines:
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CorruptCheckpoint(f"bad tensor line {line!r}")
-        try:
-            shape = tuple(int(tok) for tok in parts[1].split(","))
-        except ValueError as e:
-            raise CorruptCheckpoint(f"bad tensor shape {parts[1]!r}") from e
-        shapes.append((parts[0], shape))
-
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in shapes:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 4
-        if offset + nbytes > len(payload):
+    schema = M.param_shapes(len(gene_names), config.hidden_dim,
+                            config.num_layers, len(class_vocab))
+    if tensor_lines != [_tensor_line(name, shape) for name, shape in schema]:
+        raise CorruptCheckpoint("tensor section does not match the parameter "
+                                "schema of the embedded config")
+    tensors, offset = [], 0
+    for name, shape in schema:
+        count = math.prod(shape)
+        if offset + 4 * count > len(payload):
             raise CorruptCheckpoint(f"payload truncated at tensor {name!r}")
-        arrays[name] = np.frombuffer(payload, dtype="<f4", count=count,
-                                     offset=offset).reshape(shape).copy()
-        offset += nbytes
+        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+        try:
+            tensors.append(K.parameter(arr.reshape(shape).copy()))
+        except ValueError as e:   # a non-finite value
+            raise CorruptCheckpoint(f"tensor {name!r}: {e}") from e
+        offset += 4 * count
     if offset != len(payload):
         raise CorruptCheckpoint("payload has trailing bytes")
 
-    params = _assemble_params(arrays, config, len(class_vocab), len(gene_names))
+    params = M.ModelParams.from_tensors(
+        tensors, config.num_layers, mode=config.mode,
+        dropout_rate=config.dropout_rate, leaky_slope=config.leaky_slope,
+        use_subgraph_attention=config.use_subgraph_attention)
     return Checkpoint(params=params, config=config, gene_names=gene_names,
                       class_vocab=class_vocab, edge_names=edge_names, hypergraph=h)
-
-
-def _assemble_params(arrays: dict[str, np.ndarray], config: TrainConfig,
-                     num_classes: int, num_nodes: int) -> ModelParams:
-    import re
-
-    from . import kernel as K
-
-    def take(name, expect_shape=None):
-        if name not in arrays:
-            raise CorruptCheckpoint(f"missing tensor {name!r}")
-        arr = arrays.pop(name)
-        if expect_shape is not None and arr.shape != expect_shape:
-            raise CorruptCheckpoint(
-                f"tensor {name!r} has shape {arr.shape}, expected {expect_shape}")
-        return K.parameter(arr)
-
-    d = config.hidden_dim
-    layer_ids = sorted({int(m.group(1)) for name in arrays
-                        if (m := re.match(r"layer(\d+)\.", name))})
-    if layer_ids != list(range(config.num_layers)):
-        raise CorruptCheckpoint("layer tensors do not match num_layers")
-    emb = take("node_embeddings", (num_nodes, d))
-    layers = [LayerParams(
-        node_weight=take(f"layer{k}.node_weight", (d, d)),
-        node_bias=take(f"layer{k}.node_bias", (d,)),
-        edge_weight=take(f"layer{k}.edge_weight", (d, d)),
-        edge_bias=take(f"layer{k}.edge_bias", (d,)),
-        context=take(f"layer{k}.context", (d, 1)),
-    ) for k in layer_ids]
-    head = HeadParams(
-        fc1_weight=take("head.fc1_weight", (d, d)),
-        fc1_bias=take("head.fc1_bias", (d,)),
-        fc2_weight=take("head.fc2_weight", (d, d)),
-        fc2_bias=take("head.fc2_bias", (d,)),
-        out_weight=take("head.out_weight", (d, num_classes)),
-        out_bias=take("head.out_bias", (num_classes,)),
-    )
-    sub_ctx = take("subgraph_context", (d, 1))
-    if arrays:
-        raise CorruptCheckpoint(f"unexpected tensors: {sorted(arrays)}")
-    return ModelParams(
-        node_embeddings=emb, layers=layers, subgraph_context=sub_ctx, head=head,
-        mode=config.mode, dropout_rate=config.dropout_rate,
-        leaky_slope=config.leaky_slope,
-        use_subgraph_attention=config.use_subgraph_attention,
-    )

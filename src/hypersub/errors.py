@@ -29,10 +29,6 @@ class ShapeError(HypersubError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class EmptyGroup(HypersubError):
-    """A softmax group contains no entries, so it cannot be normalized."""
-
-
 class NotScalar(HypersubError):
     """Backward passes start from a scalar; this tensor is not one."""
 

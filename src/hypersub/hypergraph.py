@@ -26,9 +26,8 @@ class Hypergraph:
     Incidence pair p couples hyperedge ``edge_of_pair[p]`` with node
     ``node_of_pair[p]``; pairs run edge by edge, members ascending and
     unique within an edge. ``by_edge`` groups the pairs by edge
-    (contiguous), ``by_node`` by node (permuted; isolated nodes hold empty
-    groups) and ``by_node_nonempty`` by node over the nodes with a
-    membership only. The three arrays are made read-only on construction.
+    (contiguous) and ``by_node`` by node (permuted; isolated nodes hold
+    empty groups). The three arrays are made read-only on construction.
     """
 
     num_nodes: int
@@ -48,11 +47,6 @@ class Hypergraph:
     @cached_property
     def by_node(self) -> Segments:
         return Segments(self.node_of_pair, self.num_nodes)
-
-    @cached_property
-    def by_node_nonempty(self) -> Segments:
-        rank = np.cumsum(self.by_node.counts > 0) - 1   # node -> index among members
-        return Segments(rank[self.node_of_pair], self.by_node.nonempty.size)
 
     @property
     def edge_members(self) -> tuple[tuple[int, ...], ...]:

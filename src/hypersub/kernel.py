@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyGroup, NonDeterministic, NotScalar, ShapeError
+from .errors import NonDeterministic, NotScalar, ShapeError
 
 _grad_enabled = True
 
@@ -243,7 +243,7 @@ def relu(x: Tensor) -> Tensor:
     def grad_fn(g):
         _accum(x, g * mask)
 
-    return _result(np.where(mask, x.data, 0.0).astype(x.data.dtype), (x,), grad_fn)
+    return _result(np.maximum(x.data, 0), (x,), grad_fn)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
@@ -328,12 +328,16 @@ class Segments:
             raise ShapeError("segment ids must be 1-D")
         if ids.size and (ids.min() < 0 or ids.max() > num_groups):
             raise ShapeError(f"segment ids must lie in [0, {num_groups}]")
+        if (int(num_groups) + 1) * ids.size > np.iinfo(np.intp).max:   # sort keys
+            raise ShapeError("too many positions and groups to lay out")
         counts = np.bincount(ids, minlength=num_groups + 1)[:num_groups]
         self.ids = ids
         self.counts = counts
         self.offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
         in_order = bool(np.all(ids[:-1] <= ids[1:]))
-        self.order = None if in_order else np.argsort(ids, kind="stable")
+        # the keys are unique, so any sort of them is the stable sort of ids
+        self.order = None if in_order else \
+            np.argsort(ids * ids.size + np.arange(ids.size))
         self.nonempty = np.flatnonzero(counts)   # groups holding a position
         self.starts = self.offsets[self.nonempty]
 
@@ -542,25 +546,24 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
 
 def masked_softmax(scores: Tensor, seg: Segments) -> Tensor:
     """Softmax normalized independently within each group of ``seg`` over a
-    1-D tensor. Entries outside every group come out as 0. The per-group
-    maximum is subtracted before exponentiation, so uniform score shifts
-    within a group change nothing.
+    1-D tensor. Entries outside every group come out as 0, and an empty group
+    has nothing to normalize. The per-group maximum is subtracted before
+    exponentiation, so uniform score shifts within a group change nothing.
     """
     x = scores.data
     if x.ndim != 1:
         raise ShapeError(f"masked_softmax needs a 1-D tensor, got shape {x.shape}")
     _covers(seg, x.size, "masked_softmax layout")
-    if seg.starts.size != len(seg):
-        raise EmptyGroup(f"group {int(np.flatnonzero(seg.counts == 0)[0])} is empty")
+    sizes = seg.counts[seg.nonempty]   # of the groups the reductions run over
     xs = seg.gather(x)
-    e = np.exp(xs - seg.expand(np.maximum.reduceat(xs, seg.starts)))
-    ys = e / seg.expand(np.add.reduceat(e, seg.starts))
+    e = np.exp(xs - np.repeat(np.maximum.reduceat(xs, seg.starts), sizes))
+    ys = e / np.repeat(np.add.reduceat(e, seg.starts), sizes)
 
     def grad_fn(g):
         # per group: dx = y * (g - sum(g * y))
         gs = seg.gather(g)
         dot = np.add.reduceat(gs * ys, seg.starts)
-        _accum(scores, seg.scatter(ys * (gs - seg.expand(dot))))
+        _accum(scores, seg.scatter(ys * (gs - np.repeat(dot, sizes))))
 
     return _result(seg.scatter(ys), (scores,), grad_fn)
 

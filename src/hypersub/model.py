@@ -12,7 +12,7 @@ states only, so within a layer nothing is refreshed mid-flight.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .kernel import Tensor
 def incidence_pairs(h: Hypergraph) -> Hypergraph:
     """``h`` with its segment layouts built; they are cached on it, so this
     costs nothing after the first call."""
-    h.by_edge, h.by_node, h.by_node_nonempty
+    h.by_edge, h.by_node
     return h
 
 
@@ -37,30 +37,31 @@ class LayerParams:
     """One message passing layer: separate node/edge projections and the
     attention context that turns a projected pair product into a score."""
 
-    node_weight: Tensor   # (d, d)
-    node_bias: Tensor     # (d,)
-    edge_weight: Tensor   # (d, d)
-    edge_bias: Tensor     # (d,)
-    context: Tensor       # (d, 1)
+    node_weight: Tensor
+    node_bias: Tensor
+    edge_weight: Tensor
+    edge_bias: Tensor
+    context: Tensor
 
 
 @dataclass
 class HeadParams:
-    fc1_weight: Tensor    # (d, d)
-    fc1_bias: Tensor      # (d,)
-    fc2_weight: Tensor    # (d, d)
-    fc2_bias: Tensor      # (d,)
-    out_weight: Tensor    # (d, F)
-    out_bias: Tensor      # (F,)
+    fc1_weight: Tensor
+    fc1_bias: Tensor
+    fc2_weight: Tensor
+    fc2_bias: Tensor
+    out_weight: Tensor
+    out_bias: Tensor
 
 
 @dataclass
 class ModelParams:
-    """Everything trainable plus the switches that shape the forward pass."""
+    """Everything trainable, named and shaped by ``param_shapes``, plus the
+    switches that shape the forward pass."""
 
     node_embeddings: Tensor
     layers: list[LayerParams]
-    subgraph_context: Tensor   # (d, 1)
+    subgraph_context: Tensor
     head: HeadParams
     mode: str = "multiclass"
     dropout_rate: float = 0.0
@@ -83,77 +84,79 @@ class ModelParams:
     def num_layers(self) -> int:
         return len(self.layers)
 
+    @classmethod
+    def from_tensors(cls, tensors: Sequence[Tensor], num_layers: int,
+                     **switches) -> "ModelParams":
+        """Parameters from their tensors in ``param_shapes`` order."""
+        it = iter(tensors)
+
+        def take(part):
+            return part(*(next(it) for _ in fields(part)))
+
+        emb = next(it)
+        layers = [take(LayerParams) for _ in range(num_layers)]
+        return cls(emb, layers, next(it), take(HeadParams), **switches)
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        named = [("node_embeddings", self.node_embeddings)]
+        """Every trainable tensor under its checkpoint name, in
+        ``param_shapes`` order."""
+        def named(prefix, part):
+            return [(prefix + f.name, getattr(part, f.name)) for f in fields(part)]
+
+        out = [("node_embeddings", self.node_embeddings)]
         for k, lp in enumerate(self.layers):
-            named += [
-                (f"layer{k}.node_weight", lp.node_weight),
-                (f"layer{k}.node_bias", lp.node_bias),
-                (f"layer{k}.edge_weight", lp.edge_weight),
-                (f"layer{k}.edge_bias", lp.edge_bias),
-                (f"layer{k}.context", lp.context),
-            ]
-        named += [
-            ("subgraph_context", self.subgraph_context),
-            ("head.fc1_weight", self.head.fc1_weight),
-            ("head.fc1_bias", self.head.fc1_bias),
-            ("head.fc2_weight", self.head.fc2_weight),
-            ("head.fc2_bias", self.head.fc2_bias),
-            ("head.out_weight", self.head.out_weight),
-            ("head.out_bias", self.head.out_bias),
-        ]
-        return named
+            out += named(f"layer{k}.", lp)
+        out.append(("subgraph_context", self.subgraph_context))
+        return out + named("head.", self.head)
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+def param_shapes(num_nodes: int, hidden_dim: int, num_layers: int,
+                 num_classes: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every trainable tensor, in checkpoint order: the
+    fields of ModelParams, each layer's and the head's fields in turn."""
+    d, f = hidden_dim, num_classes
+    layer = {"node_weight": (d, d), "node_bias": (d,), "edge_weight": (d, d),
+             "edge_bias": (d,), "context": (d, 1)}
+    head = {"fc1_weight": (d, d), "fc1_bias": (d,), "fc2_weight": (d, d),
+            "fc2_bias": (d,), "out_weight": (d, f), "out_bias": (f,)}
+    return [("node_embeddings", (num_nodes, d)),
+            *((f"layer{k}.{name}", shape) for k in range(num_layers)
+              for name, shape in layer.items()),
+            ("subgraph_context", (d, 1)),
+            *((f"head.{name}", shape) for name, shape in head.items())]
 
 
 def init_model(num_nodes: int, hidden_dim: int, num_layers: int, num_classes: int,
                rng: np.random.Generator, mode: str = "multiclass",
                dropout_rate: float = 0.0, leaky_slope: float = 0.01,
                use_subgraph_attention: bool = True, dtype=np.float32) -> ModelParams:
-    """Fresh parameters. Node embeddings and attention contexts start uniform
-    in [-1/sqrt(d), 1/sqrt(d)]; projections are Glorot-uniform; biases zero."""
+    """Fresh parameters, drawn in ``param_shapes`` order: ``_bias`` tensors
+    zero, ``_weight`` tensors Glorot-uniform, and the rest (node embeddings
+    and attention contexts) uniform in [-1/sqrt(d), 1/sqrt(d)]."""
     if num_layers < 1:
         raise ValueError("num_layers must be at least 1")
     if hidden_dim < 1 or num_classes < 1 or num_nodes < 1:
         raise ValueError("num_nodes, hidden_dim, and num_classes must be positive")
     if mode not in ("multiclass", "multilabel"):
         raise ValueError(f"unknown mode {mode!r}")
-    d = hidden_dim
-    bound = 1.0 / np.sqrt(d)
+    bound = 1.0 / np.sqrt(hidden_dim)
 
-    def vec(shape):
-        return K.parameter(rng.uniform(-bound, bound, size=shape).astype(dtype))
+    def draw(name, shape):
+        if name.endswith("_bias"):
+            return np.zeros(shape, dtype=dtype)
+        if name.endswith("_weight"):
+            limit = np.sqrt(6.0 / sum(shape))
+            return rng.uniform(-limit, limit, size=shape).astype(dtype)
+        return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
-    emb = vec((num_nodes, d))
-    layers = []
-    for _ in range(num_layers):
-        layers.append(LayerParams(
-            node_weight=K.parameter(_glorot(rng, d, d, dtype)),
-            node_bias=K.parameter(np.zeros(d, dtype=dtype)),
-            edge_weight=K.parameter(_glorot(rng, d, d, dtype)),
-            edge_bias=K.parameter(np.zeros(d, dtype=dtype)),
-            context=vec((d, 1)),
-        ))
-    head = HeadParams(
-        fc1_weight=K.parameter(_glorot(rng, d, d, dtype)),
-        fc1_bias=K.parameter(np.zeros(d, dtype=dtype)),
-        fc2_weight=K.parameter(_glorot(rng, d, d, dtype)),
-        fc2_bias=K.parameter(np.zeros(d, dtype=dtype)),
-        out_weight=K.parameter(_glorot(rng, d, num_classes, dtype)),
-        out_bias=K.parameter(np.zeros(num_classes, dtype=dtype)),
-    )
-    return ModelParams(
-        node_embeddings=emb, layers=layers, subgraph_context=vec((d, 1)),
-        head=head, mode=mode, dropout_rate=dropout_rate,
-        leaky_slope=leaky_slope, use_subgraph_attention=use_subgraph_attention,
-    )
+    tensors = [K.parameter(draw(name, shape)) for name, shape
+               in param_shapes(num_nodes, hidden_dim, num_layers, num_classes)]
+    return ModelParams.from_tensors(
+        tensors, num_layers, mode=mode, dropout_rate=dropout_rate,
+        leaky_slope=leaky_slope, use_subgraph_attention=use_subgraph_attention)
 
 
 # -------------------------------------------------------------------- batch
@@ -177,7 +180,10 @@ def _check_subjects(labels, rows, weights, sizes, weight_sizes, flat=True, align
     subject, owner = (np.repeat(np.arange(n), s) for s in (sizes, weight_sizes))
     lo = int(rows.min(initial=0))
     span = int(rows.max(initial=0)) - lo + 1
-    if span * n >= 2 ** 62:
+    # by_row holds a group for every row up to the largest, so that row is
+    # bounded before anything is allocated at its size: 2**31 rows would
+    # take 16 GiB of layout, far past any gene catalog
+    if span * n >= 2 ** 62 or lo + span > 2 ** 31:
         raise ShapeError("member rows span too wide a range to lay out")
     keys = np.sort(subject * span + (rows - lo))   # one per (subject, member)
     fails = np.zeros((len(_SUBJECT_FAULTS), n), dtype=bool)   # fault x subject
@@ -324,8 +330,9 @@ def edge_update(h: Hypergraph, scores: Tensor,
 def node_update(h: Hypergraph, scores: Tensor,
                 edge_states: Tensor) -> tuple[Tensor, Tensor]:
     """New node states from the same scores, normalized per node over its
-    incident edges. Nodes with no membership yield all-zero rows."""
-    attn = K.masked_softmax(scores, h.by_node_nonempty)
+    incident edges. Nodes with no membership hold empty groups and yield
+    all-zero rows."""
+    attn = K.masked_softmax(scores, h.by_node)
     out = K.relu(K.weighted_row_sum(edge_states, attn, h.by_edge, h.by_node))
     return out, attn
 

@@ -202,7 +202,7 @@ def test_a4_attention_normalization_and_symmetry():
     for tr in trace.layers:
         for g in pairs.by_edge:
             sums_err = max(sums_err, abs(tr.edge_attention.data[list(g)].sum() - 1.0))
-        for g in pairs.by_node_nonempty:
+        for g in pairs.by_node:
             sums_err = max(sums_err, abs(tr.node_attention.data[list(g)].sum() - 1.0))
     for g in batch.groups:
         sums_err = max(sums_err, abs(attn.data[list(g)].sum() - 1.0))

@@ -317,6 +317,17 @@ def test_evaluate_corrupt_checkpoint_exits_2(synth_dir, train_dir, tmp_path, cap
     assert "CorruptCheckpoint" in capsys.readouterr().err
 
 
+def test_predict_non_finite_tensor_exits_2(train_dir, tmp_path, capsys):
+    broken = tmp_path / "nan.ckpt"   # the last float32 is head.out_bias[-1]
+    raw = (train_dir / "model.ckpt").read_bytes()
+    broken.write_bytes(raw[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+    probe = tmp_path / "probe.tsv"
+    probe.write_text("p1\t-\tg0000\n")
+    code = run(["predict", "--checkpoint", str(broken), "--subgraphs", str(probe)])
+    assert code == 2
+    assert "CorruptCheckpoint: tensor 'head.out_bias'" in capsys.readouterr().err
+
+
 def test_failed_train_leaves_running_manifest(synth_dir, tmp_path, monkeypatch):
     def explode(dataset, h, config):
         raise NumericalDivergence("boom")

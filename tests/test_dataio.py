@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersub import dataio as D
+from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
                              InputDataError, InvalidConfigValue,
@@ -380,6 +381,78 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad = raw.replace(b"node_embeddings\t4,6", b"node_embeddings\t4,9", 1)
     with pytest.raises(CorruptCheckpoint):
         D.load_checkpoint(write(tmp_path / "t4", bad))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_parameter_schema_round_trips(num_layers, hidden_dim, num_classes, seed):
+    rng = np.random.default_rng(seed)
+    h = build_hypergraph([[0, 1, 2], [1, 3]])
+    params = M.init_model(h.num_nodes, hidden_dim, num_layers, num_classes, rng)
+    schema = M.param_shapes(h.num_nodes, hidden_dim, num_layers, num_classes)
+    assert [(n, t.data.shape) for n, t in params.named_parameters()] == schema
+    for t in params.parameters():   # biases too hold nonzero bits
+        t.data[...] = rng.normal(size=t.data.shape)
+    config = TrainConfig(hidden_dim=hidden_dim, num_layers=num_layers)
+    ckpt = D.Checkpoint(params=params, config=config,
+                        gene_names=["g0", "g1", "g2", "g3"],
+                        class_vocab=[f"c{k}" for k in range(num_classes)],
+                        edge_names=["e0", "e1"], hypergraph=h)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "model.ckpt"
+        D.save_checkpoint(ckpt, path)
+        loaded = D.load_checkpoint(path)
+    assert [(n, t.data.shape) for n, t in loaded.params.named_parameters()] == schema
+    assert all(a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
+               for a, b in zip(params.parameters(), loaded.params.parameters()))
+
+
+class _Named:
+    """Stands in for ModelParams when saving: the tensors it names are what
+    the header and payload hold."""
+
+    def __init__(self, named):
+        self.named = named
+
+    def named_parameters(self):
+        return self.named
+
+
+def _dropped(named):
+    return [pair for pair in named if pair[0] != "head.fc2_bias"]
+
+
+def _renamed(named):
+    return [("layer0.ctx" if n == "layer0.context" else n, t) for n, t in named]
+
+
+def _extra_layer(_):
+    return M.init_model(4, 6, 3, 3, np.random.default_rng(1)).named_parameters()
+
+
+def _wrong_shape(named):
+    return [(n, K.parameter(np.zeros((6, 4), np.float32))
+             if n == "head.out_weight" else t) for n, t in named]
+
+
+def _swapped(named):
+    named = list(named)
+    named[1], named[2] = named[2], named[1]
+    return named
+
+
+@pytest.mark.parametrize("edit", [_dropped, _renamed, _extra_layer,
+                                  _wrong_shape, _swapped])
+def test_checkpoint_rejects_tensors_off_the_schema(tmp_path, edit):
+    ckpt, _ = trained_fixture(tmp_path)
+    named = edit(ckpt.params.named_parameters())
+    off = D.Checkpoint(params=_Named(named), config=ckpt.config,
+                       gene_names=ckpt.gene_names, class_vocab=ckpt.class_vocab,
+                       edge_names=ckpt.edge_names, hypergraph=ckpt.hypergraph)
+    D.save_checkpoint(off, tmp_path / "off.ckpt")
+    with pytest.raises(CorruptCheckpoint, match="parameter schema"):
+        D.load_checkpoint(tmp_path / "off.ckpt")
 
 
 def test_checkpoint_rejects_other_version(tmp_path):

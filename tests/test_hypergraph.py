@@ -76,8 +76,6 @@ def test_build_matches_sorted_set_reference(lists, extra):
     assert h.edge_members == tuple(map(tuple, ref))
     assert [h.edge_of_pair[g].tolist() for g in h.by_node] == \
         [list(m) for m in memberships(h)]
-    assert [g.tolist() for g in h.by_node_nonempty] == \
-        [g.tolist() for g in h.by_node if g.size]
 
 
 def test_layout_arrays_are_read_only():

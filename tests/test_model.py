@@ -172,18 +172,16 @@ def test_zero_membership_node_state_is_zero():
     pairs = M.incidence_pairs(h)
     x = M.forward_backbone(pairs, params)
     assert np.all(x.data[2] == 0.0) and np.all(x.data[3] == 0.0)
-    # and they appear in no attention group
-    assert all(len(g) > 0 for g in pairs.by_node_nonempty)
-    assert pairs.by_node[2].size == 0 and pairs.by_node[3].size == 0
+    # and they hold empty attention groups
+    assert [g.size for g in pairs.by_node] == [1, 1, 0, 0]
 
 
 def test_incidence_pairs_builds_the_layouts_once():
     h = build_hypergraph([[0, 1, 2], [2, 3]], num_nodes=5)
     g = M.incidence_pairs(h)
-    first = (g.by_edge, g.by_node, g.by_node_nonempty)
+    first = (g.by_edge, g.by_node)
     g = M.incidence_pairs(h)
-    assert all(a is b for a, b in zip(first, (g.by_edge, g.by_node,
-                                               g.by_node_nonempty)))
+    assert all(a is b for a, b in zip(first, (g.by_edge, g.by_node)))
 
 
 def test_one_score_tensor_per_layer_feeds_both_directions(monkeypatch):
@@ -431,9 +429,13 @@ def test_empty_batch_and_bad_member_shapes_raise_shape_error():
     with pytest.raises(ShapeError, match="subgraph 0 weights do not align"):
         M.SubgraphBatch(members=[np.array([0, 1])], weights=[np.ones((2, 1))],
                         labels=np.zeros((1, 2)))
-    with pytest.raises(ShapeError, match="too wide a range"):
-        M.SubgraphBatch(members=[np.array([0, 2 ** 62])], weights=[np.ones(2)],
-                        labels=np.zeros((1, 2)))
+    for far in (2 ** 40, 2 ** 62):   # past any row a layout can hold
+        with pytest.raises(ShapeError, match="too wide a range"):
+            M.SubgraphBatch(members=[np.array([0, far])], weights=[np.ones(2)],
+                            labels=np.zeros((1, 2)))
+        with pytest.raises(ShapeError, match="too wide a range"):
+            M.SubgraphBatch.from_flat([0, far], np.ones(2), [2],
+                                      labels=np.zeros((1, 2)))
     with pytest.raises(ShapeError, match="flat members and weights"):
         M.SubgraphBatch.from_flat([0, 1, 2], np.ones(3), [2, 2],
                                   labels=np.zeros((2, 2)))
