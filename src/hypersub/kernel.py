@@ -398,19 +398,26 @@ class Segments:
         return blocks
 
     def gather_sum(self, x: np.ndarray, weights: np.ndarray | None = None,
-                   rows: np.ndarray | None = None,
-                   length: int | None = None) -> np.ndarray:
+                   rows: np.ndarray | None = None, length: int | None = None,
+                   dot: np.ndarray | None = None):
         """Fused gather-scale-reduce: ``out[k] = sum over p in group k of
         weights[p] * x[rows[p]]``, for a 2-D ``x``. ``weights`` default to
         one and ``rows`` to the positions themselves; empty groups give
         zeros, and ``length`` pads the result with zero rows past the last
         group.
 
+        Given ``dot``, a 2-D array with a row per group, it returns
+        ``(out, dots)`` with ``dots[p] = x[rows[p]] @ dot[k]`` for p in group
+        k, and 0 at the positions outside every group: the same gathered
+        rows serve both, so a gradient that needs the reduction and the
+        per-position products (SpMM and SDDMM) walks the layout once.
+
         Each size bucket is reduced by batched products of its (groups, 1, L)
         weights with its (groups, L, d) gathered rows, taken in slices of
-        about ``BLOCK_BYTES`` of rows. Padding slots take zero weight on an
-        appended zero row, so a non-finite row of ``x`` reaches only the
-        groups that hold it.
+        about ``BLOCK_BYTES`` of rows, and dotted in the same slices with the
+        groups' (groups, d, 1) rows of ``dot``. Padding slots take zero
+        weight on an appended zero row, so a non-finite row of ``x`` reaches
+        only the groups that hold it.
         """
         length = len(self) if length is None else length
         n = x.shape[0]
@@ -422,12 +429,18 @@ class Segments:
         r = np.full(self.size + 1, n, dtype=np.intp)
         r[:-1] = np.arange(self.size) if rows is None else rows
         out = np.zeros((length, x.shape[1]), dtype=dtype)
+        if dot is not None:
+            dot = np.asarray(dot, dtype=np.result_type(dtype, dot))
+            dots = np.zeros(self.size + 1, dtype=dot.dtype)   # last: padding
         for groups, pos in self._blocks:
             step = max(1, BLOCK_BYTES // max(1, pos.shape[1] * xz[0].nbytes))
             for lo in range(0, groups.size, step):
-                p = pos[lo:lo + step]
-                out[groups[lo:lo + step]] = np.matmul(w[p][:, None, :], xz[r[p]])[:, 0]
-        return out
+                p, k = pos[lo:lo + step], groups[lo:lo + step]
+                block = xz[r[p]]
+                out[k] = np.matmul(w[p][:, None, :], block)[:, 0]
+                if dot is not None:
+                    dots[p] = np.matmul(block, dot[k][:, :, None])[:, :, 0]
+        return out if dot is None else (out, dots[:-1])
 
 
 def _rows_of(layout: Segments, x: Tensor, name: str) -> np.ndarray:
@@ -587,8 +600,12 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
 
     Position p contributes weights[p] * x[by_row.ids[p]] to the row of its
     group in ``seg``. Output has one row per group; groups may be empty and
-    produce all-zero rows. ``by_row`` groups the positions by row of x, which
-    is the reduction the gradient into x runs over.
+    produce all-zero rows. ``by_row`` groups the positions by row of x.
+
+    The gradient is one ``gather_sum`` over ``by_row``: each of its groups is
+    one row r of x, and the rows of the output gradient G gathered at its
+    positions give both ``dx[r] = w @ G`` and ``dw = G @ x[r]``, so neither
+    direction holds a pairs x d array.
     """
     _need_2d("weighted_row_sum input", x)
     w = weights.data
@@ -600,13 +617,13 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
     out = seg.gather_sum(x.data, w, rows)
 
     def grad_fn(g):
+        # outside positions carry the id len(seg), the zero row past g
         if weights.requires_grad:
-            pos = seg.positions()
-            dw = np.einsum("ij,ij->i", seg.expand(g), x.data[rows[pos]])
-            _accum(weights, seg.scatter(dw))
-        if x.requires_grad:
-            # outside positions carry the id len(seg), the zero row past g
-            _accum(x, by_row.gather_sum(g, w, seg.ids, x.data.shape[0]))
+            dx, dw = by_row.gather_sum(g, w, seg.ids, x.data.shape[0], dot=x.data)
+            _accum(weights, dw)
+        else:
+            dx = by_row.gather_sum(g, w, seg.ids, x.data.shape[0])
+        _accum(x, dx)
 
     return _result(out, (x, weights), grad_fn)
 

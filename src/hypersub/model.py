@@ -474,12 +474,13 @@ class ForwardResult:
     regularization: float
 
 
-def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
-            theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
-            training: bool = False, rng: np.random.Generator | None = None,
-            trace: ForwardTrace | None = None) -> ForwardResult:
-    """Full pass: backbone, pooling, head, and loss assembly."""
-    x = forward_backbone(h, params, training=training, rng=rng, trace=trace)
+def objective(x: Tensor, params: ModelParams, batch: SubgraphBatch, *,
+              theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
+              training: bool = False, rng: np.random.Generator | None = None,
+              trace: ForwardTrace | None = None) -> ForwardResult:
+    """The half of ``forward`` past the backbone: pooling of the final node
+    states ``x``, head, and loss assembly, so that a caller holding the
+    states scores them without another backbone pass."""
     s = subgraph_repr(x, batch, params, trace=trace)
     z = classify(s, params, training=training, rng=rng)
     reg_value = None
@@ -495,6 +496,16 @@ def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
         classification_loss=float(ce.data),
         regularization=reg_float,
     )
+
+
+def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
+            theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
+            training: bool = False, rng: np.random.Generator | None = None,
+            trace: ForwardTrace | None = None) -> ForwardResult:
+    """Full pass: backbone, then ``objective``."""
+    x = forward_backbone(h, params, training=training, rng=rng, trace=trace)
+    return objective(x, params, batch, theta_sp=theta_sp, reg_weight=reg_weight,
+                     training=training, rng=rng, trace=trace)
 
 
 def scores_from_states(node_states: Tensor, params: ModelParams,

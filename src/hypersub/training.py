@@ -187,11 +187,12 @@ def micro_f1(predicted: np.ndarray, actual: np.ndarray) -> float:
 
 # ----------------------------------------------------------------- training
 
-def _epoch_val_loss(h, params, batch, theta_sp, config) -> tuple[float, float]:
-    """(monitored, total) validation losses in evaluation mode."""
+def _epoch_val_loss(node_states, params, batch, theta_sp, config) -> tuple[float, float]:
+    """(monitored, total) validation losses in evaluation mode, scored from
+    the epoch's evaluation-mode node states through ``M.objective``."""
     with K.no_grad():
-        res = M.forward(h, params, batch, theta_sp=theta_sp,
-                        reg_weight=config.reg_weight, training=False)
+        res = M.objective(node_states, params, batch, theta_sp=theta_sp,
+                          reg_weight=config.reg_weight)
     total = float(res.total_loss.data)
     monitored = res.classification_loss if config.monitor == "classification" else total
     return monitored, total
@@ -200,6 +201,11 @@ def _epoch_val_loss(h, params, batch, theta_sp, config) -> tuple[float, float]:
 def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, TrainReport]:
     """Train a fresh model on the dataset's train split, early-stopping on the
     validation split, and restore the parameters of the best epoch.
+
+    Each epoch runs the backbone once per training step and once in
+    evaluation mode for the validation loss. The evaluation-mode node states
+    of the best epoch are kept with its parameters, and every split's final
+    metric is scored from them, so no backbone pass follows the last epoch.
 
     ``dataset`` provides indices("train"|"val"|"test") and batch(indices);
     see dataio.SubgraphDataset. Deterministic for a fixed config and seed.
@@ -230,7 +236,8 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
 
     stopper = EarlyStopping(config.patience)
     adam = AdamState()
-    best_snapshot = [t.data.copy() for t in tensors]
+    # parameters and evaluation-mode node states of the best epoch so far
+    best_snapshot, best_states = None, None
     train_losses: list[float] = []
     val_losses: list[float] = []
 
@@ -258,29 +265,32 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
             reg_last = res.regularization
         train_losses.append(ce_sum + config.reg_weight * reg_last)
 
-        monitored, total_val = _epoch_val_loss(h, params, val_batch,
+        with K.no_grad():
+            node_states = M.forward_backbone(h, params, training=False)
+        monitored, total_val = _epoch_val_loss(node_states, params, val_batch,
                                                theta_sp, config)
-        if not np.isfinite(total_val):
+        # a finite epoch 1 always improves on the initial infinity, so the
+        # best epoch exists after the loop
+        if not np.all(np.isfinite((monitored, total_val))):
             raise NumericalDivergence(f"validation loss non-finite at epoch {epoch}")
         val_losses.append(monitored)
         if stopper.update(monitored):
             best_snapshot = [t.data.copy() for t in tensors]
+            best_states = node_states
         if stopper.should_stop:
             break
 
     for t, saved in zip(tensors, best_snapshot):
         t.data[...] = saved
 
-    # one evaluation-mode backbone pass scores every split
-    with K.no_grad():
-        node_states = M.forward_backbone(h, params, training=False)
+    # the best epoch's validation pass scores every split
     batches = {"train": train_batch, "val": val_batch}
     test_idx = dataset.indices("test")
     if test_idx.size:
         batches["test"] = dataset.batch(test_idx)
     metrics: dict[str, float] = {}
     for split, batch in batches.items():
-        scores = M.scores_from_states(node_states, params, batch)
+        scores = M.scores_from_states(best_states, params, batch)
         pred = predictions_from_scores(scores, config.mode, config.threshold)
         metrics[f"micro_f1_{split}"] = micro_f1(pred, batch.labels)
 

@@ -505,6 +505,67 @@ def test_grad_check_through_bucketed_kernels(sizes, outside, seed):
     assert report.passed, report.max_rel_error
 
 
+def _loop_weight_grad(g, x, rows, ids, ngroups):
+    """Per-position loop reference for the weight gradient of
+    weighted_row_sum, in float64: dw[p] = g[ids[p]] . x[rows[p]], and 0 at a
+    position outside every group. Also the sum of the products' magnitudes,
+    the scale of each dot's rounding error."""
+    dw, scale = np.zeros(ids.size), np.zeros(ids.size)
+    for p, (k, r) in enumerate(zip(ids, rows)):
+        if k < ngroups:
+            terms = g[k].astype(np.float64) * x[r].astype(np.float64)
+            dw[p], scale[p] = terms.sum(), np.abs(terms).sum()
+    return dw, scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(BUCKET_SIZES + [0]), min_size=1, max_size=10),
+       st.integers(1, 6), st.integers(0, 8), st.integers(1, 8),
+       st.sampled_from([np.float32, np.float64]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_fused_weighted_row_sum_backward_matches_position_loop(
+        row_sizes, ngroups, outside, d, dtype, x_grad, seed):
+    # the gradient walks by_row: its group sizes are the row sizes, drawn
+    # over every bucket width and empty rows; seg holds the positions in
+    # random groups, some of them empty, and ``outside`` positions in none
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(len(row_sizes)), row_sizes)
+    rng.shuffle(rows)
+    size = rows.size
+    if size == 0:
+        return
+    nrows = len(row_sizes)
+    ids = rng.integers(0, ngroups, size=size)
+    ids[rng.permutation(size)[:outside]] = ngroups
+    by_row, seg = K.Segments(rows, nrows), K.Segments(ids, ngroups)
+    x0 = rng.normal(size=(nrows, d)).astype(dtype)
+    w0 = rng.normal(size=size).astype(dtype)
+    g = rng.normal(size=(ngroups, d)).astype(dtype)
+    want, scale = _loop_weight_grad(g, x0, rows, ids, ngroups)
+    tol = 1e-6 if dtype == np.float32 else 1e-12
+    want_dx = by_row.gather_sum(g, w0, ids, nrows)
+
+    saved = K.BLOCK_BYTES
+    got = []
+    try:
+        for budget in (saved, 1):
+            K.BLOCK_BYTES = budget
+            x = K.Tensor(x0.copy(), requires_grad=x_grad)
+            w = K.parameter(w0.copy())
+            out = K.weighted_row_sum(x, w, by_row, seg)
+            K.backward(K.reduce_sum(K.elementwise_mul(out, K.constant(g))))
+            dw = w.grad
+            assert dw.dtype == dtype and dw.shape == (size,)
+            assert np.all(np.abs(dw - want) <= tol * scale)
+            assert np.all(dw[ids == ngroups] == 0)
+            if x_grad:
+                assert np.array_equal(x.grad, want_dx)
+            got.append(dw)
+    finally:
+        K.BLOCK_BYTES = saved
+    assert np.array_equal(got[0], got[1])
+
+
 def test_grad_check_through_spmm():
     rng = np.random.default_rng(4)
     h = build_hypergraph([[0, 1, 2, 3, 4], [1, 3], [2, 5, 6], [0, 6], [4]])

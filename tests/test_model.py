@@ -308,6 +308,36 @@ def test_eval_scores_hold_no_pairs_by_width_array():
     assert peak < size * d * np.dtype(np.float32).itemsize, peak
 
 
+@pytest.mark.parametrize("direction", ["edge", "node"])
+def test_weighted_row_sum_backward_holds_no_pairs_by_width_array(direction):
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    num_nodes, num_edges, d = 2000, 100, 64
+    h = build_hypergraph([sorted(rng.choice(num_nodes, size=200, replace=False).tolist())
+                          for _ in range(num_edges)], num_nodes=num_nodes)
+    size = h.edge_of_pair.size
+    assert size >= 20000
+    # the edge update pools node rows into edges, the node update edge rows
+    # into nodes
+    by_row, seg = (h.by_node, h.by_edge) if direction == "edge" else (h.by_edge, h.by_node)
+    x = K.parameter(rng.normal(size=(len(by_row), d)).astype(np.float32))
+    w = K.parameter(rng.random(size).astype(np.float32))
+    out = K.weighted_row_sum(x, w, by_row, seg)
+    g = rng.normal(size=out.data.shape).astype(np.float32)
+    out._grad_fn(g)   # first use builds the layouts' cached blocks
+    x.zero_grad()
+    w.zero_grad()
+    tracemalloc.start()
+    try:
+        out._grad_fn(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.data.shape and w.grad.shape == (size,)
+    assert peak < size * d * np.dtype(np.float32).itemsize, peak
+
+
 # ------------------------------------------------------------- regularizer
 
 def test_regularizer_hand_values():

@@ -193,6 +193,17 @@ def test_train_stops_after_patience(monkeypatch):
     assert report.val_losses == [5.0, 4.0, 3.0] + [3.0] * 10
 
 
+def test_train_rejects_a_non_finite_monitored_loss(monkeypatch):
+    # a finite total does not excuse a non-finite monitored value: epoch 1
+    # must improve on the initial infinity for a best epoch to exist
+    import hypersub.training as T
+    ds, h = tiny_dataset()
+    monkeypatch.setattr(T, "_epoch_val_loss",
+                        lambda pairs, params, batch, theta_sp, config: (math.inf, 1.0))
+    with pytest.raises(NumericalDivergence, match="epoch 1"):
+        train(ds, h, tiny_config(max_epochs=3))
+
+
 def test_train_without_regularizer_never_builds_theta(monkeypatch):
     import hypersub.training as T
 
@@ -293,9 +304,10 @@ def test_grid_search_rejects_bad_input():
         grid_search(ds, h, {"hidden_dim": [8]}, seeds=[])
 
 
-def test_train_runs_one_backbone_pass_per_forward_and_one_final(monkeypatch):
+def test_train_runs_one_training_and_one_validation_pass_per_epoch(monkeypatch):
     # E epochs without early stopping: a training and a validation pass per
-    # epoch, and a single evaluation pass that scores every split
+    # epoch, and no pass after them (the best epoch's validation pass scores
+    # every split)
     calls = []
     original = M.forward_backbone
 
@@ -308,8 +320,7 @@ def test_train_runs_one_backbone_pass_per_forward_and_one_final(monkeypatch):
     epochs = 4
     _, report = train(ds, h, tiny_config(max_epochs=epochs, patience=epochs))
     assert report.epochs_run == epochs
-    assert len(calls) == 2 * epochs + 1
-    assert calls.count(True) == epochs
+    assert calls == [True, False] * epochs
 
 
 def test_final_metrics_match_per_split_scores():
