@@ -70,11 +70,13 @@ def _write_manifest(directory: pathlib.Path, command: str, inputs: dict,
 
 def _catalog_from_checkpoint(ckpt: Checkpoint) -> GeneSetCatalog:
     h = ckpt.hypergraph
+    names = np.array(ckpt.gene_names, dtype=object)[h.node_of_pair].tolist()
+    bounds = h.by_edge.offsets.tolist()
     return GeneSetCatalog(
         names=list(ckpt.edge_names),
-        descriptions=["" for _ in ckpt.edge_names],
-        members=[[ckpt.gene_names[i] for i in mem] for mem in h.edge_members],
-        gene_index={g: i for i, g in enumerate(ckpt.gene_names)},
+        descriptions=[""] * len(ckpt.edge_names),
+        members=[names[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+        gene_index=dict(zip(ckpt.gene_names, range(len(ckpt.gene_names)))),
     )
 
 

@@ -12,8 +12,9 @@ import logging
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -40,7 +41,8 @@ def _lines(source) -> Iterable[tuple[int, str]]:
     with blank and '#' comment lines removed. Plain strings are always text;
     use pathlib.Path to read from disk."""
     if isinstance(source, os.PathLike):
-        text = open(source, "r", encoding="utf-8").read()
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
     elif isinstance(source, str):
         text = source
     else:
@@ -80,9 +82,11 @@ class GeneSetCatalog:
         return list(self.gene_index)
 
     def to_hypergraph(self, edge_weights=None) -> Hypergraph:
-        lists = [[self.gene_index[g] for g in mem] for mem in self.members]
-        return build_hypergraph(lists, edge_weights=edge_weights,
-                                num_nodes=self.num_genes)
+        sizes = np.fromiter(map(len, self.members), np.intp, len(self.members))
+        rows = np.fromiter(map(self.gene_index.__getitem__, chain.from_iterable(self.members)),
+                           np.intp, int(sizes.sum()))
+        return build_hypergraph(rows, edge_weights=edge_weights,
+                                num_nodes=self.num_genes, sizes=sizes)
 
 
 def parse_gmt(source) -> GeneSetCatalog:
@@ -138,6 +142,98 @@ class SubgraphTable:
     excluded_subjects: list[str] = field(default_factory=list)
 
 
+def _labels(field: str) -> list[str]:
+    """The stripped comma-separated labels of a labels field; '-' or an
+    empty field means none."""
+    if not field or field == "-":
+        return []
+    return [lab.strip() for lab in field.split(",")]
+
+
+def _member_gene(no: int, token: str) -> str:
+    """The gene of one stripped member token, once its checks pass; else
+    the error that names its line."""
+    if not token:
+        raise MalformedLine(no, "empty member token")
+    gene, sep, wtext = token.rpartition(":")
+    if not sep:
+        gene = wtext
+    else:
+        try:
+            w = float(wtext)
+        except ValueError:
+            raise MalformedLine(no, f"bad weight {wtext!r}") from None
+        if not math.isfinite(w) or w < 0:
+            raise MalformedLine(no, f"member weight must be finite and >= 0, got {wtext}")
+    if not gene:
+        raise MalformedLine(no, f"member token {token!r} has no gene symbol")
+    return gene
+
+
+def _raise_subject_fault(no: int, line: str, earlier_ids: set[str],
+                         declared: set[str] | None, gene_index: dict[str, int]):
+    """Raise the error of a subject line known to be faulty: its first
+    failing check, in the order the line is read. A line that passes every
+    field and member check is faulty only for having no catalog gene with a
+    positive weight."""
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise MalformedLine(no, f"expected 3 tab-separated fields, got {len(parts)}")
+    sid, label_field, member_field = parts
+    if not sid:
+        raise MalformedLine(no, "empty subject id")
+    if sid in earlier_ids:
+        raise MalformedLine(no, f"subject {sid!r} appears twice")
+    for lab in _labels(label_field):
+        if not lab:
+            raise MalformedLine(no, "empty label")
+        if declared is not None and lab not in declared:
+            raise UnknownClass(f"line {no}: label {lab!r} not in class vocabulary")
+    if not member_field:
+        raise MalformedLine(no, "empty member list")
+    genes = [_member_gene(no, token.strip()) for token in member_field.split(",")]
+    if not any(map(gene_index.__contains__, genes)):
+        raise EmptySubgraph(f"line {no}: subject {sid!r} has no catalog genes")
+    raise MalformedLine(no, f"subject {sid!r} has no catalog gene with a positive weight")
+
+
+def _members(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Genes (an object array) and weights of the comma-separated member
+    tokens of every field, flat and in order. Tokens are read stripped, a
+    gene is all of its token before the last ':' and a weight all after it
+    (1.0 without one; NaN where it does not parse). Splitting the joined
+    fields at both ',' and ':' cuts every token into pieces, and the order
+    of the separators says which piece is which."""
+    joined = ",".join(fields)
+    raw = np.frombuffer(joined.encode("utf-8"), np.uint8)
+    if not joined.isascii() or raw.min(initial=255) <= ord(" "):   # maybe whitespace
+        joined = ",".join(map(str.strip, joined.split(",")))
+        raw = np.frombuffer(joined.encode("utf-8"), np.uint8)
+    seps = raw[(raw == ord(",")) | (raw == ord(":"))]
+    pieces = joined.replace(":", ",").split(",")
+    first = np.flatnonzero(np.concatenate(([True], seps == ord(","))))
+    last = np.append(first[1:], len(pieces)) - 1
+    piece = np.array(pieces, dtype=object)
+    genes = piece[first]
+    for k in np.flatnonzero(last - first > 1).tolist():   # a gene holding ':'
+        genes[k] = ":".join(pieces[first[k]:last[k]])
+    weighted = last > first
+    texts = piece[last[weighted]].tolist()
+    weights = np.ones(genes.size)
+    try:
+        weights[weighted] = list(map(float, texts))
+    except ValueError:
+        weights[weighted] = list(map(_float_or_nan, texts))
+    return genes, weights
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def load_subgraphs(source, catalog: GeneSetCatalog,
                    class_vocab: Sequence[str] | None = None,
                    skip_empty: bool = False) -> SubgraphTable:
@@ -150,76 +246,66 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
     land in ``excluded_subjects`` instead. With a declared
     ``class_vocab`` unknown labels fail; without one the vocabulary is
     collected from the file and sorted.
+
+    The file is read as columns: each line's fields are split once, and the
+    member tokens of every line are parsed, looked up and checked as flat
+    arrays. Only a file with a fault goes back to a single line, its first
+    faulty one, whose error ``_raise_subject_fault`` raises.
     """
-    subjects: list[SubjectRecord] = []
-    seen_ids: set[str] = set()
-    seen_labels: set[str] = set()
-    dropped = 0
-    excluded: list[str] = []
+    numbered = list(_lines(source))
     declared = set(class_vocab) if class_vocab is not None else None
-    for no, line in _lines(source):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise MalformedLine(no, f"expected 3 tab-separated fields, got {len(parts)}")
-        sid, label_field, member_field = parts
-        if not sid:
-            raise MalformedLine(no, "empty subject id")
-        if sid in seen_ids:
-            raise MalformedLine(no, f"subject {sid!r} appears twice")
-        seen_ids.add(sid)
+    fields = [line.split("\t") for _, line in numbered]
+    # the lines before the first one without three fields are the columns
+    short = np.flatnonzero(np.fromiter(map(len, fields), np.intp, len(fields)) != 3)
+    n = int(short[0]) if short.size else len(fields)
+    ids, label_fields, member_fields = map(list, zip(*fields[:n])) if n else ([], [], [])
 
-        labels = []
-        if label_field and label_field != "-":
-            for lab in label_field.split(","):
-                lab = lab.strip()
-                if not lab:
-                    raise MalformedLine(no, "empty label")
-                if declared is not None and lab not in declared:
-                    raise UnknownClass(f"line {no}: label {lab!r} not in class vocabulary")
-                if lab not in labels:
-                    labels.append(lab)
-                seen_labels.add(lab)
+    # fault[i]: line i fails a check
+    first = dict(zip(reversed(ids), range(n - 1, -1, -1)))   # each id's first line
+    fault = np.fromiter(map(first.__getitem__, ids), np.intp, n) != np.arange(n)
+    fault |= np.fromiter(map(len, ids), np.intp, n) == 0
+    fault |= np.fromiter(map(len, member_fields), np.intp, n) == 0
+    labels = list(map(_labels, label_fields))
+    flat_labels = list(chain.from_iterable(labels))
+    bad = np.fromiter(map(len, flat_labels), np.intp, len(flat_labels)) == 0
+    if declared is not None:
+        bad |= ~np.fromiter(map(declared.__contains__, flat_labels), bool, len(flat_labels))
+    fault[np.repeat(np.arange(n), np.fromiter(map(len, labels), np.intp, n))[bad]] = True
 
-        kept: dict[str, float] = {}   # gene -> weight, first occurrence wins
-        if not member_field:
-            raise MalformedLine(no, "empty member list")
-        for token in member_field.split(","):
-            token = token.strip()
-            if not token:
-                raise MalformedLine(no, "empty member token")
-            if ":" in token:
-                gene, _, wtext = token.rpartition(":")
-                try:
-                    w = float(wtext)
-                except ValueError:
-                    raise MalformedLine(no, f"bad weight {wtext!r}") from None
-                if not np.isfinite(w) or w < 0:
-                    raise MalformedLine(no, f"member weight must be finite and >= 0, got {wtext}")
-            else:
-                gene, w = token, 1.0
-            if not gene:
-                raise MalformedLine(no, f"member token {token!r} has no gene symbol")
-            if gene not in catalog.gene_index:
-                dropped += 1
-                continue
-            kept.setdefault(gene, w)
+    # every member token, flat, with its line; each line keeps the first
+    # use of each of its catalog genes
+    genes, weights = _members(member_fields) if n else (np.zeros(0, object), np.zeros(0))
+    owner = np.repeat(np.arange(n), np.fromiter(
+        map(str.count, member_fields, repeat(",")), np.intp, n) + 1)
+    bad = ~np.isfinite(weights) | (weights < 0) | (genes == "")
+    fault[owner[bad]] = True
+    rows = np.fromiter(map(catalog.gene_index.get, genes.tolist(), repeat(-1)),
+                       np.intp, genes.size)
+    known = np.flatnonzero(rows >= 0)
+    _, first_use = np.unique(owner[known] * max(1, catalog.num_genes) + rows[known],
+                             return_index=True)
+    keep = known[np.sort(first_use)]
+    positive = np.bincount(owner[keep[weights[keep] > 0]], minlength=n) > 0
+    if not skip_empty:
+        fault |= ~positive
 
-        genes, weights = list(kept), list(kept.values())
-        if not genes or max(weights) <= 0:
-            if skip_empty:
-                excluded.append(sid)
-                continue
-            if not genes:
-                raise EmptySubgraph(f"line {no}: subject {sid!r} has no catalog genes")
-            raise MalformedLine(no, f"subject {sid!r} has no catalog gene with a "
-                                    "positive weight")
-        subjects.append(SubjectRecord(sid, labels, genes, weights))
+    faulty = np.flatnonzero(fault)
+    if faulty.size or short.size:
+        i = int(faulty[0]) if faulty.size else n
+        _raise_subject_fault(*numbered[i], set(ids[:i]), declared, catalog.gene_index)
 
+    dropped = genes.size - known.size
     if dropped:
         logger.warning("dropped %d member entries not present in the catalog", dropped)
-    vocab = list(class_vocab) if class_vocab is not None else sorted(seen_labels)
-    return SubgraphTable(subjects=subjects, class_vocab=vocab,
-                         dropped_genes=dropped, excluded_subjects=excluded)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(owner[keep], minlength=n)))).tolist()
+    kept_genes, kept_weights = genes[keep].tolist(), weights[keep].tolist()
+    subjects = [SubjectRecord(ids[i], list(dict.fromkeys(labels[i])),
+                              kept_genes[bounds[i]:bounds[i + 1]],
+                              kept_weights[bounds[i]:bounds[i + 1]])
+                for i in np.flatnonzero(positive).tolist()]
+    vocab = list(class_vocab) if class_vocab is not None else sorted(set(flat_labels))
+    return SubgraphTable(subjects=subjects, class_vocab=vocab, dropped_genes=dropped,
+                         excluded_subjects=[ids[i] for i in np.flatnonzero(~positive).tolist()])
 
 
 # -------------------------------------------------------------------- splits
@@ -511,10 +597,74 @@ def _marked_sections(lines: list[str]) -> list[list[str]]:
     return out
 
 
+_INTP = np.iinfo(np.intp)
+
+
+def _ints(text: str, count: int) -> np.ndarray:
+    """The ``count`` comma-separated integers of ``text``: each an optional
+    sign and ASCII digits, with ASCII whitespace around it, that fits in
+    ``np.intp``. Anything else raises ValueError.
+
+    ``np.fromstring`` parses them in one call. Its lenient spots are closed
+    by counting one digit run per token (it drops a trailing ',' and reads
+    a lone sign or a blank token as 0), by a sign check (it reads '- 1' as
+    -1) and by a range check (it saturates an overflow)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(text, np.intp, sep=",")
+        except DeprecationWarning as e:   # numpy 1.x warns where 2.x raises
+            raise ValueError(str(e)) from None
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    digit = (raw - ord("0")) < 10
+    runs = np.count_nonzero(digit[1:] & ~digit[:-1]) + bool(digit[:1].any())
+    sign = (raw == ord("+")) | (raw == ord("-"))
+    if runs != count or np.any(sign & ~np.append(digit[1:], False)):
+        raise ValueError(f"expected {count} integers")
+    edge = (values == _INTP.max) | (values == _INTP.min)
+    if edge.any() and values[edge].tolist() != [int(t) for t in np.array(
+            text.split(","))[edge].tolist()]:
+        raise ValueError("integer out of range")
+    return values
+
+
+def _edge_line(line: str) -> tuple[str, float, np.ndarray]:
+    """Name, weight and members of one edge line of a checkpoint, or
+    CorruptCheckpoint naming the line."""
+    parts = line.split("\t")
+    try:
+        if len(parts) != 3:
+            raise ValueError("expected 3 tab-separated fields")
+        return parts[0], float(parts[1]), _ints(parts[2], parts[2].count(",") + 1)
+    except ValueError as e:
+        raise CorruptCheckpoint(f"bad edge line {line!r}") from e
+
+
+def _edge_section(lines: list[str]) -> tuple[list[str], list[float], np.ndarray, np.ndarray]:
+    """Names, weights, member counts and flat members of the edge lines.
+
+    Every line's fields are split once, and the members of all lines are
+    parsed as one integer array. Only when that fails are the lines parsed
+    one by one, which names the first bad line."""
+    fields = [line.split("\t") for line in lines]
+    try:
+        if set(map(len, fields)) != {3}:
+            raise ValueError("expected 3 tab-separated fields")
+        names, weights, members = map(list, zip(*fields))
+        weights = list(map(float, weights))
+        sizes = np.fromiter(map(str.count, members, repeat(",")), np.intp, len(members)) + 1
+        return names, weights, sizes, _ints(",".join(members), int(sizes.sum()))
+    except ValueError:
+        names, weights, members = map(list, zip(*map(_edge_line, lines)))
+        return names, weights, np.fromiter(map(len, members), np.intp, len(members)), \
+            np.concatenate(members)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint of version 1 or 2; every structural inconsistency
     raises CorruptCheckpoint, any other version raises UnsupportedVersion."""
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     magic, pos = _line(raw, 0)
     if magic != CHECKPOINT_MAGIC:
         raise CorruptCheckpoint("bad magic")
@@ -556,20 +706,10 @@ def load_checkpoint(path) -> Checkpoint:
     if not class_vocab or not gene_names or not edge_lines:
         raise CorruptCheckpoint("empty classes, genes, or edges section")
 
-    edge_names, edge_weights, edge_lists = [], [], []
-    for line in edge_lines:
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise CorruptCheckpoint(f"bad edge line {line!r}")
-        edge_names.append(parts[0])
-        try:
-            edge_weights.append(float(parts[1]))
-            edge_lists.append([int(tok) for tok in parts[2].split(",")])
-        except ValueError as e:
-            raise CorruptCheckpoint(f"bad edge line {line!r}") from e
+    edge_names, edge_weights, sizes, members = _edge_section(edge_lines)
     try:
-        h = build_hypergraph(edge_lists, edge_weights=edge_weights,
-                             num_nodes=len(gene_names))
+        h = build_hypergraph(members, edge_weights=edge_weights,
+                             num_nodes=len(gene_names), sizes=sizes)
     except Exception as e:
         raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
 

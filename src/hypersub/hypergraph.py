@@ -98,18 +98,28 @@ class SparseMatrix:
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
                      edge_weights=None,
-                     num_nodes: int | None = None) -> Hypergraph:
-    """Assemble a Hypergraph from per-edge node lists.
+                     num_nodes: int | None = None, *,
+                     sizes=None) -> Hypergraph:
+    """Assemble a Hypergraph from per-edge node lists, or, given ``sizes``,
+    from one flat integer array of every edge's members in which edge j
+    holds the next ``sizes[j]``.
 
     Member lists are deduplicated and sorted. Weights default to 1.0 and must
     be positive and finite. Nodes are 0..num_nodes-1; when num_nodes is not
     given it is inferred from the largest index seen.
     """
-    lists = list(edge_node_lists)
-    sizes = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    node_of = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
-                          count=int(sizes.sum()))
-    edge_of = np.repeat(np.arange(len(lists), dtype=np.intp), sizes)
+    if sizes is None:
+        lists = list(edge_node_lists)
+        sizes = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        node_of = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp,
+                              count=int(sizes.sum()))
+    else:
+        sizes = np.asarray(sizes, dtype=np.intp)
+        node_of = np.asarray(edge_node_lists, dtype=np.intp)
+        if sizes.ndim != 1 or np.any(sizes < 0) or node_of.shape != (sizes.sum(),):
+            raise ValueError("flat members must match their sizes")
+    num_edges = sizes.size
+    edge_of = np.repeat(np.arange(num_edges, dtype=np.intp), sizes)
     # the first failing edge names the error, as a walk over the lists would
     empty = np.flatnonzero(sizes == 0)
     negative = edge_of[node_of < 0]
@@ -124,10 +134,10 @@ def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
         raise ValueError(f"node index {max_node} out of range for num_nodes={num_nodes}")
 
     if edge_weights is None:
-        weights = np.ones(len(lists), dtype=np.float64)
+        weights = np.ones(num_edges, dtype=np.float64)
     else:
         weights = np.asarray(edge_weights, dtype=np.float64).copy()
-        if weights.shape != (len(lists),):
+        if weights.shape != (num_edges,):
             raise ValueError("edge_weights length must match the number of hyperedges")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
             raise InvalidWeight("hyperedge weights must be positive and finite")
@@ -137,7 +147,7 @@ def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
     span = max(max_node, 0) + 1
     keys = np.sort(edge_of * span + node_of)
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    return Hypergraph(num_nodes, len(lists), keys // span, keys % span, weights)
+    return Hypergraph(num_nodes, num_edges, keys // span, keys % span, weights)
 
 
 def degrees(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:

@@ -417,26 +417,38 @@ class Segments:
         about ``BLOCK_BYTES`` of rows, and dotted in the same slices with the
         groups' (groups, d, 1) rows of ``dot``. Padding slots take zero
         weight on an appended zero row, so a non-finite row of ``x`` reaches
-        only the groups that hold it.
+        only the groups that hold it. A ``rows`` entry equal to ``len(x)``
+        reads that zero row too. The slices are gathered with ``np.take``
+        into one buffer reused across the call, in ``mode="clip"``, which
+        skips take's own bounds check, so ``rows`` is checked once up front:
+        an entry outside [0, len(x)] raises ShapeError.
         """
         length = len(self) if length is None else length
-        n = x.shape[0]
+        n, d = x.shape
+        if rows is not None and self.size and (rows.min() < 0 or rows.max() > n):
+            raise ShapeError(f"gather_sum rows must lie in [0, {n}]")
         dtype = x.dtype if weights is None else np.result_type(weights, x)
-        xz = np.zeros((n + 1, x.shape[1]), dtype=dtype)
+        xz = np.zeros((n + 1, d), dtype=dtype)
         xz[:n] = x
         w = np.zeros(self.size + 1, dtype=dtype)
         w[:-1] = 1 if weights is None else weights
         r = np.full(self.size + 1, n, dtype=np.intp)
         r[:-1] = np.arange(self.size) if rows is None else rows
-        out = np.zeros((length, x.shape[1]), dtype=dtype)
+        out = np.zeros((length, d), dtype=dtype)
         if dot is not None:
             dot = np.asarray(dot, dtype=np.result_type(dtype, dot))
             dots = np.zeros(self.size + 1, dtype=dot.dtype)   # last: padding
-        for groups, pos in self._blocks:
-            step = max(1, BLOCK_BYTES // max(1, pos.shape[1] * xz[0].nbytes))
+        # each slice of a bucket holds `step` groups; one buffer fits the largest
+        steps = [max(1, BLOCK_BYTES // max(1, pos.shape[1] * d * dtype.itemsize))
+                 for _, pos in self._blocks]
+        largest = max((min(step, pos.shape[0]) * pos.shape[1]
+                       for step, (_, pos) in zip(steps, self._blocks)), default=0)
+        buffer = np.empty(largest * d, dtype=dtype)
+        for step, (groups, pos) in zip(steps, self._blocks):
             for lo in range(0, groups.size, step):
                 p, k = pos[lo:lo + step], groups[lo:lo + step]
-                block = xz[r[p]]
+                block = buffer[:p.size * d].reshape(*p.shape, d)
+                np.take(xz, r[p], axis=0, out=block, mode="clip")
                 out[k] = np.matmul(w[p][:, None, :], block)[:, 0]
                 if dot is not None:
                     dots[p] = np.matmul(block, dot[k][:, :, None])[:, :, 0]

@@ -341,7 +341,12 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
                      training: bool = False,
                      rng: np.random.Generator | None = None,
                      trace: ForwardTrace | None = None) -> Tensor:
-    """Run all message passing layers; returns final node states (N, d)."""
+    """Run all message passing layers; returns final node states (N, d).
+
+    The last layer's edge update runs only for a ``trace``, which keeps its
+    edge states: nothing else reads them. Without one, a training pass
+    still draws that update's dropout mask, so the rng ends in the same
+    state either way."""
     if h.num_nodes != params.num_nodes:
         raise ShapeError("hypergraph and embeddings disagree on node count")
     drop = training and params.dropout_rate > 0.0
@@ -349,14 +354,20 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
         raise ValueError("training with dropout needs an rng")
     hn = params.node_embeddings
     he = init_edge_states(h, hn)
-    for layer in params.layers:
+    for k, layer in enumerate(params.layers):
         scores = dual_attention_scores(h, hn, he, layer, params.leaky_slope)
-        he_next, a_edge = edge_update(h, scores, hn)
+        if trace is not None or k < params.num_layers - 1:
+            he_next, a_edge = edge_update(h, scores, hn)
+        else:   # the last edge states reach no later layer; only a trace reads them
+            he_next = None
         hn_next, a_node = node_update(h, scores, he)
         if trace is not None:
             trace.layers.append(LayerTrace(scores, a_edge, a_node))
         if drop:
-            he_next = K.dropout(he_next, params.dropout_rate, rng)
+            if he_next is None:   # draw the skipped mask, so the rng ends where it would
+                rng.random((h.num_edges, params.hidden_dim))
+            else:
+                he_next = K.dropout(he_next, params.dropout_rate, rng)
             hn_next = K.dropout(hn_next, params.dropout_rate, rng)
         hn, he = hn_next, he_next
     if trace is not None:

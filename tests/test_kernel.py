@@ -729,3 +729,15 @@ def test_segment_kernels_check_their_layouts():
     assert K.weighted_row_sum(x, w, rows, groups).data.shape == (2, 2)
     assert K.masked_softmax(w, groups).data.shape == (3,)
     assert K.attention_scores(x, x, ctx, rows, rows).data.shape == (3,)
+
+
+def test_gather_sum_rejects_rows_out_of_range():
+    seg = K.Segments([0, 0, 1], 2)
+    x = np.arange(6.0).reshape(3, 2)
+    for bad in ([0, 1, 4], [-1, 0, 1], [0, 99, 1]):
+        with pytest.raises(ShapeError, match="rows"):
+            seg.gather_sum(x, rows=np.array(bad))
+    # row len(x) reads the zero row past x, as the weighted_row_sum
+    # gradient asks for the positions outside every group
+    assert np.array_equal(seg.gather_sum(x, rows=np.array([2, 3, 0])),
+                          [[4.0, 5.0], [0.0, 1.0]])

@@ -138,6 +138,24 @@ def test_updates_match_loop_oracle(rng):
         assert np.max(np.abs(trace.final_edge_states.data - want_he)) <= 1e-9
 
 
+@pytest.mark.parametrize("training", [False, True], ids=["evaluation", "training"])
+def test_untraced_backbone_skips_only_the_last_edge_update(monkeypatch, rng, training):
+    h = random_hypergraph(rng, max_nodes=9, max_edges=5)
+    params = toy_model(h, d=4, num_layers=3, seed=2, dropout_rate=0.3)
+    gens = [np.random.default_rng(8) for _ in range(2)]
+    for g in gens:   # leave half a 64-bit draw buffered, as int32 draws do
+        g.integers(0, 100, dtype=np.int32)
+    traced = M.forward_backbone(h, params, training=training, rng=gens[0],
+                                trace=M.ForwardTrace())
+    calls = []
+    edge_update = M.edge_update
+    monkeypatch.setattr(M, "edge_update", lambda *a: calls.append(a) or edge_update(*a))
+    untraced = M.forward_backbone(h, params, training=training, rng=gens[1])
+    assert untraced.data.tobytes() == traced.data.tobytes()
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+    assert len(calls) == params.num_layers - 1
+
+
 def test_attention_matches_oracle_per_pair(rng):
     h = random_hypergraph(rng, max_nodes=7, max_edges=3)
     params = toy_model(h, d=3, num_layers=2, seed=5)

@@ -1,0 +1,353 @@
+"""The columnar subject and checkpoint readers against line-by-line
+reference readers: the same table or hypergraph, or the same error."""
+
+import gc
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypersub import dataio as D
+from hypersub import model as M
+from hypersub.errors import (CorruptCheckpoint, EmptySubgraph, MalformedLine,
+                             UnknownClass)
+from hypersub.hypergraph import build_hypergraph
+from hypersub.training import TrainConfig
+
+
+# ------------------------------------------------------ reference readers
+
+def reference_load_subgraphs(source, catalog, class_vocab=None, skip_empty=False):
+    """``load_subgraphs`` as a walk over the lines and their member tokens,
+    every check in the order the line is read."""
+    subjects = []
+    seen_ids = set()
+    seen_labels = set()
+    dropped = 0
+    excluded = []
+    declared = set(class_vocab) if class_vocab is not None else None
+    for no, line in D._lines(source):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise MalformedLine(no, f"expected 3 tab-separated fields, got {len(parts)}")
+        sid, label_field, member_field = parts
+        if not sid:
+            raise MalformedLine(no, "empty subject id")
+        if sid in seen_ids:
+            raise MalformedLine(no, f"subject {sid!r} appears twice")
+        seen_ids.add(sid)
+
+        labels = []
+        if label_field and label_field != "-":
+            for lab in label_field.split(","):
+                lab = lab.strip()
+                if not lab:
+                    raise MalformedLine(no, "empty label")
+                if declared is not None and lab not in declared:
+                    raise UnknownClass(f"line {no}: label {lab!r} not in class vocabulary")
+                if lab not in labels:
+                    labels.append(lab)
+                seen_labels.add(lab)
+
+        kept = {}   # gene -> weight, first occurrence wins
+        if not member_field:
+            raise MalformedLine(no, "empty member list")
+        for token in member_field.split(","):
+            token = token.strip()
+            if not token:
+                raise MalformedLine(no, "empty member token")
+            if ":" in token:
+                gene, _, wtext = token.rpartition(":")
+                try:
+                    w = float(wtext)
+                except ValueError:
+                    raise MalformedLine(no, f"bad weight {wtext!r}") from None
+                if not np.isfinite(w) or w < 0:
+                    raise MalformedLine(no, f"member weight must be finite and >= 0, got {wtext}")
+            else:
+                gene, w = token, 1.0
+            if not gene:
+                raise MalformedLine(no, f"member token {token!r} has no gene symbol")
+            if gene not in catalog.gene_index:
+                dropped += 1
+                continue
+            kept.setdefault(gene, w)
+
+        genes, weights = list(kept), list(kept.values())
+        if not genes or max(weights) <= 0:
+            if skip_empty:
+                excluded.append(sid)
+                continue
+            if not genes:
+                raise EmptySubgraph(f"line {no}: subject {sid!r} has no catalog genes")
+            raise MalformedLine(no, f"subject {sid!r} has no catalog gene with a "
+                                    "positive weight")
+        subjects.append(D.SubjectRecord(sid, labels, genes, weights))
+
+    vocab = list(class_vocab) if class_vocab is not None else sorted(seen_labels)
+    return D.SubgraphTable(subjects=subjects, class_vocab=vocab,
+                           dropped_genes=dropped, excluded_subjects=excluded)
+
+
+def reference_edge_lines(edge_lines):
+    """Names, weights and member lists of checkpoint edge lines, parsed line
+    by line, each member token with ``int``."""
+    edge_names, edge_weights, edge_lists = [], [], []
+    for line in edge_lines:
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CorruptCheckpoint(f"bad edge line {line!r}")
+        edge_names.append(parts[0])
+        try:
+            edge_weights.append(float(parts[1]))
+            edge_lists.append([int(tok) for tok in parts[2].split(",")])
+        except ValueError as e:
+            raise CorruptCheckpoint(f"bad edge line {line!r}") from e
+    return edge_names, edge_weights, edge_lists
+
+
+def reference_edge_section(edge_lines, num_genes):
+    """The edge section of a checkpoint, parsed line by line and built into
+    a hypergraph."""
+    edge_names, edge_weights, edge_lists = reference_edge_lines(edge_lines)
+    try:
+        h = build_hypergraph(edge_lists, edge_weights=edge_weights, num_nodes=num_genes)
+    except Exception as e:
+        raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
+    return edge_names, h
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the class, message and line of what it raises."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as e:   # noqa: BLE001 -- every error is compared
+        return "error", (type(e), str(e), getattr(e, "line_no", None))
+
+
+# ------------------------------------------------------------ subject files
+
+CATALOG = D.parse_gmt("p1\t-\tTP53\tBRCA1\tA:B\tx y\t d\n"
+                      "p2\t-\tBRCA1\tKRAS\t:\tTP53 \n")
+
+# Valid files are drawn from values that parse; faulty ones are valid files
+# with one to three faults put in. Genes holding ':' are given a weight.
+_GENES = ["TP53", "BRCA1", "KRAS", "x y", " d", "TP53 ", "A:B", ":"] * 2 + ["NOSUCH", "d"]
+_WEIGHTS = [None, None, "0", "0.0", "1", "2.5", "-0", "1_0", "١", " 1", "1 ", "0.125"]
+# whitespace that str.strip removes but that does not end a line
+_PADS = [""] * 4 + [" ", "\x1f", "\xa0", "\u2003"]
+_LABELS = ["a", "b", "a,b", "b,a,a", "", "-", " a "]
+_IDS = ["s1", "s2", "s3", "s4", "s5", "s6", "s7", "s 8"]
+_FAULTS = {
+    "id": [""],   # or the id of a line
+    "labels": ["a,,b", "c", "a, c", ","],
+    "weight": ["-1", "nan", "inf", "1e400", "abc", "", ":1"],
+    "gene": ["", " "],
+    "fields": ["short", "long"],
+    "members": [[]],
+    "zero": ["0"],
+    "unknown": ["NOSUCH"],
+}
+_FAULT_KINDS = ["weight", "labels", "gene", "weight", "id", "zero", "labels", "members",
+                "unknown", "fields"]
+
+
+@st.composite
+def _token(draw):
+    gene, weight = draw(st.sampled_from(_GENES)), draw(st.sampled_from(_WEIGHTS))
+    if weight is None and ":" in gene:
+        weight = "1"
+    return [draw(st.sampled_from(_PADS)), gene, weight, draw(st.sampled_from(_PADS))]
+
+
+def _render(sid, labels, tokens, shape):
+    members = ",".join(pad + (gene if weight is None else f"{gene}:{weight}") + end
+                       for pad, gene, weight, end in tokens)
+    line = f"{sid}\t{labels}\t{members}"
+    return {"ok": line, "comment": "# " + line, "blank": "   ",
+            "short": f"{sid}\t{members}", "long": line + "\textra"}[shape]
+
+
+@st.composite
+def _subject_files(draw, faults):
+    """Up to 8 subject lines, with one to three faults if ``faults``."""
+    count = draw(st.integers(1 if faults else 0, 8))
+    lines = [[sid, draw(st.sampled_from(_LABELS)), draw(st.lists(_token(), min_size=1,
+                                                                  max_size=5)),
+              draw(st.sampled_from(["ok"] * 6 + ["comment", "blank"]))]
+             for sid in draw(st.permutations(_IDS))[:count]]
+    for _ in range(draw(st.integers(1, 3)) if faults else 0):
+        line = draw(st.sampled_from(lines))
+        kind = draw(st.sampled_from(_FAULT_KINDS))
+        value = draw(st.sampled_from(_FAULTS[kind] + [other[0] for other in lines]
+                                     if kind == "id" else _FAULTS[kind]))
+        token = draw(st.sampled_from(line[2])) if line[2] else ["", "TP53", None, ""]
+        if kind in ("id", "labels", "members"):
+            line[{"id": 0, "labels": 1, "members": 2}[kind]] = value
+        elif kind == "fields":
+            line[3] = value
+        elif kind in ("weight", "gene"):
+            token[{"gene": 1, "weight": 2}[kind]] = value
+        else:
+            for token in line[2]:
+                token[2 if kind == "zero" else 1] = value
+    return "".join(_render(*line) + "\n" for line in lines)
+
+
+def _tables_equal(a, b):
+    rows = [[(r.subject_id, r.labels, r.genes, list(map(repr, r.weights)))
+             for r in t.subjects] for t in (a, b)]
+    return rows[0] == rows[1] and (a.class_vocab, a.dropped_genes, a.excluded_subjects) \
+        == (b.class_vocab, b.dropped_genes, b.excluded_subjects)
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["valid", "faulty"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), vocab=st.sampled_from([None, ["a", "b"], ["b", "a", "c"]]),
+       skip_empty=st.booleans())
+def test_load_subgraphs_matches_the_line_walk(faults, data, vocab, skip_empty):
+    text = data.draw(_subject_files(faults))
+    got = outcome(D.load_subgraphs, text, CATALOG, vocab, skip_empty)
+    want = outcome(reference_load_subgraphs, text, CATALOG, vocab, skip_empty)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        assert _tables_equal(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+def test_load_subgraphs_names_the_first_of_several_faulty_lines():
+    text = ("ok\ta\tTP53:0.5\n"
+            "s2\ta\tTP53:1,BRCA1:x\n"      # line 2: bad weight
+            "s3\ta\t\n"                    # line 3: empty member list
+            "s3\ta\tTP53\n")               # line 4: repeated subject
+    with pytest.raises(MalformedLine, match="bad weight 'x'") as err:
+        D.load_subgraphs(text, CATALOG)
+    assert err.value.line_no == 2
+
+
+def test_all_zero_subjects_are_excluded_or_named():
+    text = "a\ta\tTP53:0,KRAS:0.0\nb\ta\tNOSUCH:1\nc\ta\tKRAS:0,TP53:2\n"
+    table = D.load_subgraphs(text, CATALOG, skip_empty=True)
+    assert [r.subject_id for r in table.subjects] == ["c"]
+    assert table.excluded_subjects == ["a", "b"] and table.dropped_genes == 1
+    with pytest.raises(MalformedLine, match="positive weight") as err:
+        D.load_subgraphs(text, CATALOG)
+    assert err.value.line_no == 1
+
+
+# --------------------------------------------------------- checkpoint edges
+
+GENES = ["G0", "G1", "G2", "G3", "G4", "G5"]
+# a member token in the grammar the checkpoint reader accepts
+_GRAMMAR = re.compile(r"[ \t\n\x0b\x0c\r]*[+-]?[0-9]+[ \t\n\x0b\x0c\r]*")
+
+
+def _in_grammar(token: str) -> bool:
+    return bool(_GRAMMAR.fullmatch(token)) and \
+        np.iinfo(np.intp).min <= int(token) <= np.iinfo(np.intp).max
+
+
+def expected_edges(edge_lines, num_genes):
+    """The reference reader, narrowed to the grammar: a line whose tokens
+    all pass ``int`` but not all the grammar is a bad edge line too."""
+    for line in edge_lines:
+        reference_edge_lines([line])
+        if not all(map(_in_grammar, line.split("\t")[2].split(","))):
+            raise CorruptCheckpoint(f"bad edge line {line!r}")
+    return reference_edge_section(edge_lines, num_genes)
+
+
+def _fixture(tmp_path):
+    h = build_hypergraph([[0, 1, 2], [1, 3], [4, 5]])
+    params = M.init_model(len(GENES), 3, 1, 2, np.random.default_rng(0))
+    ckpt = D.Checkpoint(params=params, config=TrainConfig(hidden_dim=3, num_layers=1),
+                        gene_names=GENES, class_vocab=["a", "b"],
+                        edge_names=["e0", "e1", "e2"], hypergraph=h)
+    path = tmp_path / "model.ckpt"
+    D.save_checkpoint(ckpt, path)
+    return path.read_bytes()
+
+
+def with_edge_lines(raw: bytes, edge_lines) -> bytes:
+    """A version 2 checkpoint with its edge section replaced."""
+    top, rest = raw.split(b"header_bytes: ", 1)
+    length, rest = rest.split(b"\n", 1)
+    header, payload = rest[:int(length)].decode(), rest[int(length):]
+    lines = header.split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("[edges] "))
+    lines[at:at + 1 + int(lines[at].split(" ")[1])] = \
+        [f"[edges] {len(edge_lines)}", *edge_lines]
+    body = "\n".join(lines).encode()
+    return top + b"header_bytes: " + str(len(body)).encode() + b"\n" + body + payload
+
+
+_INT_TOKEN = st.one_of(
+    st.integers(0, 5).map(str),
+    st.sampled_from(["6", "-1", "+2", " 3", "3 ", "\x0b1", "007", "", " ", "-", "+",
+                     "- 1", "1_0", "١", "0x10", "1.5", "1e3", "99999999999999999999",
+                     "-99999999999999999999", "9223372036854775807",
+                     "-9223372036854775808", "9223372036854775808", "1\x1c", "\r2"]))
+
+
+@st.composite
+def _edge_line(draw):
+    members = ",".join(draw(st.lists(_INT_TOKEN, min_size=1, max_size=4)))
+    weight = draw(st.sampled_from(["1.0", "0.5", "2", "1_0", "nan", "0", "-1", "x"]))
+    line = f"e{draw(st.integers(0, 9))}\t{weight}\t{members}"
+    return draw(st.sampled_from([line] * 6 + [line + "\tmore", f"e\t{members}"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_edge_line(), min_size=1, max_size=4))
+def test_checkpoint_edges_match_the_line_walk(tmp_path_factory, edge_lines):
+    path = tmp_path_factory.mktemp("ckpt") / "edges.ckpt"
+    path.write_bytes(with_edge_lines(_fixture(path.parent), edge_lines))
+    got = outcome(D.load_checkpoint, path)
+    want = outcome(expected_edges, edge_lines, len(GENES))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        names, h = want[1]
+        ckpt = got[1]
+        assert ckpt.edge_names == names
+        for field in ("edge_of_pair", "node_of_pair", "edge_weights"):
+            assert np.array_equal(getattr(ckpt.hypergraph, field), getattr(h, field))
+
+
+@pytest.mark.parametrize("members", ["1,,2", "1,2,", "", "99999999999999999999",
+                                     "0x10", "1.5", "-", "- 1", "1_0", "١"])
+def test_bad_member_tokens_name_their_edge_line(tmp_path, members):
+    line = f"e9\t1.0\t{members}"
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(with_edge_lines(_fixture(tmp_path), ["e0\t1.0\t0,1", line]))
+    with pytest.raises(CorruptCheckpoint) as err:
+        D.load_checkpoint(path)
+    assert str(err.value) == f"bad edge line {line!r}"
+
+
+def test_flat_hypergraph_matches_the_lists():
+    lists = [[3, 1, 1], [0], [2, 4]]
+    flat = build_hypergraph(np.array([3, 1, 1, 0, 2, 4]), sizes=[3, 1, 2])
+    h = build_hypergraph(lists)
+    assert np.array_equal(flat.edge_of_pair, h.edge_of_pair)
+    assert np.array_equal(flat.node_of_pair, h.node_of_pair)
+    with pytest.raises(ValueError, match="sizes"):
+        build_hypergraph(np.array([0, 1]), sizes=[3])
+
+
+def test_readers_close_the_files_they_read(tmp_path):
+    gmt = tmp_path / "sets.gmt"
+    gmt.write_text("p1\t-\tTP53\tBRCA1\n")
+    ckpt = tmp_path / "edges.ckpt"
+    ckpt.write_bytes(_fixture(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        D.parse_gmt(gmt)
+        D.load_checkpoint(ckpt)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
