@@ -17,6 +17,7 @@ import logging
 import os
 import pathlib
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -68,14 +69,29 @@ def _write_manifest(directory: pathlib.Path, command: str, inputs: dict,
     return path
 
 
+class _EdgeMembers(Sequence):
+    """The member gene names of each hyperedge of a checkpoint, named only
+    when a set is read: the commands that load a checkpoint read the gene
+    index alone."""
+
+    def __init__(self, ckpt: Checkpoint):
+        self._genes = ckpt.gene_names
+        self._h = ckpt.hypergraph
+
+    def __len__(self) -> int:
+        return self._h.num_edges
+
+    def __getitem__(self, k: int) -> list[str]:
+        k = range(len(self))[k]   # IndexError past either end
+        lo, hi = self._h.by_edge.offsets[k:k + 2]
+        return [self._genes[i] for i in self._h.node_of_pair[lo:hi].tolist()]
+
+
 def _catalog_from_checkpoint(ckpt: Checkpoint) -> GeneSetCatalog:
-    h = ckpt.hypergraph
-    names = np.array(ckpt.gene_names, dtype=object)[h.node_of_pair].tolist()
-    bounds = h.by_edge.offsets.tolist()
     return GeneSetCatalog(
         names=list(ckpt.edge_names),
         descriptions=[""] * len(ckpt.edge_names),
-        members=[names[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+        members=_EdgeMembers(ckpt),
         gene_index=dict(zip(ckpt.gene_names, range(len(ckpt.gene_names)))),
     )
 

@@ -33,6 +33,10 @@ class NotScalar(HypersubError):
     """Backward passes start from a scalar; this tensor is not one."""
 
 
+class GraphConsumed(HypersubError):
+    """A backward pass reached a graph that an earlier backward pass released."""
+
+
 class NonDeterministic(HypersubError):
     """Gradient checking needs a deterministic function; repeated evaluation disagreed."""
 

@@ -3,7 +3,10 @@
 Every operation the model needs is a primitive here with a hand-derived
 gradient rule. A forward pass links Tensors into a DAG through their parents;
 ``backward`` walks a topological tape of that DAG once, in reverse, and
-accumulates gradients into every tensor that requires them. ``grad_check``
+accumulates gradients into the leaves that require them: parameters and any
+tensor built outside an op. Each op's node is released as its rule fires, so
+intermediate gradients and the forward arrays the rules hold die as the pass
+proceeds, and a graph can be backpropagated only once. ``grad_check``
 verifies any composition against central finite differences.
 """
 
@@ -11,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonDeterministic, NotScalar, ShapeError
+from .errors import GraphConsumed, NonDeterministic, NotScalar, ShapeError
 
 _grad_enabled = True
 
@@ -39,8 +42,9 @@ class Tensor:
     """A dense float array plus the bookkeeping for reverse-mode gradients.
 
     Public construction validates finiteness; results of recorded operations
-    skip that check (training code watches the loss instead). ``grad`` is
-    populated by ``backward`` and accumulates across calls until cleared.
+    skip that check (training code watches the loss instead). ``grad`` of a
+    leaf is populated by ``backward`` and accumulates across calls until
+    cleared; an op's result holds a gradient only while backward runs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
@@ -97,8 +101,19 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: a rule may hand the same array to several inputs
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
+
+
+_CONSUMED = ("backward already ran through this graph; "
+             "build it again to take another gradient")
+
+
+def _released(g):
+    """The rule of a node whose own rule has fired and been dropped."""
+    raise GraphConsumed(_CONSUMED)
 
 
 class Tape:
@@ -106,7 +121,11 @@ class Tape:
 
     ``run`` seeds the root with gradient one and replays the record in
     reverse, so each op's gradient rule fires exactly once, after all of the
-    gradients flowing into its output have accumulated.
+    gradients flowing into its output have accumulated. Once its rule has
+    fired, a node is released: the tape lets go of it, and it drops its
+    gradient, its rule (with the forward arrays the rule holds) and its
+    links to its parents. Leaves keep their gradients. Running the tape
+    again, or any tape through a released node, raises GraphConsumed.
     """
 
     def __init__(self, root: Tensor):
@@ -129,14 +148,22 @@ class Tape:
         self.nodes = order  # inputs before the ops that consume them
 
     def run(self):
+        nodes, self.nodes = self.nodes, []
+        if not nodes or any(node._grad_fn is _released for node in nodes):
+            raise GraphConsumed(_CONSUMED)
         self.root.grad = np.ones_like(self.root.data)
-        for node in reversed(self.nodes):
-            if node._grad_fn is not None:
-                node._grad_fn(node.grad)
+        while nodes:
+            node = nodes.pop()
+            rule = node._grad_fn
+            if rule is not None:
+                g, node.grad = node.grad, None
+                node._grad_fn, node._parents = _released, ()
+                rule(g)
 
 
 def backward(loss: Tensor, params: Sequence[Tensor] | None = None):
-    """Accumulate d(loss)/d(t) into t.grad for every tensor reaching loss.
+    """Accumulate d(loss)/d(t) into t.grad for every leaf reaching loss, and
+    release the graph (see ``Tape``).
 
     When ``params`` is given, any parameter the graph never touched gets an
     explicit zero gradient, and the gradients are returned in order.
@@ -309,6 +336,23 @@ def reshape(x: Tensor, shape) -> Tensor:
 BLOCK_BYTES = 256 * 1024
 
 
+class SegmentPlan(NamedTuple):
+    """A flat walk over a layout's nonempty groups, bucketed by size.
+
+    ``groups`` lists the nonempty groups in walk order. Group
+    ``groups[i]`` owns the slots of its bucket's width from its first slot
+    on; ``padded`` holds the position of each slot, or ``size`` (past the
+    last position) at a padding slot, and ``source`` the same with every
+    padding slot at its group's first position. ``buckets`` holds
+    ``(width, first group, end group, first slot)`` per bucket, in
+    ascending width."""
+
+    groups: np.ndarray
+    padded: np.ndarray
+    source: np.ndarray
+    buckets: list[tuple[int, int, int, int]]
+
+
 class Segments:
     """Disjoint groups over the positions 0..size-1 of a flat array, as CSR.
 
@@ -380,22 +424,33 @@ class Segments:
         return np.repeat(v, self.counts, axis=0)
 
     @cached_property
-    def _blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(groups, positions) per size bucket: the nonempty groups whose size
-        rounds up to the same power of two L, and their positions as a
-        (groups, L) block padded with ``size``, one past the last position."""
-        counts = self.counts[self.nonempty]
-        width = np.left_shift(1, np.frexp(counts - 1)[1])   # next power of two
-        perm = self.order
-        blocks = []
-        for span in np.unique(width):
-            groups = self.nonempty[width == span]
-            idx = self.offsets[groups, None] + np.arange(span)
-            valid = idx < self.offsets[groups + 1, None]
-            pos = np.full(idx.shape, self.size, dtype=np.intp)
-            pos[valid] = idx[valid] if perm is None else perm[idx[valid]]
-            blocks.append((groups, pos))
-        return blocks
+    def plan(self) -> SegmentPlan:
+        """The walk ``gather_sum`` takes over this layout, built on first use:
+        the nonempty groups bucketed by their size rounded up to a power of
+        two and laid out flat, bucket after bucket in ascending width."""
+        exp = np.frexp(self.counts[self.nonempty] - 1)[1].astype(np.uint8)
+        by = np.argsort(exp, kind="stable")   # a radix sort of small keys
+        groups = self.nonempty[by]
+        width = np.left_shift(1, exp[by], dtype=np.intp)   # next power of two
+        first = np.cumsum(width) - width   # each group's first slot
+        starts = self.offsets[groups]
+        # the position at segment order j fills slot j + shift[its group]
+        shift = np.zeros(len(self), dtype=np.intp)
+        shift[groups] = first - starts
+        inside = int(self.offsets[-1])
+        seq = np.arange(inside)
+        slots = np.repeat(shift, self.counts)
+        slots += seq
+        pos = seq if self.order is None else self.order[:inside]
+        source = np.repeat(pos[starts], width)
+        source[slots] = pos
+        padded = np.full(source.size, self.size, dtype=np.intp)
+        padded[slots] = pos
+        lo = np.flatnonzero(np.diff(width, prepend=0))   # each bucket's first group
+        hi = np.append(lo[1:], width.size)
+        return SegmentPlan(groups, padded, source,
+                           list(zip(width[lo].tolist(), lo.tolist(), hi.tolist(),
+                                    first[lo].tolist())))
 
     def gather_sum(self, x: np.ndarray, weights: np.ndarray | None = None,
                    rows: np.ndarray | None = None, length: int | None = None,
@@ -412,46 +467,62 @@ class Segments:
         rows serve both, so a gradient that needs the reduction and the
         per-position products (SpMM and SDDMM) walks the layout once.
 
-        Each size bucket is reduced by batched products of its (groups, 1, L)
-        weights with its (groups, L, d) gathered rows, taken in slices of
-        about ``BLOCK_BYTES`` of rows, and dotted in the same slices with the
-        groups' (groups, d, 1) rows of ``dot``. Padding slots take zero
-        weight on an appended zero row, so a non-finite row of ``x`` reaches
-        only the groups that hold it. A ``rows`` entry equal to ``len(x)``
-        reads that zero row too. The slices are gathered with ``np.take``
-        into one buffer reused across the call, in ``mode="clip"``, which
-        skips take's own bounds check, so ``rows`` is checked once up front:
-        an entry outside [0, len(x)] raises ShapeError.
+        The walk follows ``plan``: the weights and the rows are each gathered
+        once into the plan's slot order, and each bucket of width L is reduced by
+        batched products of its (groups, 1, L) weights with its (groups, L, d)
+        rows of ``x``, taken with ``np.take`` in slices of about
+        ``BLOCK_BYTES`` into one buffer reused across the call, and dotted in
+        the same slices with the groups' (groups, d, 1) rows of ``dot``. The
+        results, in walk order, are scattered to their groups once. A padding
+        slot has zero weight and reads its group's first row, so a
+        non-finite row of ``x`` reaches only the groups that hold it. A
+        ``rows`` entry equal to ``len(x)`` reads a zero row, which is appended
+        to a copy of ``x`` only when some entry asks for it. ``take`` runs in
+        ``mode="clip"``, which skips its own bounds check, so ``rows`` is
+        checked once up front: an entry outside [0, len(x)] raises
+        ShapeError, as does an ``x`` with fewer rows than positions when
+        ``rows`` is not given.
         """
         length = len(self) if length is None else length
         n, d = x.shape
-        if rows is not None and self.size and (rows.min() < 0 or rows.max() > n):
-            raise ShapeError(f"gather_sum rows must lie in [0, {n}]")
         dtype = x.dtype if weights is None else np.result_type(weights, x)
-        xz = np.zeros((n + 1, d), dtype=dtype)
-        xz[:n] = x
-        w = np.zeros(self.size + 1, dtype=dtype)
+        x = x.astype(dtype, copy=False)
+        if rows is None and n < self.size:
+            raise ShapeError(f"gather_sum needs a row per position, got {n} "
+                             f"rows for {self.size}")
+        if rows is not None and self.size:
+            high = rows.max()
+            if rows.min() < 0 or high > n:
+                raise ShapeError(f"gather_sum rows must lie in [0, {n}]")
+            if high == n:   # the zero row
+                x = np.concatenate((x, np.zeros((1, d), dtype=dtype)))
+        plan = self.plan
+        r = plan.source if rows is None else rows[plan.source]
+        w = np.zeros(self.size + 1, dtype=dtype)   # the last: padding
         w[:-1] = 1 if weights is None else weights
-        r = np.full(self.size + 1, n, dtype=np.intp)
-        r[:-1] = np.arange(self.size) if rows is None else rows
-        out = np.zeros((length, d), dtype=dtype)
+        w = w[plan.padded]
+        sums = np.empty((plan.groups.size, 1, d), dtype=dtype)   # in walk order
         if dot is not None:
             dot = np.asarray(dot, dtype=np.result_type(dtype, dot))
             dots = np.zeros(self.size + 1, dtype=dot.dtype)   # last: padding
         # each slice of a bucket holds `step` groups; one buffer fits the largest
-        steps = [max(1, BLOCK_BYTES // max(1, pos.shape[1] * d * dtype.itemsize))
-                 for _, pos in self._blocks]
-        largest = max((min(step, pos.shape[0]) * pos.shape[1]
-                       for step, (_, pos) in zip(steps, self._blocks)), default=0)
+        steps = [max(1, BLOCK_BYTES // max(1, span * d * dtype.itemsize))
+                 for span, _, _, _ in plan.buckets]
+        largest = max((min(step, hi - lo) * span for step, (span, lo, hi, _)
+                       in zip(steps, plan.buckets)), default=0)
         buffer = np.empty(largest * d, dtype=dtype)
-        for step, (groups, pos) in zip(steps, self._blocks):
-            for lo in range(0, groups.size, step):
-                p, k = pos[lo:lo + step], groups[lo:lo + step]
-                block = buffer[:p.size * d].reshape(*p.shape, d)
-                np.take(xz, r[p], axis=0, out=block, mode="clip")
-                out[k] = np.matmul(w[p][:, None, :], block)[:, 0]
+        for step, (span, lo, hi, at) in zip(steps, plan.buckets):
+            for k in range(lo, hi, step):
+                m = min(step, hi - k)
+                p = slice(at + (k - lo) * span, at + (k - lo + m) * span)
+                block = buffer[:m * span * d].reshape(m, span, d)
+                np.take(x, r[p], axis=0, out=block.reshape(-1, d), mode="clip")
+                np.matmul(w[p].reshape(m, 1, span), block, out=sums[k:k + m])
                 if dot is not None:
-                    dots[p] = np.matmul(block, dot[k][:, :, None])[:, :, 0]
+                    dots[plan.padded[p]] = np.matmul(
+                        block, dot[plan.groups[k:k + m], :, None]).reshape(-1)
+        out = np.zeros((length, d), dtype=dtype)
+        out[plan.groups] = sums[:, 0]
         return out if dot is None else (out, dots[:-1])
 
 

@@ -105,8 +105,12 @@ def adam_step(params: list[K.Tensor], grads: list[np.ndarray], state: AdamState,
         state.m = [np.zeros_like(p.data) for p in params]
         state.v = [np.zeros_like(p.data) for p in params]
     for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NumericalDivergence("non-finite gradient")
+        # past sqrt(max) g * g overflows, and an infinite second moment
+        # would hold that entry still for the rest of the run; a NaN fails
+        # the comparisons too
+        limit = math.sqrt(np.finfo(g.dtype).max)
+        if g.size and not -limit <= float(g.min()) <= float(g.max()) <= limit:
+            raise NumericalDivergence("gradient non-finite or too large to square")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t

@@ -362,6 +362,42 @@ def test_divergence_exits_3(synth_dir, tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_checkpoint_catalog_names_members_only_when_read(synth_dir, train_dir):
+    ckpt = load_checkpoint(train_dir / "model.ckpt")
+    catalog = cli._catalog_from_checkpoint(ckpt)
+    h = ckpt.hypergraph
+    names = np.array(ckpt.gene_names, dtype=object)[h.node_of_pair].tolist()
+    bounds = h.by_edge.offsets.tolist()
+    eager = [names[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    assert len(catalog.members) == len(eager) == catalog.num_sets
+    assert list(catalog.members) == eager
+    assert catalog.members[-1] == eager[-1]
+    with pytest.raises(IndexError):
+        catalog.members[len(eager)]
+    assert D.serialize_gmt(catalog) == "".join(
+        f"{n}\t\t" + "\t".join(m) + "\n" for n, m in zip(ckpt.edge_names, eager))
+    assert np.array_equal(catalog.to_hypergraph().node_of_pair, h.node_of_pair)
+    # the sets are the trained GMT's, whose member order is the file's
+    source = D.parse_gmt((synth_dir / "synthetic.gmt").read_text())
+    assert catalog.names == source.names
+    assert [sorted(m) for m in catalog.members] == [sorted(m) for m in source.members]
+
+
+def test_gradient_too_large_to_square_exits_3(tmp_path, capsys):
+    # the make-synthetic defaults at a slope of 1e30 give finite float32
+    # gradients whose squares overflow in Adam's second moment
+    data = tmp_path / "data"
+    assert run(["make-synthetic", "--out", str(data)]) == 0
+    cfg = tmp_path / "config.cfg"
+    cfg.write_text("hidden_dim = 8\nmax_epochs = 2\nleaky_slope = 1e30\n")
+    code = run(["train", "--gmt", str(data / "synthetic.gmt"),
+                "--subgraphs", str(data / "subgraphs.tsv"),
+                "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
 def test_out_env_var_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("HYPERSUB_OUT", str(tmp_path / "env_out"))
     assert run(["make-synthetic", *PROFILE]) == 0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersub import kernel as K
-from hypersub.errors import NonDeterministic, NotScalar, ShapeError
+from hypersub.errors import GraphConsumed, NonDeterministic, NotScalar, ShapeError
 from hypersub.hypergraph import build_hypergraph, theta
 
 
@@ -213,6 +213,11 @@ def test_backward_accumulates_over_reuse():
     x = K.parameter([3.0])
     K.backward(K.add(K.reduce_sum(x), K.reduce_sum(K.elementwise_mul(x, x))))
     assert x.grad.tolist() == [7.0]
+    # add hands one array to both inputs, and a then takes a second
+    # contribution: b's gradient must not see it
+    a, b = K.parameter([1.0, 2.0]), K.parameter([3.0, 4.0])
+    K.backward(K.reduce_sum(K.add(K.add(a, b), a)))
+    assert a.grad.tolist() == [2.0, 2.0] and b.grad.tolist() == [1.0, 1.0]
 
 
 def test_backward_is_linear():
@@ -241,6 +246,9 @@ def test_tape_visits_each_op_once():
     assert len(tape.nodes) == len({id(n) for n in tape.nodes})
     tape.run()
     assert x.grad.tolist() == [8.0]  # d/dx 2x^2
+    with pytest.raises(GraphConsumed):   # the run released the graph
+        tape.run()
+    assert x.grad.tolist() == [8.0]
 
 
 def test_no_grad_suppresses_graph():
@@ -392,9 +400,9 @@ def _loop_gather_sum(x, w, rows, ids, ngroups):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(BUCKET_SIZES + [0]), min_size=1, max_size=12),
        st.integers(0, 8), st.sampled_from([np.float32, np.float64]),
-       st.booleans(), st.integers(0, 2**32 - 1))
+       st.booleans(), st.integers(0, 3), st.integers(0, 2**32 - 1))
 def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
-                                                      hub, seed):
+                                                      hub, zero_rows, seed):
     rng = np.random.default_rng(seed)
     sizes = list(sizes) + ([int(rng.integers(300, 700))] if hub else [])
     ngroups = len(sizes)
@@ -408,19 +416,35 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
     x = rng.normal(size=(nrows, 4)).astype(dtype)
     w = rng.normal(size=ids.size).astype(dtype)
     rows = rng.integers(0, nrows, size=ids.size)
-    want = _loop_gather_sum(x, w, rows, ids, ngroups)
+    rows[rng.permutation(ids.size)[:zero_rows]] = nrows   # the zero row
+    xz = np.concatenate([x, np.zeros((1, 4), dtype=dtype)])
+    want = _loop_gather_sum(xz, w, rows, ids, ngroups)
     tol = 1e-4 if dtype == np.float32 else 1e-11
     scale = 1.0 + np.abs(want)
+    dot = rng.normal(size=(ngroups, 4)).astype(dtype)
+    inside = ids < ngroups
+    terms = xz[rows].astype(np.float64) * dot[np.minimum(ids, ngroups - 1)]
+    want_dots = np.where(inside, terms.sum(axis=1), 0.0)
 
     got = layout.gather_sum(x, w, rows)
     assert got.dtype == dtype and got.shape == (ngroups, 4)
     assert np.all(np.abs(got - want) <= tol * scale * np.sqrt(max(sizes + [1])))
     saved = K.BLOCK_BYTES
+    dots = []
     try:   # one group per slice of a bucket sums every group the same way
-        K.BLOCK_BYTES = 1
-        assert np.array_equal(layout.gather_sum(x, w, rows), got)
+        for budget in (saved, 1):
+            K.BLOCK_BYTES = budget
+            assert np.array_equal(layout.gather_sum(x, w, rows), got)
+            out, dp = layout.gather_sum(x, w, rows, dot=dot)
+            assert np.array_equal(out, got)
+            assert dp.dtype == dtype and dp.shape == (ids.size,)
+            assert np.all(np.abs(dp - want_dots)
+                          <= tol * (1.0 + np.abs(terms).sum(axis=1)))
+            assert not dp[~inside].any()
+            dots.append(dp)
     finally:
         K.BLOCK_BYTES = saved
+    assert np.array_equal(dots[0], dots[1])
     padded = layout.gather_sum(x, w, rows, length=ngroups + 3)
     assert np.array_equal(padded[:ngroups], got) and not padded[ngroups:].any()
     # unit weights over the positions themselves sum rows per group
@@ -468,11 +492,24 @@ def test_gather_sum_hub_group_matches_loop():
     want = _loop_gather_sum(x, w, rows, ids, ngroups)
     assert np.max(np.abs(layout.gather_sum(x, w, rows) - want)) <= 1e-11
     # every nonempty group sits in exactly one bucket, padded below 2x
-    buckets = layout._blocks
-    held = np.concatenate([g for g, _ in buckets])
+    plan = layout.plan
+    held = np.concatenate([plan.groups[lo:hi] for _, lo, hi, _ in plan.buckets])
     assert sorted(held.tolist()) == [k for k, s in enumerate(sizes) if s]
-    for groups, pos in buckets:
-        assert np.all(np.asarray(sizes)[groups] * 2 > pos.shape[1])
+    for span, lo, hi, _ in plan.buckets:
+        assert np.all(np.asarray(sizes)[plan.groups[lo:hi]] * 2 > span)
+    # a group's slots hold its positions, then padding: `size` in `padded`,
+    # the group's first position in `source`
+    slots = 0
+    for span, lo, hi, first in plan.buckets:
+        assert first == slots
+        for i, k in enumerate(plan.groups[lo:hi].tolist()):
+            at = slice(first + i * span, first + (i + 1) * span)
+            own = np.flatnonzero(ids == k)
+            pad = span - own.size
+            assert plan.padded[at].tolist() == own.tolist() + [ids.size] * pad
+            assert plan.source[at].tolist() == own.tolist() + [own[0]] * pad
+        slots += (hi - lo) * span
+    assert plan.padded.size == plan.source.size == slots
 
 
 @settings(max_examples=25, deadline=None)
@@ -741,3 +778,5 @@ def test_gather_sum_rejects_rows_out_of_range():
     # gradient asks for the positions outside every group
     assert np.array_equal(seg.gather_sum(x, rows=np.array([2, 3, 0])),
                           [[4.0, 5.0], [0.0, 1.0]])
+    with pytest.raises(ShapeError, match="row per position"):
+        seg.gather_sum(x[:2])   # rows default to the 3 positions

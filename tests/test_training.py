@@ -79,6 +79,24 @@ def test_adam_rejects_non_finite_gradient():
         adam_step([p], [np.array([np.nan])], AdamState(), learning_rate=0.01)
 
 
+def test_adam_rejects_a_gradient_whose_square_overflows():
+    # 1e20 is finite in float32, but its square is not: the second moment
+    # would turn infinite and that entry would never move again
+    p = K.parameter(np.array([1.0, 2.0], dtype=np.float32))
+    q = K.parameter(np.array([3.0], dtype=np.float32))
+    state = AdamState()
+    with pytest.raises(NumericalDivergence):
+        adam_step([q, p], [np.ones(1, np.float32), np.array([1.0, -1e20], np.float32)],
+                  state, learning_rate=0.01)
+    # no parameter or moment moved
+    assert p.data.tolist() == [1.0, 2.0] and q.data.tolist() == [3.0]
+    assert state.step == 0 and not any(m.any() for m in state.m + state.v)
+    # the largest float32 whose square is finite still updates
+    edge = np.nextafter(np.float32(2.0 ** 64), np.float32(0))
+    adam_step([p], [np.array([edge, -edge])], AdamState(), learning_rate=0.01)
+    assert np.all(np.isfinite(p.data)) and p.data.tolist() != [1.0, 2.0]
+
+
 # ------------------------------------------------------------ early stopping
 
 def test_early_stopping_scripted_plateau():
