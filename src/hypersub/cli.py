@@ -48,6 +48,10 @@ def _digest(path) -> str:
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
+# the variables that set the BLAS thread count, on which seeded bytes depend
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_manifest(directory: pathlib.Path, command: str, inputs: dict,
                     outputs: list[pathlib.Path], config: TrainConfig | None = None,
                     extra: dict | None = None,
@@ -59,6 +63,8 @@ def _write_manifest(directory: pathlib.Path, command: str, inputs: dict,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": {str(p): _digest(p) for p in inputs.values()},
         "outputs": [str(p) for p in outputs],
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
     }
     if config is not None:
         manifest["config"] = dataclasses.asdict(config)

@@ -97,12 +97,16 @@ def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _accum(t: Tensor, g: np.ndarray, shared: bool = False):
+    """Add a rule's contribution ``g`` into ``t.grad``. A first contribution
+    is adopted as the gradient: a rule hands over arrays that nothing else
+    holds (its incoming gradient is its own once the tape has taken it from
+    the node), except one it also hands to another input, which it marks
+    ``shared`` and which is copied."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a copy: a rule may hand the same array to several inputs
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = (np.array if shared else np.asarray)(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -198,17 +202,31 @@ def _need_2d(name: str, t: Tensor):
 
 # ---------------------------------------------------------------- primitives
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus the row-broadcast ``bias`` (n,) when given, added in
+    place into the product: a projection keeps no pre-bias array."""
     _need_2d("matmul lhs", a)
     _need_2d("matmul rhs", b)
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
+    y = a.data @ b.data
+    if bias is None:
+        parents = (a, b)
+    else:
+        _check_bias(y, bias)
+        parents = (a, b, bias)
+        # in place where the sum keeps the product's dtype, as for the model's
+        # own tensors; else the sum is a new array, as add_bias makes
+        y = np.add(y, bias.data,
+                   out=y if np.result_type(y, bias.data) == y.dtype else None)
 
     def grad_fn(g):
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
+        if bias is not None:
+            _accum(bias, g.sum(axis=0))
 
-    return _result(a.data @ b.data, (a, b), grad_fn)
+    return _result(y, parents, grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -217,7 +235,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         _accum(a, g)
-        _accum(b, g)
+        _accum(b, g, shared=True)
 
     return _result(a.data + b.data, (a, b), grad_fn)
 
@@ -240,11 +258,16 @@ def scale(x: Tensor, alpha: float) -> Tensor:
     return _result(alpha * x.data, (x,), grad_fn)
 
 
+def _check_bias(x: np.ndarray, b: Tensor):
+    if b.data.shape != (x.shape[1],):
+        raise ShapeError(f"bias shape {b.data.shape} does not match columns of {x.shape}")
+
+
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast add: (m, n) + (n,)."""
+    """Row-broadcast add: (m, n) + (n,). The model adds its biases through
+    ``matmul(x, w, bias)`` instead."""
     _need_2d("add_bias input", x)
-    if b.data.shape != (x.data.shape[1],):
-        raise ShapeError(f"bias shape {b.data.shape} does not match columns of {x.data.shape}")
+    _check_bias(x.data, b)
 
     def grad_fn(g):
         _accum(x, g)
@@ -470,7 +493,8 @@ class Segments:
         The walk follows ``plan``: the weights and the rows are each gathered
         once into the plan's slot order, and each bucket of width L is reduced by
         batched products of its (groups, 1, L) weights with its (groups, L, d)
-        rows of ``x``, taken with ``np.take`` in slices of about
+        rows of ``x`` (for L = 1, an elementwise product with the same
+        bits), taken with ``np.take`` in slices of about
         ``BLOCK_BYTES`` into one buffer reused across the call, and dotted in
         the same slices with the groups' (groups, d, 1) rows of ``dot``. The
         results, in walk order, are scattered to their groups once. A padding
@@ -517,7 +541,14 @@ class Segments:
                 p = slice(at + (k - lo) * span, at + (k - lo + m) * span)
                 block = buffer[:m * span * d].reshape(m, span, d)
                 np.take(x, r[p], axis=0, out=block.reshape(-1, d), mode="clip")
-                np.matmul(w[p].reshape(m, 1, span), block, out=sums[k:k + m])
+                if span == 1:
+                    # a matmul of inner width 1 costs about 1 us per group;
+                    # adding +0.0 gives its bits: its sum starts at +0.0, so
+                    # a -0.0 product comes out as +0.0
+                    np.multiply(w[p].reshape(m, 1, 1), block, out=sums[k:k + m])
+                    sums[k:k + m] += 0
+                else:
+                    np.matmul(w[p].reshape(m, 1, span), block, out=sums[k:k + m])
                 if dot is not None:
                     dots[plan.padded[p]] = np.matmul(
                         block, dot[plan.groups[k:k + m], :, None]).reshape(-1)
@@ -730,18 +761,27 @@ def spmm(m, x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate``, scale the
-    survivors by 1/(1-rate) so expectations match evaluation mode."""
+    survivors by 1/(1-rate) so expectations match evaluation mode. The
+    gradient rule keeps the boolean keep mask."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
     keep = rng.random(x.data.shape) >= rate
-    m = keep.astype(x.data.dtype) / np.asarray(1.0 - rate, dtype=x.data.dtype)
+    scalar = x.data.dtype.type
+    q = scalar(1) / scalar(1.0 - rate)
+
+    def masked(a):
+        # (a * keep) * q has the bits of a * (keep / (1 - rate)) in a's dtype,
+        # with a boolean mask held instead of a float one
+        out = a * keep
+        out *= q
+        return out
 
     def grad_fn(g):
-        _accum(x, g * m)
+        _accum(x, masked(g))
 
-    return _result(x.data * m, (x,), grad_fn)
+    return _result(masked(x.data), (x,), grad_fn)
 
 
 # ---------------------------------------------------------------- grad check

@@ -312,8 +312,8 @@ def dual_attention_scores(h: Hypergraph, node_states: Tensor,
     passed through a leaky rectifier, and contracted with the layer context,
     in one fused kernel that never holds a pairs x d array.
     """
-    tn = K.add_bias(K.matmul(node_states, layer.node_weight), layer.node_bias)
-    te = K.add_bias(K.matmul(edge_states, layer.edge_weight), layer.edge_bias)
+    tn = K.matmul(node_states, layer.node_weight, layer.node_bias)
+    te = K.matmul(edge_states, layer.edge_weight, layer.edge_bias)
     return K.attention_scores(te, tn, layer.context, h.by_edge, h.by_node,
                               slope)
 
@@ -431,14 +431,13 @@ def classify(subgraph_states: Tensor, params: ModelParams, *,
     drop = training and params.dropout_rate > 0.0
     if drop and rng is None:
         raise ValueError("training with dropout needs an rng")
-    hidden = K.relu(K.add_bias(K.matmul(subgraph_states, head.fc1_weight),
-                               head.fc1_bias))
+    hidden = K.relu(K.matmul(subgraph_states, head.fc1_weight, head.fc1_bias))
     if drop:
         hidden = K.dropout(hidden, params.dropout_rate, rng)
-    hidden = K.relu(K.add_bias(K.matmul(hidden, head.fc2_weight), head.fc2_bias))
+    hidden = K.relu(K.matmul(hidden, head.fc2_weight, head.fc2_bias))
     if drop:
         hidden = K.dropout(hidden, params.dropout_rate, rng)
-    logits = K.add_bias(K.matmul(hidden, head.out_weight), head.out_bias)
+    logits = K.matmul(hidden, head.out_weight, head.out_bias)
     if params.mode == "multiclass":
         return K.softmax_rows(logits)
     return K.sigmoid(logits)

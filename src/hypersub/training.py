@@ -255,9 +255,13 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
         ce_sum = 0.0
         reg_last = 0.0
         for chunk in chunks:
-            batch = train_batch if chunk is None else train_batch.subset(chunk)
+            if chunk is None:
+                batch, reg_weight = train_batch, config.reg_weight
+            else:   # each chunk carries its share: an epoch applies reg_weight once
+                batch = train_batch.subset(chunk)
+                reg_weight = config.reg_weight * len(chunk) / len(train_batch)
             res = M.forward(h, params, batch, theta_sp=theta_sp,
-                            reg_weight=config.reg_weight, training=True, rng=rng)
+                            reg_weight=reg_weight, training=True, rng=rng)
             if not np.isfinite(res.total_loss.data):
                 raise NumericalDivergence(f"training loss non-finite at epoch {epoch}")
             for t in tensors:

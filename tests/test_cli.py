@@ -93,6 +93,20 @@ def test_train_writes_artifacts(train_dir):
     assert manifest["command"] == "train"
     assert manifest["status"] == "complete"
     assert len(manifest["inputs"]) == 3
+    assert set(manifest["blas_threads"]) == set(cli._BLAS_THREAD_VARS)
+
+
+def test_manifest_records_the_blas_thread_variables(synth_dir, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    code = run(["make-synthetic", *PROFILE, "--out", str(tmp_path)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                        "OMP_NUM_THREADS": "2",
+                                        "MKL_NUM_THREADS": None}
+    assert manifest["cpu_count"] == os.cpu_count()
 
 
 def test_train_rerun_is_byte_identical(synth_dir, train_dir, tmp_path):

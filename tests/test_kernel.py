@@ -290,6 +290,75 @@ def test_dropout_scales_survivors():
         K.dropout(x, 1.0, rng)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.5, 0.3, 0.15])
+def test_dropout_matches_the_float_mask_rule(rate, dtype):
+    # a boolean keep mask scaled by 1/(1 - rate) in the input's dtype gives
+    # the bits of the float mask keep / (1 - rate), forward and backward; at
+    # 0.15, 1/(1 - rate) rounded from float64 is another float32 than the
+    # quotient taken in float32
+    rng = np.random.default_rng(9)
+    xs = rng.normal(size=(40, 30)).astype(dtype)
+    xs[0, :4] = [0.0, -0.0, 1e-30, -1e30]
+    g = rng.normal(size=xs.shape).astype(dtype)
+    x = K.parameter(xs)
+    y = K.dropout(x, rate, np.random.default_rng(4))
+    keep = np.random.default_rng(4).random(xs.shape) >= rate
+    m = keep.astype(dtype) / np.asarray(1.0 - rate, dtype=dtype)
+    assert y.data.dtype == dtype and y.data.tobytes() == (xs * m).tobytes()
+    y._grad_fn(g)
+    assert x.grad.dtype == dtype and x.grad.tobytes() == (g * m).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_biased_matmul_is_bit_identical_to_add_bias(dtype):
+    rng = np.random.default_rng(11)
+    xs, ws, bs = (rng.normal(size=s).astype(dtype) for s in ((7, 5), (5, 3), (3,)))
+    c = K.constant(rng.normal(size=(7, 3)).astype(dtype))
+
+    def run(fold):
+        x, w, b = (K.parameter(a.copy()) for a in (xs, ws, bs))
+        y = K.matmul(x, w, b) if fold else K.add_bias(K.matmul(x, w), b)
+        K.backward(K.reduce_sum(K.elementwise_mul(y, c)))
+        return [y.data, x.grad, w.grad, b.grad]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(ShapeError):
+        K.matmul(K.parameter(xs), K.parameter(ws), K.parameter(bs[:2]))
+
+
+SHARING_CASES = {
+    "add(x, x)": lambda x, y, b: K.add(x, x),
+    "add(x, y)": lambda x, y, b: K.add(x, y),
+    "add(add(x, y), x)": lambda x, y, b: K.add(K.add(x, y), x),
+    "sub(x, y)": lambda x, y, b: K.sub(x, y),
+    "sub(x, x)": lambda x, y, b: K.sub(x, x),
+    "reshape": lambda x, y, b: K.reshape(
+        K.add(K.reshape(x, (9,)), K.reshape(y, (9,))), (3, 3)),
+    "matmul(x, x, b)": lambda x, y, b: K.add(K.matmul(x, x, b), x),
+    "matmul(x, y, b)": lambda x, y, b: K.sub(K.matmul(x, y, b), y),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARING_CASES))
+def test_backward_leaves_no_two_gradients_sharing_memory(case):
+    # a rule's first contribution is adopted as the gradient, not copied;
+    # add hands one array to both inputs and copies it for the second
+    rng = np.random.default_rng(12)
+    x, y = (K.parameter(rng.normal(size=(3, 3))) for _ in range(2))
+    b = K.parameter(rng.normal(size=3))
+    c = K.constant(rng.normal(size=(3, 3)))
+    report = K.grad_check(
+        lambda: K.reduce_sum(K.elementwise_mul(SHARING_CASES[case](x, y, b), c)),
+        [x, y, b])
+    assert report.passed
+    grads = [t.grad for t in (x, y, b)]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+
+
 def test_log_clamps_at_floor():
     x = K.parameter([1.0, 1e-20])
     y = K.log(x)
@@ -400,9 +469,10 @@ def _loop_gather_sum(x, w, rows, ids, ngroups):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(BUCKET_SIZES + [0]), min_size=1, max_size=12),
        st.integers(0, 8), st.sampled_from([np.float32, np.float64]),
-       st.booleans(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+       st.booleans(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
 def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
-                                                      hub, zero_rows, seed):
+                                                      hub, zero_rows, zero_singles,
+                                                      seed):
     rng = np.random.default_rng(seed)
     sizes = list(sizes) + ([int(rng.integers(300, 700))] if hub else [])
     ngroups = len(sizes)
@@ -417,6 +487,8 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
     w = rng.normal(size=ids.size).astype(dtype)
     rows = rng.integers(0, nrows, size=ids.size)
     rows[rng.permutation(ids.size)[:zero_rows]] = nrows   # the zero row
+    if zero_singles:   # zero weights in the groups of one, on rows with negatives
+        w[np.isin(ids, np.flatnonzero(np.asarray(sizes) == 1))] = 0
     xz = np.concatenate([x, np.zeros((1, 4), dtype=dtype)])
     want = _loop_gather_sum(xz, w, rows, ids, ngroups)
     tol = 1e-4 if dtype == np.float32 else 1e-11
@@ -428,6 +500,9 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
 
     got = layout.gather_sum(x, w, rows)
     assert got.dtype == dtype and got.shape == (ngroups, 4)
+    # a sum of products starts at +0.0, so -0.0 (a zero weight on a negative
+    # entry, alone in its group) comes out as +0.0 in every bucket
+    assert not np.signbit(got[got == 0]).any()
     assert np.all(np.abs(got - want) <= tol * scale * np.sqrt(max(sizes + [1])))
     saved = K.BLOCK_BYTES
     dots = []

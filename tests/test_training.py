@@ -249,6 +249,27 @@ def test_train_minibatch_runs():
     assert all(np.isfinite(v) for v in report.train_losses)
 
 
+def test_minibatch_chunks_share_the_regularizer_weight(monkeypatch):
+    # three chunks per epoch, each weighted by its share of the train split,
+    # so one epoch applies reg_weight once, as a full batch does
+    seen = []
+    original = M.forward
+
+    def recording(h, params, batch, **kwargs):
+        seen.append((len(batch), kwargs["reg_weight"]))
+        return original(h, params, batch, **kwargs)
+
+    monkeypatch.setattr(M, "forward", recording)
+    ds, h = tiny_dataset()
+    n_train = ds.indices("train").size
+    size = -(-n_train // 3)
+    assert 2 * size < n_train
+    train(ds, h, tiny_config(max_epochs=1, batch_size=size, reg_weight=0.7))
+    assert [n for n, _ in seen] == [size, size, n_train - 2 * size]
+    assert [w for _, w in seen] == [0.7 * n / n_train for n, _ in seen]
+    assert sum(w for _, w in seen) == pytest.approx(0.7, rel=1e-12)
+
+
 def test_train_empty_split_raises():
     ds, h = tiny_dataset()
     ds2 = replace(ds, split=["train"] * len(ds.split))
