@@ -97,7 +97,7 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
 def _top(scores: np.ndarray, top_k: int, names: list[str]) -> list[tuple[str, float]]:
     """Highest attribution first; score ties break toward the lower index."""
     order = np.argsort(-scores, kind="stable")[:max(top_k, 0)]
-    return [(names[j], float(scores[j])) for j in order]
+    return list(zip(map(names.__getitem__, order.tolist()), scores[order].tolist()))
 
 
 def class_enrichment(params: M.ModelParams, h: Hypergraph,

@@ -652,23 +652,35 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
             other(x, table[:, d:], out=table[:, d:])
             return table
 
-        def dstate(x, sums):   # step weights 1, 1/2, 0 for x > 0, x == 0, x < 0
-            up = (np.sign(x) + 1) * dtype.type(0.5)
-            return ctx[:, 0] * (up * sums[:, :d] + (1 - up) * sums[:, d:])
-
         if te.requires_grad or context.requires_grad:
             at_edge = by_edge.gather_sum(split(tnd), g, n, ted.shape[0])
             if te.requires_grad:
-                _accum(te, dstate(ted, at_edge))
+                _accum(te, _dstate(ted, at_edge, ctx))
             if context.requires_grad:
                 dc = np.maximum(ted, 0) * at_edge[:, :d] \
                     + np.minimum(ted, 0) * at_edge[:, d:]
                 _accum(context, dc.sum(axis=0)[:, None])
         if tn.requires_grad:
             at_node = by_node.gather_sum(split(ted), g, e, tnd.shape[0])
-            _accum(tn, dstate(tnd, at_node))
+            _accum(tn, _dstate(tnd, at_node, ctx))
 
     return _result(out, (te, tn, context), grad_fn)
+
+
+def _dstate(x: np.ndarray, sums: np.ndarray, context: np.ndarray) -> np.ndarray:
+    """The gradient of the states ``x`` from their [L+, L-] sums: the L+
+    half where a state is positive, the L- half where it is negative and
+    the mean of both at an exact zero, scaled by the context column. One
+    ``np.where`` picks the side; the mean is taken at the zeros alone."""
+    d = x.shape[1]
+    pos, neg = sums[:, :d], sums[:, d:]
+    out = np.where(x > 0, pos, neg)
+    zero = x == 0
+    if zero.any():
+        half = out.dtype.type(0.5)
+        out[zero] = half * pos[zero] + half * neg[zero]
+    out *= context[:, 0]
+    return out
 
 
 def masked_softmax(scores: Tensor, seg: Segments) -> Tensor:
@@ -709,12 +721,18 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
-                     seg: Segments) -> Tensor:
+                     seg: Segments, *, rectify: bool = False, rate: float = 0.0,
+                     rng: np.random.Generator | None = None) -> Tensor:
     """Per-group weighted sums of rows of x.
 
     Position p contributes weights[p] * x[by_row.ids[p]] to the row of its
     group in ``seg``. Output has one row per group; groups may be empty and
     produce all-zero rows. ``by_row`` groups the positions by row of x.
+
+    ``rectify`` and a dropout ``rate`` (with its ``rng``) finish the sums
+    in place, with the bits of ``dropout(relu(sums), rate, rng)`` forward
+    and backward and the same draws from ``rng``; the rule keeps only the
+    boolean masks, and the rectifier's only when the result is recorded.
 
     The gradient is one ``gather_sum`` over ``by_row``: each of its groups is
     one row r of x, and the rows of the output gradient G gathered at its
@@ -728,9 +746,25 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
     rows = _rows_of(by_row, x, "weighted_row_sum row layout")
     _covers(by_row, w.size, "weighted_row_sum row layout")
     _covers(seg, w.size, "weighted_row_sum layout")
+    _check_rate(rate)
     out = seg.gather_sum(x.data, w, rows)
+    recorded = _grad_enabled and (x.requires_grad or weights.requires_grad)
+    positive = out > 0 if rectify and recorded else None
+    if rectify:
+        np.maximum(out, 0, out=out)
+    keep = None
+    if rate:
+        keep, q = keep_mask(out.shape, rate, rng), _keep_scale(out.dtype, rate)
+        out *= keep
+        out *= q
 
     def grad_fn(g):
+        # dropout's rule, then the rectifier's: ((g * keep) * q) * positive
+        if keep is not None:
+            g = g * keep
+            g *= q
+        if positive is not None:
+            g = np.multiply(g, positive, out=None if keep is None else g)
         # outside positions carry the id len(seg), the zero row past g
         if weights.requires_grad:
             dx, dw = by_row.gather_sum(g, w, seg.ids, x.data.shape[0], dot=x.data)
@@ -759,21 +793,48 @@ def spmm(m, x: Tensor) -> Tensor:
     return _result(m.dot_dense(x.data).astype(x.data.dtype), (x,), grad_fn)
 
 
+def _check_rate(rate: float):
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+
+
+def _keep_scale(dtype: np.dtype, rate: float):
+    """1/(1-rate) in ``dtype``: ``(a * keep) * q`` has the bits of
+    ``a * (keep / (1 - rate))`` with a boolean mask held instead of a float
+    one."""
+    scalar = dtype.type
+    return scalar(1) / scalar(1.0 - rate)
+
+
+def keep_mask(shape, rate: float, rng: np.random.Generator | None) -> np.ndarray:
+    """The boolean keep mask of inverted dropout, ``rng.random(shape) >=
+    rate``. It is drawn through one float buffer of about ``BLOCK_BYTES``
+    reused block by block, which consumes ``rng`` exactly as the one call
+    would but holds no float array of the whole shape."""
+    if rng is None:
+        raise ValueError("dropout needs an rng")
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    step = max(1, BLOCK_BYTES // 8)
+    buf = np.empty(min(step, flat.size))
+    for lo in range(0, flat.size, step):
+        block = buf[:min(step, flat.size - lo)]
+        rng.random(out=block)
+        np.greater_equal(block, rate, out=flat[lo:lo + block.size])
+    return keep
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate``, scale the
     survivors by 1/(1-rate) so expectations match evaluation mode. The
     gradient rule keeps the boolean keep mask."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    _check_rate(rate)
     if rate == 0.0:
         return x
-    keep = rng.random(x.data.shape) >= rate
-    scalar = x.data.dtype.type
-    q = scalar(1) / scalar(1.0 - rate)
+    keep = keep_mask(x.data.shape, rate, rng)
+    q = _keep_scale(x.data.dtype, rate)
 
     def masked(a):
-        # (a * keep) * q has the bits of a * (keep / (1 - rate)) in a's dtype,
-        # with a boolean mask held instead of a float one
         out = a * keep
         out *= q
         return out

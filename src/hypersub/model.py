@@ -318,23 +318,35 @@ def dual_attention_scores(h: Hypergraph, node_states: Tensor,
                               slope)
 
 
-def edge_update(h: Hypergraph, scores: Tensor,
-                node_states: Tensor) -> tuple[Tensor, Tensor]:
-    """New hyperedge states: scores normalized per edge over its members,
-    then a rectified attention-weighted sum of member node states."""
-    attn = K.masked_softmax(scores, h.by_edge)
-    out = K.relu(K.weighted_row_sum(node_states, attn, h.by_node, h.by_edge))
+def attend(scores: Tensor, softmax_layout: K.Segments, states: Tensor,
+           by_row: K.Segments, layout: K.Segments, rate: float,
+           rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
+    """One direction of a layer: the scores normalized over
+    ``softmax_layout``, then the rectified attention-weighted sums of the
+    ``states`` rows (grouped by ``by_row``) over ``layout``, with dropout at
+    ``rate`` applied inside the pooling op. Returns (new states, attention).
+    """
+    attn = K.masked_softmax(scores, softmax_layout)
+    out = K.weighted_row_sum(states, attn, by_row, layout, rectify=True,
+                             rate=rate, rng=rng)
     return out, attn
 
 
-def node_update(h: Hypergraph, scores: Tensor,
-                edge_states: Tensor) -> tuple[Tensor, Tensor]:
+def edge_update(h: Hypergraph, scores: Tensor, node_states: Tensor,
+                rate: float = 0.0, rng: np.random.Generator | None = None
+                ) -> tuple[Tensor, Tensor]:
+    """New hyperedge states: scores normalized per edge over its members,
+    then a rectified attention-weighted sum of member node states."""
+    return attend(scores, h.by_edge, node_states, h.by_node, h.by_edge, rate, rng)
+
+
+def node_update(h: Hypergraph, scores: Tensor, edge_states: Tensor,
+                rate: float = 0.0, rng: np.random.Generator | None = None
+                ) -> tuple[Tensor, Tensor]:
     """New node states from the same scores, normalized per node over its
     incident edges. Nodes with no membership hold empty groups and yield
     all-zero rows."""
-    attn = K.masked_softmax(scores, h.by_node)
-    out = K.relu(K.weighted_row_sum(edge_states, attn, h.by_edge, h.by_node))
-    return out, attn
+    return attend(scores, h.by_node, edge_states, h.by_edge, h.by_node, rate, rng)
 
 
 def forward_backbone(h: Hypergraph, params: ModelParams, *,
@@ -343,32 +355,29 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
                      trace: ForwardTrace | None = None) -> Tensor:
     """Run all message passing layers; returns final node states (N, d).
 
-    The last layer's edge update runs only for a ``trace``, which keeps its
+    Each update draws its own dropout mask, the edge update's first. The
+    last layer's edge update runs only for a ``trace``, which keeps its
     edge states: nothing else reads them. Without one, a training pass
-    still draws that update's dropout mask, so the rng ends in the same
-    state either way."""
+    still draws that update's mask, so the rng ends in the same state
+    either way."""
     if h.num_nodes != params.num_nodes:
         raise ShapeError("hypergraph and embeddings disagree on node count")
-    drop = training and params.dropout_rate > 0.0
-    if drop and rng is None:
+    rate = params.dropout_rate if training else 0.0
+    if rate and rng is None:
         raise ValueError("training with dropout needs an rng")
     hn = params.node_embeddings
     he = init_edge_states(h, hn)
     for k, layer in enumerate(params.layers):
         scores = dual_attention_scores(h, hn, he, layer, params.leaky_slope)
         if trace is not None or k < params.num_layers - 1:
-            he_next, a_edge = edge_update(h, scores, hn)
+            he_next, a_edge = edge_update(h, scores, hn, rate, rng)
         else:   # the last edge states reach no later layer; only a trace reads them
             he_next = None
-        hn_next, a_node = node_update(h, scores, he)
+            if rate:   # draw the skipped mask, so the rng ends where it would
+                K.keep_mask((h.num_edges, params.hidden_dim), rate, rng)
+        hn_next, a_node = node_update(h, scores, he, rate, rng)
         if trace is not None:
             trace.layers.append(LayerTrace(scores, a_edge, a_node))
-        if drop:
-            if he_next is None:   # draw the skipped mask, so the rng ends where it would
-                rng.random((h.num_edges, params.hidden_dim))
-            else:
-                he_next = K.dropout(he_next, params.dropout_rate, rng)
-            hn_next = K.dropout(hn_next, params.dropout_rate, rng)
         hn, he = hn_next, he_next
     if trace is not None:
         trace.final_node_states = hn
@@ -418,8 +427,8 @@ def subgraph_repr(node_states: Tensor, batch: SubgraphBatch,
                           dtype=node_states.data.dtype)
     if trace is not None:
         trace.subgraph_attention = attn
-    return K.relu(K.weighted_row_sum(node_states, attn, batch.by_row,
-                                     batch.groups))
+    return K.weighted_row_sum(node_states, attn, batch.by_row, batch.groups,
+                              rectify=True)
 
 
 def classify(subgraph_states: Tensor, params: ModelParams, *,

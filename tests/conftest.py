@@ -1,3 +1,7 @@
+import contextlib
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,20 @@ def memberships(h):
         for i in mem:
             out[i].append(j)
     return tuple(tuple(m) for m in out)
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """Trace Python allocations through the block. The yielded probe holds
+    the bytes still traced when the block ends (``current``) and the most
+    traced at once (``peak``); tracing stops however the block ends."""
+    probe = SimpleNamespace(current=0, peak=0)
+    tracemalloc.start()
+    try:
+        yield probe
+        probe.current, probe.peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

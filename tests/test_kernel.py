@@ -310,6 +310,101 @@ def test_dropout_matches_the_float_mask_rule(rate, dtype):
     assert x.grad.dtype == dtype and x.grad.tobytes() == (g * m).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(1000, 70), (3, 5), (7,), (0, 4)])
+def test_keep_mask_draws_the_stream_of_one_call(shape):
+    # (1000, 70) spans two whole blocks of the reused buffer and a part
+    rate = 0.3
+    got_rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
+    got = K.keep_mask(shape, rate, got_rng)
+    assert got.dtype == bool and got.shape == shape
+    assert np.array_equal(got, want_rng.random(shape) >= rate)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert np.array_equal(got_rng.random(5), want_rng.random(5))
+    with pytest.raises(ValueError, match="rng"):
+        K.keep_mask(shape, rate, None)
+
+
+def _epilogue_case(dtype):
+    """A pooling over 7 groups whose sums are positive, negative and exactly
+    zero: group 0 reads only the zero row 0, group 1 has zero weights, group
+    6 is empty, and row 1 holds -0.0 entries."""
+    rng = np.random.default_rng(12)
+    num_rows, d, size = 9, 5, 60
+    ids = np.sort(rng.integers(2, 6, size))
+    rows = rng.integers(1, num_rows, size)
+    ids[:3], rows[:3] = 0, 0
+    ids[3:5] = 1
+    ids.sort()
+    xs = rng.normal(size=(num_rows, d)).astype(dtype)
+    xs[0] = 0.0
+    xs[1, :3] = -0.0
+    ws = rng.random(size).astype(dtype)
+    ws[ids == 1] = 0.0
+    c = rng.normal(size=(7, d)).astype(dtype)
+    c[:, 0] = 0.0
+    return xs, ws, c, K.Segments(rows, num_rows), K.Segments(ids, 7)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.15, 0.5])
+def test_pooling_epilogue_is_bit_identical_to_relu_and_dropout(rate, dtype):
+    xs, ws, c, by_row, seg = _epilogue_case(dtype)
+
+    def run(fused):
+        x, w, rng = K.parameter(xs.copy()), K.parameter(ws.copy()), np.random.default_rng(3)
+        if fused:
+            y = K.weighted_row_sum(x, w, by_row, seg, rectify=True, rate=rate, rng=rng)
+        else:
+            y = K.dropout(K.relu(K.weighted_row_sum(x, w, by_row, seg)), rate, rng)
+        K.backward(K.reduce_sum(K.elementwise_mul(y, K.constant(c))))
+        return [y.data, x.grad, w.grad], rng.bit_generator.state
+
+    (got, got_state), (want, want_state) = run(True), run(False)
+    assert np.all(want[0][[0, 1, 6]] == 0.0) and np.any(want[0][2:6] > 0)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+    assert got_state == want_state
+    # an unrecorded pass, which builds no rectifier mask, gives the same bits
+    with K.no_grad():
+        rng = np.random.default_rng(3)
+        y = K.weighted_row_sum(K.constant(xs), K.constant(ws), by_row, seg,
+                               rectify=True, rate=rate, rng=rng)
+    assert y.data.tobytes() == got[0].tobytes() and rng.bit_generator.state == got_state
+    with pytest.raises(ValueError):
+        K.weighted_row_sum(K.constant(xs), K.constant(ws), by_row, seg, rate=1.0,
+                           rng=rng)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dstate_matches_the_step_weight_formula(dtype):
+    # the attention gradient of a state picks its [L+, L-] sum by the state's
+    # sign in one np.where; the reference blends up * S+ + (1 - up) * S-
+    # with step weights up = 1, 1/2, 0 for x > 0, x == 0, x < 0
+    rng = np.random.default_rng(13)
+    n, d = 60, 6
+    x = rng.normal(size=(n, d))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    sums = rng.normal(size=(n, 2 * d))
+    sums[rng.random(sums.shape) < 0.3] = 0.0
+    sums[rng.random(sums.shape) < 0.2] = -0.0
+    ctx = np.abs(rng.normal(size=(d, 1))) * np.where(np.arange(d) % 2, 1, -1)[:, None]
+    # x > 0 picks a -0.0 L+ sum whose L- side is positive
+    x[0, :2], sums[0, :2], sums[0, d:d + 2] = 1.0, -0.0, 1.0
+    x, sums, ctx = (a.astype(dtype) for a in (x, sums, ctx))
+    up = (np.sign(x) + 1) * dtype(0.5)
+    want = ctx[:, 0] * (up * sums[:, :d] + (1 - up) * sums[:, d:])
+    got = K._dstate(x, sums, ctx)
+    assert got.dtype == dtype and np.array_equal(got, want)
+    # the bits are equal at every exact zero of x, and elsewhere differ only
+    # in the sign of a zero: the blend adds the other side times 0, which
+    # turns a picked -0.0 into +0.0
+    bits = f"i{got.itemsize}"
+    same = got.view(bits) == want.view(bits)
+    assert np.all(same[x == 0]) and np.all(same | (got == 0))
+    assert not same[0, 0] and not same[0, 1]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_biased_matmul_is_bit_identical_to_add_bias(dtype):
     rng = np.random.default_rng(11)
