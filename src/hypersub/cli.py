@@ -128,9 +128,9 @@ def cmd_train(args) -> int:
         if len(ratios) != 3:
             raise InputDataError("--split-ratios needs three comma-separated "
                                  f"numbers, got {args.split_ratios!r}")
-        keys = [tuple(sorted(rec.labels)) for rec in table.subjects]
-        assignment = stratified_split([rec.subject_id for rec in table.subjects],
-                                      keys, ratios, seed=config.seed)
+        vocab = table.class_vocab   # sorted when collected, so each key is sorted
+        keys = [tuple(map(vocab.__getitem__, sorted(cols))) for cols in table.label_columns]
+        assignment = stratified_split(table.subject_ids, keys, ratios, seed=config.seed)
         split_source = f"stratified {args.split_ratios} seed={config.seed}"
     dataset = build_dataset(table, catalog, assignment)
 
@@ -183,9 +183,8 @@ def cmd_evaluate(args) -> int:
     assignment = load_split(pathlib.Path(args.split))
     if args.split_name not in set(assignment.values()):
         raise InputDataError(f"split {args.split_name!r} has no subjects in {args.split}")
-    dataset = build_dataset(table, catalog,
-                            {rec.subject_id: assignment.get(rec.subject_id, "unused")
-                             for rec in table.subjects})
+    dataset = build_dataset(table, catalog, {sid: assignment.get(sid, "unused")
+                                             for sid in table.subject_ids})
     idx = dataset.indices(args.split_name)
     if idx.size == 0:
         raise InputDataError(
@@ -205,8 +204,8 @@ def cmd_predict(args) -> int:
                            class_vocab=None, skip_empty=True)
     names = ckpt.class_vocab
     lines = ["\t".join(["subject_id", *names, "predicted"])]
-    if table.subjects:
-        batch = resolve_subjects(table, catalog)
+    if table.subject_ids:
+        batch = resolve_subjects(table)
         scores = M.subgraph_scores(ckpt.hypergraph, ckpt.params, batch)
         decisions = predictions_from_scores(scores, ckpt.config.mode,
                                             ckpt.config.threshold)
@@ -236,7 +235,7 @@ def cmd_interpret(args) -> int:
     catalog = _catalog_from_checkpoint(ckpt)
     table = load_subgraphs(pathlib.Path(args.subgraphs), catalog,
                            class_vocab=ckpt.class_vocab)
-    batch = resolve_subjects(table, catalog)
+    batch = resolve_subjects(table)
 
     # both views read one evaluation-mode backbone pass
     trace = backbone_trace(ckpt.params, ckpt.hypergraph)

@@ -14,8 +14,8 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import chain, repeat
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,10 +39,15 @@ SECTIONS = ("config", "classes", "genes", "edges", "tensors")
 def _lines(source) -> Iterable[tuple[int, str]]:
     """Numbered lines of a text blob, os.PathLike path, or file-like object,
     with blank and '#' comment lines removed. Plain strings are always text;
-    use pathlib.Path to read from disk."""
+    use pathlib.Path to read from disk; non-UTF-8 bytes raise MalformedLine."""
     if isinstance(source, os.PathLike):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(source, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:   # numbered as below; '.' ends the bad line
+            no = len((raw[:e.start].decode("utf-8") + ".").splitlines())
+            raise MalformedLine(no, f"not UTF-8 text ({e.reason} at byte {e.start})") from None
     elif isinstance(source, str):
         text = source
     else:
@@ -70,10 +75,6 @@ class GeneSetCatalog:
     gene_index: dict[str, int]
 
     @property
-    def num_sets(self) -> int:
-        return len(self.names)
-
-    @property
     def num_genes(self) -> int:
         return len(self.gene_index)
 
@@ -93,7 +94,7 @@ def parse_gmt(source) -> GeneSetCatalog:
     """Parse tab-separated gene sets: name, description, then one field per
     gene. Duplicate set names and lines with fewer than three fields fail."""
     names, descriptions, members = [], [], []
-    seen: set[str] = set()
+    seen: dict[str, int] = {}   # each set's line
     gene_index: dict[str, int] = {}
     for no, line in _lines(source):
         parts = line.split("\t")
@@ -103,8 +104,9 @@ def parse_gmt(source) -> GeneSetCatalog:
         if not name:
             raise MalformedLine(no, "empty set name")
         if name in seen:
-            raise DuplicateSet(f"gene set {name!r} appears twice")
-        seen.add(name)
+            raise DuplicateSet(f"line {no}: gene set {name!r} appears twice, "
+                               f"first on line {seen[name]}")
+        seen[name] = no
         genes = list(dict.fromkeys(g for g in parts[2:] if g))
         if not genes:
             raise MalformedLine(no, f"gene set {name!r} has no genes")
@@ -128,18 +130,40 @@ def serialize_gmt(catalog: GeneSetCatalog) -> str:
 
 @dataclass
 class SubjectRecord:
+    """One subject by name: the element of ``SubgraphTable.subjects``."""
     subject_id: str
     labels: list[str]
     genes: list[str]
     weights: list[float]
 
 
-@dataclass
+@dataclass(eq=False)
 class SubgraphTable:
-    subjects: list[SubjectRecord]
+    """Parsed subjects as columns, in file order. Subject k holds the next
+    ``sizes[k]`` of the flat ``member_rows`` (catalog rows, each gene once,
+    named by ``gene_names``) and ``member_weights``, and its labels,
+    deduplicated in file order, as ``label_columns[k]`` into ``class_vocab``."""
+
+    subject_ids: list[str]
+    label_columns: list[list[int]]
+    member_rows: np.ndarray
+    member_weights: np.ndarray
+    sizes: np.ndarray
     class_vocab: list[str]
+    gene_names: Sequence[str]
     dropped_genes: int = 0
     excluded_subjects: list[str] = field(default_factory=list)
+
+    @cached_property
+    def subjects(self) -> list[SubjectRecord]:
+        """Each subject by name, derived from the columns once and cached."""
+        ends = np.cumsum(self.sizes).tolist()
+        genes = np.array(self.gene_names, dtype=object)[self.member_rows].tolist()
+        weights = self.member_weights.tolist()
+        return [SubjectRecord(sid, [self.class_vocab[c] for c in cols],
+                              genes[end - size:end], weights[end - size:end])
+                for sid, cols, size, end in zip(self.subject_ids, self.label_columns,
+                                                self.sizes.tolist(), ends)]
 
 
 def _labels(field: str) -> list[str]:
@@ -250,8 +274,8 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
     The file is read as columns: each line's fields are split once, and the
     member tokens of every line are parsed, looked up and checked as flat
     arrays. Only a file with a fault goes back to a single line, its first
-    faulty one, whose error ``_raise_subject_fault`` raises.
-    """
+    faulty one, whose error ``_raise_subject_fault`` raises. The table keeps
+    the rows found by the one lookup of each member token."""
     numbered = list(_lines(source))
     declared = set(class_vocab) if class_vocab is not None else None
     fields = [line.split("\t") for _, line in numbered]
@@ -297,15 +321,17 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
     dropped = genes.size - known.size
     if dropped:
         logger.warning("dropped %d member entries not present in the catalog", dropped)
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(owner[keep], minlength=n)))).tolist()
-    kept_genes, kept_weights = genes[keep].tolist(), weights[keep].tolist()
-    subjects = [SubjectRecord(ids[i], list(dict.fromkeys(labels[i])),
-                              kept_genes[bounds[i]:bounds[i + 1]],
-                              kept_weights[bounds[i]:bounds[i + 1]])
-                for i in np.flatnonzero(positive).tolist()]
+    keep = keep[positive[owner[keep]]]   # an excluded subject keeps no member
     vocab = list(class_vocab) if class_vocab is not None else sorted(set(flat_labels))
-    return SubgraphTable(subjects=subjects, class_vocab=vocab, dropped_genes=dropped,
-                         excluded_subjects=[ids[i] for i in np.flatnonzero(~positive).tolist()])
+    col = dict(zip(vocab, range(len(vocab))))
+    subjects = np.flatnonzero(positive).tolist()
+    return SubgraphTable(
+        subject_ids=[ids[i] for i in subjects],
+        label_columns=[list(dict.fromkeys(map(col.__getitem__, labels[i]))) for i in subjects],
+        member_rows=rows[keep], member_weights=weights[keep],
+        sizes=np.bincount(owner[keep], minlength=n)[positive],
+        class_vocab=vocab, gene_names=catalog.genes, dropped_genes=dropped,
+        excluded_subjects=[ids[i] for i in np.flatnonzero(~positive).tolist()])
 
 
 # -------------------------------------------------------------------- splits
@@ -407,36 +433,30 @@ class SubgraphDataset:
         return self.subjects.subset(indices)
 
 
-def resolve_subjects(table: SubgraphTable,
-                     catalog: GeneSetCatalog) -> M.SubgraphBatch:
-    """The table's subjects as one batch in file order: member genes looked
-    up in the catalog in one flat pass, labels a dense 0/1 matrix over the
-    table's class vocabulary. A table with no subjects raises InputDataError."""
-    if not table.subjects:
+def resolve_subjects(table: SubgraphTable) -> M.SubgraphBatch:
+    """The table's subjects as one batch in file order: its member columns
+    as they are, labels a dense 0/1 matrix over the table's class
+    vocabulary. A table with no subjects raises InputDataError."""
+    n = len(table.subject_ids)
+    if not n:
         raise InputDataError("no subjects in the subgraph table")
-    ids, labels, genes, weights = zip(*map(
-        attrgetter("subject_id", "labels", "genes", "weights"), table.subjects))
-    n = len(ids)
-    col = {c: i for i, c in enumerate(table.class_vocab)}
-    dense = np.zeros((n, len(col)), dtype=np.float64)
-    dense[np.repeat(np.arange(n), np.fromiter(map(len, labels), np.intp, n)),
-          np.fromiter(map(col.__getitem__, chain.from_iterable(labels)), np.intp)] = 1.0
-    rows = np.fromiter(map(catalog.gene_index.__getitem__, chain.from_iterable(genes)),
-                       np.intp)
-    return M.SubgraphBatch.from_flat(
-        rows, np.fromiter(chain.from_iterable(weights), np.float64),
-        np.fromiter(map(len, genes), np.intp, n), dense, list(ids))
+    dense = np.zeros((n, len(table.class_vocab)), dtype=np.float64)
+    dense[np.repeat(np.arange(n), np.fromiter(map(len, table.label_columns), np.intp, n)),
+          np.fromiter(chain.from_iterable(table.label_columns), np.intp)] = 1.0
+    return M.SubgraphBatch.from_flat(table.member_rows, table.member_weights,
+                                     table.sizes, dense, list(table.subject_ids))
 
 
 def build_dataset(table: SubgraphTable, catalog: GeneSetCatalog,
                   assignment: dict[str, str]) -> SubgraphDataset:
     """Resolve a parsed table into one batch (``resolve_subjects``) with a
-    split assignment per subject; every subject must be assigned."""
-    ids = list(map(attrgetter("subject_id"), table.subjects))
-    split = list(map(assignment.get, ids))
+    split assignment per subject; every subject must be assigned. ``catalog``
+    is unused until benchmark v2 (ROADMAP item 1), which calls this with it."""
+    split = list(map(assignment.get, table.subject_ids))
     if None in split:
-        raise InputDataError(f"subject {ids[split.index(None)]!r} has no split assignment")
-    return SubgraphDataset(resolve_subjects(table, catalog), table.class_vocab, split)
+        raise InputDataError(
+            f"subject {table.subject_ids[split.index(None)]!r} has no split assignment")
+    return SubgraphDataset(resolve_subjects(table), table.class_vocab, split)
 
 
 # -------------------------------------------------------------------- config

@@ -70,11 +70,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.values.size
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=self.values.dtype)
-        out[self.row_idx, self.col_idx] = self.values
-        return out
-
     @cached_property
     def _by_row(self) -> Segments:
         # the sorted keys make this the identity: entries are already CSR
@@ -208,10 +203,3 @@ def dual(h: Hypergraph) -> Hypergraph:
     pos = h.by_node.positions()
     return Hypergraph(h.num_edges, h.num_nodes, h.node_of_pair[pos],
                       h.edge_of_pair[pos], np.ones(h.num_nodes, dtype=np.float64))
-
-
-def incidence_matrix(h: Hypergraph) -> np.ndarray:
-    """Dense 0/1 incidence, nodes by hyperedges."""
-    m = np.zeros((h.num_nodes, h.num_edges), dtype=np.float64)
-    m[h.node_of_pair, h.edge_of_pair] = 1.0
-    return m

@@ -411,14 +411,6 @@ class Segments:
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def __getitem__(self, k: int) -> np.ndarray:
-        """Positions of group k, ascending."""
-        lo, hi = self.offsets[k], self.offsets[k + 1]
-        return np.arange(lo, hi) if self.order is None else self.order[lo:hi]
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
     @property
     def size(self) -> int:
         return self.ids.size

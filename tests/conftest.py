@@ -34,6 +34,19 @@ def memberships(h):
     return tuple(tuple(m) for m in out)
 
 
+def group_positions(seg):
+    """The positions of each group of a Segments, ascending."""
+    order = np.arange(seg.size) if seg.order is None else seg.order
+    return [order[lo:hi] for lo, hi in zip(seg.offsets[:-1], seg.offsets[1:])]
+
+
+def to_dense(sp):
+    """A SparseMatrix as a dense array."""
+    out = np.zeros((sp.rows, sp.cols), dtype=sp.values.dtype)
+    out[sp.row_idx, sp.col_idx] = sp.values
+    return out
+
+
 @contextlib.contextmanager
 def traced_memory():
     """Trace Python allocations through the block. The yielded probe holds

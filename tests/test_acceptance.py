@@ -25,7 +25,7 @@ from hypersub.hypergraph import build_hypergraph, dual, theta
 from hypersub.interpret import class_enrichment
 from hypersub.synthetic import make_synthetic
 
-from conftest import random_hypergraph
+from conftest import group_positions, random_hypergraph, to_dense
 
 
 def verdict(tag: str, ok: bool, detail: str):
@@ -111,7 +111,7 @@ def test_a2_regularizer_oracle():
         h = random_hypergraph(rng, max_nodes=12, max_edges=6)
         t = theta(h)
         x = rng.normal(size=(h.num_nodes, 4))
-        dense = t.to_dense()
+        dense = to_dense(t)
         brute = sum(dense[i, j] * float(((x[i] - x[j]) ** 2).sum())
                     for i in range(h.num_nodes) for j in range(h.num_nodes))
         got = M.regularizer(K.constant(x), t).item()
@@ -200,11 +200,11 @@ def test_a4_attention_normalization_and_symmetry():
     attn = M.subgraph_attention(x, batch, params.subgraph_context)
     sums_err = 0.0
     for tr in trace.layers:
-        for g in pairs.by_edge:
+        for g in group_positions(pairs.by_edge):
             sums_err = max(sums_err, abs(tr.edge_attention.data[list(g)].sum() - 1.0))
-        for g in pairs.by_node:
+        for g in group_positions(pairs.by_node):
             sums_err = max(sums_err, abs(tr.node_attention.data[list(g)].sum() - 1.0))
-    for g in batch.groups:
+    for g in group_positions(batch.groups):
         sums_err = max(sums_err, abs(attn.data[list(g)].sum() - 1.0))
 
     # node relabeling leaves S and Z unchanged within 1e-9
@@ -217,8 +217,8 @@ def test_a4_attention_normalization_and_symmetry():
     emb = np.empty_like(params.node_embeddings.data)
     emb[perm] = params.node_embeddings.data
     params2 = dataclasses.replace(params, node_embeddings=K.parameter(emb))
-    members = [batch.member_rows[g] for g in batch.groups]
-    weights = [batch.member_weights[g] for g in batch.groups]
+    members = [batch.member_rows[g] for g in group_positions(batch.groups)]
+    weights = [batch.member_weights[g] for g in group_positions(batch.groups)]
     batch2 = M.SubgraphBatch(
         members=[np.array([perm[i] for i in mem]) for mem in members],
         weights=[w.copy() for w in weights], labels=batch.labels.copy())
@@ -317,17 +317,17 @@ def test_a7_inductive_contract(synth):
     # hold out 20% of subjects entirely, train on the rest, then score the
     # held-out subjects with the trained model: micro-F1 >= 0.90
     rng = np.random.default_rng(0)
-    n = len(synth.table.subjects)
+    n = len(synth.table.subject_ids)
     perm = rng.permutation(n)
     held = sorted(int(i) for i in perm[: n // 5])
     kept = sorted(int(i) for i in perm[n // 5:])
 
-    kept_table = D.SubgraphTable(
-        subjects=[synth.table.subjects[i] for i in kept],
-        class_vocab=list(synth.table.class_vocab),
-        dropped_genes=0, excluded_subjects=[])
+    lines = (synth.out / "subgraphs.tsv").read_text().splitlines(keepends=True)
+    assert len(lines) == n
+    kept_table = D.load_subgraphs("".join(lines[i] for i in kept), synth.catalog,
+                                  class_vocab=synth.table.class_vocab)
     keys = [tuple(sorted(r.labels)) for r in kept_table.subjects]
-    assignment = D.stratified_split([r.subject_id for r in kept_table.subjects],
+    assignment = D.stratified_split(kept_table.subject_ids,
                                     keys, (0.75, 0.25, 0.0), seed=1)
     ds_kept = D.build_dataset(kept_table, synth.catalog, assignment)
     params, report = T.train(ds_kept, synth.h, A5_CONFIG)
@@ -342,7 +342,7 @@ def test_a7_inductive_contract(synth):
                         and all(len(kept) not in t.data.shape
                                 for _, t in params.named_parameters()))
 
-    full_assign = {r.subject_id: "heldout" for r in synth.table.subjects}
+    full_assign = dict.fromkeys(synth.table.subject_ids, "heldout")
     full_assign.update(assignment)
     ds_all = D.build_dataset(synth.table, synth.catalog, full_assign)
     held_idx = ds_all.indices("heldout")

@@ -220,6 +220,45 @@ def test_train_rejects_subject_without_positive_weight(synth_dir, tmp_path, caps
     assert "MalformedLine: line 1:" in err and sid in err
 
 
+def test_train_stratifies_on_sorted_label_sets(synth_dir, tmp_path):
+    # multi-label fields out of sorted order, with a repeat: each subject's
+    # stratification key is its set of labels, sorted
+    fields = ["C2,C0", "C0,C2", "C1", "C3,C1,C3"]
+    lines = (synth_dir / "subgraphs.tsv").read_text().splitlines()
+    rows = [line.split("\t") for line in lines]
+    for k, row in enumerate(rows):
+        row[1] = fields[k % len(fields)]
+    table = tmp_path / "multi.tsv"
+    table.write_text("".join("\t".join(row) + "\n" for row in rows))
+    cfg = tmp_path / "config.cfg"
+    cfg.write_text("hidden_dim = 4\nmax_epochs = 1\n")
+    code = run(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                "--subgraphs", str(table), "--split-ratios", "0.5,0.25,0.25",
+                "--mode", "multilabel", "--seed", "4", "--config", str(cfg),
+                "--out", str(tmp_path / "out")])
+    assert code == 0
+    keys = [tuple(sorted(set(row[1].split(",")))) for row in rows]
+    want = D.stratified_split([row[0] for row in rows], keys, (0.5, 0.25, 0.25), seed=4)
+    assert (tmp_path / "out" / "split.tsv").read_text() == D.serialize_split(want)
+
+
+@pytest.mark.parametrize("flag", ["--gmt", "--subgraphs", "--split", "--config"])
+def test_non_utf8_input_exits_2(synth_dir, tmp_path, flag):
+    files = {"--gmt": synth_dir / "synthetic.gmt",
+             "--subgraphs": synth_dir / "subgraphs.tsv",
+             "--split": synth_dir / "split.tsv", "--config": tmp_path / "config.cfg"}
+    files["--config"].write_text("hidden_dim = 4\nmax_epochs = 1\n")
+    bad = tmp_path / "bad.txt"
+    lines = files[flag].read_bytes().splitlines(keepends=True)
+    bad.write_bytes(b"".join(lines[:1]) + b"\xff" + b"".join(lines[1:]))
+    files[flag] = bad
+    proc = run_process(["train", *(str(a) for kv in files.items() for a in kv),
+                        "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "MalformedLine: line 2: not UTF-8 text" in proc.stderr
+
+
 def test_train_gmt_directory_exits_2(synth_dir, tmp_path, capsys):
     code = run(["train", "--gmt", str(synth_dir),
                 "--subgraphs", str(synth_dir / "subgraphs.tsv"),
@@ -383,7 +422,7 @@ def test_checkpoint_catalog_names_members_only_when_read(synth_dir, train_dir):
     names = np.array(ckpt.gene_names, dtype=object)[h.node_of_pair].tolist()
     bounds = h.by_edge.offsets.tolist()
     eager = [names[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    assert len(catalog.members) == len(eager) == catalog.num_sets
+    assert len(catalog.members) == len(eager) == len(catalog.names)
     assert list(catalog.members) == eager
     assert catalog.members[-1] == eager[-1]
     with pytest.raises(IndexError):
@@ -446,9 +485,8 @@ def test_interpret_runs_one_backbone_pass(synth_dir, train_dir, tmp_path,
     catalog = cli._catalog_from_checkpoint(ckpt)
     table = D.load_subgraphs((synth_dir / "subgraphs.tsv").read_text(), catalog,
                              class_vocab=ckpt.class_vocab)
-    dataset = D.build_dataset(table, catalog,
-                              {rec.subject_id: "train" for rec in table.subjects})
-    batch = dataset.batch(np.arange(len(table.subjects)))
+    dataset = D.build_dataset(table, catalog, dict.fromkeys(table.subject_ids, "train"))
+    batch = dataset.batch(np.arange(len(table.subject_ids)))
     report = I.class_enrichment(ckpt.params, ckpt.hypergraph, batch,
                                 ckpt.class_vocab, 3, edge_names=ckpt.edge_names)
     corr = I.hyperedge_correlation(ckpt.params, ckpt.hypergraph)

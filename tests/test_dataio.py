@@ -17,6 +17,8 @@ from hypersub.errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
 from hypersub.hypergraph import build_hypergraph
 from hypersub.training import TrainConfig
 
+from conftest import group_positions
+
 GMT = ("pathway_a\tfirst pathway\tTP53\tBRCA1\tEGFR\n"
        "pathway_b\tsecond pathway\tBRCA1\tKRAS\n")
 
@@ -32,7 +34,7 @@ def test_parse_gmt_basic():
 
 def test_parse_gmt_skips_comments_and_blanks():
     cat = D.parse_gmt("# a comment\n\n" + GMT + "\n#another\n")
-    assert cat.num_sets == 2
+    assert len(cat.names) == 2
 
 
 def test_parse_gmt_is_case_sensitive():
@@ -48,8 +50,32 @@ def test_parse_gmt_rejects_malformed():
     with pytest.raises(MalformedLine) as err:
         D.parse_gmt(GMT + "bad line without tabs\n")
     assert err.value.line_no == 3
-    with pytest.raises(DuplicateSet):
+    with pytest.raises(DuplicateSet, match="^line 3: gene set 'pathway_a' appears "
+                                           "twice, first on line 1$"):
         D.parse_gmt(GMT + "pathway_a\tagain\tMYC\n")
+
+
+READERS = {"gmt": (D.parse_gmt, GMT),
+           "subgraphs": (lambda src: D.load_subgraphs(src, catalog()), "s\tluminal\tTP53\n"),
+           "split": (D.load_split, "s1\ttrain\ns2\tval\n"),
+           "config": (D.parse_config, "hidden_dim = 8\nseed = 3\n")}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("bad, line", [(b"\xff", 1), (b"\xc3A", 1)])
+def test_readers_name_the_line_of_a_non_utf8_byte(tmp_path, reader, bad, line):
+    fn, text = READERS[reader]
+    path = tmp_path / "input.txt"
+    path.write_bytes(bad + b"\n" + text.encode())
+    with pytest.raises(MalformedLine, match="not UTF-8 text") as err:
+        fn(path)
+    assert err.value.line_no == line
+    # after a comment, a blank line and a CRLF line; mid-line in a UTF-8 file
+    path.write_bytes(b"# \xc3\xa9\n\r\n" + text.encode().replace(b"\n", b"\r\n", 1)
+                     + b"x\xe2\x82" + bad + b"\n")
+    with pytest.raises(MalformedLine) as err:
+        fn(path)
+    assert err.value.line_no == 3 + text.count("\n")
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,6 +120,11 @@ def catalog():
 
 def test_load_subgraphs_basic():
     table = D.load_subgraphs(SUBGRAPHS, catalog())
+    assert table.subject_ids == ["subj1", "subj2"]
+    assert table.label_columns == [[1], [0]]
+    assert table.member_rows.tolist() == [0, 1, 3]
+    assert table.member_weights.tolist() == [0.3, 0.05, 1.0]
+    assert table.sizes.tolist() == [2, 1]
     assert [r.subject_id for r in table.subjects] == ["subj1", "subj2"]
     assert table.subjects[0].labels == ["luminal"]
     assert table.subjects[0].genes == ["TP53", "BRCA1"]
@@ -106,6 +137,7 @@ def test_load_subgraphs_multilabel_and_declared_vocab():
     table = D.load_subgraphs("s\tluminal,her2\tTP53\n", catalog(),
                              class_vocab=["her2", "luminal"])
     assert table.subjects[0].labels == ["luminal", "her2"]
+    assert table.label_columns == [[1, 0]]   # file order
     with pytest.raises(UnknownClass):
         D.load_subgraphs("s\tunknown\tTP53\n", catalog(),
                          class_vocab=["luminal"])
@@ -121,7 +153,8 @@ def test_load_subgraphs_empty_after_filtering():
     with pytest.raises(EmptySubgraph):
         D.load_subgraphs("s\tluminal\tNOSUCH\n", catalog())
     table = D.load_subgraphs("s\tluminal\tNOSUCH\n", catalog(), skip_empty=True)
-    assert table.subjects == []
+    assert table.subjects == [] and table.subject_ids == []
+    assert table.member_rows.size == 0 and table.sizes.size == 0
     assert table.excluded_subjects == ["s"]
 
 
@@ -132,6 +165,7 @@ def test_load_subgraphs_needs_a_positive_weight():
     assert err.value.line_no == 2
     table = D.load_subgraphs(text, catalog(), skip_empty=True)
     assert [r.subject_id for r in table.subjects] == ["ok"]
+    assert table.member_rows.tolist() == [0] and table.sizes.tolist() == [1]
     assert table.excluded_subjects == ["null"]
 
 
@@ -255,13 +289,13 @@ def test_build_dataset_and_batches():
     assert ds.subjects.labels[0].tolist() == [0.0, 1.0]  # vocab sorted: basal, luminal
     batch = ds.batch(ds.indices("train"))
     assert batch.subject_ids == ["subj1"]
-    assert [batch.member_rows[g] for g in batch.groups][0].tolist() == [0, 1]
+    assert [batch.member_rows[g] for g in group_positions(batch.groups)][0].tolist() == [0, 1]
 
 
 def test_resolved_subjects_are_one_batch_in_file_order():
     cat = catalog()
     table = D.load_subgraphs(SUBGRAPHS, cat)
-    batch = D.resolve_subjects(table, cat)
+    batch = D.resolve_subjects(table)
     assert batch.subject_ids == ["subj1", "subj2"]
     assert batch.member_rows.tolist() == [0, 1, 3]
     assert batch.member_weights.tolist() == [0.3, 0.05, 1.0]
@@ -274,7 +308,7 @@ def test_resolved_subjects_are_one_batch_in_file_order():
     with pytest.raises(InputDataError, match="no split assignment"):
         D.build_dataset(table, cat, {"subj1": "train"})
     with pytest.raises(InputDataError, match="no subjects"):
-        D.resolve_subjects(D.SubgraphTable(subjects=[], class_vocab=[]), cat)
+        D.resolve_subjects(D.load_subgraphs("s\tluminal\tNOSUCH\n", cat, skip_empty=True))
 
 
 # -------------------------------------------------------------------- config

@@ -4,10 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersub.errors import EmptyHyperedge, InvalidWeight, IsolatedNode
-from hypersub.hypergraph import (build_hypergraph, degrees, dual,
-                                 incidence_matrix, theta)
+from hypersub.hypergraph import build_hypergraph, degrees, dual, theta
 
-from conftest import memberships, random_hypergraph
+from conftest import group_positions, memberships, random_hypergraph, to_dense
+
+
+def incidence_matrix(h):
+    """Dense 0/1 incidence, nodes by hyperedges."""
+    m = np.zeros((h.num_nodes, h.num_edges), dtype=np.float64)
+    m[h.node_of_pair, h.edge_of_pair] = 1.0
+    return m
 
 
 def dense_theta(h):
@@ -74,7 +80,7 @@ def test_build_matches_sorted_set_reference(lists, extra):
     assert h.node_of_pair.tolist() == [i for m in ref for i in m]
     assert h.edge_of_pair.dtype == h.node_of_pair.dtype == np.intp
     assert h.edge_members == tuple(map(tuple, ref))
-    assert [h.edge_of_pair[g].tolist() for g in h.by_node] == \
+    assert [h.edge_of_pair[g].tolist() for g in group_positions(h.by_node)] == \
         [list(m) for m in memberships(h)]
 
 
@@ -107,13 +113,13 @@ def test_degrees_hand_example():
 
 def test_theta_single_edge_uniform():
     h = build_hypergraph([[0, 1, 2]])
-    t = theta(h).to_dense()
+    t = to_dense(theta(h))
     assert np.allclose(t, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
 
 
 def test_theta_two_edges_hand_value():
     h = build_hypergraph([[0, 1], [1, 2]])
-    t = theta(h).to_dense()
+    t = to_dense(theta(h))
     assert abs(t[0, 0] - 0.5) <= 1e-12
     assert abs(t[1, 1] - 0.5) <= 1e-12
     assert abs(t[0, 1] - 0.5 / np.sqrt(2.0)) <= 1e-12
@@ -124,16 +130,16 @@ def test_theta_matches_dense_oracle(rng):
     for _ in range(50):
         h = random_hypergraph(rng)
         sp = theta(h)
-        assert np.max(np.abs(sp.to_dense() - dense_theta(h))) <= 1e-10
+        assert np.max(np.abs(to_dense(sp) - dense_theta(h))) <= 1e-10
 
 
 def test_theta_symmetry_and_zero_degree_rows(rng):
     for _ in range(20):
         h = random_hypergraph(rng)
-        t = theta(h).to_dense()
+        t = to_dense(theta(h))
         assert np.max(np.abs(t - t.T)) <= 1e-12
     h = build_hypergraph([[0, 1]], num_nodes=3)
-    t = theta(h).to_dense()
+    t = to_dense(theta(h))
     assert np.all(t[2] == 0) and np.all(t[:, 2] == 0)
 
 
@@ -150,9 +156,9 @@ def test_sparse_matvec_agrees_with_dense(rng):
         h = random_hypergraph(rng)
         sp = theta(h)
         x = rng.normal(size=(h.num_nodes, 3))
-        assert np.allclose(sp.dot_dense(x), sp.to_dense() @ x, atol=1e-12)
-        assert np.allclose(sp.t_dot_dense(x), sp.to_dense().T @ x, atol=1e-12)
-        assert np.allclose(sp.row_sums(), sp.to_dense().sum(axis=1), atol=1e-12)
+        assert np.allclose(sp.dot_dense(x), to_dense(sp) @ x, atol=1e-12)
+        assert np.allclose(sp.t_dot_dense(x), to_dense(sp).T @ x, atol=1e-12)
+        assert np.allclose(sp.row_sums(), to_dense(sp).sum(axis=1), atol=1e-12)
 
 
 def test_dual_swaps_roles():

@@ -4,6 +4,7 @@ reference readers: the same table or hypergraph, or the same error."""
 import gc
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from hypersub import dataio as D
 from hypersub import model as M
-from hypersub.errors import (CorruptCheckpoint, EmptySubgraph, MalformedLine,
-                             UnknownClass)
+from hypersub.errors import (CorruptCheckpoint, EmptySubgraph, InputDataError,
+                             MalformedLine, UnknownClass)
 from hypersub.hypergraph import build_hypergraph
 from hypersub.training import TrainConfig
 
@@ -22,7 +23,8 @@ from hypersub.training import TrainConfig
 
 def reference_load_subgraphs(source, catalog, class_vocab=None, skip_empty=False):
     """``load_subgraphs`` as a walk over the lines and their member tokens,
-    every check in the order the line is read."""
+    every check in the order the line is read, with each subject as a record
+    of names."""
     subjects = []
     seen_ids = set()
     seen_labels = set()
@@ -88,7 +90,7 @@ def reference_load_subgraphs(source, catalog, class_vocab=None, skip_empty=False
         subjects.append(D.SubjectRecord(sid, labels, genes, weights))
 
     vocab = list(class_vocab) if class_vocab is not None else sorted(seen_labels)
-    return D.SubgraphTable(subjects=subjects, class_vocab=vocab,
+    return SimpleNamespace(subjects=subjects, class_vocab=vocab,
                            dropped_genes=dropped, excluded_subjects=excluded)
 
 
@@ -217,6 +219,37 @@ def test_load_subgraphs_matches_the_line_walk(faults, data, vocab, skip_empty):
         assert _tables_equal(got[1], want[1])
     else:
         assert got[1] == want[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_subject_files(False), vocab=st.sampled_from([None, ["b", "a", "c"]]),
+       skip_empty=st.booleans())
+def test_resolved_columns_match_the_records_looked_up(text, vocab, skip_empty):
+    (status, table), (_, want) = (outcome(fn, text, CATALOG, vocab, skip_empty)
+                                  for fn in (D.load_subgraphs, reference_load_subgraphs))
+    if status == "error":   # a subject with no catalog gene of positive weight
+        assert table == want
+        return
+    if not want.subjects:
+        with pytest.raises(InputDataError, match="no subjects"):
+            D.resolve_subjects(table)
+        return
+    got = D.resolve_subjects(table)
+    col = {c: k for k, c in enumerate(want.class_vocab)}
+    labels = np.zeros((len(want.subjects), len(col)))
+    for k, r in enumerate(want.subjects):
+        labels[k, [col[lab] for lab in r.labels]] = 1.0
+    ref = M.SubgraphBatch.from_flat(
+        [CATALOG.gene_index[g] for r in want.subjects for g in r.genes],
+        [w for r in want.subjects for w in r.weights],
+        [len(r.genes) for r in want.subjects], labels,
+        [r.subject_id for r in want.subjects])
+    assert got.member_rows.dtype == ref.member_rows.dtype == np.intp
+    assert np.array_equal(got.member_rows, ref.member_rows)
+    assert got.member_weights.tobytes() == ref.member_weights.tobytes()
+    assert np.array_equal(got.groups.counts, ref.groups.counts)
+    assert np.array_equal(got.labels, ref.labels)
+    assert got.subject_ids == ref.subject_ids
 
 
 def test_load_subgraphs_names_the_first_of_several_faulty_lines():
