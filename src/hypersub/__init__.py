@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 from .hypergraph import Hypergraph, SparseMatrix, build_hypergraph, degrees, dual, theta
 from .kernel import Tensor, backward, grad_check
 from .model import ModelParams, SubgraphBatch, forward, init_model, subgraph_scores
-from .training import TrainConfig, TrainReport, grid_search, micro_f1, train
+from .training import TrainConfig, TrainReport, micro_f1, train
 
 __all__ = [
     "Hypergraph", "SparseMatrix", "build_hypergraph", "degrees", "dual", "theta",
     "Tensor", "backward", "grad_check",
     "ModelParams", "SubgraphBatch", "forward", "init_model", "subgraph_scores",
-    "TrainConfig", "TrainReport", "grid_search", "micro_f1", "train",
+    "TrainConfig", "TrainReport", "micro_f1", "train",
     "__version__",
 ]

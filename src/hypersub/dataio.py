@@ -36,24 +36,30 @@ CHECKPOINT_VERSION = 2          # the version written; version 1 is still read
 SECTIONS = ("config", "classes", "genes", "edges", "tensors")
 
 
+def _split_lines(text: str) -> list[str]:
+    """``text`` cut at the universal newlines \\n, \\r\\n and \\r only."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _lines(source) -> Iterable[tuple[int, str]]:
-    """Numbered lines of a text blob, os.PathLike path, or file-like object,
-    with blank and '#' comment lines removed. Plain strings are always text;
-    use pathlib.Path to read from disk; non-UTF-8 bytes raise MalformedLine."""
+    """Numbered lines of a text blob, os.PathLike path, or text or binary
+    file-like object, with blank and '#' comment lines removed. Plain strings
+    are always text; use pathlib.Path to read from disk; bytes that are not
+    UTF-8 raise MalformedLine."""
     if isinstance(source, os.PathLike):
         with open(source, "rb") as fh:
-            raw = fh.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as e:   # numbered as below; '.' ends the bad line
-            no = len((raw[:e.start].decode("utf-8") + ".").splitlines())
-            raise MalformedLine(no, f"not UTF-8 text ({e.reason} at byte {e.start})") from None
-    elif isinstance(source, str):
-        text = source
+            text = fh.read()
     else:
-        text = source.read()
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r\n")
+        text = source if isinstance(source, str) else source.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            no = len(_split_lines(text[:e.start].decode("utf-8")))
+            raise MalformedLine(no, f"not UTF-8 text ({e.reason} at byte {e.start})") from None
+    for no, line in enumerate(_split_lines(text), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         yield no, line

@@ -61,24 +61,8 @@ class Tensor:
         self._parents = ()
         self._grad_fn = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise NotScalar(f"tensor of shape {self.data.shape} is not a scalar")
-        return float(self.data.reshape(()))
-
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:

@@ -77,10 +77,6 @@ class ModelParams:
         return self.node_embeddings.data.shape[0]
 
     @property
-    def num_classes(self) -> int:
-        return self.head.out_weight.data.shape[1]
-
-    @property
     def num_layers(self) -> int:
         return len(self.layers)
 
@@ -290,7 +286,6 @@ class ForwardTrace:
     layers: list[LayerTrace] = field(default_factory=list)
     final_node_states: Tensor | None = None
     final_edge_states: Tensor | None = None
-    subgraph_attention: Tensor | None = None
 
 
 # ------------------------------------------------------------- forward pass
@@ -413,8 +408,7 @@ def subgraph_attention(node_states: Tensor, batch: SubgraphBatch,
 
 
 def subgraph_repr(node_states: Tensor, batch: SubgraphBatch,
-                  params: ModelParams,
-                  trace: ForwardTrace | None = None) -> Tensor:
+                  params: ModelParams) -> Tensor:
     """Pool member node states into one representation per subgraph.
 
     With subgraph attention enabled the pool is the attention-weighted sum;
@@ -425,8 +419,6 @@ def subgraph_repr(node_states: Tensor, batch: SubgraphBatch,
     else:
         attn = K.constant(np.ones_like(batch.member_weights),
                           dtype=node_states.data.dtype)
-    if trace is not None:
-        trace.subgraph_attention = attn
     return K.weighted_row_sum(node_states, attn, batch.by_row, batch.groups,
                               rectify=True)
 
@@ -495,12 +487,12 @@ class ForwardResult:
 
 def objective(x: Tensor, params: ModelParams, batch: SubgraphBatch, *,
               theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
-              training: bool = False, rng: np.random.Generator | None = None,
-              trace: ForwardTrace | None = None) -> ForwardResult:
+              training: bool = False, rng: np.random.Generator | None = None
+              ) -> ForwardResult:
     """The half of ``forward`` past the backbone: pooling of the final node
     states ``x``, head, and loss assembly, so that a caller holding the
     states scores them without another backbone pass."""
-    s = subgraph_repr(x, batch, params, trace=trace)
+    s = subgraph_repr(x, batch, params)
     z = classify(s, params, training=training, rng=rng)
     reg_value = None
     reg_float = 0.0
@@ -519,12 +511,12 @@ def objective(x: Tensor, params: ModelParams, batch: SubgraphBatch, *,
 
 def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
             theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
-            training: bool = False, rng: np.random.Generator | None = None,
-            trace: ForwardTrace | None = None) -> ForwardResult:
+            training: bool = False, rng: np.random.Generator | None = None
+            ) -> ForwardResult:
     """Full pass: backbone, then ``objective``."""
-    x = forward_backbone(h, params, training=training, rng=rng, trace=trace)
+    x = forward_backbone(h, params, training=training, rng=rng)
     return objective(x, params, batch, theta_sp=theta_sp, reg_weight=reg_weight,
-                     training=training, rng=rng, trace=trace)
+                     training=training, rng=rng)
 
 
 def scores_from_states(node_states: Tensor, params: ModelParams,

@@ -8,7 +8,7 @@ the planted hyperedges to separate the classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class SyntheticData:
     split: dict[str, str]
     class_names: list[str]
     planted_edges: dict[str, list[str]]  # class name -> its hyperedge names
-    subject_classes: dict[str, str] = field(default_factory=dict)
 
     def gmt_text(self) -> str:
         return serialize_gmt(self.catalog)
@@ -78,7 +77,6 @@ def make_synthetic(num_nodes: int = 200, num_edges: int = 20,
         edge_blocks.append(np.concatenate([block, extra]).astype(int))
 
     lines = []
-    subject_classes = {}
     subject_ids, label_keys = [], []
     for s in range(num_subjects):
         cname = class_names[s % num_classes]
@@ -97,7 +95,6 @@ def make_synthetic(num_nodes: int = 200, num_edges: int = 20,
         member_field = ",".join(f"{genes[g]}:{w:.6f}"
                                 for g, w in zip(chosen, weights))
         lines.append(f"{sid}\t{cname}\t{member_field}")
-        subject_classes[sid] = cname
         subject_ids.append(sid)
         label_keys.append(cname)
 
@@ -111,6 +108,4 @@ def make_synthetic(num_nodes: int = 200, num_edges: int = 20,
     split = stratified_split(subject_ids, label_keys, split_ratios, seed=seed)
     return SyntheticData(
         catalog=catalog, subgraph_lines=lines, split=split,
-        class_names=class_names, planted_edges=planted,
-        subject_classes=subject_classes,
-    )
+        class_names=class_names, planted_edges=planted)

@@ -1,12 +1,10 @@
-"""Training loop, optimizer, early stopping, evaluation metric, grid search."""
+"""Training loop, optimizer, early stopping and evaluation metric."""
 
 from __future__ import annotations
 
-import itertools
-import logging
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,8 +13,6 @@ from . import model as M
 from .errors import (EmptySplit, InvalidConfigValue, NumericalDivergence,
                      ShapeError)
 from .hypergraph import Hypergraph, theta
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -313,57 +309,3 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
     )
     return params, report
 
-
-# -------------------------------------------------------------- grid search
-
-@dataclass
-class GridPoint:
-    config: TrainConfig
-    mean_val_f1: float
-    std_val_f1: float
-    per_seed: dict[int, float] = field(default_factory=dict)
-
-
-@dataclass
-class GridSearchResult:
-    best: GridPoint
-    points: list[GridPoint]
-
-
-def grid_search(dataset, h: Hypergraph, grids: dict[str, list],
-                seeds: list[int], base: TrainConfig | None = None) -> GridSearchResult:
-    """Exhaustive search over the cartesian product of ``grids``.
-
-    Each combination trains once per seed; combinations are ranked by mean
-    validation micro-F1. Axis values are visited in ascending order and only
-    strict improvements replace the incumbent, so ties resolve toward the
-    smallest values (in particular the lowest learning rate).
-    """
-    if not grids or any(len(v) == 0 for v in grids.values()):
-        raise ValueError("grids must map at least one key to a non-empty list")
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    base = base or TrainConfig()
-    names = list(grids.keys())
-    valid = {f.name for f in fields(TrainConfig)}
-    for name in names:
-        if name not in valid:
-            raise ValueError(f"unknown config key {name!r}")
-
-    points: list[GridPoint] = []
-    best: GridPoint | None = None
-    for combo in itertools.product(*(sorted(grids[n]) for n in names)):
-        config = replace(base, **dict(zip(names, combo)))
-        per_seed = {}
-        for seed in seeds:
-            _, report = train(dataset, h, replace(config, seed=seed))
-            per_seed[seed] = report.metrics["micro_f1_val"]
-        values = np.array(list(per_seed.values()), dtype=np.float64)
-        point = GridPoint(config=config, mean_val_f1=float(values.mean()),
-                          std_val_f1=float(values.std()), per_seed=per_seed)
-        points.append(point)
-        logger.info("grid %s -> val micro-F1 %.4f +/- %.4f",
-                    dict(zip(names, combo)), point.mean_val_f1, point.std_val_f1)
-        if best is None or point.mean_val_f1 > best.mean_val_f1:
-            best = point
-    return GridSearchResult(best=best, points=points)

@@ -114,7 +114,7 @@ def test_a2_regularizer_oracle():
         dense = to_dense(t)
         brute = sum(dense[i, j] * float(((x[i] - x[j]) ** 2).sum())
                     for i in range(h.num_nodes) for j in range(h.num_nodes))
-        got = M.regularizer(K.constant(x), t).item()
+        got = float(M.regularizer(K.constant(x), t).data)
         worst = max(worst, abs(got - brute))
     dt = time.perf_counter() - t0
     verdict("A2", worst <= 1e-10 and dt < 10.0,

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hypersub import cli
@@ -496,10 +496,9 @@ def test_interpret_runs_one_backbone_pass(synth_dir, train_dir, tmp_path,
         I.correlation_tsv(corr, ckpt.edge_names).encode()
 
 
-# names as the text formats allow them: no tab, no line break, no surrogate
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# names as the text formats allow them: no tab, no \n or \r, no surrogate
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",),
-                              blacklist_characters="\t" + _LINE_BREAKS),
+                              blacklist_characters="\t\n\r"),
                 min_size=1, max_size=6)
 _BRACKETED = st.sampled_from(["[g1", "[payload]", "[edges]", "[genes] 2",
                               "[tensors", "[", "]["])
@@ -519,6 +518,7 @@ _EDGE = st.one_of(_BRACKETED, _TEXT).filter(
 @given(st.lists(_GENE, min_size=4, max_size=7, unique=True),
        st.lists(_EDGE, min_size=2, max_size=3, unique=True),
        st.lists(_CLASS, min_size=2, max_size=2, unique=True))
+@example(["a\u2028b", "c", "d", "e"], ["s\u2028t", "u"], ["x\u2028y", "z"])
 def test_names_round_trip_through_train_checkpoint_predict(genes, edges, classes):
     gmt = "".join(f"{name}\tdesc\t" + "\t".join(genes[j::len(edges)] + genes[:1]) + "\n"
                   for j, name in enumerate(edges))
@@ -552,7 +552,7 @@ def test_names_round_trip_through_train_checkpoint_predict(genes, edges, classes
         assert run(["predict", "--checkpoint", path, "--subgraphs", probe,
                     "--out", out]) == 0
         with open(out, encoding="utf-8") as fh:
-            header, row = fh.read().splitlines()
+            header, row = fh.read().rstrip("\n").split("\n")
         assert header.split("\t") == ["subject_id", *sorted(classes), "predicted"]
         assert row.split("\t")[0] == "p1"
 

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import pathlib
 import tempfile
 
@@ -61,21 +63,45 @@ READERS = {"gmt": (D.parse_gmt, GMT),
            "config": (D.parse_config, "hidden_dim = 8\nseed = 3\n")}
 
 
+def plain(value):
+    """A reader's result with its arrays as lists, so that == compares it."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 @pytest.mark.parametrize("reader", sorted(READERS))
 @pytest.mark.parametrize("bad, line", [(b"\xff", 1), (b"\xc3A", 1)])
 def test_readers_name_the_line_of_a_non_utf8_byte(tmp_path, reader, bad, line):
     fn, text = READERS[reader]
     path = tmp_path / "input.txt"
-    path.write_bytes(bad + b"\n" + text.encode())
-    with pytest.raises(MalformedLine, match="not UTF-8 text") as err:
-        fn(path)
-    assert err.value.line_no == line
+    first = bad + b"\n" + text.encode()
     # after a comment, a blank line and a CRLF line; mid-line in a UTF-8 file
-    path.write_bytes(b"# \xc3\xa9\n\r\n" + text.encode().replace(b"\n", b"\r\n", 1)
-                     + b"x\xe2\x82" + bad + b"\n")
-    with pytest.raises(MalformedLine) as err:
-        fn(path)
-    assert err.value.line_no == 3 + text.count("\n")
+    later = (b"# \xc3\xa9\n\r\n" + text.encode().replace(b"\n", b"\r\n", 1)
+             + b"x\xe2\x82" + bad + b"\n")
+    for data, want in [(first, line), (later, 3 + text.count("\n"))]:
+        path.write_bytes(data)
+        for source in (path, io.BytesIO(data)):
+            with pytest.raises(MalformedLine, match="not UTF-8 text") as err:
+                fn(source)
+            assert err.value.line_no == want
+    assert plain(fn(io.BytesIO(text.encode()))) == plain(fn(text))
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("char", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+def test_readers_split_lines_at_universal_newlines_only(reader, char):
+    # str.splitlines() also breaks at these; a line ends at \n, \r\n or \r
+    fn, text = READERS[reader]
+    for newline in ("\n", "\r\n", "\r"):
+        head = f"# note{char}more{newline}"
+        assert plain(fn(head + text)) == plain(fn(text))
+        with pytest.raises(MalformedLine) as err:
+            fn(head + text + "x\n")
+        assert err.value.line_no == 2 + text.count("\n")
+        with pytest.raises(MalformedLine, match="not UTF-8 text") as err:
+            fn(io.BytesIO((head + text).encode() + b"x\xff\n"))
+        assert err.value.line_no == 2 + text.count("\n")
 
 
 @settings(max_examples=60, deadline=None)

@@ -446,11 +446,11 @@ def test_regularizer_hand_values():
     t = SparseMatrix(2, 2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
                      np.full(4, 1.0 / 3.0))
     x = K.constant(np.array([[1.0], [0.0]]))
-    assert abs(M.regularizer(x, t).item() - 2.0 / 3.0) <= 1e-12
+    assert abs(float(M.regularizer(x, t).data) - 2.0 / 3.0) <= 1e-12
     same = K.constant(np.array([[2.0, 1.0], [2.0, 1.0]]))
     t2 = SparseMatrix(2, 2, np.array([0, 1]), np.array([1, 0]),
                       np.array([0.7, 0.7]))
-    assert abs(M.regularizer(same, t2).item()) <= 1e-12
+    assert abs(float(M.regularizer(same, t2).data)) <= 1e-12
 
 
 def test_regularizer_matches_pairwise_oracle(rng):
@@ -458,7 +458,7 @@ def test_regularizer_matches_pairwise_oracle(rng):
         h = random_hypergraph(rng, max_nodes=10)
         t = theta(h)
         x = rng.normal(size=(h.num_nodes, 4))
-        got = M.regularizer(K.constant(x), t).item()
+        got = float(M.regularizer(K.constant(x), t).data)
         assert abs(got - regularizer_oracle(x, to_dense(t))) <= 1e-10
 
 
@@ -466,10 +466,10 @@ def test_regularizer_diagonal_is_inert(rng):
     h = build_hypergraph([[0, 1, 2]])
     t = theta(h)
     x = rng.normal(size=(3, 2))
-    base = M.regularizer(K.constant(x), t).item()
+    base = float(M.regularizer(K.constant(x), t).data)
     boosted = SparseMatrix(t.rows, t.cols, t.row_idx, t.col_idx,
                            t.values + 5.0 * (t.row_idx == t.col_idx))
-    assert abs(M.regularizer(K.constant(x), boosted).item() - base) <= 1e-10
+    assert abs(float(M.regularizer(K.constant(x), boosted).data) - base) <= 1e-10
 
 
 # ------------------------------------------------------- subgraph attention
@@ -737,10 +737,10 @@ def test_loss_values_multiclass():
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     perfect = K.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
     total, ce = M.loss(perfect, y, "multiclass")
-    assert abs(total.item()) <= 1e-12
+    assert abs(float(total.data)) <= 1e-12
     uniform = K.constant(np.full((2, 2), 0.5))
     total, _ = M.loss(uniform, y, "multiclass")
-    assert abs(total.item() - 2.0 * np.log(2.0)) <= 1e-12
+    assert abs(float(total.data) - 2.0 * np.log(2.0)) <= 1e-12
     with pytest.raises(InvalidLabel):
         M.loss(uniform, np.array([[1.0, 0.0], [0.0, 0.0]]), "multiclass")
 
@@ -750,7 +750,7 @@ def test_loss_values_multilabel():
     z = K.constant(np.array([[0.8, 0.3]]))
     total, _ = M.loss(z, y, "multilabel")
     want = -(np.log(0.8) + np.log(0.7))
-    assert abs(total.item() - want) <= 1e-12
+    assert abs(float(total.data) - want) <= 1e-12
 
 
 def test_loss_includes_weighted_regularizer():
@@ -758,9 +758,9 @@ def test_loss_includes_weighted_regularizer():
     z = K.constant(np.array([[0.5, 0.5]]))
     reg = K.constant(3.0)
     total, ce = M.loss(z, y, "multiclass", reg_value=reg, reg_weight=2.0)
-    assert abs(total.item() - (ce.item() + 6.0)) <= 1e-12
+    assert abs(float(total.data) - (float(ce.data) + 6.0)) <= 1e-12
     total0, ce0 = M.loss(z, y, "multiclass", reg_value=reg, reg_weight=0.0)
-    assert total0.item() == ce0.item()
+    assert float(total0.data) == float(ce0.data)
 
 
 # ------------------------------------------------------------- equivariance

@@ -12,7 +12,7 @@ from hypersub.errors import (EmptySplit, InputDataError, InvalidConfigValue,
                              NumericalDivergence, ShapeError)
 from hypersub.synthetic import make_synthetic
 from hypersub.training import (AdamState, EarlyStopping, TrainConfig,
-                               adam_step, config_field_types, grid_search,
+                               adam_step, config_field_types,
                                micro_f1, predictions_from_scores, train)
 
 
@@ -307,40 +307,6 @@ def test_config_rejects_non_finite_floats(name, value):
     with pytest.raises(InvalidConfigValue) as info:
         replace(TrainConfig(), **{name: value}).validate()
     assert info.value.key == name and isinstance(info.value, InputDataError)
-
-
-# --------------------------------------------------------------- grid search
-
-def test_grid_search_prefers_lower_lr_on_ties():
-    ds, h = tiny_dataset()
-    grids = {"learning_rate": [0.005, 0.001]}
-    base = tiny_config(max_epochs=6)
-    result = grid_search(ds, h, grids, seeds=[1], base=base)
-    assert len(result.points) == 2
-    by_lr = {p.config.learning_rate: p.mean_val_f1 for p in result.points}
-    if by_lr[0.001] >= by_lr[0.005]:
-        assert result.best.config.learning_rate == 0.001
-    else:
-        assert result.best.config.learning_rate == 0.005
-
-
-def test_grid_search_repeated_seed_has_zero_std():
-    ds, h = tiny_dataset()
-    result = grid_search(ds, h, {"hidden_dim": [8]}, seeds=[4],
-                         base=tiny_config(max_epochs=4))
-    assert result.best.std_val_f1 == 0.0
-
-
-def test_grid_search_rejects_bad_input():
-    ds, h = tiny_dataset()
-    with pytest.raises(ValueError):
-        grid_search(ds, h, {}, seeds=[1])
-    with pytest.raises(ValueError):
-        grid_search(ds, h, {"learning_rate": []}, seeds=[1])
-    with pytest.raises(ValueError):
-        grid_search(ds, h, {"not_a_key": [1]}, seeds=[1])
-    with pytest.raises(ValueError):
-        grid_search(ds, h, {"hidden_dim": [8]}, seeds=[])
 
 
 def test_train_runs_one_training_and_one_validation_pass_per_epoch(monkeypatch):
