@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyHyperedge, InvalidWeight, IsolatedNode
+from .errors import EmptyHyperedge, InvalidWeight, IsolatedNode, ShapeError
 from .kernel import Segments
 
 
@@ -143,6 +143,26 @@ def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
     keys = np.sort(edge_of * span + node_of)
     keys = keys[np.diff(keys, prepend=-1) != 0]
     return Hypergraph(num_nodes, num_edges, keys // span, keys % span, weights)
+
+
+def restrict_to_nodes(h: Hypergraph, rows) -> Hypergraph:
+    """The incidence pairs of the node ``rows`` (any order, repeats
+    allowed), as a hypergraph over the same nodes and edges, with the same
+    weights: pairs keep their order, edges may be empty and every other
+    node holds an empty group. ``h`` itself when that is every pair. A row
+    outside the nodes raises ShapeError. Built for the node side of message
+    passing alone; an edge softmax over it would see only part of an edge.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size and not 0 <= rows.min() <= rows.max() < h.num_nodes:
+        raise ShapeError(f"node rows must lie in [0, {h.num_nodes})")
+    read = np.zeros(h.num_nodes, dtype=bool)
+    read[rows] = True
+    keep = read[h.node_of_pair]
+    if keep.all():
+        return h
+    return Hypergraph(h.num_nodes, h.num_edges, h.edge_of_pair[keep],
+                      h.node_of_pair[keep], h.edge_weights)
 
 
 def degrees(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:

@@ -102,12 +102,15 @@ def _top(scores: np.ndarray, top_k: int, names: list[str]) -> list[tuple[str, fl
 
 def class_enrichment(params: M.ModelParams, h: Hypergraph,
                      batch: M.SubgraphBatch, class_vocab: list[str],
-                     top_k: int, edge_names: list[str] | None = None,
+                     top_k: int, edge_names: list[str],
                      trace: M.ForwardTrace | None = None) -> EnrichmentReport:
+    """Each class's ``top_k`` hyperedges by ``class_edge_scores``, named by
+    ``edge_names``, one name per hyperedge."""
+    if len(edge_names) != h.num_edges:
+        raise ShapeError(f"{len(edge_names)} edge names for {h.num_edges} hyperedges")
     scores = class_edge_scores(params, h, batch, list(range(len(class_vocab))),
                                trace=trace)
-    names = edge_names or [str(j) for j in range(h.num_edges)]
-    rankings = {cname: _top(row, top_k, names)
+    rankings = {cname: _top(row, top_k, edge_names)
                 for cname, row in zip(class_vocab, scores)}
     return EnrichmentReport(classes=list(class_vocab), rankings=rankings,
                             aggregation=AGGREGATION_RULE,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel as K
 from .errors import InvalidLabel, ShapeError
-from .hypergraph import Hypergraph, SparseMatrix
+from .hypergraph import Hypergraph, SparseMatrix, restrict_to_nodes
 from .kernel import Tensor
 
 
@@ -347,30 +347,44 @@ def node_update(h: Hypergraph, scores: Tensor, edge_states: Tensor,
 def forward_backbone(h: Hypergraph, params: ModelParams, *,
                      training: bool = False,
                      rng: np.random.Generator | None = None,
-                     trace: ForwardTrace | None = None) -> Tensor:
+                     trace: ForwardTrace | None = None,
+                     reads: Hypergraph | None = None) -> Tensor:
     """Run all message passing layers; returns final node states (N, d).
 
     Each update draws its own dropout mask, the edge update's first. The
     last layer's edge update runs only for a ``trace``, which keeps its
     edge states: nothing else reads them. Without one, a training pass
     still draws that update's mask, so the rng ends in the same state
-    either way."""
+    either way.
+
+    ``reads``, the pairs of the rows the caller reads
+    (``hypergraph.restrict_to_nodes``), runs the last layer's scores and
+    node update over those pairs alone: the read rows get the bits of the
+    full pass, every other row comes out zero, and the rng ends in the same
+    state, since the pooling still draws a mask over every row. A
+    ``trace`` reads every pair, so it takes the full pass."""
     if h.num_nodes != params.num_nodes:
         raise ShapeError("hypergraph and embeddings disagree on node count")
     rate = params.dropout_rate if training else 0.0
     if rate and rng is None:
         raise ValueError("training with dropout needs an rng")
+    if reads is None or trace is not None:
+        reads = h
+    elif (reads.num_nodes, reads.num_edges) != (h.num_nodes, h.num_edges):
+        raise ShapeError("read pairs and hypergraph disagree on nodes or edges")
+    last = params.num_layers - 1
     hn = params.node_embeddings
     he = init_edge_states(h, hn)
     for k, layer in enumerate(params.layers):
-        scores = dual_attention_scores(h, hn, he, layer, params.leaky_slope)
-        if trace is not None or k < params.num_layers - 1:
+        graph = reads if k == last else h
+        scores = dual_attention_scores(graph, hn, he, layer, params.leaky_slope)
+        if trace is not None or k < last:
             he_next, a_edge = edge_update(h, scores, hn, rate, rng)
         else:   # the last edge states reach no later layer; only a trace reads them
             he_next = None
             if rate:   # draw the skipped mask, so the rng ends where it would
                 K.keep_mask((h.num_edges, params.hidden_dim), rate, rng)
-        hn_next, a_node = node_update(h, scores, he, rate, rng)
+        hn_next, a_node = node_update(graph, scores, he, rate, rng)
         if trace is not None:
             trace.layers.append(LayerTrace(scores, a_edge, a_node))
         hn, he = hn_next, he_next
@@ -511,10 +525,12 @@ def objective(x: Tensor, params: ModelParams, batch: SubgraphBatch, *,
 
 def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
             theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
-            training: bool = False, rng: np.random.Generator | None = None
-            ) -> ForwardResult:
-    """Full pass: backbone, then ``objective``."""
-    x = forward_backbone(h, params, training=training, rng=rng)
+            training: bool = False, rng: np.random.Generator | None = None,
+            reads: Hypergraph | None = None) -> ForwardResult:
+    """Full pass: backbone, then ``objective``. ``reads`` goes to the
+    backbone; it must hold the batch's rows, and every row when the
+    regularizer is on."""
+    x = forward_backbone(h, params, training=training, rng=rng, reads=reads)
     return objective(x, params, batch, theta_sp=theta_sp, reg_weight=reg_weight,
                      training=training, rng=rng)
 
@@ -531,7 +547,10 @@ def scores_from_states(node_states: Tensor, params: ModelParams,
 
 def subgraph_scores(h: Hypergraph, params: ModelParams,
                     batch: SubgraphBatch) -> np.ndarray:
-    """Evaluation-mode class scores for a batch, as a plain array."""
+    """Evaluation-mode class scores for a batch, as a plain array. The
+    backbone's last layer runs over the pairs of the batch's member rows
+    alone, which gives those rows the bits of a full pass."""
+    reads = restrict_to_nodes(h, batch.by_row.nonempty)
     with K.no_grad():
-        x = forward_backbone(h, params, training=False)
+        x = forward_backbone(h, params, training=False, reads=reads)
     return scores_from_states(x, params, batch)

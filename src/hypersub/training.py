@@ -12,7 +12,7 @@ from . import kernel as K
 from . import model as M
 from .errors import (EmptySplit, InvalidConfigValue, NumericalDivergence,
                      ShapeError)
-from .hypergraph import Hypergraph, theta
+from .hypergraph import Hypergraph, restrict_to_nodes, theta
 
 
 @dataclass
@@ -206,6 +206,10 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
     evaluation mode for the validation loss. The evaluation-mode node states
     of the best epoch are kept with its parameters, and every split's final
     metric is scored from them, so no backbone pass follows the last epoch.
+    With the regularizer off, nothing reads a node state outside the
+    subjects' member rows, so the backbone's last layer runs over the pairs
+    of the train split's rows in a step and of every split's rows in the
+    evaluation pass; with it on, every pass runs over every pair.
 
     ``dataset`` provides indices("train"|"val"|"test") and batch(indices);
     see dataio.SubgraphDataset. Deterministic for a fixed config and seed.
@@ -230,8 +234,19 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
     M.incidence_pairs(h)   # build the segment layouts once, before epoch 1
     # built once per run and reused every epoch, and only when it is used
     theta_sp = theta(h) if config.reg_weight != 0.0 else None
-    train_batch = dataset.batch(train_idx)
-    val_batch = dataset.batch(val_idx)
+    # the final metrics score every split from the best epoch's states
+    batches = {"train": dataset.batch(train_idx), "val": dataset.batch(val_idx)}
+    test_idx = dataset.indices("test")
+    if test_idx.size:
+        batches["test"] = dataset.batch(test_idx)
+    train_batch, val_batch = batches["train"], batches["val"]
+    # the regularizer reads every row; without it a pass reads only the
+    # rows of its batches, and a minibatch chunk's rows are train rows
+    step_reads = eval_reads = None
+    if config.reg_weight == 0.0:
+        step_reads = restrict_to_nodes(h, train_batch.by_row.nonempty)
+        eval_reads = restrict_to_nodes(h, np.concatenate(
+            [b.by_row.nonempty for b in batches.values()]))
     tensors = params.parameters()
 
     stopper = EarlyStopping(config.patience)
@@ -257,7 +272,8 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
                 batch = train_batch.subset(chunk)
                 reg_weight = config.reg_weight * len(chunk) / len(train_batch)
             res = M.forward(h, params, batch, theta_sp=theta_sp,
-                            reg_weight=reg_weight, training=True, rng=rng)
+                            reg_weight=reg_weight, training=True, rng=rng,
+                            reads=step_reads)
             if not np.isfinite(res.total_loss.data):
                 raise NumericalDivergence(f"training loss non-finite at epoch {epoch}")
             for t in tensors:
@@ -270,7 +286,8 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
         train_losses.append(ce_sum + config.reg_weight * reg_last)
 
         with K.no_grad():
-            node_states = M.forward_backbone(h, params, training=False)
+            node_states = M.forward_backbone(h, params, training=False,
+                                             reads=eval_reads)
         monitored, total_val = _epoch_val_loss(node_states, params, val_batch,
                                                theta_sp, config)
         # a finite epoch 1 always improves on the initial infinity, so the
@@ -288,10 +305,6 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
         t.data[...] = saved
 
     # the best epoch's validation pass scores every split
-    batches = {"train": train_batch, "val": val_batch}
-    test_idx = dataset.indices("test")
-    if test_idx.size:
-        batches["test"] = dataset.batch(test_idx)
     metrics: dict[str, float] = {}
     for split, batch in batches.items():
         scores = M.scores_from_states(best_states, params, batch)

@@ -99,9 +99,21 @@ def test_rank_top_k_clamps():
                             labels=one_hot([0], 2))
 
     def top(k):
-        return I.class_enrichment(params, h, batch, ["c0"], top_k=k).rankings["c0"]
+        return I.class_enrichment(params, h, batch, ["c0"], top_k=k,
+                                  edge_names=["e0", "e1"]).rankings["c0"]
     assert len(top(99)) == 2
     assert top(0) == []
+
+
+def test_enrichment_needs_a_name_per_hyperedge():
+    h = build_hypergraph([[0, 1], [1, 2]])
+    params = make_model(h, np.random.default_rng(3))
+    batch = M.SubgraphBatch(members=[np.array([1])],
+                            weights=[np.array([1.0])],
+                            labels=one_hot([0], 2))
+    for names in (["e0"], ["e0", "e1", "e2"]):
+        with pytest.raises(ShapeError, match="edge names for 2 hyperedges"):
+            I.class_enrichment(params, h, batch, ["c0"], 1, edge_names=names)
 
 
 def test_ablated_model_uses_uniform_member_attention():
@@ -130,7 +142,8 @@ def test_member_past_the_last_node_is_rejected(attention, traced):
     with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
         I.class_edge_scores(params, h, batch, 0, trace=trace)
     with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
-        I.class_enrichment(params, h, batch, ["c0", "c1"], 2, trace=trace)
+        I.class_enrichment(params, h, batch, ["c0", "c1"], 2,
+                           edge_names=["e0", "e1"], trace=trace)
 
 
 def test_enrichment_report_covers_all_classes():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.errors import GraphConsumed, InvalidLabel, ShapeError
-from hypersub.hypergraph import SparseMatrix, build_hypergraph, dual, theta
+from hypersub.hypergraph import (SparseMatrix, build_hypergraph, dual,
+                                 restrict_to_nodes, theta)
 
 from conftest import (group_positions, memberships, random_hypergraph,
                       to_dense, traced_memory)
@@ -155,6 +156,60 @@ def test_untraced_backbone_skips_only_the_last_edge_update(monkeypatch, rng, tra
     assert untraced.data.tobytes() == traced.data.tobytes()
     assert gens[0].bit_generator.state == gens[1].bit_generator.state
     assert len(calls) == params.num_layers - 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data(), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]), st.booleans(), st.booleans())
+def test_backbone_over_read_rows_matches_the_full_pass(seed, data, num_layers, dtype,
+                                                      attention, training):
+    gen = np.random.default_rng(seed)
+    h = random_hypergraph(gen, max_nodes=10, max_edges=5)
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1),
+                                             min_size=1))))
+    unread = np.setdiff1d(np.arange(h.num_nodes), rows)
+    params = M.init_model(h.num_nodes, 4, num_layers, 3, gen, dropout_rate=0.3,
+                          use_subgraph_attention=attention, dtype=dtype)
+    reads = restrict_to_nodes(h, rows)
+    gens = [np.random.default_rng(seed) for _ in range(2)]
+    with K.no_grad():
+        full = M.forward_backbone(h, params, training=training, rng=gens[0]).data
+        part = M.forward_backbone(h, params, training=training, rng=gens[1],
+                                  reads=reads).data
+    assert part[rows].tobytes() == full[rows].tobytes()
+    assert not part[unread].any()
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+    if dtype is not np.float64:
+        return
+
+    # with no regularizer the loss reads the batch's rows alone, so every
+    # parameter gradient is the full pass's up to summation order; measured
+    # against the largest gradient entry, because a gradient that is zero in
+    # exact arithmetic comes out as rounding residue of that scale
+    batch = toy_batch(np.array_split(rows, (rows.size + 2) // 3), 3)
+    tensors = params.parameters()
+    grads = []
+    for r in (None, reads):
+        res = M.forward(h, params, batch, training=training,
+                        rng=np.random.default_rng(seed), reads=r)
+        for t in tensors:
+            t.zero_grad()
+        grads.append(K.backward(res.total_loss, tensors))
+    scale = max(np.max(np.abs(g), initial=0.0) for g in grads[0])
+    for (name, _), a, b in zip(params.named_parameters(), *grads):
+        assert np.max(np.abs(b - a), initial=0.0) <= 1e-12 * scale, name
+
+
+def test_restriction_keeps_the_pairs_of_its_rows_and_rejects_others():
+    h = build_hypergraph([[0, 1], [1, 2]])
+    for rows in ([3], [-1], [0, 3]):
+        with pytest.raises(ShapeError):
+            restrict_to_nodes(h, rows)
+    assert restrict_to_nodes(h, [2, 0, 1, 1]) is h
+    part = restrict_to_nodes(h, [2, 2])
+    assert part.edge_of_pair.tolist() == [1] and part.node_of_pair.tolist() == [2]
+    assert part.by_edge.counts.tolist() == [0, 1]
+    assert part.by_node.counts.tolist() == [0, 0, 1]
 
 
 def test_attention_matches_oracle_per_pair(rng):

@@ -10,6 +10,7 @@ from hypersub import model as M
 from hypersub.dataio import build_dataset, load_subgraphs
 from hypersub.errors import (EmptySplit, InputDataError, InvalidConfigValue,
                              NumericalDivergence, ShapeError)
+from hypersub.hypergraph import restrict_to_nodes
 from hypersub.synthetic import make_synthetic
 from hypersub.training import (AdamState, EarlyStopping, TrainConfig,
                                adam_step, config_field_types,
@@ -326,6 +327,38 @@ def test_train_runs_one_training_and_one_validation_pass_per_epoch(monkeypatch):
     _, report = train(ds, h, tiny_config(max_epochs=epochs, patience=epochs))
     assert report.epochs_run == epochs
     assert calls == [True, False] * epochs
+
+
+@pytest.mark.parametrize("reg_weight", [0.0, 0.5])
+def test_only_an_unregularized_run_restricts_the_backbone(monkeypatch, reg_weight):
+    # the regularizer reads every node state, so with it on no pass may
+    # leave a row out; without it a step reads the train rows and the
+    # evaluation pass the rows of every split
+    calls = []
+    original = M.forward_backbone
+
+    def spying(*args, **kwargs):
+        calls.append((kwargs.get("training", False), kwargs.get("reads")))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(M, "forward_backbone", spying)
+    ds, h = tiny_dataset(subjects=12)
+    epochs = 2
+    train(ds, h, tiny_config(max_epochs=epochs, patience=epochs, batch_size=2,
+                             reg_weight=reg_weight))
+    # 4 train subjects in chunks of 2: two steps per epoch
+    assert [training for training, _ in calls] == [True, True, False] * epochs
+    if reg_weight:
+        assert all(reads is None for _, reads in calls)
+        return
+    splits = {s: ds.batch(ds.indices(s)).by_row.nonempty for s in ("train", "val", "test")}
+    step = restrict_to_nodes(h, splits["train"])
+    every = restrict_to_nodes(h, np.concatenate(list(splits.values())))
+    assert step is not h
+    for training, reads in calls:
+        want = step if training else every
+        assert reads.node_of_pair.tobytes() == want.node_of_pair.tobytes()
+        assert reads.edge_of_pair.tobytes() == want.edge_of_pair.tobytes()
 
 
 def test_final_metrics_match_per_split_scores():
