@@ -15,7 +15,7 @@ import numpy as np
 from . import kernel as K
 from . import model as M
 from .errors import EmptyClass, ShapeError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, restrict_to_nodes
 
 AGGREGATION_RULE = ("subject attention distributed over incident hyperedges "
                     "by final-layer node attention, summed per class and "
@@ -43,12 +43,17 @@ def _member_attention(node_states, batch, params):
     return batch.groups.expand(share)
 
 
-def backbone_trace(params: M.ModelParams, h: Hypergraph) -> M.ForwardTrace:
+def backbone_trace(params: M.ModelParams, h: Hypergraph,
+                   rows=None) -> M.ForwardTrace:
     """One evaluation-mode backbone pass, recorded; every view below can
-    take it as ``trace`` instead of running its own."""
+    take it as ``trace`` instead of running its own. Given node ``rows``,
+    the last layer runs over their pairs alone (``restrict_to_nodes``):
+    those rows get the bits of the full pass, and the trace holds no final
+    edge states."""
     trace = M.ForwardTrace()
+    reads = None if rows is None else restrict_to_nodes(h, rows)
     with K.no_grad():
-        M.forward_backbone(h, params, training=False, trace=trace)
+        M.forward_backbone(h, params, training=False, trace=trace, reads=reads)
     return trace
 
 
@@ -61,7 +66,9 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
     the per-node edge mixture sums to one), so the returned vector sums to 1
     whenever every member node touches at least one hyperedge. A sequence of
     class indices gives one row per class from a single backbone pass, or
-    from ``trace`` when given.
+    from ``trace`` when given. The pass of its own runs the last layer over
+    the pairs of the batch's member rows alone; a ``trace`` must cover every
+    pair of those rows in its last layer, as a full one does.
     """
     if len(batch.by_row) > h.num_nodes:
         raise ShapeError(f"subgraph batch has {len(batch.by_row)} member rows "
@@ -73,24 +80,38 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
         empty = int(classes[np.flatnonzero(sizes == 0)[0]])
         raise EmptyClass(f"no subjects carry class index {empty}")
 
+    rows = batch.by_row.nonempty
     if trace is None:
-        trace = backbone_trace(params, h)
+        trace = backbone_trace(params, h, rows)
+    pairs = trace.last_pairs
+    if pairs is None or pairs.num_nodes != h.num_nodes:
+        raise ShapeError("trace does not record the pairs of its last layer "
+                         f"over {h.num_nodes} nodes")
+    missing = rows[pairs.by_node.counts[rows] != h.by_node.counts[rows]]
+    if missing.size:
+        raise ShapeError(f"trace's last layer misses the pairs of member row "
+                         f"{missing[0]}")
     with K.no_grad():
         member_attn = _member_attention(trace.final_node_states, batch, params)
-    node_attn = trace.layers[-1].node_attention.data
 
     # member attention summed per (class, node), then spread over each
-    # node's incident edges by its final-layer attention
+    # member node's incident edges by its final-layer attention; the pairs
+    # of the other nodes would carry no mass, adding exactly +0.0 to a sum
+    read = np.zeros(h.num_nodes, dtype=bool)
+    read[rows] = True
+    at = np.flatnonzero(read[pairs.node_of_pair])
+    node_attn = trace.layers[-1].node_attention.data[at]
     c = classes.size
     mass = carries[batch.groups.ids] * member_attn[:, None].astype(np.float64)
     node_mass = np.bincount(
         (np.arange(c) * h.num_nodes + batch.member_rows[:, None]).ravel(),
         weights=mass.ravel(), minlength=c * h.num_nodes).reshape(c, h.num_nodes)
-    flow = node_mass[:, h.node_of_pair] * node_attn
+    flow = node_mass[:, pairs.node_of_pair[at]] * node_attn
+    # not in place: a bincount over no pairs at all comes back as integers
     scores = np.bincount(
-        (np.arange(c)[:, None] * h.num_edges + h.edge_of_pair).ravel(),
-        weights=flow.ravel(), minlength=c * h.num_edges).reshape(c, h.num_edges)
-    scores /= sizes[:, None]
+        (np.arange(c)[:, None] * h.num_edges + pairs.edge_of_pair[at]).ravel(),
+        weights=flow.ravel(), minlength=c * h.num_edges
+    ).reshape(c, h.num_edges) / sizes[:, None]
     return scores if np.ndim(class_index) else scores[0]
 
 
@@ -120,9 +141,14 @@ def class_enrichment(params: M.ModelParams, h: Hypergraph,
 def hyperedge_correlation(params: M.ModelParams, h: Hypergraph,
                           trace: M.ForwardTrace | None = None) -> np.ndarray:
     """Pairwise cosine similarity of final-layer hyperedge states, from
-    ``trace`` when given."""
+    ``trace`` when given, or else from a full pass of its own: every
+    hyperedge state reads every pair. A trace restricted to read rows holds
+    no edge states and raises ShapeError."""
     if trace is None:
         trace = backbone_trace(params, h)
+    if trace.final_edge_states is None:
+        raise ShapeError("trace holds no final edge states: its last layer "
+                         "ran over the read rows alone")
     return cosine_matrix(trace.final_edge_states.data.astype(np.float64))
 
 

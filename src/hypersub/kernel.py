@@ -352,9 +352,11 @@ class SegmentPlan(NamedTuple):
     last position) at a padding slot, and ``source`` the same with every
     padding slot at its group's first position. ``buckets`` holds
     ``(width, first group, end group, first slot)`` per bucket, in
-    ascending width."""
+    ascending width. ``rank`` holds the place of each walked group in the
+    layout's ``nonempty``."""
 
     groups: np.ndarray
+    rank: np.ndarray
     padded: np.ndarray
     source: np.ndarray
     buckets: list[tuple[int, int, int, int]]
@@ -447,18 +449,19 @@ class Segments:
         padded[slots] = pos
         lo = np.flatnonzero(np.diff(width, prepend=0))   # each bucket's first group
         hi = np.append(lo[1:], width.size)
-        return SegmentPlan(groups, padded, source,
+        return SegmentPlan(groups, by, padded, source,
                            list(zip(width[lo].tolist(), lo.tolist(), hi.tolist(),
                                     first[lo].tolist())))
 
     def gather_sum(self, x: np.ndarray, weights: np.ndarray | None = None,
                    rows: np.ndarray | None = None, length: int | None = None,
-                   dot: np.ndarray | None = None):
+                   dot: np.ndarray | None = None, compact: bool = False):
         """Fused gather-scale-reduce: ``out[k] = sum over p in group k of
         weights[p] * x[rows[p]]``, for a 2-D ``x``. ``weights`` default to
         one and ``rows`` to the positions themselves; empty groups give
         zeros, and ``length`` pads the result with zero rows past the last
-        group.
+        group. ``compact`` returns the rows of the groups in ``nonempty``
+        alone, in its order.
 
         Given ``dot``, a 2-D array with a row per group, it returns
         ``(out, dots)`` with ``dots[p] = x[rows[p]] @ dot[k]`` for p in group
@@ -528,8 +531,12 @@ class Segments:
                 if dot is not None:
                     dots[plan.padded[p]] = np.matmul(
                         block, dot[plan.groups[k:k + m], :, None]).reshape(-1)
-        out = np.zeros((length, d), dtype=dtype)
-        out[plan.groups] = sums[:, 0]
+        if compact:
+            out = np.empty((plan.groups.size, d), dtype=dtype)
+            out[plan.rank] = sums[:, 0]
+        else:
+            out = np.zeros((length, d), dtype=dtype)
+            out[plan.groups] = sums[:, 0]
         return out if dot is None else (out, dots[:-1])
 
 
@@ -628,8 +635,17 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
             other(x, table[:, d:], out=table[:, d:])
             return table
 
+        # rows of tn that no pair reads take no part: their table rows are
+        # never built, and their gradient is +0.0
+        read = by_node.nonempty
+        part = read.size < tnd.shape[0]
         if te.requires_grad or context.requires_grad:
-            at_edge = by_edge.gather_sum(split(tnd), g, n, ted.shape[0])
+            if part:
+                rank = np.zeros(tnd.shape[0], dtype=np.intp)
+                rank[read] = np.arange(read.size)
+                at_edge = by_edge.gather_sum(split(tnd[read]), g, rank[n], ted.shape[0])
+            else:
+                at_edge = by_edge.gather_sum(split(tnd), g, n, ted.shape[0])
             if te.requires_grad:
                 _accum(te, _dstate(ted, at_edge, ctx))
             if context.requires_grad:
@@ -637,24 +653,46 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
                     + np.minimum(ted, 0) * at_edge[:, d:]
                 _accum(context, dc.sum(axis=0)[:, None])
         if tn.requires_grad:
-            at_node = by_node.gather_sum(split(ted), g, e, tnd.shape[0])
-            _accum(tn, _dstate(tnd, at_node, ctx))
+            if part:   # the read rows' gradient first: its temporaries go before the zeros come
+                at_node = by_node.gather_sum(split(ted), g, e, compact=True)
+                dread = _dstate(tnd, at_node, ctx, read)
+                dtn = np.zeros_like(tnd)
+                dtn[read] = dread
+                _accum(tn, dtn)
+            else:
+                at_node = by_node.gather_sum(split(ted), g, e, tnd.shape[0])
+                _accum(tn, _dstate(tnd, at_node, ctx))
 
     return _result(out, (te, tn, context), grad_fn)
 
 
-def _dstate(x: np.ndarray, sums: np.ndarray, context: np.ndarray) -> np.ndarray:
+def _dstate(x: np.ndarray, sums: np.ndarray, context: np.ndarray,
+            rows: np.ndarray | None = None) -> np.ndarray:
     """The gradient of the states ``x`` from their [L+, L-] sums: the L+
     half where a state is positive, the L- half where it is negative and
     the mean of both at an exact zero, scaled by the context column. One
-    ``np.where`` picks the side; the mean is taken at the zeros alone."""
+    ``np.where`` picks the side; the mean is taken at the zeros alone.
+
+    Given ``rows``, ``sums`` holds one row per entry of ``rows`` and the
+    gradient is of the states ``x[rows]``; it is picked in place, into the
+    L+ half of ``sums``, and returned as a view of it, so that no other
+    array of that size is made beside the sums."""
     d = x.shape[1]
     pos, neg = sums[:, :d], sums[:, d:]
-    out = np.where(x > 0, pos, neg)
+    if rows is not None:
+        x = x[rows]
     zero = x == 0
-    if zero.any():
-        half = out.dtype.type(0.5)
-        out[zero] = half * pos[zero] + half * neg[zero]
+    mean = None
+    if zero.any():   # taken before an in-place pick overwrites the L+ half
+        half = sums.dtype.type(0.5)
+        mean = half * pos[zero] + half * neg[zero]
+    if rows is None:
+        out = np.where(x > 0, pos, neg)
+    else:
+        out = pos
+        np.copyto(out, neg, where=np.logical_not(x > 0))
+    if mean is not None:
+        out[zero] = mean
     out *= context[:, 0]
     return out
 

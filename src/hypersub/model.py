@@ -277,15 +277,22 @@ class SubgraphBatch:
 @dataclass
 class LayerTrace:
     scores: Tensor
-    edge_attention: Tensor
+    edge_attention: Tensor | None
     node_attention: Tensor
 
 
 @dataclass
 class ForwardTrace:
+    """What a backbone pass ran, layer by layer. ``last_pairs`` holds the
+    pairs the last layer's scores and node attention cover: the hypergraph
+    itself, or the ``reads`` the pass was restricted to. A restricted pass
+    runs no last edge update, so its last ``edge_attention`` and the
+    ``final_edge_states`` stay None."""
+
     layers: list[LayerTrace] = field(default_factory=list)
     final_node_states: Tensor | None = None
     final_edge_states: Tensor | None = None
+    last_pairs: Hypergraph | None = None
 
 
 # ------------------------------------------------------------- forward pass
@@ -352,23 +359,24 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
     """Run all message passing layers; returns final node states (N, d).
 
     Each update draws its own dropout mask, the edge update's first. The
-    last layer's edge update runs only for a ``trace``, which keeps its
-    edge states: nothing else reads them. Without one, a training pass
-    still draws that update's mask, so the rng ends in the same state
-    either way.
+    last layer's edge update runs only for a ``trace`` taken without
+    ``reads``, which keeps its edge states: nothing else reads them.
+    Otherwise a training pass still draws that update's mask, so the rng
+    ends in the same state either way.
 
     ``reads``, the pairs of the rows the caller reads
     (``hypergraph.restrict_to_nodes``), runs the last layer's scores and
     node update over those pairs alone: the read rows get the bits of the
     full pass, every other row comes out zero, and the rng ends in the same
-    state, since the pooling still draws a mask over every row. A
-    ``trace`` reads every pair, so it takes the full pass."""
+    state, since the pooling still draws a mask over every row. A ``trace``
+    records whatever the pass ran, and the pairs its last layer covered."""
     if h.num_nodes != params.num_nodes:
         raise ShapeError("hypergraph and embeddings disagree on node count")
     rate = params.dropout_rate if training else 0.0
     if rate and rng is None:
         raise ValueError("training with dropout needs an rng")
-    if reads is None or trace is not None:
+    full_trace = trace is not None and reads is None
+    if reads is None:
         reads = h
     elif (reads.num_nodes, reads.num_edges) != (h.num_nodes, h.num_edges):
         raise ShapeError("read pairs and hypergraph disagree on nodes or edges")
@@ -378,10 +386,10 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
     for k, layer in enumerate(params.layers):
         graph = reads if k == last else h
         scores = dual_attention_scores(graph, hn, he, layer, params.leaky_slope)
-        if trace is not None or k < last:
+        if k < last or full_trace:
             he_next, a_edge = edge_update(h, scores, hn, rate, rng)
-        else:   # the last edge states reach no later layer; only a trace reads them
-            he_next = None
+        else:   # the last edge states reach no later layer; only a full trace reads them
+            he_next = a_edge = None
             if rate:   # draw the skipped mask, so the rng ends where it would
                 K.keep_mask((h.num_edges, params.hidden_dim), rate, rng)
         hn_next, a_node = node_update(graph, scores, he, rate, rng)
@@ -391,6 +399,7 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
     if trace is not None:
         trace.final_node_states = hn
         trace.final_edge_states = he
+        trace.last_pairs = reads
     return hn
 
 

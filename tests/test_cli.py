@@ -465,35 +465,42 @@ def test_usage_error_exits_2():
 
 def test_interpret_runs_one_backbone_pass(synth_dir, train_dir, tmp_path,
                                           monkeypatch):
-    calls = []
-    original = M.forward_backbone
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(M, "forward_backbone", counting)
-    code = run(["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
-                "--subgraphs", str(synth_dir / "subgraphs.tsv"),
-                "--top-k", "3", "--out", str(tmp_path)])
-    assert code == 0
-    assert len(calls) == 1
-    monkeypatch.undo()
-
-    # each view on a backbone pass of its own writes the same bytes
+    # the whole cohort reads every gene; one subject per class leaves genes
+    # unread, so the view's own pass runs its last layer over part of them
+    lines = (synth_dir / "subgraphs.tsv").read_text().splitlines(keepends=True)
+    firsts = {line.split("\t")[1]: line for line in reversed(lines)}
+    part = tmp_path / "part.tsv"
+    part.write_text("".join(sorted(firsts.values())))
     ckpt = load_checkpoint(train_dir / "model.ckpt")
     catalog = cli._catalog_from_checkpoint(ckpt)
-    table = D.load_subgraphs((synth_dir / "subgraphs.tsv").read_text(), catalog,
-                             class_vocab=ckpt.class_vocab)
-    dataset = D.build_dataset(table, catalog, dict.fromkeys(table.subject_ids, "train"))
-    batch = dataset.batch(np.arange(len(table.subject_ids)))
-    report = I.class_enrichment(ckpt.params, ckpt.hypergraph, batch,
-                                ckpt.class_vocab, 3, edge_names=ckpt.edge_names)
-    corr = I.hyperedge_correlation(ckpt.params, ckpt.hypergraph)
-    assert (tmp_path / "enrichment.tsv").read_bytes() == \
-        I.enrichment_tsv(report).encode()
-    assert (tmp_path / "correlation.tsv").read_bytes() == \
-        I.correlation_tsv(corr, ckpt.edge_names).encode()
+    original = M.forward_backbone
+    for subjects, unread in ((synth_dir / "subgraphs.tsv", False), (part, True)):
+        out = tmp_path / subjects.stem
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(M, "forward_backbone", counting)
+        code = run(["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
+                    "--subgraphs", str(subjects), "--top-k", "3", "--out", str(out)])
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        # each view on a backbone pass of its own writes the same bytes
+        table = D.load_subgraphs(subjects.read_text(), catalog,
+                                 class_vocab=ckpt.class_vocab)
+        dataset = D.build_dataset(table, catalog, dict.fromkeys(table.subject_ids, "train"))
+        batch = dataset.batch(np.arange(len(table.subject_ids)))
+        assert (batch.by_row.nonempty.size < ckpt.hypergraph.num_nodes) == unread
+        report = I.class_enrichment(ckpt.params, ckpt.hypergraph, batch,
+                                    ckpt.class_vocab, 3, edge_names=ckpt.edge_names)
+        corr = I.hyperedge_correlation(ckpt.params, ckpt.hypergraph)
+        assert (out / "enrichment.tsv").read_bytes() == I.enrichment_tsv(report).encode()
+        assert (out / "correlation.tsv").read_bytes() == \
+            I.correlation_tsv(corr, ckpt.edge_names).encode()
 
 
 # names as the text formats allow them: no tab, no \n or \r, no surrogate

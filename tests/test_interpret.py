@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersub import interpret as I
 from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.errors import EmptyClass, ShapeError
 from hypersub.hypergraph import build_hypergraph
+
+from conftest import random_hypergraph
 
 
 def one_hot(rows, num_classes):
@@ -144,6 +148,66 @@ def test_member_past_the_last_node_is_rejected(attention, traced):
     with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
         I.class_enrichment(params, h, batch, ["c0", "c1"], 2,
                            edge_names=["e0", "e1"], trace=trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data(), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_own_pass_ranks_with_the_bits_of_a_full_trace(seed, data, num_layers, dtype,
+                                                      attention):
+    gen = np.random.default_rng(seed)
+    g = random_hypergraph(gen, max_nodes=10, max_edges=5)
+    # one more node, isolated, that subjects may hold as a member
+    h = build_hypergraph(g.edge_members, g.edge_weights, num_nodes=g.num_nodes + 1)
+    member_sets = data.draw(st.lists(
+        st.sets(st.integers(0, h.num_nodes - 1), min_size=1, max_size=4),
+        min_size=1, max_size=5))
+    members = [np.array(sorted(m)) for m in member_sets]
+    classes = min(len(members), 3)
+    batch = M.SubgraphBatch(members=members,
+                            weights=[1.0 - gen.random(m.size) for m in members],
+                            labels=one_hot([k % classes for k in range(len(members))],
+                                           classes))
+    params = M.init_model(h.num_nodes, 4, num_layers, classes, gen,
+                          use_subgraph_attention=attention, dtype=dtype)
+    everything = list(range(classes))
+    own = I.class_edge_scores(params, h, batch, everything)
+    full = I.class_edge_scores(params, h, batch, everything,
+                               trace=I.backbone_trace(params, h))
+    assert own.tobytes() == full.tobytes()
+
+
+def test_a_trace_must_cover_the_member_rows():
+    h = build_hypergraph([[0, 1], [1, 2], [2, 3]])
+    params = make_model(h, np.random.default_rng(8))
+    batch = M.SubgraphBatch(members=[np.array([0, 3]), np.array([1])],
+                            weights=[np.ones(2), np.ones(1)],
+                            labels=one_hot([0, 1], 2))
+    for rows in ([0, 1], [0, 1, 2]):   # row 3 left out of the last layer
+        trace = I.backbone_trace(params, h, rows)
+        with pytest.raises(ShapeError, match="misses the pairs of member row 3"):
+            I.class_edge_scores(params, h, batch, 0, trace=trace)
+        with pytest.raises(ShapeError, match="misses the pairs of member row 3"):
+            I.class_enrichment(params, h, batch, ["c0", "c1"], 2,
+                               edge_names=["e0", "e1", "e2"], trace=trace)
+    # a trace over the member rows, or over more, serves them
+    own = I.class_edge_scores(params, h, batch, [0, 1])
+    for rows in ([0, 1, 3], [0, 1, 2, 3], None):
+        trace = I.backbone_trace(params, h, rows)
+        got = I.class_edge_scores(params, h, batch, [0, 1], trace=trace)
+        assert got.tobytes() == own.tobytes()
+
+
+def test_correlation_needs_the_final_edge_states():
+    h = build_hypergraph([[0, 1], [1, 2]])
+    params = make_model(h, np.random.default_rng(9))
+    trace = I.backbone_trace(params, h, [0])
+    assert trace.final_edge_states is None
+    with pytest.raises(ShapeError, match="no final edge states"):
+        I.hyperedge_correlation(params, h, trace=trace)
+    # every row read still restricts the pass, and still holds no edge states
+    with pytest.raises(ShapeError, match="no final edge states"):
+        I.hyperedge_correlation(params, h, trace=I.backbone_trace(params, h, [0, 1, 2]))
 
 
 def test_enrichment_report_covers_all_classes():

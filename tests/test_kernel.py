@@ -892,6 +892,38 @@ def test_grad_check_through_a_dead_edge_row():
     assert report.passed, report.max_rel_error
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 12), st.sampled_from([np.float32, np.float64]),
+       st.sampled_from(SLOPES), st.integers(0, 2**32 - 1))
+def test_attention_gradient_skips_node_rows_no_pair_reads(size, d, dtype, slope, seed):
+    # the node rows no pair reads (the last one always) against the same
+    # pairs over a node table of the read rows alone: every gradient the
+    # two share has the same bits, and an unread row gets exactly +0.0
+    rng = np.random.default_rng(seed)
+    num_edges, num_nodes = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+    by_edge, by_node = _random_pairs(rng, num_edges, num_nodes, size)
+    by_node = K.Segments(by_node.ids, num_nodes + 1)
+    read = by_node.nonempty
+    rank = np.zeros(num_nodes + 1, dtype=np.intp)
+    rank[read] = np.arange(read.size)
+    compact = K.Segments(rank[by_node.ids], read.size)
+    te = K.parameter(_states(rng, num_edges, d, dtype))
+    tn = K.parameter(_states(rng, num_nodes + 1, d, dtype))
+    ctx = K.parameter(rng.normal(size=(d, 1)).astype(dtype))
+    g = K.constant(rng.normal(size=size).astype(dtype))
+    grads = []
+    for rows, layout in ((tn, by_node), (K.parameter(tn.data[read]), compact)):
+        s = K.attention_scores(te, rows, ctx, by_edge, layout, slope)
+        te.zero_grad()
+        ctx.zero_grad()
+        grads.append(K.backward(K.reduce_sum(K.elementwise_mul(s, g)), [te, rows, ctx]))
+    (dte, dtn, dctx), (want_te, want_tn, want_ctx) = grads
+    assert dte.tobytes() == want_te.tobytes() and dctx.tobytes() == want_ctx.tobytes()
+    assert dtn[read].tobytes() == want_tn.tobytes()
+    unread = np.delete(dtn, read, axis=0)
+    assert unread.size and not unread.any() and not np.signbit(unread).any()
+
+
 def test_attention_scores_rejects_bad_operands():
     te, tn = K.constant(np.ones((2, 3))), K.constant(np.ones((4, 3)))
     ctx = K.constant(np.ones((3, 1)))

@@ -200,6 +200,40 @@ def test_backbone_over_read_rows_matches_the_full_pass(seed, data, num_layers, d
         assert np.max(np.abs(b - a), initial=0.0) <= 1e-12 * scale, name
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data(), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_traced_pass_over_read_rows_records_what_it_ran(seed, data, num_layers, dtype,
+                                                        training):
+    gen = np.random.default_rng(seed)
+    h = random_hypergraph(gen, max_nodes=10, max_edges=5)
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1),
+                                             min_size=1))))
+    unread = np.setdiff1d(np.arange(h.num_nodes), rows)
+    params = M.init_model(h.num_nodes, 4, num_layers, 3, gen, dropout_rate=0.3,
+                          dtype=dtype)
+    reads = restrict_to_nodes(h, rows)
+    gens = [np.random.default_rng(seed) for _ in range(2)]
+    full, part = M.ForwardTrace(), M.ForwardTrace()
+    with K.no_grad():
+        M.forward_backbone(h, params, training=training, rng=gens[0], trace=full)
+        M.forward_backbone(h, params, training=training, rng=gens[1], trace=part,
+                           reads=reads)
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+    states = part.final_node_states.data
+    assert states[rows].tobytes() == full.final_node_states.data[rows].tobytes()
+    assert not states[unread].any()
+    assert part.final_edge_states is None and part.layers[-1].edge_attention is None
+    assert full.last_pairs is h and part.last_pairs is reads
+    # the last layer's scores and node attention cover the read pairs alone,
+    # with the full pass's bits there; every earlier layer is the full one
+    kept = np.isin(h.node_of_pair, rows)
+    for got, want in zip(part.layers, full.layers):
+        at = kept if got is part.layers[-1] else slice(None)
+        assert got.scores.data.tobytes() == want.scores.data[at].tobytes()
+        assert got.node_attention.data.tobytes() == want.node_attention.data[at].tobytes()
+
+
 def test_restriction_keeps_the_pairs_of_its_rows_and_rejects_others():
     h = build_hypergraph([[0, 1], [1, 2]])
     for rows in ([3], [-1], [0, 3]):
