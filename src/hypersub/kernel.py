@@ -638,63 +638,55 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
         # rows of tn that no pair reads take no part: their table rows are
         # never built, and their gradient is +0.0
         read = by_node.nonempty
-        part = read.size < tnd.shape[0]
+        x = tnd[read]
         if te.requires_grad or context.requires_grad:
-            if part:
-                rank = np.zeros(tnd.shape[0], dtype=np.intp)
-                rank[read] = np.arange(read.size)
-                at_edge = by_edge.gather_sum(split(tnd[read]), g, rank[n], ted.shape[0])
-            else:
-                at_edge = by_edge.gather_sum(split(tnd), g, n, ted.shape[0])
-            if te.requires_grad:
-                _accum(te, _dstate(ted, at_edge, ctx))
-            if context.requires_grad:
+            rank = np.zeros(tnd.shape[0], dtype=np.intp)
+            rank[read] = np.arange(read.size)
+            at_edge = by_edge.gather_sum(split(x), g, rank[n], ted.shape[0])
+            if context.requires_grad:   # read before _dstate picks into at_edge
                 dc = np.maximum(ted, 0) * at_edge[:, :d] \
                     + np.minimum(ted, 0) * at_edge[:, d:]
                 _accum(context, dc.sum(axis=0)[:, None])
+            if te.requires_grad:
+                _accum(te, _dstate(ted, at_edge, ctx))
         if tn.requires_grad:
-            if part:   # the read rows' gradient first: its temporaries go before the zeros come
-                at_node = by_node.gather_sum(split(ted), g, e, compact=True)
-                dread = _dstate(tnd, at_node, ctx, read)
-                dtn = np.zeros_like(tnd)
-                dtn[read] = dread
-                _accum(tn, dtn)
-            else:
-                at_node = by_node.gather_sum(split(ted), g, e, tnd.shape[0])
-                _accum(tn, _dstate(tnd, at_node, ctx))
+            # the read rows' gradient first: its temporaries go before the zeros come
+            at_node = by_node.gather_sum(split(ted), g, e, compact=True)
+            dread = _dstate(x, at_node, ctx)
+            dtn = np.zeros_like(tnd)
+            dtn[read] = dread
+            _accum(tn, dtn)
 
     return _result(out, (te, tn, context), grad_fn)
 
 
-def _dstate(x: np.ndarray, sums: np.ndarray, context: np.ndarray,
-            rows: np.ndarray | None = None) -> np.ndarray:
+def _dstate(x: np.ndarray, sums: np.ndarray, context: np.ndarray) -> np.ndarray:
     """The gradient of the states ``x`` from their [L+, L-] sums: the L+
     half where a state is positive, the L- half where it is negative and
-    the mean of both at an exact zero, scaled by the context column. One
-    ``np.where`` picks the side; the mean is taken at the zeros alone.
+    the mean of both at an exact zero, scaled by the context column.
 
-    Given ``rows``, ``sums`` holds one row per entry of ``rows`` and the
-    gradient is of the states ``x[rows]``; it is picked in place, into the
-    L+ half of ``sums``, and returned as a view of it, so that no other
-    array of that size is made beside the sums."""
+    The side is picked in place, into the L+ half of ``sums``, and the
+    gradient is returned as a view of it, so no other array of that size
+    is made. The pick works on the bits: with p, q the two halves as
+    integers, (p ^ q) * [x > 0] ^ q is p where the mask is set and q
+    elsewhere, which a masked copy gives too, more slowly. The mean is
+    taken at the zeros alone, before the pick."""
     d = x.shape[1]
     pos, neg = sums[:, :d], sums[:, d:]
-    if rows is not None:
-        x = x[rows]
     zero = x == 0
     mean = None
-    if zero.any():   # taken before an in-place pick overwrites the L+ half
+    if zero.any():
         half = sums.dtype.type(0.5)
         mean = half * pos[zero] + half * neg[zero]
-    if rows is None:
-        out = np.where(x > 0, pos, neg)
-    else:
-        out = pos
-        np.copyto(out, neg, where=np.logical_not(x > 0))
+    bits = f"i{sums.itemsize}"
+    p, q = pos.view(bits), neg.view(bits)
+    p ^= q
+    np.multiply(p, x > 0, out=p)
+    p ^= q
     if mean is not None:
-        out[zero] = mean
-    out *= context[:, 0]
-    return out
+        pos[zero] = mean
+    pos *= context[:, 0]
+    return pos
 
 
 def masked_softmax(scores: Tensor, seg: Segments) -> Tensor:

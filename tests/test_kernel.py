@@ -380,7 +380,7 @@ def test_pooling_epilogue_is_bit_identical_to_relu_and_dropout(rate, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dstate_matches_the_step_weight_formula(dtype):
     # the attention gradient of a state picks its [L+, L-] sum by the state's
-    # sign in one np.where; the reference blends up * S+ + (1 - up) * S-
+    # sign, in place; the reference blends up * S+ + (1 - up) * S-
     # with step weights up = 1, 1/2, 0 for x > 0, x == 0, x < 0
     rng = np.random.default_rng(13)
     n, d = 60, 6
