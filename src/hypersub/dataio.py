@@ -88,12 +88,11 @@ class GeneSetCatalog:
     def genes(self) -> list[str]:
         return list(self.gene_index)
 
-    def to_hypergraph(self, edge_weights=None) -> Hypergraph:
+    def to_hypergraph(self) -> Hypergraph:
         sizes = np.fromiter(map(len, self.members), np.intp, len(self.members))
         rows = np.fromiter(map(self.gene_index.__getitem__, chain.from_iterable(self.members)),
                            np.intp, int(sizes.sum()))
-        return build_hypergraph(rows, edge_weights=edge_weights,
-                                num_nodes=self.num_genes, sizes=sizes)
+        return build_hypergraph(rows, num_nodes=self.num_genes, sizes=sizes)
 
 
 def parse_gmt(source) -> GeneSetCatalog:

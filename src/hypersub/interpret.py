@@ -43,17 +43,12 @@ def _member_attention(node_states, batch, params):
     return batch.groups.expand(share)
 
 
-def backbone_trace(params: M.ModelParams, h: Hypergraph,
-                   rows=None) -> M.ForwardTrace:
-    """One evaluation-mode backbone pass, recorded; every view below can
-    take it as ``trace`` instead of running its own. Given node ``rows``,
-    the last layer runs over their pairs alone (``restrict_to_nodes``):
-    those rows get the bits of the full pass, and the trace holds no final
-    edge states."""
+def backbone_trace(params: M.ModelParams, h: Hypergraph) -> M.ForwardTrace:
+    """One full evaluation-mode backbone pass, recorded; every view below
+    can take it as ``trace`` instead of running its own."""
     trace = M.ForwardTrace()
-    reads = None if rows is None else restrict_to_nodes(h, rows)
     with K.no_grad():
-        M.forward_backbone(h, params, training=False, trace=trace, reads=reads)
+        M.forward_backbone(h, params, training=False, trace=trace)
     return trace
 
 
@@ -67,8 +62,9 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
     whenever every member node touches at least one hyperedge. A sequence of
     class indices gives one row per class from a single backbone pass, or
     from ``trace`` when given. The pass of its own runs the last layer over
-    the pairs of the batch's member rows alone; a ``trace`` must cover every
-    pair of those rows in its last layer, as a full one does.
+    the pairs of the batch's member rows alone, which gives those rows the
+    bits of a full pass; a ``trace`` must be a full pass of ``h``
+    (``backbone_trace``), or it raises ShapeError.
     """
     if len(batch.by_row) > h.num_nodes:
         raise ShapeError(f"subgraph batch has {len(batch.by_row)} member rows "
@@ -80,17 +76,15 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
         empty = int(classes[np.flatnonzero(sizes == 0)[0]])
         raise EmptyClass(f"no subjects carry class index {empty}")
 
-    rows = batch.by_row.nonempty
+    rows, pairs = batch.by_row.nonempty, h
     if trace is None:
-        trace = backbone_trace(params, h, rows)
-    pairs = trace.last_pairs
-    if pairs is None or pairs.num_nodes != h.num_nodes:
-        raise ShapeError("trace does not record the pairs of its last layer "
-                         f"over {h.num_nodes} nodes")
-    missing = rows[pairs.by_node.counts[rows] != h.by_node.counts[rows]]
-    if missing.size:
-        raise ShapeError(f"trace's last layer misses the pairs of member row "
-                         f"{missing[0]}")
+        pairs, trace = restrict_to_nodes(h, rows), M.ForwardTrace()
+        with K.no_grad():
+            M.forward_backbone(h, params, training=False, trace=trace, reads=pairs)
+    elif trace.final_edge_states is None or \
+            trace.layers[-1].node_attention.data.size != h.edge_of_pair.size:
+        raise ShapeError(f"trace is not a full pass over the "
+                         f"{h.edge_of_pair.size} pairs of the hypergraph")
     with K.no_grad():
         member_attn = _member_attention(trace.final_node_states, batch, params)
 
@@ -153,7 +147,7 @@ def hyperedge_correlation(params: M.ModelParams, h: Hypergraph,
 
 
 def cosine_matrix(x: np.ndarray) -> np.ndarray:
-    """Row-wise cosine similarities; rows of all zeros yield zero rows and
+    """Row-wise cosine similarities; rows of all zeros yield rows of zeros and
     columns (their direction is undefined), including on the diagonal."""
     norms = np.linalg.norm(x, axis=1)
     safe = np.where(norms > 0, norms, 1.0)

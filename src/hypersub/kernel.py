@@ -308,12 +308,13 @@ def sigmoid(x: Tensor) -> Tensor:
     return _result(y, (x,), grad_fn)
 
 
-def log(x: Tensor, floor: float = 1e-12) -> Tensor:
-    """Natural log with the argument clamped below at ``floor``.
+def log(x: Tensor) -> Tensor:
+    """Natural log with the argument clamped below at 1e-12.
 
     The clamp keeps cross-entropy finite when a probability underflows; the
     gradient is zero wherever the clamp is active.
     """
+    floor = 1e-12
     clamped = np.maximum(x.data, floor)
     active = x.data >= floor
 
@@ -352,11 +353,9 @@ class SegmentPlan(NamedTuple):
     last position) at a padding slot, and ``source`` the same with every
     padding slot at its group's first position. ``buckets`` holds
     ``(width, first group, end group, first slot)`` per bucket, in
-    ascending width. ``rank`` holds the place of each walked group in the
-    layout's ``nonempty``."""
+    ascending width."""
 
     groups: np.ndarray
-    rank: np.ndarray
     padded: np.ndarray
     source: np.ndarray
     buckets: list[tuple[int, int, int, int]]
@@ -365,25 +364,25 @@ class SegmentPlan(NamedTuple):
 class Segments:
     """Disjoint groups over the positions 0..size-1 of a flat array, as CSR.
 
-    ``ids[p]`` is the group of position p, or ``len(self)`` for a position
-    outside every group. ``order`` is the stable sort of the positions by
-    group, or None where the positions already run in that order (the
-    identity), so group k holds positions ``order[offsets[k]:offsets[k+1]]``
-    in ascending order and the outside positions come last. Built once per
-    grouping. The segment kernels below read every index they use as the
-    ``ids`` of a Segments argument: the softmax reduces over one with 1-D
-    ``reduceat``, and every weighted row sum goes through ``gather_sum``.
+    ``ids[p]`` is the group of position p; every position is in one.
+    ``order`` is the stable sort of the positions by group, or None where
+    the positions already run in that order (the identity), so group k
+    holds positions ``order[offsets[k]:offsets[k+1]]`` in ascending order.
+    Built once per grouping. The segment kernels below read every index
+    they use as the ``ids`` of a Segments argument: the softmax reduces
+    over one with 1-D ``reduceat``, and every weighted row sum goes
+    through ``gather_sum``.
     """
 
     def __init__(self, ids, num_groups: int):
         ids = np.asarray(ids, dtype=np.intp)
         if ids.ndim != 1:
             raise ShapeError("segment ids must be 1-D")
-        if ids.size and (ids.min() < 0 or ids.max() > num_groups):
-            raise ShapeError(f"segment ids must lie in [0, {num_groups}]")
-        if (int(num_groups) + 1) * ids.size > np.iinfo(np.intp).max:   # sort keys
+        if ids.size and (ids.min() < 0 or ids.max() >= num_groups):
+            raise ShapeError(f"segment ids must lie in [0, {num_groups})")
+        if int(num_groups) * ids.size > np.iinfo(np.intp).max:   # sort keys
             raise ShapeError("too many positions and groups to lay out")
-        counts = np.bincount(ids, minlength=num_groups + 1)[:num_groups]
+        counts = np.bincount(ids, minlength=num_groups)
         self.ids = ids
         self.counts = counts
         self.offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
@@ -402,21 +401,19 @@ class Segments:
         return self.ids.size
 
     def positions(self):
-        """Index of the grouped positions in segment order."""
-        inside = self.offsets[-1]
-        return slice(0, inside) if self.order is None else self.order[:inside]
+        """Index of the positions in segment order."""
+        return slice(None) if self.order is None else self.order
 
     def gather(self, a: np.ndarray) -> np.ndarray:
-        """Rows of ``a`` at the grouped positions, in segment order."""
+        """Rows of ``a`` at the positions, in segment order."""
         return a[self.positions()]
 
     def scatter(self, a: np.ndarray) -> np.ndarray:
-        """Inverse of ``gather``: segment-order rows back to their positions,
-        zeros at the outside positions."""
-        if self.order is None and a.shape[0] == self.size:
+        """Inverse of ``gather``: segment-order rows back to their positions."""
+        if self.order is None:
             return a
-        out = np.zeros((self.size,) + a.shape[1:], dtype=a.dtype)
-        out[self.positions()] = a
+        out = np.empty_like(a)
+        out[self.order] = a
         return out
 
     def expand(self, v: np.ndarray) -> np.ndarray:
@@ -438,18 +435,17 @@ class Segments:
         # the position at segment order j fills slot j + shift[its group]
         shift = np.zeros(len(self), dtype=np.intp)
         shift[groups] = first - starts
-        inside = int(self.offsets[-1])
-        seq = np.arange(inside)
+        seq = np.arange(self.size)
         slots = np.repeat(shift, self.counts)
         slots += seq
-        pos = seq if self.order is None else self.order[:inside]
+        pos = seq if self.order is None else self.order
         source = np.repeat(pos[starts], width)
         source[slots] = pos
         padded = np.full(source.size, self.size, dtype=np.intp)
         padded[slots] = pos
         lo = np.flatnonzero(np.diff(width, prepend=0))   # each bucket's first group
         hi = np.append(lo[1:], width.size)
-        return SegmentPlan(groups, by, padded, source,
+        return SegmentPlan(groups, padded, source,
                            list(zip(width[lo].tolist(), lo.tolist(), hi.tolist(),
                                     first[lo].tolist())))
 
@@ -459,15 +455,15 @@ class Segments:
         """Fused gather-scale-reduce: ``out[k] = sum over p in group k of
         weights[p] * x[rows[p]]``, for a 2-D ``x``. ``weights`` default to
         one and ``rows`` to the positions themselves; empty groups give
-        zeros, and ``length`` pads the result with zero rows past the last
-        group. ``compact`` returns the rows of the groups in ``nonempty``
-        alone, in its order.
+        zeros, and ``length`` pads the result with rows of zeros past the
+        last group. ``compact`` returns the rows of the nonempty groups
+        alone, in the walk order of ``plan.groups``.
 
         Given ``dot``, a 2-D array with a row per group, it returns
         ``(out, dots)`` with ``dots[p] = x[rows[p]] @ dot[k]`` for p in group
-        k, and 0 at the positions outside every group: the same gathered
-        rows serve both, so a gradient that needs the reduction and the
-        per-position products (SpMM and SDDMM) walks the layout once.
+        k: the same gathered rows serve both, so a gradient that needs the
+        reduction and the per-position products (SpMM and SDDMM) walks the
+        layout once.
 
         The walk follows ``plan``: the weights and the rows are each gathered
         once into the plan's slot order, and each bucket of width L is reduced by
@@ -478,13 +474,11 @@ class Segments:
         the same slices with the groups' (groups, d, 1) rows of ``dot``. The
         results, in walk order, are scattered to their groups once. A padding
         slot has zero weight and reads its group's first row, so a
-        non-finite row of ``x`` reaches only the groups that hold it. A
-        ``rows`` entry equal to ``len(x)`` reads a zero row, which is appended
-        to a copy of ``x`` only when some entry asks for it. ``take`` runs in
-        ``mode="clip"``, which skips its own bounds check, so ``rows`` is
-        checked once up front: an entry outside [0, len(x)] raises
-        ShapeError, as does an ``x`` with fewer rows than positions when
-        ``rows`` is not given.
+        non-finite row of ``x`` reaches only the groups that hold it.
+        ``take`` runs in ``mode="clip"``, which skips its own bounds check,
+        so ``rows`` is checked once up front: an entry outside [0, len(x))
+        raises ShapeError, as does an ``x`` with fewer rows than positions
+        when ``rows`` is not given.
         """
         length = len(self) if length is None else length
         n, d = x.shape
@@ -493,12 +487,8 @@ class Segments:
         if rows is None and n < self.size:
             raise ShapeError(f"gather_sum needs a row per position, got {n} "
                              f"rows for {self.size}")
-        if rows is not None and self.size:
-            high = rows.max()
-            if rows.min() < 0 or high > n:
-                raise ShapeError(f"gather_sum rows must lie in [0, {n}]")
-            if high == n:   # the zero row
-                x = np.concatenate((x, np.zeros((1, d), dtype=dtype)))
+        if rows is not None and self.size and (rows.min() < 0 or rows.max() >= n):
+            raise ShapeError(f"gather_sum rows must lie in [0, {n})")
         plan = self.plan
         r = plan.source if rows is None else rows[plan.source]
         w = np.zeros(self.size + 1, dtype=dtype)   # the last: padding
@@ -507,7 +497,7 @@ class Segments:
         sums = np.empty((plan.groups.size, 1, d), dtype=dtype)   # in walk order
         if dot is not None:
             dot = np.asarray(dot, dtype=np.result_type(dtype, dot))
-            dots = np.zeros(self.size + 1, dtype=dot.dtype)   # last: padding
+            dots = np.empty(self.size + 1, dtype=dot.dtype)   # last: padding
         # each slice of a bucket holds `step` groups; one buffer fits the largest
         steps = [max(1, BLOCK_BYTES // max(1, span * d * dtype.itemsize))
                  for span, _, _, _ in plan.buckets]
@@ -532,8 +522,7 @@ class Segments:
                     dots[plan.padded[p]] = np.matmul(
                         block, dot[plan.groups[k:k + m], :, None]).reshape(-1)
         if compact:
-            out = np.empty((plan.groups.size, d), dtype=dtype)
-            out[plan.rank] = sums[:, 0]
+            out = sums[:, 0]
         else:
             out = np.zeros((length, d), dtype=dtype)
             out[plan.groups] = sums[:, 0]
@@ -542,12 +531,7 @@ class Segments:
 
 def _rows_of(layout: Segments, x: Tensor, name: str) -> np.ndarray:
     """The row of ``x`` that each position of a row layout reads: its ids.
-
-    Two O(1) checks make every id a row of ``x``: every position is in a
-    group (no id is the outside marker), and there are no more groups than
-    rows."""
-    if layout.offsets[-1] != layout.size:
-        raise ShapeError(f"{name} leaves a position outside every row")
+    Every id is a row of ``x`` when there are no more groups than rows."""
     if len(layout) > x.data.shape[0]:
         raise ShapeError(f"{name} has {len(layout)} groups for "
                          f"{x.data.shape[0]} rows")
@@ -636,8 +620,9 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
             return table
 
         # rows of tn that no pair reads take no part: their table rows are
-        # never built, and their gradient is +0.0
-        read = by_node.nonempty
+        # never built, and their gradient is +0.0; the read rows run in the
+        # walk order of by_node, the order of its compact sums
+        read = by_node.plan.groups
         x = tnd[read]
         if te.requires_grad or context.requires_grad:
             rank = np.zeros(tnd.shape[0], dtype=np.intp)
@@ -691,9 +676,9 @@ def _dstate(x: np.ndarray, sums: np.ndarray, context: np.ndarray) -> np.ndarray:
 
 def masked_softmax(scores: Tensor, seg: Segments) -> Tensor:
     """Softmax normalized independently within each group of ``seg`` over a
-    1-D tensor. Entries outside every group come out as 0, and an empty group
-    has nothing to normalize. The per-group maximum is subtracted before
-    exponentiation, so uniform score shifts within a group change nothing.
+    1-D tensor. An empty group has nothing to normalize. The per-group
+    maximum is subtracted before exponentiation, so uniform score shifts
+    within a group change nothing.
     """
     x = scores.data
     if x.ndim != 1:
@@ -733,7 +718,7 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
 
     Position p contributes weights[p] * x[by_row.ids[p]] to the row of its
     group in ``seg``. Output has one row per group; groups may be empty and
-    produce all-zero rows. ``by_row`` groups the positions by row of x.
+    produce rows of zeros. ``by_row`` groups the positions by row of x.
 
     ``rectify`` and a dropout ``rate`` (with its ``rng``) finish the sums
     in place, with the bits of ``dropout(relu(sums), rate, rng)`` forward
@@ -771,7 +756,6 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
             g *= q
         if positive is not None:
             g = np.multiply(g, positive, out=None if keep is None else g)
-        # outside positions carry the id len(seg), the zero row past g
         if weights.requires_grad:
             dx, dw = by_row.gather_sum(g, w, seg.ids, x.data.shape[0], dot=x.data)
             _accum(weights, dw)

@@ -257,10 +257,15 @@ class SubgraphBatch:
 
     def subset(self, indices) -> "SubgraphBatch":
         """The subjects at ``indices`` (any order, repeats allowed), gathered
-        from the flat arrays, unchecked: a subset of a valid batch is valid."""
-        idx = np.asarray(indices, dtype=np.intp)
+        from the flat arrays. Each index must be an integer in
+        [0, len(self)); the subjects themselves are not checked again: a
+        subset of a valid batch is valid."""
+        idx = np.asarray(indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ShapeError("a subset needs a nonempty 1-D index")
+        if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(self):
+            raise ShapeError(f"subset indices must be integers in [0, {len(self)})")
+        idx = idx.astype(np.intp, copy=False)
         sizes = self.groups.counts[idx]
         ends = np.cumsum(sizes)
         pos = np.repeat(self.groups.offsets[idx] - ends + sizes, sizes) + np.arange(ends[-1])
@@ -283,16 +288,14 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    """What a backbone pass ran, layer by layer. ``last_pairs`` holds the
-    pairs the last layer's scores and node attention cover: the hypergraph
-    itself, or the ``reads`` the pass was restricted to. A restricted pass
-    runs no last edge update, so its last ``edge_attention`` and the
+    """What a backbone pass ran, layer by layer. A pass restricted to
+    ``reads`` scores its last layer over those pairs alone and runs no last
+    edge update, so its last ``edge_attention`` and the
     ``final_edge_states`` stay None."""
 
     layers: list[LayerTrace] = field(default_factory=list)
     final_node_states: Tensor | None = None
     final_edge_states: Tensor | None = None
-    last_pairs: Hypergraph | None = None
 
 
 # ------------------------------------------------------------- forward pass
@@ -347,7 +350,7 @@ def node_update(h: Hypergraph, scores: Tensor, edge_states: Tensor,
                 ) -> tuple[Tensor, Tensor]:
     """New node states from the same scores, normalized per node over its
     incident edges. Nodes with no membership hold empty groups and yield
-    all-zero rows."""
+    rows of zeros."""
     return attend(scores, h.by_node, edge_states, h.by_edge, h.by_node, rate, rng)
 
 
@@ -369,7 +372,7 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
     node update over those pairs alone: the read rows get the bits of the
     full pass, every other row comes out zero, and the rng ends in the same
     state, since the pooling still draws a mask over every row. A ``trace``
-    records whatever the pass ran, and the pairs its last layer covered."""
+    records whatever the pass ran."""
     if h.num_nodes != params.num_nodes:
         raise ShapeError("hypergraph and embeddings disagree on node count")
     rate = params.dropout_rate if training else 0.0
@@ -399,7 +402,6 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
     if trace is not None:
         trace.final_node_states = hn
         trace.final_edge_states = he
-        trace.last_pairs = reads
     return hn
 
 

@@ -15,6 +15,10 @@ import numpy as np
 from .dataio import GeneSetCatalog, serialize_gmt, serialize_split, stratified_split
 from .errors import InputDataError
 
+# a subject's member draws, the genes a hyperedge borrows, the split's shares
+MIN_MEMBERS, MAX_MEMBERS, OVERLAP = 10, 25, 2
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
+
 
 @dataclass
 class SyntheticData:
@@ -36,15 +40,11 @@ class SyntheticData:
 
 def make_synthetic(num_nodes: int = 200, num_edges: int = 20,
                    num_classes: int = 4, num_subjects: int = 400,
-                   noise: float = 0.1, seed: int = 7,
-                   min_members: int = 10, max_members: int = 25,
-                   overlap: int = 2,
-                   split_ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-                   ) -> SyntheticData:
+                   noise: float = 0.1, seed: int = 7) -> SyntheticData:
     """Generate a planted-signal dataset; fully deterministic per seed.
 
     Each hyperedge owns a core block of genes (the planted signal pools are
-    unions of core blocks, disjoint across classes) plus ``overlap`` genes
+    unions of core blocks, disjoint across classes) plus ``OVERLAP`` genes
     borrowed from other blocks, so nodes can sit on several hyperedges and
     the hypergraph does not decompose into disconnected components.
     """
@@ -72,7 +72,7 @@ def make_synthetic(num_nodes: int = 200, num_edges: int = 20,
         planted[cname].append(edge_names[j])
         pool[cname].extend(block.tolist())
         outside = np.setdiff1d(np.arange(num_nodes), block)
-        extra = rng.choice(outside, size=min(overlap, outside.size),
+        extra = rng.choice(outside, size=min(OVERLAP, outside.size),
                            replace=False) if outside.size else np.array([], int)
         edge_blocks.append(np.concatenate([block, extra]).astype(int))
 
@@ -81,7 +81,7 @@ def make_synthetic(num_nodes: int = 200, num_edges: int = 20,
     for s in range(num_subjects):
         cname = class_names[s % num_classes]
         sid = f"s{s:04d}"
-        size = int(rng.integers(min_members, max_members + 1))
+        size = int(rng.integers(MIN_MEMBERS, MAX_MEMBERS + 1))
         chosen: list[int] = []
         for _ in range(size):
             if rng.random() < noise:
@@ -105,7 +105,7 @@ def make_synthetic(num_nodes: int = 200, num_edges: int = 20,
         members=[[genes[i] for i in block] for block in edge_blocks],
         gene_index={g: i for i, g in enumerate(genes)},
     )
-    split = stratified_split(subject_ids, label_keys, split_ratios, seed=seed)
+    split = stratified_split(subject_ids, label_keys, SPLIT_RATIOS, seed=seed)
     return SyntheticData(
         catalog=catalog, subgraph_lines=lines, split=split,
         class_names=class_names, planted_edges=planted)

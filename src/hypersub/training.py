@@ -77,7 +77,6 @@ class TrainReport:
     epochs_run: int
     metrics: dict[str, float]
     wall_time: float
-    seed: int
 
 
 # ---------------------------------------------------------------- optimizer
@@ -90,13 +89,13 @@ class AdamState:
 
 
 def adam_step(params: list[K.Tensor], grads: list[np.ndarray], state: AdamState,
-              learning_rate: float, weight_decay: float = 0.0,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+              learning_rate: float, weight_decay: float = 0.0):
     """One Adam update with decoupled weight decay.
 
     Decay multiplies parameters by (1 - lr * wd) before the moment update, so
     it never leaks into the running gradient statistics.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8   # the defaults of Kingma & Ba
     if state.m is None:
         state.m = [np.zeros_like(p.data) for p in params]
         state.v = [np.zeros_like(p.data) for p in params]
@@ -318,7 +317,6 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
         epochs_run=stopper.epoch,
         metrics=metrics,
         wall_time=time.monotonic() - started,
-        seed=config.seed,
     )
     return params, report
 

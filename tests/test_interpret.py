@@ -7,7 +7,7 @@ from hypersub import interpret as I
 from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.errors import EmptyClass, ShapeError
-from hypersub.hypergraph import build_hypergraph
+from hypersub.hypergraph import build_hypergraph, restrict_to_nodes
 
 from conftest import random_hypergraph
 
@@ -22,6 +22,15 @@ def one_hot(rows, num_classes):
 def make_model(h, rng, num_classes=2, hidden_dim=5, **kw):
     return M.init_model(h.num_nodes, hidden_dim, 2, num_classes, rng,
                         dtype=np.float64, **kw)
+
+
+def restricted_trace(params, h, rows):
+    """A recorded evaluation pass whose last layer runs over the pairs of
+    the node ``rows`` alone."""
+    trace = M.ForwardTrace()
+    with K.no_grad():
+        M.forward_backbone(h, params, trace=trace, reads=restrict_to_nodes(h, rows))
+    return trace
 
 
 def flatten_context(params):
@@ -177,37 +186,39 @@ def test_own_pass_ranks_with_the_bits_of_a_full_trace(seed, data, num_layers, dt
     assert own.tobytes() == full.tobytes()
 
 
-def test_a_trace_must_cover_the_member_rows():
+def test_a_trace_must_be_a_full_pass_of_the_hypergraph():
     h = build_hypergraph([[0, 1], [1, 2], [2, 3]])
     params = make_model(h, np.random.default_rng(8))
     batch = M.SubgraphBatch(members=[np.array([0, 3]), np.array([1])],
                             weights=[np.ones(2), np.ones(1)],
                             labels=one_hot([0, 1], 2))
-    for rows in ([0, 1], [0, 1, 2]):   # row 3 left out of the last layer
-        trace = I.backbone_trace(params, h, rows)
-        with pytest.raises(ShapeError, match="misses the pairs of member row 3"):
+    # a restricted pass, over fewer rows than the members, over the members
+    # or over every row, and a full pass of another hypergraph
+    traces = [restricted_trace(params, h, rows)
+              for rows in ([0, 1], [0, 1, 3], [0, 1, 2, 3])]
+    traces.append(I.backbone_trace(params, build_hypergraph([[0, 1, 2], [2, 3]])))
+    for trace in traces:
+        with pytest.raises(ShapeError, match="not a full pass over the 6 pairs"):
             I.class_edge_scores(params, h, batch, 0, trace=trace)
-        with pytest.raises(ShapeError, match="misses the pairs of member row 3"):
+        with pytest.raises(ShapeError, match="not a full pass over the 6 pairs"):
             I.class_enrichment(params, h, batch, ["c0", "c1"], 2,
                                edge_names=["e0", "e1", "e2"], trace=trace)
-    # a trace over the member rows, or over more, serves them
+    # a full trace gives the bits of the pass of its own
     own = I.class_edge_scores(params, h, batch, [0, 1])
-    for rows in ([0, 1, 3], [0, 1, 2, 3], None):
-        trace = I.backbone_trace(params, h, rows)
-        got = I.class_edge_scores(params, h, batch, [0, 1], trace=trace)
-        assert got.tobytes() == own.tobytes()
+    got = I.class_edge_scores(params, h, batch, [0, 1], trace=I.backbone_trace(params, h))
+    assert got.tobytes() == own.tobytes()
 
 
 def test_correlation_needs_the_final_edge_states():
     h = build_hypergraph([[0, 1], [1, 2]])
     params = make_model(h, np.random.default_rng(9))
-    trace = I.backbone_trace(params, h, [0])
+    trace = restricted_trace(params, h, [0])
     assert trace.final_edge_states is None
     with pytest.raises(ShapeError, match="no final edge states"):
         I.hyperedge_correlation(params, h, trace=trace)
     # every row read still restricts the pass, and still holds no edge states
     with pytest.raises(ShapeError, match="no final edge states"):
-        I.hyperedge_correlation(params, h, trace=I.backbone_trace(params, h, [0, 1, 2]))
+        I.hyperedge_correlation(params, h, trace=restricted_trace(params, h, [0, 1, 2]))
 
 
 def test_enrichment_report_covers_all_classes():

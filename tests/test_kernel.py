@@ -58,9 +58,9 @@ def test_activations_hand_values():
 
 
 def _segments(groups, size):
-    """The layout of explicit position groups over positions 0..size-1;
-    positions in no group lie outside every group."""
-    ids = np.full(size, len(groups), dtype=np.intp)
+    """The layout of explicit position groups over positions 0..size-1,
+    which must put every position in a group."""
+    ids = np.full(size, -1, dtype=np.intp)
     for k, g in enumerate(groups):
         ids[list(g)] = k
     return K.Segments(ids, len(groups))
@@ -77,12 +77,12 @@ def test_masked_softmax_values():
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_masked_softmax_groups_and_outside_entries():
+def test_masked_softmax_groups_and_empty_groups():
     out = K.masked_softmax(K.constant([1.0, 1.0, 5.0, 2.0, 9.0]),
-                           _segments([(0, 1), (3, 2)], 5)).data
+                           _segments([(0, 1), (3, 2), (4,)], 5)).data
     assert abs(out[0] - 0.5) <= 1e-12 and abs(out[1] - 0.5) <= 1e-12
     assert abs(out[2] + out[3] - 1.0) <= 1e-12
-    assert out[4] == 0.0  # not a member of any group
+    assert out[4] == 1.0  # alone in its group
     # an empty group has nothing to normalize; the others are unaffected
     gap = K.masked_softmax(K.constant([1.0, 4.0]), _segments([(), (0,), (), (1,)], 2))
     assert gap.data.tolist() == [1.0, 1.0]
@@ -104,15 +104,14 @@ def test_masked_softmax_normalizes_and_shifts(values, shift):
 
 @st.composite
 def grouped_positions(draw, allow_empty):
-    """(size, group id per position or None for outside, group count)."""
+    """(size, group id per position, group count)."""
     size = draw(st.integers(min_value=1, max_value=12))
-    ngroups = draw(st.integers(min_value=0 if allow_empty else 1, max_value=5))
-    slot = st.one_of(st.none(), st.integers(min_value=0, max_value=ngroups - 1)) \
-        if ngroups else st.none()
-    ids = draw(st.lists(slot, min_size=size, max_size=size))
+    ngroups = draw(st.integers(min_value=1, max_value=5))
+    ids = draw(st.lists(st.integers(min_value=0, max_value=ngroups - 1),
+                        min_size=size, max_size=size))
     if not allow_empty:   # every group holds a position; drop the unused ids
-        used = sorted({i for i in ids if i is not None})
-        ids = [None if i is None else used.index(i) for i in ids]
+        used = sorted(set(ids))
+        ids = [used.index(i) for i in ids]
         ngroups = len(used)
     return size, ids, ngroups
 
@@ -183,10 +182,12 @@ def test_layout_weighted_row_sum_matches_group_loop(case, seed):
 def test_layout_rejects_bad_ids():
     with pytest.raises(ShapeError):
         K.Segments([0, 3], 2)
+    with pytest.raises(ShapeError):   # id 2 of 2 groups puts no position outside them
+        K.Segments([0, 2], 2)
     with pytest.raises(ShapeError):
         K.Segments([-1, 0], 2)
-    layout = K.Segments([1, 2, 0, 1], 2)   # position 1 is outside
-    assert len(layout) == 2 and layout.counts.tolist() == [1, 2]
+    layout = K.Segments([1, 2, 0, 1], 3)
+    assert len(layout) == 3 and layout.counts.tolist() == [1, 2, 1]
     assert group_positions(layout)[1].tolist() == [0, 3] and layout.order is not None
 
 
@@ -558,8 +559,7 @@ def _loop_gather_sum(x, w, rows, ids, ngroups):
     """Per-group loop reference for Segments.gather_sum, in float64."""
     out = np.zeros((ngroups, x.shape[1]))
     for p, k in enumerate(ids):
-        if k < ngroups:
-            out[k] += float(w[p]) * x[rows[p]].astype(np.float64)
+        out[k] += float(w[p]) * x[rows[p]].astype(np.float64)
     return out
 
 
@@ -567,33 +567,32 @@ def _loop_gather_sum(x, w, rows, ids, ngroups):
 @given(st.lists(st.sampled_from(BUCKET_SIZES + [0]), min_size=1, max_size=12),
        st.integers(0, 8), st.sampled_from([np.float32, np.float64]),
        st.booleans(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
-def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
+def test_gather_sum_matches_group_loop_across_buckets(sizes, tail, dtype,
                                                       hub, zero_rows, zero_singles,
                                                       seed):
+    # ``tail`` positions make a last group, and ``zero_rows`` positions read
+    # the last row of x, which is all zero
     rng = np.random.default_rng(seed)
-    sizes = list(sizes) + ([int(rng.integers(300, 700))] if hub else [])
+    sizes = list(sizes) + ([int(rng.integers(300, 700))] if hub else []) + [tail]
     ngroups = len(sizes)
-    ids = np.concatenate([np.repeat(np.arange(ngroups), sizes),
-                          np.full(outside, ngroups)]).astype(np.intp)
+    ids = np.repeat(np.arange(ngroups), sizes).astype(np.intp)
     rng.shuffle(ids)
     layout = K.Segments(ids, ngroups)
     order = np.arange(ids.size) if layout.order is None else layout.order
     assert np.array_equal(order, np.argsort(ids, kind="stable"))
     nrows = int(rng.integers(1, 30))
-    x = rng.normal(size=(nrows, 4)).astype(dtype)
+    x = np.concatenate([rng.normal(size=(nrows, 4)), np.zeros((1, 4))]).astype(dtype)
     w = rng.normal(size=ids.size).astype(dtype)
     rows = rng.integers(0, nrows, size=ids.size)
-    rows[rng.permutation(ids.size)[:zero_rows]] = nrows   # the zero row
+    rows[rng.permutation(ids.size)[:zero_rows]] = nrows   # the zero row of x
     if zero_singles:   # zero weights in the groups of one, on rows with negatives
         w[np.isin(ids, np.flatnonzero(np.asarray(sizes) == 1))] = 0
-    xz = np.concatenate([x, np.zeros((1, 4), dtype=dtype)])
-    want = _loop_gather_sum(xz, w, rows, ids, ngroups)
+    want = _loop_gather_sum(x, w, rows, ids, ngroups)
     tol = 1e-4 if dtype == np.float32 else 1e-11
     scale = 1.0 + np.abs(want)
     dot = rng.normal(size=(ngroups, 4)).astype(dtype)
-    inside = ids < ngroups
-    terms = xz[rows].astype(np.float64) * dot[np.minimum(ids, ngroups - 1)]
-    want_dots = np.where(inside, terms.sum(axis=1), 0.0)
+    terms = x[rows].astype(np.float64) * dot[ids]
+    want_dots = terms.sum(axis=1)
 
     got = layout.gather_sum(x, w, rows)
     assert got.dtype == dtype and got.shape == (ngroups, 4)
@@ -612,7 +611,6 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
             assert dp.dtype == dtype and dp.shape == (ids.size,)
             assert np.all(np.abs(dp - want_dots)
                           <= tol * (1.0 + np.abs(terms).sum(axis=1)))
-            assert not dp[~inside].any()
             dots.append(dp)
     finally:
         K.BLOCK_BYTES = saved
@@ -632,8 +630,8 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, outside, dtype,
        st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
 def test_gather_sum_keeps_a_non_finite_row_in_its_groups(sizes, dtype, seed):
     rng = np.random.default_rng(seed)
-    ngroups = len(sizes)
-    ids = np.concatenate([np.repeat(np.arange(ngroups), sizes), [ngroups]])
+    ngroups = len(sizes) + 1   # the last group holds one position
+    ids = np.repeat(np.arange(ngroups), sizes + [1])
     rng.shuffle(ids)
     layout = K.Segments(ids, ngroups)
     nrows = 6
@@ -645,17 +643,16 @@ def test_gather_sum_keeps_a_non_finite_row_in_its_groups(sizes, dtype, seed):
         with np.errstate(invalid="ignore"):   # inf - inf in the touched groups
             got = layout.gather_sum(x, w, rows)
         touched = np.zeros(ngroups, dtype=bool)
-        touched[ids[(rows == bad) & (ids < ngroups)]] = True
+        touched[ids[rows == bad]] = True
         assert np.all(np.isfinite(got[~touched]))
         assert not np.all(np.isfinite(got[touched]), axis=1).any()
 
 
 def test_gather_sum_hub_group_matches_loop():
     rng = np.random.default_rng(11)
-    sizes = [1, 2, 3, 4, 5, 7, 8, 9, 0, 0, 300, 513]
+    sizes = [1, 2, 3, 4, 5, 7, 8, 9, 0, 0, 300, 513, 17]
     ngroups = len(sizes)
-    ids = np.concatenate([np.repeat(np.arange(ngroups), sizes),
-                          np.full(17, ngroups)])
+    ids = np.repeat(np.arange(ngroups), sizes)
     rng.shuffle(ids)
     layout = K.Segments(ids, ngroups)
     x = rng.normal(size=(50, 8))
@@ -687,11 +684,11 @@ def test_gather_sum_hub_group_matches_loop():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.sampled_from(BUCKET_SIZES[:8] + [0]), min_size=1, max_size=6),
        st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_grad_check_through_bucketed_kernels(sizes, outside, seed):
+def test_grad_check_through_bucketed_kernels(sizes, tail, seed):
     rng = np.random.default_rng(seed)
+    sizes = sizes + [tail]   # a last group of ``tail`` positions
     ngroups = len(sizes)
-    ids = np.concatenate([np.repeat(np.arange(ngroups), sizes),
-                          np.full(outside, ngroups)]).astype(np.intp)
+    ids = np.repeat(np.arange(ngroups), sizes).astype(np.intp)
     rng.shuffle(ids)
     size = ids.size
     if size == 0:
@@ -714,16 +711,15 @@ def test_grad_check_through_bucketed_kernels(sizes, outside, seed):
     assert report.passed, report.max_rel_error
 
 
-def _loop_weight_grad(g, x, rows, ids, ngroups):
+def _loop_weight_grad(g, x, rows, ids):
     """Per-position loop reference for the weight gradient of
-    weighted_row_sum, in float64: dw[p] = g[ids[p]] . x[rows[p]], and 0 at a
-    position outside every group. Also the sum of the products' magnitudes,
-    the scale of each dot's rounding error."""
+    weighted_row_sum, in float64: dw[p] = g[ids[p]] . x[rows[p]]. Also the
+    sum of the products' magnitudes, the scale of each dot's rounding
+    error."""
     dw, scale = np.zeros(ids.size), np.zeros(ids.size)
     for p, (k, r) in enumerate(zip(ids, rows)):
-        if k < ngroups:
-            terms = g[k].astype(np.float64) * x[r].astype(np.float64)
-            dw[p], scale[p] = terms.sum(), np.abs(terms).sum()
+        terms = g[k].astype(np.float64) * x[r].astype(np.float64)
+        dw[p], scale[p] = terms.sum(), np.abs(terms).sum()
     return dw, scale
 
 
@@ -733,10 +729,10 @@ def _loop_weight_grad(g, x, rows, ids, ngroups):
        st.sampled_from([np.float32, np.float64]), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_fused_weighted_row_sum_backward_matches_position_loop(
-        row_sizes, ngroups, outside, d, dtype, x_grad, seed):
+        row_sizes, ngroups, tail, d, dtype, x_grad, seed):
     # the gradient walks by_row: its group sizes are the row sizes, drawn
     # over every bucket width and empty rows; seg holds the positions in
-    # random groups, some of them empty, and ``outside`` positions in none
+    # random groups, some of them empty, and ``tail`` of them in a last group
     rng = np.random.default_rng(seed)
     rows = np.repeat(np.arange(len(row_sizes)), row_sizes)
     rng.shuffle(rows)
@@ -745,12 +741,12 @@ def test_fused_weighted_row_sum_backward_matches_position_loop(
         return
     nrows = len(row_sizes)
     ids = rng.integers(0, ngroups, size=size)
-    ids[rng.permutation(size)[:outside]] = ngroups
-    by_row, seg = K.Segments(rows, nrows), K.Segments(ids, ngroups)
+    ids[rng.permutation(size)[:tail]] = ngroups
+    by_row, seg = K.Segments(rows, nrows), K.Segments(ids, ngroups + 1)
     x0 = rng.normal(size=(nrows, d)).astype(dtype)
     w0 = rng.normal(size=size).astype(dtype)
-    g = rng.normal(size=(ngroups, d)).astype(dtype)
-    want, scale = _loop_weight_grad(g, x0, rows, ids, ngroups)
+    g = rng.normal(size=(ngroups + 1, d)).astype(dtype)
+    want, scale = _loop_weight_grad(g, x0, rows, ids)
     tol = 1e-6 if dtype == np.float32 else 1e-12
     want_dx = by_row.gather_sum(g, w0, ids, nrows)
 
@@ -766,7 +762,6 @@ def test_fused_weighted_row_sum_backward_matches_position_loop(
             dw = w.grad
             assert dw.dtype == dtype and dw.shape == (size,)
             assert np.all(np.abs(dw - want) <= tol * scale)
-            assert np.all(dw[ids == ngroups] == 0)
             if x_grad:
                 assert np.array_equal(x.grad, want_dx)
             got.append(dw)
@@ -932,7 +927,7 @@ def test_attention_scores_rejects_bad_operands():
         K.attention_scores(te, tn, K.constant(np.ones((2, 1))), by_edge, by_node)
     with pytest.raises(ShapeError):   # the layouts cover 2 and 1 pairs
         K.attention_scores(te, tn, ctx, by_edge, K.Segments([0], 4))
-    with pytest.raises(ShapeError):   # edge id 2 of 2 groups: outside
+    with pytest.raises(ShapeError):   # edge id 2 of 2 groups is no layout
         K.attention_scores(te, tn, ctx, K.Segments([0, 2], 2), by_node)
     with pytest.raises(ShapeError):   # a negative node id is no layout
         K.Segments([-1, 3], 4)
@@ -946,18 +941,18 @@ def test_segment_kernels_check_their_layouts():
     x = K.constant(np.arange(8.0).reshape(4, 2))
     w = K.constant([1.0, 2.0, 3.0])
     rows, groups = K.Segments([0, 1, 3], 4), _segments([(0, 1), (2,)], 3)
-    outside = K.Segments([0, 2, 1], 2)   # position 1 is in no group
-    too_many = K.Segments([0, 1, 4], 5)  # 5 groups for 4 rows of x
+    with pytest.raises(ShapeError):   # position 1 in no group of 2
+        K.Segments([0, 2, 1], 2)
+    bad = K.Segments([0, 1, 4], 5)   # 5 groups for 4 rows of x
     ctx = K.constant(np.ones((2, 1)))
-    for bad in (outside, too_many):
-        with pytest.raises(ShapeError):
-            K.gather_rows(x, bad)
-        with pytest.raises(ShapeError):
-            K.weighted_row_sum(x, w, bad, groups)
-        with pytest.raises(ShapeError):
-            K.attention_scores(x, x, ctx, bad, rows)
-        with pytest.raises(ShapeError):
-            K.attention_scores(x, x, ctx, rows, bad)
+    with pytest.raises(ShapeError):
+        K.gather_rows(x, bad)
+    with pytest.raises(ShapeError):
+        K.weighted_row_sum(x, w, bad, groups)
+    with pytest.raises(ShapeError):
+        K.attention_scores(x, x, ctx, bad, rows)
+    with pytest.raises(ShapeError):
+        K.attention_scores(x, x, ctx, rows, bad)
     short_rows, short_groups = K.Segments([0, 1], 4), _segments([(0, 1)], 2)
     with pytest.raises(ShapeError):
         K.weighted_row_sum(x, w, short_rows, groups)
@@ -975,12 +970,10 @@ def test_segment_kernels_check_their_layouts():
 def test_gather_sum_rejects_rows_out_of_range():
     seg = K.Segments([0, 0, 1], 2)
     x = np.arange(6.0).reshape(3, 2)
-    for bad in ([0, 1, 4], [-1, 0, 1], [0, 99, 1]):
+    for bad in ([0, 1, 3], [0, 1, 4], [-1, 0, 1], [0, 99, 1]):   # 3 is len(x)
         with pytest.raises(ShapeError, match="rows"):
             seg.gather_sum(x, rows=np.array(bad))
-    # row len(x) reads the zero row past x, as the weighted_row_sum
-    # gradient asks for the positions outside every group
-    assert np.array_equal(seg.gather_sum(x, rows=np.array([2, 3, 0])),
-                          [[4.0, 5.0], [0.0, 1.0]])
+    assert np.array_equal(seg.gather_sum(x, rows=np.array([2, 2, 0])),
+                          [[8.0, 10.0], [0.0, 1.0]])
     with pytest.raises(ShapeError, match="row per position"):
         seg.gather_sum(x[:2])   # rows default to the 3 positions

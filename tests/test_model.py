@@ -224,7 +224,6 @@ def test_traced_pass_over_read_rows_records_what_it_ran(seed, data, num_layers, 
     assert states[rows].tobytes() == full.final_node_states.data[rows].tobytes()
     assert not states[unread].any()
     assert part.final_edge_states is None and part.layers[-1].edge_attention is None
-    assert full.last_pairs is h and part.last_pairs is reads
     # the last layer's scores and node attention cover the read pairs alone,
     # with the full pass's bits there; every earlier layer is the full one
     kept = np.isin(h.node_of_pair, rows)
@@ -524,9 +523,11 @@ def test_training_forward_keeps_only_what_the_gradient_reads():
 def test_training_step_peak_through_backward():
     # the most a whole step holds at once, forward and backward, in nodes x
     # width arrays: 12.4 with the relu and dropout inputs kept and the
-    # attention gradient's side picked through six temporaries, 9.1 now
+    # attention gradient's side picked through six temporaries, 9.1 without
+    # them, 10.1 while the attention gradient copied its compact node sums
+    # into a second array of their size, 8.7 now
     _, peak = _traced_step(backward=True)
-    assert peak < 10.5, peak
+    assert peak < 9.5, peak
 
 
 # ------------------------------------------------------------- regularizer
@@ -641,6 +642,12 @@ def test_empty_batch_and_bad_member_shapes_raise_shape_error():
             batch.subset(empty)
     with pytest.raises(ShapeError):
         batch.subset([[0, 1]])
+    # -3 would pair subject 0's label with subject 1's member row, 0.7
+    # would become subject 0, and 3 is past the last subject
+    ragged = toy_batch([[0], [1, 2, 3], [4]], 2)
+    for bad in ([-3], [0.7], [3]):
+        with pytest.raises(ShapeError, match=r"integers in \[0, 3\)"):
+            ragged.subset(bad)
     for members in (np.array([[1, 2], [3, 4]]), np.array([[1], [2]]),
                     np.int64(1)):
         with pytest.raises(ShapeError, match="subgraph 1 members are not a 1-D"):
