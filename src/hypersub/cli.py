@@ -293,7 +293,7 @@ def cmd_make_synthetic(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypersub",
-        description="Classify variable-sized node subsets of a weighted hypergraph.")
+        description="Classify subjects: weighted node subsets of a hypergraph.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")

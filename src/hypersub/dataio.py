@@ -13,7 +13,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Sequence
@@ -156,7 +156,6 @@ class SubgraphTable:
     sizes: np.ndarray
     class_vocab: list[str]
     gene_names: Sequence[str]
-    dropped_genes: int = 0
     excluded_subjects: list[str] = field(default_factory=list)
 
     @cached_property
@@ -335,7 +334,7 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
         label_columns=[list(dict.fromkeys(map(col.__getitem__, labels[i]))) for i in subjects],
         member_rows=rows[keep], member_weights=weights[keep],
         sizes=np.bincount(owner[keep], minlength=n)[positive],
-        class_vocab=vocab, gene_names=catalog.genes, dropped_genes=dropped,
+        class_vocab=vocab, gene_names=catalog.genes,
         excluded_subjects=[ids[i] for i in np.flatnonzero(~positive).tolist()])
 
 
@@ -466,10 +465,10 @@ def build_dataset(table: SubgraphTable, catalog: GeneSetCatalog,
 
 # -------------------------------------------------------------------- config
 
-def parse_config(source, base: TrainConfig | None = None) -> TrainConfig:
+def parse_config(source) -> TrainConfig:
     """Flat key = value config. Unknown keys fail fast; values are coerced to
-    the field's type. Missing keys keep the base (or default) value. A value
-    out of range raises InvalidConfigValue naming its key and line."""
+    the field's type. Missing keys keep their default value. A value out of
+    range raises InvalidConfigValue naming its key and line."""
     types = config_field_types()
     overrides = {}
     line_of = {}
@@ -492,12 +491,10 @@ def parse_config(source, base: TrainConfig | None = None) -> TrainConfig:
         except ValueError:
             raise MalformedLine(no, f"cannot parse {value!r} as {t.__name__} for {key!r}") from None
         line_of[key] = no
-    config = replace(base or TrainConfig(), **overrides)
+    config = TrainConfig(**overrides)
     try:
         config.validate()
     except InvalidConfigValue as e:   # name the line that set the value
-        if e.key not in line_of:
-            raise
         raise InvalidConfigValue(e.key, e.reason, line_of[e.key]) from None
     return config
 
@@ -532,8 +529,9 @@ def _tensor_line(name: str, shape: tuple[int, ...]) -> str:
 def _sections(ckpt: Checkpoint) -> list[list[str]]:
     """Header lines of each of SECTIONS, in order."""
     h = ckpt.hypergraph
-    edges = [f"{name}\t{float(w)!r}\t{','.join(map(str, mem))}"
-             for name, w, mem in zip(ckpt.edge_names, h.edge_weights, h.edge_members)]
+    # the weight column of format version 2 is always 1.0
+    edges = [f"{name}\t1.0\t{','.join(map(str, mem))}"
+             for name, mem in zip(ckpt.edge_names, h.edge_members)]
     tensors = [_tensor_line(name, t.data.shape)
                for name, t in ckpt.params.named_parameters()]
     return [serialize_config(ckpt.config).splitlines(), list(ckpt.class_vocab),
@@ -653,20 +651,28 @@ def _ints(text: str, count: int) -> np.ndarray:
     return values
 
 
-def _edge_line(line: str) -> tuple[str, float, np.ndarray]:
-    """Name, weight and members of one edge line of a checkpoint, or
+def _check_weights(texts: Iterable[str]) -> None:
+    """The weight fields of edge lines, unused but read back as positive
+    finite numbers; anything else raises ValueError."""
+    if not all(0.0 < w < math.inf for w in map(float, texts)):
+        raise ValueError("edge weight must be positive and finite")
+
+
+def _edge_line(line: str) -> tuple[str, np.ndarray]:
+    """Name and members of one edge line of a checkpoint, or
     CorruptCheckpoint naming the line."""
     parts = line.split("\t")
     try:
         if len(parts) != 3:
             raise ValueError("expected 3 tab-separated fields")
-        return parts[0], float(parts[1]), _ints(parts[2], parts[2].count(",") + 1)
+        _check_weights([parts[1]])
+        return parts[0], _ints(parts[2], parts[2].count(",") + 1)
     except ValueError as e:
         raise CorruptCheckpoint(f"bad edge line {line!r}") from e
 
 
-def _edge_section(lines: list[str]) -> tuple[list[str], list[float], np.ndarray, np.ndarray]:
-    """Names, weights, member counts and flat members of the edge lines.
+def _edge_section(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Names, member counts and flat members of the edge lines.
 
     Every line's fields are split once, and the members of all lines are
     parsed as one integer array. Only when that fails are the lines parsed
@@ -676,12 +682,12 @@ def _edge_section(lines: list[str]) -> tuple[list[str], list[float], np.ndarray,
         if set(map(len, fields)) != {3}:
             raise ValueError("expected 3 tab-separated fields")
         names, weights, members = map(list, zip(*fields))
-        weights = list(map(float, weights))
+        _check_weights(weights)
         sizes = np.fromiter(map(str.count, members, repeat(",")), np.intp, len(members)) + 1
-        return names, weights, sizes, _ints(",".join(members), int(sizes.sum()))
+        return names, sizes, _ints(",".join(members), int(sizes.sum()))
     except ValueError:
-        names, weights, members = map(list, zip(*map(_edge_line, lines)))
-        return names, weights, np.fromiter(map(len, members), np.intp, len(members)), \
+        names, members = map(list, zip(*map(_edge_line, lines)))
+        return names, np.fromiter(map(len, members), np.intp, len(members)), \
             np.concatenate(members)
 
 
@@ -731,10 +737,9 @@ def load_checkpoint(path) -> Checkpoint:
     if not class_vocab or not gene_names or not edge_lines:
         raise CorruptCheckpoint("empty classes, genes, or edges section")
 
-    edge_names, edge_weights, sizes, members = _edge_section(edge_lines)
+    edge_names, sizes, members = _edge_section(edge_lines)
     try:
-        h = build_hypergraph(members, edge_weights=edge_weights,
-                             num_nodes=len(gene_names), sizes=sizes)
+        h = build_hypergraph(members, num_nodes=len(gene_names), sizes=sizes)
     except Exception as e:
         raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
 

@@ -15,10 +15,6 @@ class EmptyHyperedge(InputDataError):
     """A hyperedge was declared with no member nodes."""
 
 
-class InvalidWeight(InputDataError):
-    """A hyperedge weight is zero, negative, or non-finite."""
-
-
 class IsolatedNode(HypersubError):
     """An operation requires every node to belong to at least one hyperedge."""
 

@@ -15,30 +15,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyHyperedge, InvalidWeight, IsolatedNode, ShapeError
+from .errors import EmptyHyperedge, IsolatedNode, ShapeError
 from .kernel import Segments
 
 
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Incidence structure with one positive weight per hyperedge.
+    """Incidence structure of nodes and hyperedges.
 
     Incidence pair p couples hyperedge ``edge_of_pair[p]`` with node
     ``node_of_pair[p]``; pairs run edge by edge, members ascending and
     unique within an edge. ``by_edge`` groups the pairs by edge
     (contiguous) and ``by_node`` by node (permuted; isolated nodes hold
-    empty groups). The three arrays are made read-only on construction.
+    empty groups). Both arrays are made read-only on construction.
     """
 
     num_nodes: int
     num_edges: int
     edge_of_pair: np.ndarray
     node_of_pair: np.ndarray
-    edge_weights: np.ndarray
 
     def __post_init__(self):
-        for a in (self.edge_of_pair, self.node_of_pair, self.edge_weights):
-            a.flags.writeable = False
+        self.edge_of_pair.flags.writeable = False
+        self.node_of_pair.flags.writeable = False
 
     @cached_property
     def by_edge(self) -> Segments:
@@ -92,16 +91,14 @@ class SparseMatrix:
 
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
-                     edge_weights=None,
                      num_nodes: int | None = None, *,
                      sizes=None) -> Hypergraph:
     """Assemble a Hypergraph from per-edge node lists, or, given ``sizes``,
     from one flat integer array of every edge's members in which edge j
     holds the next ``sizes[j]``.
 
-    Member lists are deduplicated and sorted. Weights default to 1.0 and must
-    be positive and finite. Nodes are 0..num_nodes-1; when num_nodes is not
-    given it is inferred from the largest index seen.
+    Member lists are deduplicated and sorted. Nodes are 0..num_nodes-1; when
+    num_nodes is not given it is inferred from the largest index seen.
     """
     if sizes is None:
         lists = list(edge_node_lists)
@@ -128,29 +125,20 @@ def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
     elif max_node >= num_nodes:
         raise ValueError(f"node index {max_node} out of range for num_nodes={num_nodes}")
 
-    if edge_weights is None:
-        weights = np.ones(num_edges, dtype=np.float64)
-    else:
-        weights = np.asarray(edge_weights, dtype=np.float64).copy()
-        if weights.shape != (num_edges,):
-            raise ValueError("edge_weights length must match the number of hyperedges")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-            raise InvalidWeight("hyperedge weights must be positive and finite")
-
     # one sorted key per distinct (edge, node): edge-major, members ascending;
     # sorting and dropping repeats is far faster than np.unique on numpy 2.4
     span = max(max_node, 0) + 1
     keys = np.sort(edge_of * span + node_of)
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    return Hypergraph(num_nodes, num_edges, keys // span, keys % span, weights)
+    return Hypergraph(num_nodes, num_edges, keys // span, keys % span)
 
 
 def restrict_to_nodes(h: Hypergraph, rows) -> Hypergraph:
     """The incidence pairs of the node ``rows`` (any order, repeats
-    allowed), as a hypergraph over the same nodes and edges, with the same
-    weights: pairs keep their order, edges may be empty and every other
-    node holds an empty group. ``h`` itself when that is every pair. A row
-    outside the nodes raises ShapeError. Built for the node side of message
+    allowed), as a hypergraph over the same nodes and edges: pairs keep
+    their order, edges may be empty and every other node holds an empty
+    group. ``h`` itself when that is every pair. A row outside the nodes
+    raises ShapeError. Built for the node side of message
     passing alone; an edge softmax over it would see only part of an edge.
     """
     rows = np.asarray(rows, dtype=np.intp)
@@ -162,34 +150,22 @@ def restrict_to_nodes(h: Hypergraph, rows) -> Hypergraph:
     if keep.all():
         return h
     return Hypergraph(h.num_nodes, h.num_edges, h.edge_of_pair[keep],
-                      h.node_of_pair[keep], h.edge_weights)
-
-
-def degrees(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """(node_degrees, edge_degrees).
-
-    A node's degree is the summed weight of its incident hyperedges, added
-    in hyperedge order; a hyperedge's degree is its member count.
-    """
-    node_deg = np.bincount(h.node_of_pair, weights=h.edge_weights[h.edge_of_pair],
-                           minlength=h.num_nodes)
-    edge_deg = h.by_edge.counts.astype(np.float64)
-    return node_deg, edge_deg
+                      h.node_of_pair[keep])
 
 
 def theta(h: Hypergraph) -> SparseMatrix:
     """Degree-normalized node adjacency through shared hyperedges.
 
-    Entry (i, i') accumulates w_j / edge_degree_j over every hyperedge j
-    containing both nodes, scaled by the inverse square roots of both node
-    degrees, summed in hyperedge order. Rows of zero-degree nodes stay
-    empty. Symmetric by construction, exactly: the (i, i') and (i', i)
+    Entry (i, i') accumulates 1 / |e_j| over every hyperedge j containing
+    both nodes, scaled by the inverse square roots of both node degrees
+    (their hyperedge counts), summed in hyperedge order. Rows of zero-degree
+    nodes stay empty. Symmetric by construction, exactly: the (i, i') and (i', i)
     accumulations see identical sequences of identical products.
     """
-    node_deg, edge_deg = degrees(h)
+    node_deg = h.by_node.counts
     inv_sqrt = np.zeros(h.num_nodes, dtype=np.float64)
     pos = node_deg > 0
-    inv_sqrt[pos] = node_deg[pos] ** -0.5
+    inv_sqrt[pos] = node_deg[pos].astype(np.float64) ** -0.5
 
     # every (a, b) member pair of every hyperedge, edge-major: incidence a
     # repeats once per member of its edge, and b runs over those members
@@ -201,7 +177,7 @@ def theta(h: Hypergraph) -> SparseMatrix:
     left = np.repeat(np.arange(node_of.size), reps)
     right = np.arange(left.size) + np.repeat(first[edge_of] - run, reps)
     v = inv_sqrt[node_of]
-    block = (h.edge_weights / edge_deg)[edge_of[left]] * (v[left] * v[right])
+    block = (1.0 / sizes)[edge_of[left]] * (v[left] * v[right])
     keys, slot = np.unique(node_of[left] * h.num_nodes + node_of[right],
                            return_inverse=True)
     values = np.bincount(slot, weights=block, minlength=keys.size)
@@ -213,8 +189,7 @@ def dual(h: Hypergraph) -> Hypergraph:
     """Interchange nodes and hyperedges.
 
     Every node must belong to at least one hyperedge, otherwise the dual
-    would contain an empty hyperedge. Dual edge weights are 1.0: the original
-    weights attach to hyperedges and have no counterpart on nodes.
+    would contain an empty hyperedge.
     """
     isolated = np.flatnonzero(h.by_node.counts == 0)
     if isolated.size:
@@ -222,4 +197,4 @@ def dual(h: Hypergraph) -> Hypergraph:
     # the stable node-major order keeps each node's edges ascending
     pos = h.by_node.positions()
     return Hypergraph(h.num_edges, h.num_nodes, h.node_of_pair[pos],
-                      h.edge_of_pair[pos], np.ones(h.num_nodes, dtype=np.float64))
+                      h.edge_of_pair[pos])

@@ -469,15 +469,12 @@ def classify(subgraph_states: Tensor, params: ModelParams, *,
     return K.sigmoid(logits)
 
 
-def loss(predictions: Tensor, labels: np.ndarray, mode: str,
-         reg_value: Tensor | None = None,
-         reg_weight: float = 0.0) -> tuple[Tensor, Tensor]:
-    """(total, classification) loss tensors.
+def loss(predictions: Tensor, labels: np.ndarray, mode: str) -> Tensor:
+    """The classification loss tensor.
 
     Multiclass: summed cross-entropy -sum(Y * ln Z); every row of Y must
     select at least one class. Multilabel: summed binary cross-entropy over
-    all (subject, class) cells. Logs clamp their argument at 1e-12. The
-    regularizer joins as total = classification + reg_weight * reg_value.
+    all (subject, class) cells. Logs clamp their argument at 1e-12.
     """
     y = np.asarray(labels, dtype=predictions.data.dtype)
     if y.shape != predictions.data.shape:
@@ -495,11 +492,7 @@ def loss(predictions: Tensor, labels: np.ndarray, mode: str,
         ce = K.scale(K.reduce_sum(K.add(pos, neg)), -1.0)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if reg_value is not None and reg_weight != 0.0:
-        total = K.add(ce, K.scale(reg_value, reg_weight))
-    else:
-        total = ce
-    return total, ce
+    return ce
 
 
 @dataclass
@@ -516,22 +509,16 @@ def objective(x: Tensor, params: ModelParams, batch: SubgraphBatch, *,
               ) -> ForwardResult:
     """The half of ``forward`` past the backbone: pooling of the final node
     states ``x``, head, and loss assembly, so that a caller holding the
-    states scores them without another backbone pass."""
+    states scores them without another backbone pass. Given ``theta_sp``,
+    the total is classification + reg_weight * regularizer(x, theta_sp)."""
     s = subgraph_repr(x, batch, params)
     z = classify(s, params, training=training, rng=rng)
-    reg_value = None
-    reg_float = 0.0
-    if theta_sp is not None and reg_weight != 0.0:
-        reg_value = regularizer(x, theta_sp)
-        reg_float = float(reg_value.data)
-    total, ce = loss(z, batch.labels, params.mode, reg_value=reg_value,
-                     reg_weight=reg_weight)
-    return ForwardResult(
-        predictions=z,
-        total_loss=total,
-        classification_loss=float(ce.data),
-        regularization=reg_float,
-    )
+    reg = None if theta_sp is None else regularizer(x, theta_sp)
+    ce = loss(z, batch.labels, params.mode)
+    if reg is None:
+        return ForwardResult(z, ce, float(ce.data), 0.0)
+    return ForwardResult(z, K.add(ce, K.scale(reg, reg_weight)), float(ce.data),
+                         float(reg.data))
 
 
 def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import kernel as K
 from . import model as M
-from .errors import (EmptySplit, InvalidConfigValue, NumericalDivergence,
-                     ShapeError)
+from .errors import (EmptySplit, InvalidConfigValue, InvalidLabel,
+                     NumericalDivergence, ShapeError)
 from .hypergraph import Hypergraph, restrict_to_nodes, theta
 
 
@@ -214,6 +214,8 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
     see dataio.SubgraphDataset. Deterministic for a fixed config and seed.
     """
     config.validate()
+    if not dataset.class_vocab:
+        raise InvalidLabel("no subject carries a label, so there is no class to learn")
     started = time.monotonic()
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")

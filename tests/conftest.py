@@ -9,7 +9,7 @@ from hypersub.hypergraph import build_hypergraph
 
 
 def random_hypergraph(rng, max_nodes=12, max_edges=6, allow_isolated=True):
-    """Small random hypergraph with random positive weights."""
+    """Small random hypergraph."""
     n = int(rng.integers(2, max_nodes + 1))
     e = int(rng.integers(1, max_edges + 1))
     lists = []
@@ -21,8 +21,7 @@ def random_hypergraph(rng, max_nodes=12, max_edges=6, allow_isolated=True):
         missing = [i for i in range(n) if i not in covered]
         if missing:
             lists[0] = sorted(set(lists[0]) | set(missing))
-    weights = rng.uniform(0.2, 3.0, size=e)
-    return build_hypergraph(lists, edge_weights=weights, num_nodes=n)
+    return build_hypergraph(lists, num_nodes=n)
 
 
 def memberships(h):

@@ -212,8 +212,7 @@ def test_a4_attention_normalization_and_symmetry():
     z1 = M.classify(s1, params)
     perm = rng.permutation(h.num_nodes).tolist()
     lists = [[perm[i] for i in mem] for mem in h.edge_members]
-    h2 = build_hypergraph(lists, edge_weights=h.edge_weights,
-                          num_nodes=h.num_nodes)
+    h2 = build_hypergraph(lists, num_nodes=h.num_nodes)
     emb = np.empty_like(params.node_embeddings.data)
     emb[perm] = params.node_embeddings.data
     params2 = dataclasses.replace(params, node_embeddings=K.parameter(emb))

@@ -220,6 +220,18 @@ def test_train_rejects_subject_without_positive_weight(synth_dir, tmp_path, caps
     assert "MalformedLine: line 1:" in err and sid in err
 
 
+def test_train_without_any_label_exits_2(synth_dir, tmp_path):
+    rows = [line.split("\t") for line in
+            (synth_dir / "subgraphs.tsv").read_text().splitlines()]
+    table = tmp_path / "unlabelled.tsv"
+    table.write_text("".join(f"{sid}\t-\t{members}\n" for sid, _, members in rows))
+    proc = run_process(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                        "--subgraphs", str(table), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "InvalidLabel: no subject carries a label" in proc.stderr
+
+
 def test_train_stratifies_on_sorted_label_sets(synth_dir, tmp_path):
     # multi-label fields out of sorted order, with a repeat: each subject's
     # stratification key is its set of labels, sorted

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersub.errors import EmptyHyperedge, InvalidWeight, IsolatedNode
-from hypersub.hypergraph import build_hypergraph, degrees, dual, theta
+from hypersub.errors import EmptyHyperedge, IsolatedNode
+from hypersub.hypergraph import build_hypergraph, dual, theta
 
 from conftest import group_positions, memberships, random_hypergraph, to_dense
 
@@ -17,14 +17,14 @@ def incidence_matrix(h):
 
 
 def dense_theta(h):
-    """Oracle: normalized adjacency assembled from dense matrix products."""
+    """Oracle: normalized adjacency assembled from dense matrix products,
+    with unit hyperedge weights."""
     hm = incidence_matrix(h)
-    node_deg, edge_deg = degrees(h)
+    node_deg, edge_deg = hm.sum(axis=1), hm.sum(axis=0)
     dv = np.zeros(h.num_nodes)
     dv[node_deg > 0] = node_deg[node_deg > 0] ** -0.5
-    w = np.diag(h.edge_weights)
     de_inv = np.diag(1.0 / edge_deg)
-    return np.diag(dv) @ hm @ w @ de_inv @ hm.T @ np.diag(dv)
+    return np.diag(dv) @ hm @ de_inv @ hm.T @ np.diag(dv)
 
 
 def test_build_dedupes_and_sorts():
@@ -32,7 +32,6 @@ def test_build_dedupes_and_sorts():
     assert h.edge_members == ((0, 1, 2), (1,))
     assert memberships(h) == ((0,), (0, 1), (0,))
     assert h.num_nodes == 3 and h.num_edges == 2
-    assert np.array_equal(h.edge_weights, [1.0, 1.0])
 
 
 def test_build_infers_and_checks_node_count():
@@ -47,12 +46,6 @@ def test_build_infers_and_checks_node_count():
 def test_build_rejects_bad_input():
     with pytest.raises(EmptyHyperedge):
         build_hypergraph([[0, 1], []])
-    with pytest.raises(InvalidWeight):
-        build_hypergraph([[0, 1]], edge_weights=[0.0])
-    with pytest.raises(InvalidWeight):
-        build_hypergraph([[0, 1]], edge_weights=[-2.0])
-    with pytest.raises(InvalidWeight):
-        build_hypergraph([[0, 1]], edge_weights=[np.inf])
     with pytest.raises(ValueError):
         build_hypergraph([[-1, 0]])
 
@@ -86,7 +79,7 @@ def test_build_matches_sorted_set_reference(lists, extra):
 
 def test_layout_arrays_are_read_only():
     h = build_hypergraph([[0, 1], [1, 2]])
-    for a in (h.edge_of_pair, h.node_of_pair, h.edge_weights):
+    for a in (h.edge_of_pair, h.node_of_pair):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -95,20 +88,10 @@ def test_round_trip_from_edge_lists(rng):
     for _ in range(20):
         h = random_hypergraph(rng)
         again = build_hypergraph([list(m) for m in h.edge_members],
-                                 edge_weights=h.edge_weights,
                                  num_nodes=h.num_nodes)
         assert (again.num_nodes, again.num_edges) == (h.num_nodes, h.num_edges)
         assert again.edge_members == h.edge_members
         assert memberships(again) == memberships(h)
-        assert np.array_equal(again.edge_weights, h.edge_weights)
-
-
-def test_degrees_hand_example():
-    # node degree sums incident edge weights; edge degree counts members
-    h = build_hypergraph([[0, 1], [1, 2]], edge_weights=[2.0, 3.0])
-    node_deg, edge_deg = degrees(h)
-    assert node_deg.tolist() == [2.0, 5.0, 3.0]
-    assert edge_deg.tolist() == [2.0, 2.0]
 
 
 def test_theta_single_edge_uniform():
@@ -167,7 +150,6 @@ def test_dual_swaps_roles():
     assert d.num_nodes == 2 and d.num_edges == 3
     # dual hyperedge i collects the original hyperedges containing node i
     assert d.edge_members == ((0,), (0, 1), (1,))
-    assert np.array_equal(d.edge_weights, [1.0, 1.0, 1.0])
 
 
 def test_dual_involution_is_exact(rng):

@@ -167,7 +167,7 @@ def test_own_pass_ranks_with_the_bits_of_a_full_trace(seed, data, num_layers, dt
     gen = np.random.default_rng(seed)
     g = random_hypergraph(gen, max_nodes=10, max_edges=5)
     # one more node, isolated, that subjects may hold as a member
-    h = build_hypergraph(g.edge_members, g.edge_weights, num_nodes=g.num_nodes + 1)
+    h = build_hypergraph(g.edge_members, num_nodes=g.num_nodes + 1)
     member_sets = data.draw(st.lists(
         st.sets(st.integers(0, h.num_nodes - 1), min_size=1, max_size=4),
         min_size=1, max_size=5))

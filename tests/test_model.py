@@ -832,11 +832,10 @@ def test_classify_multilabel_sigmoid():
 def test_loss_values_multiclass():
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     perfect = K.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    total, ce = M.loss(perfect, y, "multiclass")
-    assert abs(float(total.data)) <= 1e-12
+    assert abs(float(M.loss(perfect, y, "multiclass").data)) <= 1e-12
     uniform = K.constant(np.full((2, 2), 0.5))
-    total, _ = M.loss(uniform, y, "multiclass")
-    assert abs(float(total.data) - 2.0 * np.log(2.0)) <= 1e-12
+    ce = M.loss(uniform, y, "multiclass")
+    assert abs(float(ce.data) - 2.0 * np.log(2.0)) <= 1e-12
     with pytest.raises(InvalidLabel):
         M.loss(uniform, np.array([[1.0, 0.0], [0.0, 0.0]]), "multiclass")
 
@@ -844,19 +843,27 @@ def test_loss_values_multiclass():
 def test_loss_values_multilabel():
     y = np.array([[1.0, 0.0]])
     z = K.constant(np.array([[0.8, 0.3]]))
-    total, _ = M.loss(z, y, "multilabel")
+    ce = M.loss(z, y, "multilabel")
     want = -(np.log(0.8) + np.log(0.7))
-    assert abs(float(total.data) - want) <= 1e-12
+    assert abs(float(ce.data) - want) <= 1e-12
 
 
-def test_loss_includes_weighted_regularizer():
-    y = np.array([[1.0, 0.0]])
-    z = K.constant(np.array([[0.5, 0.5]]))
-    reg = K.constant(3.0)
-    total, ce = M.loss(z, y, "multiclass", reg_value=reg, reg_weight=2.0)
-    assert abs(float(total.data) - (float(ce.data) + 6.0)) <= 1e-12
-    total0, ce0 = M.loss(z, y, "multiclass", reg_value=reg, reg_weight=0.0)
-    assert float(total0.data) == float(ce0.data)
+def test_objective_adds_the_weighted_regularizer():
+    h = build_hypergraph([[0, 1, 2], [2, 3]])
+    params = toy_model(h, num_classes=2)
+    batch = toy_batch([[0, 1], [3]], 2)
+    x = M.forward_backbone(h, params)
+    plain = M.objective(x, params, batch)
+    assert plain.regularization == 0.0
+    assert float(plain.total_loss.data) == plain.classification_loss
+    t = theta(h)
+    res = M.objective(x, params, batch, theta_sp=t, reg_weight=2.0)
+    reg = float(M.regularizer(x, t).data)
+    assert reg > 0 and res.regularization == reg
+    assert res.classification_loss == plain.classification_loss
+    assert float(res.total_loss.data) == res.classification_loss + 2.0 * reg
+    res0 = M.objective(x, params, batch, theta_sp=t, reg_weight=0.0)
+    assert float(res0.total_loss.data) == res0.classification_loss
 
 
 # ------------------------------------------------------------- equivariance
@@ -864,8 +871,7 @@ def test_loss_includes_weighted_regularizer():
 def apply_permutation(h, params, batch, perm):
     """Relabel nodes by perm (old index -> new index)."""
     lists = [[perm[i] for i in mem] for mem in h.edge_members]
-    h2 = build_hypergraph(lists, edge_weights=h.edge_weights,
-                          num_nodes=h.num_nodes)
+    h2 = build_hypergraph(lists, num_nodes=h.num_nodes)
     emb = np.empty_like(params.node_embeddings.data)
     emb[list(perm)] = params.node_embeddings.data
     params2 = M.ModelParams(

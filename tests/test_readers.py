@@ -28,7 +28,6 @@ def reference_load_subgraphs(source, catalog, class_vocab=None, skip_empty=False
     subjects = []
     seen_ids = set()
     seen_labels = set()
-    dropped = 0
     excluded = []
     declared = set(class_vocab) if class_vocab is not None else None
     for no, line in D._lines(source):
@@ -74,7 +73,6 @@ def reference_load_subgraphs(source, catalog, class_vocab=None, skip_empty=False
             if not gene:
                 raise MalformedLine(no, f"member token {token!r} has no gene symbol")
             if gene not in catalog.gene_index:
-                dropped += 1
                 continue
             kept.setdefault(gene, w)
 
@@ -91,32 +89,34 @@ def reference_load_subgraphs(source, catalog, class_vocab=None, skip_empty=False
 
     vocab = list(class_vocab) if class_vocab is not None else sorted(seen_labels)
     return SimpleNamespace(subjects=subjects, class_vocab=vocab,
-                           dropped_genes=dropped, excluded_subjects=excluded)
+                           excluded_subjects=excluded)
 
 
 def reference_edge_lines(edge_lines):
-    """Names, weights and member lists of checkpoint edge lines, parsed line
-    by line, each member token with ``int``."""
-    edge_names, edge_weights, edge_lists = [], [], []
+    """Names and member lists of checkpoint edge lines, parsed line by line,
+    each member token with ``int``; a weight field that is not a positive
+    finite number makes a bad edge line."""
+    edge_names, edge_lists = [], []
     for line in edge_lines:
         parts = line.split("\t")
         if len(parts) != 3:
             raise CorruptCheckpoint(f"bad edge line {line!r}")
         edge_names.append(parts[0])
         try:
-            edge_weights.append(float(parts[1]))
+            if not 0.0 < float(parts[1]) < np.inf:
+                raise ValueError("edge weight must be positive and finite")
             edge_lists.append([int(tok) for tok in parts[2].split(",")])
         except ValueError as e:
             raise CorruptCheckpoint(f"bad edge line {line!r}") from e
-    return edge_names, edge_weights, edge_lists
+    return edge_names, edge_lists
 
 
 def reference_edge_section(edge_lines, num_genes):
     """The edge section of a checkpoint, parsed line by line and built into
     a hypergraph."""
-    edge_names, edge_weights, edge_lists = reference_edge_lines(edge_lines)
+    edge_names, edge_lists = reference_edge_lines(edge_lines)
     try:
-        h = build_hypergraph(edge_lists, edge_weights=edge_weights, num_nodes=num_genes)
+        h = build_hypergraph(edge_lists, num_nodes=num_genes)
     except Exception as e:
         raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
     return edge_names, h
@@ -202,8 +202,8 @@ def _subject_files(draw, faults):
 def _tables_equal(a, b):
     rows = [[(r.subject_id, r.labels, r.genes, list(map(repr, r.weights)))
              for r in t.subjects] for t in (a, b)]
-    return rows[0] == rows[1] and (a.class_vocab, a.dropped_genes, a.excluded_subjects) \
-        == (b.class_vocab, b.dropped_genes, b.excluded_subjects)
+    return rows[0] == rows[1] and (a.class_vocab, a.excluded_subjects) \
+        == (b.class_vocab, b.excluded_subjects)
 
 
 @pytest.mark.parametrize("faults", [False, True], ids=["valid", "faulty"])
@@ -266,7 +266,7 @@ def test_all_zero_subjects_are_excluded_or_named():
     text = "a\ta\tTP53:0,KRAS:0.0\nb\ta\tNOSUCH:1\nc\ta\tKRAS:0,TP53:2\n"
     table = D.load_subgraphs(text, CATALOG, skip_empty=True)
     assert [r.subject_id for r in table.subjects] == ["c"]
-    assert table.excluded_subjects == ["a", "b"] and table.dropped_genes == 1
+    assert table.excluded_subjects == ["a", "b"]
     with pytest.raises(MalformedLine, match="positive weight") as err:
         D.load_subgraphs(text, CATALOG)
     assert err.value.line_no == 1
@@ -348,7 +348,7 @@ def test_checkpoint_edges_match_the_line_walk(tmp_path_factory, edge_lines):
         names, h = want[1]
         ckpt = got[1]
         assert ckpt.edge_names == names
-        for field in ("edge_of_pair", "node_of_pair", "edge_weights"):
+        for field in ("edge_of_pair", "node_of_pair"):
             assert np.array_equal(getattr(ckpt.hypergraph, field), getattr(h, field))
 
 
