@@ -17,7 +17,6 @@ import logging
 import os
 import pathlib
 import sys
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -75,30 +74,17 @@ def _write_manifest(directory: pathlib.Path, command: str, inputs: dict,
     return path
 
 
-class _EdgeMembers(Sequence):
-    """The member gene names of each hyperedge of a checkpoint, named only
-    when a set is read: the commands that load a checkpoint read the gene
-    index alone."""
-
-    def __init__(self, ckpt: Checkpoint):
-        self._genes = ckpt.gene_names
-        self._h = ckpt.hypergraph
-
-    def __len__(self) -> int:
-        return self._h.num_edges
-
-    def __getitem__(self, k: int) -> list[str]:
-        k = range(len(self))[k]   # IndexError past either end
-        lo, hi = self._h.by_edge.offsets[k:k + 2]
-        return [self._genes[i] for i in self._h.node_of_pair[lo:hi].tolist()]
-
-
 def _catalog_from_checkpoint(ckpt: Checkpoint) -> GeneSetCatalog:
+    """The trained catalog, its sets in the hypergraph's columns. A
+    checkpoint keeps no descriptions; each reads '-', so that no set's GMT
+    line reads as a comment or a blank line."""
+    h = ckpt.hypergraph
     return GeneSetCatalog(
         names=list(ckpt.edge_names),
-        descriptions=[""] * len(ckpt.edge_names),
-        members=_EdgeMembers(ckpt),
+        descriptions=["-"] * len(ckpt.edge_names),
         gene_index=dict(zip(ckpt.gene_names, range(len(ckpt.gene_names)))),
+        member_rows=h.node_of_pair,
+        sizes=h.by_edge.counts,
     )
 
 
@@ -116,6 +102,10 @@ def cmd_train(args) -> int:
     if args.mode:
         config.mode = args.mode
     config.validate()
+    if config.mode == "multiclass" and table.class_vocab and not all(table.label_columns):
+        k = list(map(bool, table.label_columns)).index(False)
+        raise InvalidLabel(f"line {table.line_numbers[k]}: subject {table.subject_ids[k]!r} "
+                           "has no label, and multiclass mode needs one in every row")
 
     if args.split:
         assignment = load_split(pathlib.Path(args.split))

@@ -67,18 +67,20 @@ def _lines(source) -> Iterable[tuple[int, str]]:
 
 # ----------------------------------------------------------------- gene sets
 
-@dataclass
+@dataclass(eq=False)
 class GeneSetCatalog:
     """Named gene sets plus the node index assignment they induce.
 
-    Genes are indexed in order of first appearance across sets; set member
-    lists keep their file order (deduplicated).
+    Genes are indexed in order of first appearance across sets. The sets
+    are held as integer columns: set j holds the next ``sizes[j]`` of the
+    flat ``member_rows``, the gene indices of its members, each once.
     """
 
     names: list[str]
     descriptions: list[str]
-    members: list[list[str]]
     gene_index: dict[str, int]
+    member_rows: np.ndarray
+    sizes: np.ndarray
 
     @property
     def num_genes(self) -> int:
@@ -88,19 +90,27 @@ class GeneSetCatalog:
     def genes(self) -> list[str]:
         return list(self.gene_index)
 
+    @property
+    def members(self) -> list[list[str]]:
+        """Each set's member names in column order, derived on every read."""
+        names = np.array(self.genes, dtype=object)[self.member_rows].tolist()
+        bounds = np.cumsum(self.sizes).tolist()
+        return [names[end - size:end] for size, end in zip(self.sizes.tolist(), bounds)]
+
     def to_hypergraph(self) -> Hypergraph:
-        sizes = np.fromiter(map(len, self.members), np.intp, len(self.members))
-        rows = np.fromiter(map(self.gene_index.__getitem__, chain.from_iterable(self.members)),
-                           np.intp, int(sizes.sum()))
-        return build_hypergraph(rows, num_nodes=self.num_genes, sizes=sizes)
+        return build_hypergraph(self.member_rows, num_nodes=self.num_genes, sizes=self.sizes)
 
 
 def parse_gmt(source) -> GeneSetCatalog:
     """Parse tab-separated gene sets: name, description, then one field per
-    gene. Duplicate set names and lines with fewer than three fields fail."""
-    names, descriptions, members = [], [], []
+    gene. Duplicate set names and lines with fewer than three fields fail.
+    Empty gene fields are skipped and a set's repeats of a gene dropped;
+    each kept gene is looked up once, to give its index."""
+    names, descriptions, sizes = [], [], []
     seen: dict[str, int] = {}   # each set's line
     gene_index: dict[str, int] = {}
+    index = gene_index.setdefault
+    rows: list[int] = []
     for no, line in _lines(source):
         parts = line.split("\t")
         if len(parts) < 3:
@@ -112,16 +122,16 @@ def parse_gmt(source) -> GeneSetCatalog:
             raise DuplicateSet(f"line {no}: gene set {name!r} appears twice, "
                                f"first on line {seen[name]}")
         seen[name] = no
-        genes = list(dict.fromkeys(g for g in parts[2:] if g))
+        genes = dict.fromkeys(parts[2:])
+        genes.pop("", None)
         if not genes:
             raise MalformedLine(no, f"gene set {name!r} has no genes")
-        for g in genes:
-            if g not in gene_index:
-                gene_index[g] = len(gene_index)
+        rows += [index(g, len(gene_index)) for g in genes]
         names.append(name)
         descriptions.append(desc)
-        members.append(genes)
-    return GeneSetCatalog(names, descriptions, members, gene_index)
+        sizes.append(len(genes))
+    return GeneSetCatalog(names, descriptions, gene_index, np.array(rows, dtype=np.intp),
+                          np.array(sizes, dtype=np.intp))
 
 
 def serialize_gmt(catalog: GeneSetCatalog) -> str:
@@ -146,14 +156,16 @@ class SubjectRecord:
 class SubgraphTable:
     """Parsed subjects as columns, in file order. Subject k holds the next
     ``sizes[k]`` of the flat ``member_rows`` (catalog rows, each gene once,
-    named by ``gene_names``) and ``member_weights``, and its labels,
-    deduplicated in file order, as ``label_columns[k]`` into ``class_vocab``."""
+    named by ``gene_names``) and ``member_weights``, its labels,
+    deduplicated in file order, as ``label_columns[k]`` into
+    ``class_vocab``, and its line of the file as ``line_numbers[k]``."""
 
     subject_ids: list[str]
     label_columns: list[list[int]]
     member_rows: np.ndarray
     member_weights: np.ndarray
     sizes: np.ndarray
+    line_numbers: np.ndarray
     class_vocab: list[str]
     gene_names: Sequence[str]
     excluded_subjects: list[str] = field(default_factory=list)
@@ -178,6 +190,10 @@ def _labels(field: str) -> list[str]:
     return [lab.strip() for lab in field.split(",")]
 
 
+# the largest member weight: the model computes in float32
+_MAX_WEIGHT = float(np.finfo(np.float32).max)
+
+
 def _member_gene(no: int, token: str) -> str:
     """The gene of one stripped member token, once its checks pass; else
     the error that names its line."""
@@ -191,7 +207,7 @@ def _member_gene(no: int, token: str) -> str:
             w = float(wtext)
         except ValueError:
             raise MalformedLine(no, f"bad weight {wtext!r}") from None
-        if not math.isfinite(w) or w < 0:
+        if not 0 <= w <= _MAX_WEIGHT:
             raise MalformedLine(no, f"member weight must be finite and >= 0, got {wtext}")
     if not gene:
         raise MalformedLine(no, f"member token {token!r} has no gene symbol")
@@ -225,21 +241,33 @@ def _raise_subject_fault(no: int, line: str, earlier_ids: set[str],
     raise MalformedLine(no, f"subject {sid!r} has no catalog gene with a positive weight")
 
 
-def _members(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Genes (an object array) and weights of the comma-separated member
-    tokens of every field, flat and in order. Tokens are read stripped, a
-    gene is all of its token before the last ':' and a weight all after it
-    (1.0 without one; NaN where it does not parse). Splitting the joined
-    fields at both ',' and ':' cuts every token into pieces, and the order
-    of the separators says which piece is which."""
+def _members(fields: list[str]) -> tuple[list[str], np.ndarray]:
+    """Genes and weights of the comma-separated member tokens of every
+    field, flat and in order. Tokens are read stripped, a gene is all of
+    its token before the last ':' and a weight all after it (1.0 without
+    one; NaN where it does not parse). Splitting the joined fields at both
+    ',' and ':' cuts every token into pieces, and the order of the
+    separators says which piece is which."""
     joined = ",".join(fields)
     raw = np.frombuffer(joined.encode("utf-8"), np.uint8)
     if not joined.isascii() or raw.min(initial=255) <= ord(" "):   # maybe whitespace
         joined = ",".join(map(str.strip, joined.split(",")))
         raw = np.frombuffer(joined.encode("utf-8"), np.uint8)
-    seps = raw[(raw == ord(",")) | (raw == ord(":"))]
+    colon = raw[(raw == ord(",")) | (raw == ord(":"))] == ord(":")
     pieces = joined.replace(":", ",").split(",")
-    first = np.flatnonzero(np.concatenate(([True], seps == ord(","))))
+    if colon.size % 2 and colon[::2].all() and not colon[1::2].any():
+        try:   # every token is gene:weight, so genes and weights alternate
+            return pieces[::2], np.fromiter(map(float, pieces[1::2]), np.float64,
+                                            len(pieces) // 2)
+        except ValueError:   # a weight that is no number is read as NaN below
+            pass
+    return _tokens(pieces, colon)
+
+
+def _tokens(pieces: list[str], colon: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``_members`` for tokens of any shape, from their pieces and whether
+    each separator between two pieces is a ':'."""
+    first = np.flatnonzero(np.concatenate(([True], ~colon)))
     last = np.append(first[1:], len(pieces)) - 1
     piece = np.array(pieces, dtype=object)
     genes = piece[first]
@@ -252,7 +280,7 @@ def _members(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
         weights[weighted] = list(map(float, texts))
     except ValueError:
         weights[weighted] = list(map(_float_or_nan, texts))
-    return genes, weights
+    return genes.tolist(), weights
 
 
 def _float_or_nan(text: str) -> float:
@@ -279,7 +307,8 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
     member tokens of every line are parsed, looked up and checked as flat
     arrays. Only a file with a fault goes back to a single line, its first
     faulty one, whose error ``_raise_subject_fault`` raises. The table keeps
-    the rows found by the one lookup of each member token."""
+    the rows found by the one lookup of each member token, and each
+    subject's line number."""
     numbered = list(_lines(source))
     declared = set(class_vocab) if class_vocab is not None else None
     fields = [line.split("\t") for _, line in numbered]
@@ -293,22 +322,23 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
     fault = np.fromiter(map(first.__getitem__, ids), np.intp, n) != np.arange(n)
     fault |= np.fromiter(map(len, ids), np.intp, n) == 0
     fault |= np.fromiter(map(len, member_fields), np.intp, n) == 0
-    labels = list(map(_labels, label_fields))
-    flat_labels = list(chain.from_iterable(labels))
-    bad = np.fromiter(map(len, flat_labels), np.intp, len(flat_labels)) == 0
-    if declared is not None:
-        bad |= ~np.fromiter(map(declared.__contains__, flat_labels), bool, len(flat_labels))
-    fault[np.repeat(np.arange(n), np.fromiter(map(len, labels), np.intp, n))[bad]] = True
+    # each distinct labels field is parsed and checked once
+    labels = {f: _labels(f) for f in dict.fromkeys(label_fields)}
+    unusable = {f: not all(labs) or (declared is not None and not declared.issuperset(labs))
+                for f, labs in labels.items()}
+    fault |= np.fromiter(map(unusable.__getitem__, label_fields), bool, n)
 
     # every member token, flat, with its line; each line keeps the first
     # use of each of its catalog genes
-    genes, weights = _members(member_fields) if n else (np.zeros(0, object), np.zeros(0))
+    genes, weights = _members(member_fields) if n else ([], np.zeros(0))
     owner = np.repeat(np.arange(n), np.fromiter(
         map(str.count, member_fields, repeat(",")), np.intp, n) + 1)
-    bad = ~np.isfinite(weights) | (weights < 0) | (genes == "")
+    rows = np.fromiter(map(catalog.gene_index.get, genes, repeat(-1)), np.intp, len(genes))
+    bad = ~((weights >= 0) & (weights <= _MAX_WEIGHT))
+    # a token with no gene is not a catalog gene, unless the catalog names ""
+    unknown = range(len(genes)) if "" in catalog.gene_index else np.flatnonzero(rows < 0).tolist()
+    bad[[k for k in unknown if not genes[k]]] = True
     fault[owner[bad]] = True
-    rows = np.fromiter(map(catalog.gene_index.get, genes.tolist(), repeat(-1)),
-                       np.intp, genes.size)
     known = np.flatnonzero(rows >= 0)
     _, first_use = np.unique(owner[known] * max(1, catalog.num_genes) + rows[known],
                              return_index=True)
@@ -322,18 +352,21 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
         i = int(faulty[0]) if faulty.size else n
         _raise_subject_fault(*numbered[i], set(ids[:i]), declared, catalog.gene_index)
 
-    dropped = genes.size - known.size
+    dropped = len(genes) - known.size
     if dropped:
         logger.warning("dropped %d member entries not present in the catalog", dropped)
     keep = keep[positive[owner[keep]]]   # an excluded subject keeps no member
-    vocab = list(class_vocab) if class_vocab is not None else sorted(set(flat_labels))
+    vocab = list(class_vocab) if class_vocab is not None else \
+        sorted(set(chain.from_iterable(labels.values())))
     col = dict(zip(vocab, range(len(vocab))))
+    columns = {f: list(dict.fromkeys(map(col.__getitem__, labs))) for f, labs in labels.items()}
     subjects = np.flatnonzero(positive).tolist()
     return SubgraphTable(
         subject_ids=[ids[i] for i in subjects],
-        label_columns=[list(dict.fromkeys(map(col.__getitem__, labels[i]))) for i in subjects],
+        label_columns=[list(columns[label_fields[i]]) for i in subjects],
         member_rows=rows[keep], member_weights=weights[keep],
         sizes=np.bincount(owner[keep], minlength=n)[positive],
+        line_numbers=np.fromiter((no for no, _ in numbered[:n]), np.intp, n)[positive],
         class_vocab=vocab, gene_names=catalog.genes,
         excluded_subjects=[ids[i] for i in np.flatnonzero(~positive).tolist()])
 
@@ -458,8 +491,9 @@ def build_dataset(table: SubgraphTable, catalog: GeneSetCatalog,
     is unused until benchmark v2 (ROADMAP item 1), which calls this with it."""
     split = list(map(assignment.get, table.subject_ids))
     if None in split:
-        raise InputDataError(
-            f"subject {table.subject_ids[split.index(None)]!r} has no split assignment")
+        k = split.index(None)
+        raise InputDataError(f"line {table.line_numbers[k]}: subject "
+                             f"{table.subject_ids[k]!r} has no split assignment")
     return SubgraphDataset(resolve_subjects(table), table.class_vocab, split)
 
 
@@ -529,9 +563,11 @@ def _tensor_line(name: str, shape: tuple[int, ...]) -> str:
 def _sections(ckpt: Checkpoint) -> list[list[str]]:
     """Header lines of each of SECTIONS, in order."""
     h = ckpt.hypergraph
+    nodes = list(map(str, h.node_of_pair.tolist()))
+    bounds = h.by_edge.offsets.tolist()
     # the weight column of format version 2 is always 1.0
-    edges = [f"{name}\t1.0\t{','.join(map(str, mem))}"
-             for name, mem in zip(ckpt.edge_names, h.edge_members)]
+    edges = [f"{name}\t1.0\t{','.join(nodes[lo:hi])}"
+             for name, lo, hi in zip(ckpt.edge_names, bounds, bounds[1:])]
     tensors = [_tensor_line(name, t.data.shape)
                for name, t in ckpt.params.named_parameters()]
     return [serialize_config(ckpt.config).splitlines(), list(ckpt.class_vocab),

@@ -52,7 +52,7 @@ class Hypergraph:
         """Members of each hyperedge, ascending; derived on every call."""
         nodes = self.node_of_pair.tolist()
         bounds = self.by_edge.offsets.tolist()
-        return tuple(tuple(nodes[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        return tuple([tuple(nodes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
 
 @dataclass(frozen=True, eq=False)

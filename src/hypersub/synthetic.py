@@ -102,8 +102,9 @@ def make_synthetic(num_nodes: int = 200, num_edges: int = 20,
         names=edge_names,
         descriptions=[f"planted pool of {class_names[class_of_edge[j]]}"
                       for j in range(num_edges)],
-        members=[[genes[i] for i in block] for block in edge_blocks],
         gene_index={g: i for i, g in enumerate(genes)},
+        member_rows=np.concatenate(edge_blocks).astype(np.intp),
+        sizes=np.array([block.size for block in edge_blocks], dtype=np.intp),
     )
     split = stratified_split(subject_ids, label_keys, SPLIT_RATIOS, seed=seed)
     return SyntheticData(

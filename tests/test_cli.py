@@ -220,6 +220,59 @@ def test_train_rejects_subject_without_positive_weight(synth_dir, tmp_path, caps
     assert "MalformedLine: line 1:" in err and sid in err
 
 
+def _edited_subjects(synth_dir, tmp_path, line_no, edit):
+    """The make-synthetic subject file with line ``line_no``'s fields
+    passed through ``edit``, and that line's subject id."""
+    lines = (synth_dir / "subgraphs.tsv").read_text().splitlines()
+    fields = lines[line_no - 1].split("\t")
+    lines[line_no - 1] = "\t".join(edit(*fields))
+    table = tmp_path / "edited.tsv"
+    table.write_text("\n".join(lines) + "\n")
+    return table, fields[0]
+
+
+def test_train_rejects_a_weight_past_float32_at_its_line(synth_dir, tmp_path):
+    # finite in float64, infinite in the float32 the model computes in
+    table, sid = _edited_subjects(synth_dir, tmp_path, 4, lambda sid, labels, members: (
+        sid, labels, members.replace(members.split(",")[1].split(":")[1], "1e39", 1)))
+    proc = run_process(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                        "--subgraphs", str(table), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "MalformedLine: line 4: member weight must be finite and >= 0, got 1e39" \
+        in proc.stderr
+
+
+@pytest.mark.parametrize("split_args", [[], ["--split"]], ids=["ratios", "split"])
+def test_multiclass_train_names_an_unlabelled_subject(synth_dir, tmp_path, split_args):
+    table, sid = _edited_subjects(synth_dir, tmp_path, 3,
+                                  lambda sid, labels, members: (sid, "-", members))
+    split_args = split_args and ["--split", str(synth_dir / "split.tsv")]
+    proc = run_process(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                        "--subgraphs", str(table), *split_args,
+                        "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"InvalidLabel: line 3: subject {sid!r} has no label" in proc.stderr
+    # rejected before any split is drawn, so no stratification warning
+    assert "assigning all to train" not in proc.stderr
+
+
+def test_a_subject_left_out_of_the_split_is_named_with_its_line(synth_dir, tmp_path,
+                                                                  capsys):
+    lines = (synth_dir / "subgraphs.tsv").read_text().splitlines()
+    sid = lines[4].split("\t")[0]
+    split = tmp_path / "split.tsv"
+    split.write_text("".join(line + "\n" for line in
+                             (synth_dir / "split.tsv").read_text().splitlines()
+                             if line.split("\t")[0] != sid))
+    code = run(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                "--subgraphs", str(synth_dir / "subgraphs.tsv"), "--split", str(split),
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"line 5: subject {sid!r} has no split assignment" in capsys.readouterr().err
+
+
 def test_train_without_any_label_exits_2(synth_dir, tmp_path):
     rows = [line.split("\t") for line in
             (synth_dir / "subgraphs.tsv").read_text().splitlines()]
@@ -440,7 +493,7 @@ def test_checkpoint_catalog_names_members_only_when_read(synth_dir, train_dir):
     with pytest.raises(IndexError):
         catalog.members[len(eager)]
     assert D.serialize_gmt(catalog) == "".join(
-        f"{n}\t\t" + "\t".join(m) + "\n" for n, m in zip(ckpt.edge_names, eager))
+        f"{n}\t-\t" + "\t".join(m) + "\n" for n, m in zip(ckpt.edge_names, eager))
     assert np.array_equal(catalog.to_hypergraph().node_of_pair, h.node_of_pair)
     # the sets are the trained GMT's, whose member order is the file's
     source = D.parse_gmt((synth_dir / "synthetic.gmt").read_text())

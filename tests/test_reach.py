@@ -20,17 +20,14 @@ pytestmark = pytest.mark.skipif(sys.version_info < (3, 11),
 PACKAGE = pathlib.Path(hypersub.__file__).parent
 
 # "module:qualname" of each function no command reaches, and why it stays
-_LAZY = ("_EdgeMembers' lazy names: a checkpoint catalog's set members, named "
-         "only when read; no command reads them (tests/test_cli.py does)")
 _PATCHED = "benchmark name: bench/spans.py patches it; tests compose with it"
 _KEYWORD = ("benchmark name: the keyword SubgraphBatch constructor, which "
             "bench/pipeline.py and tests build batches with")
 ALLOWED = {
-    "cli:_EdgeMembers.__getitem__": _LAZY,
-    "cli:_EdgeMembers.__len__": _LAZY,
     "dataio:SubgraphDataset.subject_ids": "benchmark name: bench/pipeline.py reads it",
     "dataio:SubgraphTable.subjects": "benchmark name: bench/pipeline.py's predict reads the records",
     "dataio:_marked_sections": "the version-1 checkpoint reader: old checkpoints stay readable",
+    "hypergraph:Hypergraph.edge_members": "benchmark name: bench/spans.py's incidences gauge",
     "hypergraph:SparseMatrix.nnz": "benchmark name: bench/spans.py's theta_nnz gauge",
     "hypergraph:dual": "test oracle: A3's exact score duality runs on the dual",
     "kernel:_released": "fault path: a second backward through a released graph",

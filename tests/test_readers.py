@@ -1,5 +1,6 @@
-"""The columnar subject and checkpoint readers against line-by-line
-reference readers: the same table or hypergraph, or the same error."""
+"""The columnar gene-set, subject and checkpoint readers against
+line-by-line reference readers: the same catalog, table or hypergraph, or
+the same error."""
 
 import gc
 import re
@@ -11,15 +12,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersub import cli
 from hypersub import dataio as D
 from hypersub import model as M
-from hypersub.errors import (CorruptCheckpoint, EmptySubgraph, InputDataError,
-                             MalformedLine, UnknownClass)
+from hypersub.errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
+                             InputDataError, MalformedLine, UnknownClass)
 from hypersub.hypergraph import build_hypergraph
+from hypersub.synthetic import make_synthetic
 from hypersub.training import TrainConfig
 
 
 # ------------------------------------------------------ reference readers
+
+def reference_parse_gmt(source):
+    """``parse_gmt`` as a walk over the lines, each set's member names a
+    list and the gene index assigned name by name."""
+    names, descriptions, members = [], [], []
+    seen = {}
+    gene_index = {}
+    for no, line in D._lines(source):
+        parts = line.split("\t")
+        if len(parts) < 3:
+            raise MalformedLine(no, f"expected at least 3 tab-separated fields, got {len(parts)}")
+        name, desc = parts[0], parts[1]
+        if not name:
+            raise MalformedLine(no, "empty set name")
+        if name in seen:
+            raise DuplicateSet(f"line {no}: gene set {name!r} appears twice, "
+                               f"first on line {seen[name]}")
+        seen[name] = no
+        genes = list(dict.fromkeys(g for g in parts[2:] if g))
+        if not genes:
+            raise MalformedLine(no, f"gene set {name!r} has no genes")
+        for g in genes:
+            if g not in gene_index:
+                gene_index[g] = len(gene_index)
+        names.append(name)
+        descriptions.append(desc)
+        members.append(genes)
+    return SimpleNamespace(names=names, descriptions=descriptions, members=members,
+                           gene_index=gene_index)
+
 
 def reference_load_subgraphs(source, catalog, class_vocab=None, skip_empty=False):
     """``load_subgraphs`` as a walk over the lines and their member tokens,
@@ -66,7 +99,7 @@ def reference_load_subgraphs(source, catalog, class_vocab=None, skip_empty=False
                     w = float(wtext)
                 except ValueError:
                     raise MalformedLine(no, f"bad weight {wtext!r}") from None
-                if not np.isfinite(w) or w < 0:
+                if not 0 <= w <= float(np.finfo(np.float32).max):   # finite in float32 too
                     raise MalformedLine(no, f"member weight must be finite and >= 0, got {wtext}")
             else:
                 gene, w = token, 1.0
@@ -130,6 +163,72 @@ def outcome(fn, *args, **kwargs):
         return "error", (type(e), str(e), getattr(e, "line_no", None))
 
 
+# ---------------------------------------------------------------- gene sets
+
+_SET_NAMES = ["p1", "p2", "p3", "p4", "p5", "", " ", "p 6", "#p"]
+_DESCRIPTIONS = ["", "-", "a set", "#d"]
+_SET_GENES = ["TP53", "BRCA1", "KRAS", "", "", " ", "A:B", "x y", "#g", "é"]
+
+
+@st.composite
+def _gmt_files(draw):
+    """Up to 6 lines of gene sets, comments, blanks and lines under three
+    fields, each ended by \n, \r\n or \r; names, descriptions and genes
+    drawn from small pools, so sets repeat names and share and repeat
+    genes, and fields are often empty."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [draw(st.sampled_from(_SET_NAMES)), draw(st.sampled_from(_DESCRIPTIONS)),
+                  *draw(st.lists(st.sampled_from(_SET_GENES), min_size=1, max_size=6))]
+        shape = draw(st.sampled_from(["ok"] * 12 + ["comment", "blank", "one", "two"]))
+        line = {"ok": "\t".join(fields), "comment": "# " + "\t".join(fields),
+                "blank": " ", "one": fields[0], "two": "\t".join(fields[:2])}[shape]
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines)
+
+
+def _catalogs_equal(a, b):
+    return (a.names, a.descriptions, a.members, list(a.gene_index.items())) \
+        == (b.names, b.descriptions, b.members, list(b.gene_index.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gmt_files())
+def test_parse_gmt_matches_the_line_walk(text):
+    got = outcome(D.parse_gmt, text)
+    want = outcome(reference_parse_gmt, text)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+        return
+    catalog, ref = got[1], want[1]
+    assert _catalogs_equal(catalog, ref)
+    assert catalog.member_rows.dtype == catalog.sizes.dtype == np.intp
+    h = catalog.to_hypergraph()
+    ref_h = build_hypergraph([[ref.gene_index[g] for g in m] for m in ref.members],
+                             num_nodes=len(ref.gene_index))
+    assert (h.num_nodes, h.num_edges) == (ref_h.num_nodes, ref_h.num_edges)
+    for field in ("edge_of_pair", "node_of_pair"):
+        assert np.array_equal(getattr(h, field), getattr(ref_h, field))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gmt_files())
+def test_gmt_round_trips_from_text_and_from_a_checkpoint(text):
+    status, catalog = outcome(D.parse_gmt, text)
+    if status == "error":
+        return
+    assert _catalogs_equal(D.parse_gmt(D.serialize_gmt(catalog)), catalog)
+    # the catalog a command rebuilds from a checkpoint of these sets: members
+    # ascending by gene index, which keeps the index order on a reparse
+    ckpt = D.Checkpoint(params=None, config=None, gene_names=catalog.genes,
+                        class_vocab=[], edge_names=catalog.names,
+                        hypergraph=catalog.to_hypergraph())
+    rebuilt = cli._catalog_from_checkpoint(ckpt)
+    assert rebuilt.members == [sorted(m, key=catalog.gene_index.get) for m in catalog.members]
+    assert _catalogs_equal(D.parse_gmt(D.serialize_gmt(rebuilt)), rebuilt)
+
+
 # ------------------------------------------------------------ subject files
 
 CATALOG = D.parse_gmt("p1\t-\tTP53\tBRCA1\tA:B\tx y\t d\n"
@@ -146,7 +245,7 @@ _IDS = ["s1", "s2", "s3", "s4", "s5", "s6", "s7", "s 8"]
 _FAULTS = {
     "id": [""],   # or the id of a line
     "labels": ["a,,b", "c", "a, c", ","],
-    "weight": ["-1", "nan", "inf", "1e400", "abc", "", ":1"],
+    "weight": ["-1", "nan", "inf", "1e400", "1e39", "abc", "", ":1"],
     "gene": ["", " "],
     "fields": ["short", "long"],
     "members": [[]],
@@ -158,7 +257,14 @@ _FAULT_KINDS = ["weight", "labels", "gene", "weight", "id", "zero", "labels", "m
 
 
 @st.composite
-def _token(draw):
+def _token(draw, weighted=False):
+    """[pad, gene, weight, pad]; with ``weighted``, a gene:weight token that
+    holds one ':'."""
+    if weighted:
+        return [draw(st.sampled_from(_PADS)),
+                draw(st.sampled_from([g for g in _GENES if ":" not in g])),
+                draw(st.sampled_from([w for w in _WEIGHTS if w is not None])),
+                draw(st.sampled_from(_PADS))]
     gene, weight = draw(st.sampled_from(_GENES)), draw(st.sampled_from(_WEIGHTS))
     if weight is None and ":" in gene:
         weight = "1"
@@ -175,10 +281,14 @@ def _render(sid, labels, tokens, shape):
 
 @st.composite
 def _subject_files(draw, faults):
-    """Up to 8 subject lines, with one to three faults if ``faults``."""
+    """Up to 8 subject lines, with one to three faults if ``faults``. Half
+    the files hold gene:weight tokens alone; lines draw their labels from a
+    few fields, so fields repeat."""
     count = draw(st.integers(1 if faults else 0, 8))
-    lines = [[sid, draw(st.sampled_from(_LABELS)), draw(st.lists(_token(), min_size=1,
-                                                                  max_size=5)),
+    token = _token(weighted=draw(st.booleans()))
+    fields = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=3))
+    lines = [[sid, draw(st.sampled_from(fields)), draw(st.lists(token, min_size=1,
+                                                                 max_size=5)),
               draw(st.sampled_from(["ok"] * 6 + ["comment", "blank"]))]
              for sid in draw(st.permutations(_IDS))[:count]]
     for _ in range(draw(st.integers(1, 3)) if faults else 0):
@@ -250,6 +360,22 @@ def test_resolved_columns_match_the_records_looked_up(text, vocab, skip_empty):
     assert np.array_equal(got.groups.counts, ref.groups.counts)
     assert np.array_equal(got.labels, ref.labels)
     assert got.subject_ids == ref.subject_ids
+
+
+def test_weighted_tokens_take_the_fast_path(monkeypatch):
+    # make-synthetic and benchmark-style files never reach the general
+    # tokenizer, so a lost fast path fails here and not only in timings
+    def general(*args):
+        raise AssertionError("the general tokenizer ran")
+    synth = make_synthetic(num_nodes=40, num_edges=8, num_classes=4, num_subjects=60, seed=3)
+    catalog = D.parse_gmt(synth.gmt_text())
+    bench = D.parse_gmt("PW0000\tsynthetic\tG00001\tG00002\tG00003\n")
+    lines = "s000000\tC0\tG00001:0.500000,G00003:0.031250\ns000001\t-\tG00002:1.000000\n"
+    monkeypatch.setattr(D, "_tokens", general)
+    assert D.load_subgraphs(synth.subgraphs_text(), catalog).sizes.sum() > 0
+    assert D.load_subgraphs(lines, bench).member_rows.tolist() == [0, 2, 1]
+    with pytest.raises(AssertionError, match="general tokenizer"):
+        D.load_subgraphs("s\tC0\tG00001\n", bench)
 
 
 def test_load_subgraphs_names_the_first_of_several_faulty_lines():
