@@ -22,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from . import model as M
-from .dataio import (Checkpoint, GeneSetCatalog, build_dataset, load_checkpoint,
-                     load_split, load_subgraphs, parse_config, parse_gmt,
-                     resolve_subjects, save_checkpoint, serialize_split,
-                     stratified_split)
+from .dataio import (Checkpoint, GeneSetCatalog, SubgraphTable, build_dataset,
+                     load_checkpoint, load_split, load_subgraphs, parse_config,
+                     parse_gmt, resolve_subjects, save_checkpoint,
+                     serialize_split, stratified_split)
 from .errors import (EmptyClass, EmptySplit, InputDataError, InvalidLabel,
                      NumericalDivergence)
 from .interpret import (backbone_trace, class_enrichment, correlation_tsv,
@@ -88,6 +88,19 @@ def _catalog_from_checkpoint(ckpt: Checkpoint) -> GeneSetCatalog:
     )
 
 
+def _check_one_label_each(table: SubgraphTable) -> None:
+    """Multiclass mode reads one class per subject: InvalidLabel naming
+    the line of the first subject with none or with several."""
+    wrong = [k for k, cols in enumerate(table.label_columns) if len(cols) != 1]
+    if wrong:
+        k = wrong[0]
+        head = f"line {table.line_numbers[k]}: subject {table.subject_ids[k]!r}"
+        if not table.label_columns[k]:
+            raise InvalidLabel(f"{head} has no label, and multiclass mode needs one in every row")
+        raise InvalidLabel(f"{head} carries {len(table.label_columns[k])} labels, "
+                           "and multiclass mode needs exactly one")
+
+
 # ------------------------------------------------------------------ commands
 
 def cmd_train(args) -> int:
@@ -102,10 +115,8 @@ def cmd_train(args) -> int:
     if args.mode:
         config.mode = args.mode
     config.validate()
-    if config.mode == "multiclass" and table.class_vocab and not all(table.label_columns):
-        k = list(map(bool, table.label_columns)).index(False)
-        raise InvalidLabel(f"line {table.line_numbers[k]}: subject {table.subject_ids[k]!r} "
-                           "has no label, and multiclass mode needs one in every row")
+    if config.mode == "multiclass" and table.class_vocab:
+        _check_one_label_each(table)
 
     if args.split:
         assignment = load_split(pathlib.Path(args.split))
@@ -170,6 +181,8 @@ def cmd_evaluate(args) -> int:
     catalog = _catalog_from_checkpoint(ckpt)
     table = load_subgraphs(pathlib.Path(args.subgraphs), catalog,
                            class_vocab=ckpt.class_vocab)
+    if ckpt.config.mode == "multiclass":
+        _check_one_label_each(table)
     assignment = load_split(pathlib.Path(args.split))
     if args.split_name not in set(assignment.values()):
         raise InputDataError(f"split {args.split_name!r} has no subjects in {args.split}")

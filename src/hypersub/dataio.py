@@ -2,7 +2,8 @@
 
 Text inputs are tab-separated with '#' comment lines; gene symbols are
 case-sensitive and never normalized. Checkpoints pair a human-readable header
-with raw little-endian float32 blocks and are written atomically.
+with raw little-endian blocks (float32 tensors, then the int32 hyperedge
+members) and are written atomically.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, repeat
@@ -32,7 +34,7 @@ from .training import TrainConfig, config_field_types
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = "hypersub-checkpoint"
-CHECKPOINT_VERSION = 2          # the version written; version 1 is still read
+CHECKPOINT_VERSION = 3          # the version written; versions 1 and 2 are still read
 SECTIONS = ("config", "classes", "genes", "edges", "tensors")
 
 
@@ -562,46 +564,52 @@ def _tensor_line(name: str, shape: tuple[int, ...]) -> str:
 
 def _sections(ckpt: Checkpoint) -> list[list[str]]:
     """Header lines of each of SECTIONS, in order."""
-    h = ckpt.hypergraph
-    nodes = list(map(str, h.node_of_pair.tolist()))
-    bounds = h.by_edge.offsets.tolist()
-    # the weight column of format version 2 is always 1.0
-    edges = [f"{name}\t1.0\t{','.join(nodes[lo:hi])}"
-             for name, lo, hi in zip(ckpt.edge_names, bounds, bounds[1:])]
+    sizes = ckpt.hypergraph.by_edge.counts.tolist()
+    edges = [f"{name}\t{size}" for name, size in zip(ckpt.edge_names, sizes)]
     tensors = [_tensor_line(name, t.data.shape)
                for name, t in ckpt.params.named_parameters()]
     return [serialize_config(ckpt.config).splitlines(), list(ckpt.class_vocab),
             list(ckpt.gene_names), edges, tensors]
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write header plus raw little-endian float32 tensor blocks, atomically:
-    the file appears under its final name only once complete.
+    """Write header plus raw little-endian blocks, atomically: the file
+    appears under its final name only once complete.
 
     The header is three lines (magic, version, ``header_bytes: N``) and then
     N bytes of UTF-8 lines: the storage declaration, each section as a
     ``[name] count`` line followed by exactly ``count`` lines, and a closing
     ``[payload]`` line. Counts and the byte length, not line contents, mark
-    where things end, so any name without a newline round-trips.
+    where things end, so any name without a newline round-trips. An edge
+    line is ``name TAB size``. The payload is every tensor as float32, in
+    the order of the tensor section, then the members of every hyperedge
+    as one int32 block, edge after edge and ascending within an edge:
+    ``Hypergraph.node_of_pair`` as it is. A node index past the int32 range
+    raises ValueError before anything is written.
     """
+    members = ckpt.hypergraph.node_of_pair
+    if members.size and int(members.max()) > _INT32_MAX:
+        raise ValueError(f"node index {int(members.max())} does not fit the int32 "
+                         "member block of a checkpoint")
     body = ["endian: little", "dtype: float32"]
     for name, lines in zip(SECTIONS, _sections(ckpt)):
         body.append(f"[{name}] {len(lines)}")
         body += lines
     body.append("[payload]")
     rest = ("\n".join(body) + "\n").encode("utf-8")
-    blob = io.BytesIO()
-    blob.write(f"{CHECKPOINT_MAGIC}\nversion: {CHECKPOINT_VERSION}\n"
-               f"header_bytes: {len(rest)}\n".encode("utf-8"))
-    blob.write(rest)
-    for _, t in ckpt.params.named_parameters():
-        blob.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
-    payload = blob.getvalue()
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.write(f"{CHECKPOINT_MAGIC}\nversion: {CHECKPOINT_VERSION}\n"
+                     f"header_bytes: {len(rest)}\n".encode("utf-8"))
+            fh.write(rest)
+            for _, t in ckpt.params.named_parameters():
+                fh.write(np.ascontiguousarray(t.data, dtype="<f4"))
+            fh.write(members.astype("<i4"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -625,7 +633,7 @@ def _line(raw: bytes, pos: int) -> tuple[str, int]:
 
 
 def _counted_sections(lines: list[str]) -> list[list[str]]:
-    """Version 2: each section is ``[name] count`` and ``count`` lines."""
+    """Versions 2 and 3: each section is ``[name] count`` and ``count`` lines."""
     out, pos = [], 0
     for name in SECTIONS:
         tag, _, count = lines[pos].partition(" ") if pos < len(lines) else ("", "", "")
@@ -695,8 +703,8 @@ def _check_weights(texts: Iterable[str]) -> None:
 
 
 def _edge_line(line: str) -> tuple[str, np.ndarray]:
-    """Name and members of one edge line of a checkpoint, or
-    CorruptCheckpoint naming the line."""
+    """Name and members of one edge line of a version 1 or 2 checkpoint,
+    or CorruptCheckpoint naming the line."""
     parts = line.split("\t")
     try:
         if len(parts) != 3:
@@ -708,7 +716,7 @@ def _edge_line(line: str) -> tuple[str, np.ndarray]:
 
 
 def _edge_section(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Names, member counts and flat members of the edge lines.
+    """Names, member counts and flat members of version 1 and 2 edge lines.
 
     Every line's fields are split once, and the members of all lines are
     parsed as one integer array. Only when that fails are the lines parsed
@@ -727,9 +735,63 @@ def _edge_section(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
             np.concatenate(members)
 
 
+def _count(text: str) -> int:
+    """A positive integer in canonical decimal, as the writer puts it, or 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        return 0
+    return value if value > 0 and str(value) == text else 0
+
+
+def _sized_edges(lines: list[str]) -> tuple[list[str], list[int]]:
+    """Names and sizes of version 3 edge lines, each ``name TAB size``;
+    a line of any other shape is CorruptCheckpoint naming the first."""
+    fields = [line.split("\t") for line in lines]
+    if set(map(len, fields)) == {2}:
+        names, texts = map(list, zip(*fields))
+        try:
+            sizes = list(map(int, texts))
+        except ValueError:
+            sizes = [0]
+        if list(map(str, sizes)) == texts and min(sizes) > 0:
+            return names, sizes
+    bad = next(line for line, parts in zip(lines, fields)
+               if len(parts) != 2 or not _count(parts[1]))
+    raise CorruptCheckpoint(f"bad edge line {bad!r}")
+
+
+def _member_block(block, names: list[str], sizes: list[int], num_genes: int) -> Hypergraph:
+    """The hypergraph of a version 3 member block: every edge's members as
+    little-endian int32, edge after edge, ``sizes[j]`` of them for edge j,
+    each in [0, num_genes) and rising strictly within its edge. That is the
+    layout a Hypergraph holds, so it is checked in one pass and kept as it
+    is; anything else is CorruptCheckpoint."""
+    total = sum(sizes)   # in Python ints, which hold any size a line can state
+    if len(block) != 4 * total:
+        raise CorruptCheckpoint(f"member block holds {len(block)} bytes, "
+                                f"the edge sizes need {4 * total}")
+    sizes = np.array(sizes, dtype=np.intp)
+    members = np.frombuffer(block, dtype="<i4").astype(np.intp)
+    ends = np.cumsum(sizes)
+    outside = np.flatnonzero((members < 0) | (members >= num_genes))
+    rising = np.diff(members) > 0
+    rising[ends[:-1] - 1] = True   # the first member of the next edge
+    if outside.size or not rising.all():
+        at = int(outside[0]) if outside.size else int(np.argmin(rising)) + 1
+        edge = names[int(np.searchsorted(ends, at, side="right"))]
+        if outside.size:
+            raise CorruptCheckpoint(f"edge {edge!r} holds member {members[at]}, "
+                                    f"outside the {num_genes} genes")
+        raise CorruptCheckpoint(f"members of edge {edge!r} do not rise strictly")
+    return Hypergraph(num_genes, sizes.size,
+                      np.repeat(np.arange(sizes.size, dtype=np.intp), sizes), members)
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint of version 1 or 2; every structural inconsistency
-    raises CorruptCheckpoint, any other version raises UnsupportedVersion."""
+    """Read a checkpoint of version 1, 2 or 3; every structural
+    inconsistency raises CorruptCheckpoint, any other version raises
+    UnsupportedVersion."""
     with open(path, "rb") as fh:
         raw = fh.read()
     magic, pos = _line(raw, 0)
@@ -742,7 +804,7 @@ def load_checkpoint(path) -> Checkpoint:
         version = int(line.split(": ", 1)[1])
     except ValueError as e:
         raise CorruptCheckpoint("unreadable version") from e
-    if version == 2:
+    if version in (2, 3):
         line, pos = _line(raw, pos)
         key, _, length = line.partition(": ")
         if key != "header_bytes" or not length.isdecimal():
@@ -761,10 +823,10 @@ def load_checkpoint(path) -> Checkpoint:
         payload = memoryview(raw)[cut + len(marker):]
     else:
         raise UnsupportedVersion(
-            f"checkpoint version {version}, expected 1 or {CHECKPOINT_VERSION}")
+            f"checkpoint version {version}, expected 1, 2 or {CHECKPOINT_VERSION}")
     if lines[:2] != ["endian: little", "dtype: float32"]:
         raise CorruptCheckpoint("unexpected storage declaration")
-    sections = (_counted_sections if version == 2 else _marked_sections)(lines[2:])
+    sections = (_marked_sections if version == 1 else _counted_sections)(lines[2:])
     config_lines, class_vocab, gene_names, edge_lines, tensor_lines = sections
     try:
         config = parse_config("\n".join(config_lines))
@@ -772,12 +834,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptCheckpoint(f"bad embedded config: {e}") from e
     if not class_vocab or not gene_names or not edge_lines:
         raise CorruptCheckpoint("empty classes, genes, or edges section")
+    if len(set(gene_names)) < len(gene_names):   # two nodes by one name
+        twice = next(name for name, n in Counter(gene_names).items() if n > 1)
+        raise CorruptCheckpoint(f"gene {twice!r} appears twice in the genes section")
 
-    edge_names, sizes, members = _edge_section(edge_lines)
-    try:
-        h = build_hypergraph(members, num_nodes=len(gene_names), sizes=sizes)
-    except Exception as e:
-        raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
+    if version == 3:
+        edge_names, sizes = _sized_edges(edge_lines)
+    else:
+        edge_names, sizes, members = _edge_section(edge_lines)
+        try:
+            h = build_hypergraph(members, num_nodes=len(gene_names), sizes=sizes)
+        except Exception as e:
+            raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
 
     schema = M.param_shapes(len(gene_names), config.hidden_dim,
                             config.num_layers, len(class_vocab))
@@ -795,7 +863,9 @@ def load_checkpoint(path) -> Checkpoint:
         except ValueError as e:   # a non-finite value
             raise CorruptCheckpoint(f"tensor {name!r}: {e}") from e
         offset += 4 * count
-    if offset != len(payload):
+    if version == 3:
+        h = _member_block(payload[offset:], edge_names, sizes, len(gene_names))
+    elif offset != len(payload):
         raise CorruptCheckpoint("payload has trailing bytes")
 
     params = M.ModelParams.from_tensors(

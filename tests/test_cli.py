@@ -258,6 +258,23 @@ def test_multiclass_train_names_an_unlabelled_subject(synth_dir, tmp_path, split
     assert "assigning all to train" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["train", "train --split", "evaluate"])
+def test_multiclass_names_a_subject_with_two_labels(synth_dir, train_dir, tmp_path, command):
+    table, sid = _edited_subjects(synth_dir, tmp_path, 3,
+                                  lambda sid, labels, members: (sid, "C0,C1", members))
+    split = str(synth_dir / "split.tsv")
+    if command == "evaluate":
+        argv = ["evaluate", "--checkpoint", str(train_dir / "model.ckpt"), "--split", split]
+    else:
+        argv = ["train", "--gmt", str(synth_dir / "synthetic.gmt"), "--out", str(tmp_path / "out"),
+                *(["--split", split] if "--split" in command else [])]
+    proc = run_process([*argv, "--subgraphs", str(table)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (f"InvalidLabel: line 3: subject {sid!r} carries 2 labels, "
+            "and multiclass mode needs exactly one") in proc.stderr
+
+
 def test_a_subject_left_out_of_the_split_is_named_with_its_line(synth_dir, tmp_path,
                                                                   capsys):
     lines = (synth_dir / "subgraphs.tsv").read_text().splitlines()
@@ -435,10 +452,27 @@ def test_evaluate_corrupt_checkpoint_exits_2(synth_dir, train_dir, tmp_path, cap
     assert "CorruptCheckpoint" in capsys.readouterr().err
 
 
+def test_predict_rejects_a_checkpoint_naming_a_gene_twice(train_dir, tmp_path, capsys):
+    # the last gene renamed to the sixth: read as is, one subject's member
+    # would be dropped without a word
+    raw = (train_dir / "model.ckpt").read_bytes()
+    assert b"\ng0039\n" in raw
+    broken = tmp_path / "twice.ckpt"
+    broken.write_bytes(raw.replace(b"\ng0039\n", b"\ng0005\n", 1))
+    probe = tmp_path / "probe.tsv"
+    probe.write_text("a\t-\tg0005:1\nb\t-\tg0000:1,g0002:1\n")
+    code = run(["predict", "--checkpoint", str(broken), "--subgraphs", str(probe)])
+    assert code == 2
+    assert "CorruptCheckpoint: gene 'g0005' appears twice in the genes section" \
+        in capsys.readouterr().err
+
+
 def test_predict_non_finite_tensor_exits_2(train_dir, tmp_path, capsys):
     broken = tmp_path / "nan.ckpt"   # the last float32 is head.out_bias[-1]
     raw = (train_dir / "model.ckpt").read_bytes()
-    broken.write_bytes(raw[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+    # the int32 member block, 4 bytes a pair, follows the tensors
+    end = len(raw) - 4 * load_checkpoint(train_dir / "model.ckpt").hypergraph.node_of_pair.size
+    broken.write_bytes(raw[:end - 4] + np.array([np.nan], dtype="<f4").tobytes() + raw[end:])
     probe = tmp_path / "probe.tsv"
     probe.write_text("p1\t-\tg0000\n")
     code = run(["predict", "--checkpoint", str(broken), "--subgraphs", str(probe)])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import pathlib
 import tempfile
@@ -16,7 +17,7 @@ from hypersub.errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
                              InvalidSplitRatios, MalformedLine, ShapeError,
                              UnknownClass, UnknownConfigKey,
                              UnsupportedVersion)
-from hypersub.hypergraph import build_hypergraph
+from hypersub.hypergraph import Hypergraph, build_hypergraph
 from hypersub.training import TrainConfig
 
 from conftest import group_positions
@@ -541,7 +542,59 @@ def write(path, blob):
     return path
 
 
-V1_FIXTURE = pathlib.Path(__file__).parent / "data" / "v1.ckpt"
+DATA = pathlib.Path(__file__).parent / "data"
+V1_FIXTURE = DATA / "v1.ckpt"
+V2_FIXTURE = DATA / "v2.ckpt"
+# Each fixture is the file its version's writer wrote; a regenerated one is
+# not a test of the old format, so its digest is pinned.
+FIXTURE_SHA256 = {
+    "v1.ckpt": "1096e22fc37c237bef3ef2c3483c6c59742a39599c2e02da0453fab8714b22a4",
+    "v2.ckpt": "e967473707475eee144bcfae2510d7f5f96af30d0a3413ad860b0de7a3d4d041",
+}
+# subgraph_scores of each fixture on fixture_batch() as the code of the
+# version 2 writer computed them, exactly: an old checkpoint scores as it did
+FIXTURE_SCORES = {
+    "v1.ckpt": [[0.5056324005126953, 0.4943676292896271],
+                [0.5195136666297913, 0.48048633337020874],
+                [0.5200194120407104, 0.47998061776161194]],
+    "v2.ckpt": [[0.0310081634670496, 0.2806612551212311, 0.5009541511535645],
+                [0.011812263168394566, 0.15417441725730896, 0.2608458697795868],
+                [0.1704338937997818, 0.42072948813438416, 0.8448577523231506]],
+}
+
+
+def fixture_batch(num_classes):
+    return M.SubgraphBatch(members=[np.array([0, 1]), np.array([4, 5]), np.array([2, 3, 5])],
+                           weights=[np.array([0.5, 1.0]), np.array([1.0, 2.0]),
+                                    np.array([0.25, 1.0, 3.0])],
+                           labels=np.zeros((3, num_classes)))
+
+
+def test_fixtures_are_the_files_the_old_writers_wrote():
+    for name, digest in FIXTURE_SHA256.items():
+        assert hashlib.sha256((DATA / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SCORES))
+def test_old_checkpoints_score_as_they_did(name):
+    ckpt = D.load_checkpoint(DATA / name)
+    batch = fixture_batch(len(ckpt.class_vocab))
+    scores = M.subgraph_scores(M.incidence_pairs(ckpt.hypergraph), ckpt.params, batch)
+    assert scores.tolist() == FIXTURE_SCORES[name]
+
+
+def assert_same_checkpoint(a, b):
+    assert (a.config, a.gene_names, a.class_vocab, a.edge_names) == \
+        (b.config, b.gene_names, b.class_vocab, b.edge_names)
+    assert (a.hypergraph.num_nodes, a.hypergraph.num_edges) == \
+        (b.hypergraph.num_nodes, b.hypergraph.num_edges)
+    for field in ("edge_of_pair", "node_of_pair"):
+        x, y = getattr(a.hypergraph, field), getattr(b.hypergraph, field)
+        assert x.dtype == y.dtype == np.intp and np.array_equal(x, y)
+    assert [n for n, _ in a.params.named_parameters()] == \
+        [n for n, _ in b.params.named_parameters()]
+    assert all(x.data.dtype == y.data.dtype and x.data.tobytes() == y.data.tobytes()
+               for x, y in zip(a.params.parameters(), b.params.parameters()))
 
 
 def test_version_1_checkpoint_still_loads(tmp_path):
@@ -554,20 +607,33 @@ def test_version_1_checkpoint_still_loads(tmp_path):
     assert ckpt.gene_names == ["G1", "G2", "G3", "G4", "G5", "G6"]
     assert ckpt.edge_names == ["PW_A", "PW_B", "PW_C"]
     assert ckpt.hypergraph.edge_members == ((0, 1, 2), (2, 3), (0, 4, 5))
-    batch = M.SubgraphBatch(members=[np.array([0, 1]), np.array([4, 5])],
-                            weights=[np.array([0.5, 1.0]), np.array([1.0, 2.0])],
-                            labels=np.zeros((2, 2)))
-    scores = M.subgraph_scores(M.incidence_pairs(ckpt.hypergraph), ckpt.params, batch)
-    assert np.all(np.isfinite(scores)) and np.allclose(scores.sum(axis=1), 1.0)
     # re-saved, it is a current-version file with the same content
-    path = tmp_path / "v2.ckpt"
+    path = tmp_path / "resaved.ckpt"
     D.save_checkpoint(ckpt, path)
     assert path.read_bytes().startswith(
         f"hypersub-checkpoint\nversion: {D.CHECKPOINT_VERSION}\n".encode())
+    assert_same_checkpoint(D.load_checkpoint(path), ckpt)
+
+
+def test_version_2_checkpoint_still_loads(tmp_path):
+    # tests/data/v2.ckpt was written by the version 2 writer: each edge line
+    # is name, weight 1.0 and the comma-separated members; G6 is in no edge
+    assert V2_FIXTURE.read_bytes().startswith(b"hypersub-checkpoint\nversion: 2\n")
+    ckpt = D.load_checkpoint(V2_FIXTURE)
+    assert (ckpt.config.hidden_dim, ckpt.config.num_layers, ckpt.config.mode) == \
+        (3, 2, "multilabel")
+    assert ckpt.class_vocab == ["X", "Y", "Z"]
+    assert ckpt.gene_names == ["G1", "G2", "G3", "G4", "G5", "G6"]
+    assert ckpt.edge_names == ["PW_A", "PW_B", "PW_C"]
+    assert ckpt.hypergraph.edge_members == ((0, 1, 2), (1, 3), (0, 4))
+    path = tmp_path / "resaved.ckpt"
+    D.save_checkpoint(ckpt, path)
+    assert path.read_bytes().startswith(b"hypersub-checkpoint\nversion: 3\n")
     again = D.load_checkpoint(path)
-    assert again.gene_names == ckpt.gene_names and again.config == ckpt.config
-    assert all(np.array_equal(a.data, b.data) for a, b in
-               zip(ckpt.params.parameters(), again.params.parameters()))
+    assert_same_checkpoint(again, ckpt)
+    batch = fixture_batch(3)
+    assert M.subgraph_scores(M.incidence_pairs(again.hypergraph), again.params,
+                             batch).tolist() == FIXTURE_SCORES["v2.ckpt"]
 
 
 _NAME = st.one_of(
@@ -610,17 +676,186 @@ def test_checkpoint_rejects_bad_counts_and_lengths(tmp_path):
         assert old in raw
         with pytest.raises(CorruptCheckpoint):
             D.load_checkpoint(write(tmp_path / "bad", raw.replace(old, new, 1)))
-    # the weight column, written as 1.0 and otherwise unused, must hold a
-    # positive finite number; a bad one names its edge line
+
+
+def test_version_2_weight_field_must_be_positive_and_finite(tmp_path):
+    # the weight column of version 2, written as 1.0 and otherwise unused,
+    # must hold a positive finite number; a bad one names its edge line
+    raw = V2_FIXTURE.read_bytes()
     length = int(raw.split(b"header_bytes: ")[1].split(b"\n")[0])
     for weight in ("2.0", "0", "-2", "inf", "nan", "x"):
-        line = f"pathway_b\t{weight}\t1,3"
-        edited = raw.replace(b"pathway_b\t1.0\t1,3", line.encode()).replace(
+        line = f"PW_B\t{weight}\t1,3"
+        edited = raw.replace(b"PW_B\t1.0\t1,3", line.encode()).replace(
             b"header_bytes: %d" % length, b"header_bytes: %d" % (length + len(weight) - 3))
         path = write(tmp_path / "weight", edited)
         if weight == "2.0":
-            assert D.load_checkpoint(path).hypergraph.edge_members == ((0, 1, 2), (1, 3))
+            assert D.load_checkpoint(path).hypergraph.edge_members == ((0, 1, 2), (1, 3), (0, 4))
             continue
         with pytest.raises(CorruptCheckpoint) as err:
             D.load_checkpoint(path)
         assert str(err.value) == f"bad edge line {line!r}"
+
+
+# ------------------------------------------------------- checkpoint version 3
+
+def with_edges(raw: bytes, edge_lines=None, block=None) -> bytes:
+    """A version 3 checkpoint with its edge lines, its member block, or
+    both replaced; the header length and the edge count follow."""
+    top, rest = raw.split(b"header_bytes: ", 1)
+    length, rest = rest.split(b"\n", 1)
+    header, payload = rest[:int(length)].decode(), rest[int(length):]
+    lines = header.split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("[edges] "))
+    count = int(lines[at].split(" ")[1])
+    old_sizes = [int(line.split("\t")[1]) for line in lines[at + 1:at + 1 + count]]
+    tensors = payload[:len(payload) - 4 * sum(old_sizes)]
+    if edge_lines is not None:
+        lines[at:at + 1 + count] = [f"[edges] {len(edge_lines)}", *edge_lines]
+    if block is None:
+        block = payload[len(tensors):]
+    elif not isinstance(block, bytes):
+        block = np.array(block, dtype="<i4").tobytes()
+    body = "\n".join(lines).encode()
+    return top + b"header_bytes: %d\n" % len(body) + body + tensors + block
+
+
+def test_version_3_layout(tmp_path):
+    # edge lines carry sizes; the members follow the tensors as int32
+    ckpt, path = trained_fixture(tmp_path)
+    raw = path.read_bytes()
+    assert raw.startswith(b"hypersub-checkpoint\nversion: 3\n")
+    assert b"[edges] 2\npathway_a\t3\npathway_b\t2\n[tensors] " in raw
+    assert raw.endswith(np.array([0, 1, 2, 1, 3], dtype="<i4").tobytes())
+    assert with_edges(raw) == raw
+
+
+_BLOCK = np.array([0, 1, 2, 1, 3], dtype="<i4").tobytes()
+_BAD_SIZES = ("+2", "02", " 2", "2 ", "2.0", "-2", "1_1", "\u0662", "2\t2", "x")
+
+
+@pytest.mark.parametrize("edge_lines, block, message", [
+    pytest.param(None, [0, 1, 2, 1, 4], "edge 'pathway_b' holds member 4, outside the 4 genes",
+                 id="member-at-gene-count"),
+    pytest.param(None, [-1, 1, 2, 1, 3], "edge 'pathway_a' holds member -1, outside the 4 genes",
+                 id="negative-member"),
+    pytest.param(None, [0, 2, 1, 1, 3], "members of edge 'pathway_a' do not rise strictly",
+                 id="descending"),
+    pytest.param(None, [0, 1, 2, 3, 3], "members of edge 'pathway_b' do not rise strictly",
+                 id="repeated"),
+    pytest.param(None, _BLOCK[:-4], "member block holds 16 bytes, the edge sizes need 20",
+                 id="truncated"),
+    pytest.param(None, _BLOCK[:-1], "member block holds 19 bytes, the edge sizes need 20",
+                 id="cut-mid-member"),
+    pytest.param(None, _BLOCK + bytes(4), "member block holds 24 bytes, the edge sizes need 20",
+                 id="trailing-bytes"),
+    pytest.param(["pathway_a\t3", "pathway_b\t3"], None,
+                 "member block holds 20 bytes, the edge sizes need 24", id="sizes-past-block"),
+    pytest.param(["pathway_a\t3", "pathway_b\t99999999999999999999"], None,
+                 "member block holds 20 bytes, the edge sizes need 400000000000000000008",
+                 id="size-past-int64"),
+    pytest.param(["pathway_a\t3", "pathway_b\t0"], None, "bad edge line 'pathway_b\\t0'",
+                 id="size-0"),
+    pytest.param(["pathway_a\t3", "pathway_b"], None, "bad edge line 'pathway_b'",
+                 id="no-size"),
+    pytest.param(["pathway_a\t3", "pathway_b\t"], None, "bad edge line 'pathway_b\\t'",
+                 id="empty-size"),
+    pytest.param(["pathway_a", "pathway_b\t2"], None, "bad edge line 'pathway_a'",
+                 id="first-line-without-size"),
+    *[pytest.param(["pathway_a\t3", f"pathway_b\t{size}"], None,
+                   f"bad edge line {'pathway_b' + chr(9) + size!r}", id=f"size-{size!a}")
+      for size in _BAD_SIZES],
+])
+def test_version_3_rejects_a_bad_incidence(tmp_path, edge_lines, block, message):
+    _, path = trained_fixture(tmp_path)
+    bad = write(tmp_path / "bad.ckpt", with_edges(path.read_bytes(), edge_lines, block))
+    with pytest.raises(CorruptCheckpoint) as err:
+        D.load_checkpoint(bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_a_gene_named_twice_is_corrupt(tmp_path, version):
+    # the second-to-last gene's name given to the last as well: the gene
+    # index would keep one of the two rows, and subjects lose members
+    if version == 3:
+        D.save_checkpoint(D.load_checkpoint(V2_FIXTURE), tmp_path / "v3.ckpt")
+        raw = (tmp_path / "v3.ckpt").read_bytes()
+    else:
+        raw = (DATA / f"v{version}.ckpt").read_bytes()
+    assert raw.startswith(b"hypersub-checkpoint\nversion: %d\n" % version)
+    bad = write(tmp_path / "bad.ckpt", raw.replace(b"\nG6\n", b"\nG5\n", 1))
+    with pytest.raises(CorruptCheckpoint) as err:
+        D.load_checkpoint(bad)
+    assert str(err.value) == "gene 'G5' appears twice in the genes section"
+
+
+def test_save_refuses_a_node_index_past_int32(tmp_path):
+    ckpt, _ = trained_fixture(tmp_path)
+    top = 2**31 - 1
+    edge = np.zeros(1, dtype=np.intp)
+    fits = Hypergraph(top + 1, 1, edge, np.array([top], dtype=np.intp))
+    D.save_checkpoint(dataclasses.replace(ckpt, hypergraph=fits), tmp_path / "top.ckpt")
+    assert (tmp_path / "top.ckpt").read_bytes().endswith(top.to_bytes(4, "little"))
+    past = Hypergraph(top + 2, 1, edge, np.array([top + 1], dtype=np.intp))
+    with pytest.raises(ValueError, match="does not fit the int32 member block"):
+        D.save_checkpoint(dataclasses.replace(ckpt, hypergraph=past), tmp_path / "past.ckpt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "top.ckpt"]
+
+
+@st.composite
+def _checkpoints(draw):
+    """A small checkpoint: isolated genes and one-member edges come up
+    often, names are drawn from _NAME and 1-3 layers."""
+    num_genes = draw(st.integers(1, 7))
+    edges = draw(st.lists(st.sets(st.integers(0, num_genes - 1), min_size=1, max_size=num_genes),
+                          min_size=1, max_size=5))
+    h = build_hypergraph([sorted(e) for e in edges], num_nodes=num_genes)
+    layers, hidden, classes = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = M.init_model(num_genes, hidden, layers, classes, rng)
+    for t in params.parameters():
+        t.data[...] = rng.normal(size=t.data.shape) * 10.0 ** rng.integers(-40, 30, size=t.data.shape)
+    config = TrainConfig(hidden_dim=hidden, num_layers=layers,
+                         mode=draw(st.sampled_from(["multiclass", "multilabel"])),
+                         use_subgraph_attention=draw(st.booleans()),
+                         seed=draw(st.integers(0, 2**31)))
+    return D.Checkpoint(
+        params=params, config=config,
+        gene_names=draw(st.lists(_NAME, min_size=num_genes, max_size=num_genes, unique=True)),
+        class_vocab=draw(st.lists(_NAME, min_size=classes, max_size=classes, unique=True)),
+        edge_names=draw(st.lists(_NAME, min_size=len(edges), max_size=len(edges))),
+        hypergraph=h)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_checkpoints())
+def test_version_3_round_trip_is_bit_exact(ckpt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = pathlib.Path(tmp) / "model.ckpt", pathlib.Path(tmp) / "again.ckpt"
+        D.save_checkpoint(ckpt, path)
+        loaded = D.load_checkpoint(path)
+        D.save_checkpoint(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
+    assert_same_checkpoint(loaded, ckpt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255),
+                          st.sampled_from(["set", "delete", "insert"])),
+                min_size=1, max_size=3))
+def test_a_damaged_checkpoint_loads_or_is_input_error(tmp_path_factory, edits):
+    # bytes changed, dropped or added anywhere in a version 3 file
+    tmp = tmp_path_factory.mktemp("damaged")
+    raw = bytearray(trained_fixture(tmp)[1].read_bytes())
+    for at, value, kind in edits:
+        pos = int(at * len(raw))
+        if kind == "set":
+            raw[pos] = value
+        elif kind == "delete":
+            del raw[pos]
+        else:
+            raw.insert(pos, value)
+    try:
+        D.load_checkpoint(write(tmp / "damaged.ckpt", bytes(raw)))
+    except InputDataError:
+        pass

@@ -26,7 +26,6 @@ _KEYWORD = ("benchmark name: the keyword SubgraphBatch constructor, which "
 ALLOWED = {
     "dataio:SubgraphDataset.subject_ids": "benchmark name: bench/pipeline.py reads it",
     "dataio:SubgraphTable.subjects": "benchmark name: bench/pipeline.py's predict reads the records",
-    "dataio:_marked_sections": "the version-1 checkpoint reader: old checkpoints stay readable",
     "hypergraph:Hypergraph.edge_members": "benchmark name: bench/spans.py's incidences gauge",
     "hypergraph:SparseMatrix.nnz": "benchmark name: bench/spans.py's theta_nnz gauge",
     "hypergraph:dual": "test oracle: A3's exact score duality runs on the dual",
@@ -52,6 +51,8 @@ FAMILIES = {
                          "monitor = classification\n"
                          "use_subgraph_attention = false\nreg_weight = 0\n"),
 }
+OLD_CHECKPOINTS = [pathlib.Path(__file__).parent / "data" / name
+                   for name in ("v1.ckpt", "v2.ckpt")]
 # one input per reader that it rejects, with exit code 2, each at a check
 # that runs only on a fault
 FAULTS = {"gmt": "only one field\n",
@@ -61,11 +62,12 @@ FAULTS = {"gmt": "only one field\n",
 
 
 def corrupt_checkpoint(path: pathlib.Path) -> bytes:
-    """The checkpoint at ``path`` with a member index past np.intp on its
-    first edge line, and its header length to match."""
+    """The version 2 or 3 checkpoint at ``path`` with an integer past
+    np.intp put before the last field of its first edge line (a member of
+    version 2, the size of version 3), and its header length to match."""
     magic, version, length, rest = path.read_bytes().split(b"\n", 3)
     size = int(length.partition(b": ")[2])
-    header = re.sub(rb"(\nedge000\t[^\t]*\t)", rb"\g<1>99999999999999999999,",
+    header = re.sub(rb"(\n\[edges\] \d+\n[^\n]*\t)", rb"\g<1>99999999999999999999,",
                     rest[:size], count=1)
     return b"\n".join([magic, version, b"header_bytes: %d" % len(header),
                         header + rest[size:]])
@@ -88,7 +90,9 @@ def package_functions() -> set[str]:
 def run_commands(tmp: pathlib.Path):
     """make-synthetic, then train (with and without --split), evaluate,
     predict and interpret for each config family, then one fault per
-    reader; each exit code as expected."""
+    reader, predict on the version 1 and 2 fixtures, and on three corrupt
+    checkpoints (a bad edge line of version 3 and of version 2, a gene
+    named twice); each exit code as expected."""
     synth = tmp / "synth"
     assert cli.main(["make-synthetic", *PROFILE, "--out", str(synth)]) == 0
     gmt, subjects, split = (str(synth / n) for n in
@@ -117,9 +121,16 @@ def run_commands(tmp: pathlib.Path):
         files = dict(inputs, **{reader: str(bad)})
         assert cli.main(["train", *(a for k, v in files.items() for a in (f"--{k}", v)),
                          "--out", str(tmp / "fault")]) == 2, reader
+    # the readers of old versions, on the fixtures those versions wrote
+    probe = tmp / "probe.tsv"
+    probe.write_text("p1\t-\tG1:0.5,G5:2\n")
+    for old in OLD_CHECKPOINTS:
+        assert cli.main(["predict", "--checkpoint", str(old), "--subgraphs", str(probe)]) == 0
     bad = tmp / "bad.ckpt"
-    bad.write_bytes(corrupt_checkpoint(out / "model.ckpt"))
-    assert cli.main(["predict", "--checkpoint", str(bad), "--subgraphs", subjects]) == 2
+    for raw in (corrupt_checkpoint(out / "model.ckpt"), corrupt_checkpoint(OLD_CHECKPOINTS[-1]),
+                OLD_CHECKPOINTS[-1].read_bytes().replace(b"\nG6\n", b"\nG5\n", 1)):
+        bad.write_bytes(raw)
+        assert cli.main(["predict", "--checkpoint", str(bad), "--subgraphs", subjects]) == 2
 
 
 def test_every_function_is_reached_or_allowed(tmp_path):
