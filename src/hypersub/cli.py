@@ -26,8 +26,7 @@ from .dataio import (Checkpoint, GeneSetCatalog, SubgraphTable, build_dataset,
                      load_checkpoint, load_split, load_subgraphs, parse_config,
                      parse_gmt, resolve_subjects, save_checkpoint,
                      serialize_split, stratified_split)
-from .errors import (EmptyClass, EmptySplit, InputDataError, InvalidLabel,
-                     NumericalDivergence)
+from .errors import InputDataError, InvalidLabel, NumericalDivergence
 from .interpret import (backbone_trace, class_enrichment, correlation_tsv,
                         enrichment_tsv, hyperedge_correlation)
 from .synthetic import make_synthetic
@@ -351,7 +350,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         return args.func(args)
-    except (InputDataError, EmptyClass, EmptySplit, InvalidLabel) as e:
+    except InputDataError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except OSError as e:   # missing, unreadable, or a directory

@@ -12,8 +12,8 @@ import io
 import logging
 import math
 import os
+import re
 import tempfile
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -665,74 +665,40 @@ def _marked_sections(lines: list[str]) -> list[list[str]]:
 
 
 _INTP = np.iinfo(np.intp)
-
-
-def _ints(text: str, count: int) -> np.ndarray:
-    """The ``count`` comma-separated integers of ``text``: each an optional
-    sign and ASCII digits, with ASCII whitespace around it, that fits in
-    ``np.intp``. Anything else raises ValueError.
-
-    ``np.fromstring`` parses them in one call. Its lenient spots are closed
-    by counting one digit run per token (it drops a trailing ',' and reads
-    a lone sign or a blank token as 0), by a sign check (it reads '- 1' as
-    -1) and by a range check (it saturates an overflow)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            values = np.fromstring(text, np.intp, sep=",")
-        except DeprecationWarning as e:   # numpy 1.x warns where 2.x raises
-            raise ValueError(str(e)) from None
-    raw = np.frombuffer(text.encode("ascii"), np.uint8)
-    digit = (raw - ord("0")) < 10
-    runs = np.count_nonzero(digit[1:] & ~digit[:-1]) + bool(digit[:1].any())
-    sign = (raw == ord("+")) | (raw == ord("-"))
-    if runs != count or np.any(sign & ~np.append(digit[1:], False)):
-        raise ValueError(f"expected {count} integers")
-    edge = (values == _INTP.max) | (values == _INTP.min)
-    if edge.any() and values[edge].tolist() != [int(t) for t in np.array(
-            text.split(","))[edge].tolist()]:
-        raise ValueError("integer out of range")
-    return values
-
-
-def _check_weights(texts: Iterable[str]) -> None:
-    """The weight fields of edge lines, unused but read back as positive
-    finite numbers; anything else raises ValueError."""
-    if not all(0.0 < w < math.inf for w in map(float, texts)):
-        raise ValueError("edge weight must be positive and finite")
+# the members field of a version 1 or 2 edge line: comma-separated tokens,
+# each an optional sign and ASCII digits with ASCII whitespace around it
+_MEMBERS = re.compile(r"\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*)*", re.ASCII)
 
 
 def _edge_line(line: str) -> tuple[str, np.ndarray]:
     """Name and members of one edge line of a version 1 or 2 checkpoint,
-    or CorruptCheckpoint naming the line."""
+    ``name TAB weight TAB members``: the weight, unused, a positive finite
+    number, and the members in the grammar of ``_MEMBERS``, each fitting
+    ``np.intp``. Any other line is CorruptCheckpoint naming it."""
     parts = line.split("\t")
     try:
-        if len(parts) != 3:
-            raise ValueError("expected 3 tab-separated fields")
-        _check_weights([parts[1]])
-        return parts[0], _ints(parts[2], parts[2].count(",") + 1)
+        if len(parts) != 3 or not _MEMBERS.fullmatch(parts[2]):
+            raise ValueError("expected a weight and comma-separated integers")
+        if not 0.0 < float(parts[1]) < math.inf:
+            raise ValueError("edge weight must be positive and finite")
+        members = np.fromstring(parts[2], np.intp, sep=",")
+        # fromstring saturates a member past np.intp: a line holding either
+        # end of np.intp is read again, exactly
+        values = members.tolist()
+        if (_INTP.max in values or _INTP.min in values) and \
+                list(map(int, parts[2].split(","))) != values:
+            raise ValueError("integer out of range")
+        return parts[0], members
     except ValueError as e:
         raise CorruptCheckpoint(f"bad edge line {line!r}") from e
 
 
 def _edge_section(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Names, member counts and flat members of version 1 and 2 edge lines.
-
-    Every line's fields are split once, and the members of all lines are
-    parsed as one integer array. Only when that fails are the lines parsed
-    one by one, which names the first bad line."""
-    fields = [line.split("\t") for line in lines]
-    try:
-        if set(map(len, fields)) != {3}:
-            raise ValueError("expected 3 tab-separated fields")
-        names, weights, members = map(list, zip(*fields))
-        _check_weights(weights)
-        sizes = np.fromiter(map(str.count, members, repeat(",")), np.intp, len(members)) + 1
-        return names, sizes, _ints(",".join(members), int(sizes.sum()))
-    except ValueError:
-        names, members = map(list, zip(*map(_edge_line, lines)))
-        return names, np.fromiter(map(len, members), np.intp, len(members)), \
-            np.concatenate(members)
+    """Names, member counts and flat members of version 1 and 2 edge lines,
+    read line by line, so the first bad line is the one named."""
+    names, members = map(list, zip(*map(_edge_line, lines)))
+    return names, np.fromiter(map(len, members), np.intp, len(members)), \
+        np.concatenate(members)
 
 
 def _count(text: str) -> int:

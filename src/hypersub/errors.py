@@ -43,15 +43,15 @@ class NumericalDivergence(HypersubError):
     """A loss or gradient became NaN or infinite during training (CLI exit code 3)."""
 
 
-class EmptySplit(HypersubError):
+class EmptySplit(InputDataError):
     """A required data split contains no subjects."""
 
 
-class InvalidLabel(HypersubError):
+class InvalidLabel(InputDataError):
     """A label row is unusable for the configured output mode."""
 
 
-class EmptyClass(HypersubError):
+class EmptyClass(InputDataError):
     """No subjects carry the requested class label."""
 
 

@@ -57,7 +57,9 @@ class Hypergraph:
 
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """COO matrix with unique, lexicographically sorted (row, col) keys."""
+    """COO matrix with unique, lexicographically sorted (row, col) keys.
+    Products run through one row layout: every instance is a ``theta``,
+    exactly symmetric, so that layout serves ``K.spmm``'s gradient too."""
 
     rows: int
     cols: int
@@ -74,20 +76,12 @@ class SparseMatrix:
         # the sorted keys make this the identity: entries are already CSR
         return Segments(self.row_idx, self.rows)
 
-    @cached_property
-    def _by_col(self) -> Segments:
-        return Segments(self.col_idx, self.cols)
-
     def row_sums(self) -> np.ndarray:
         return np.bincount(self.row_idx, weights=self.values, minlength=self.rows)
 
     def dot_dense(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a dense 2-D x."""
         return self._by_row.gather_sum(x, self.values, self.col_idx)
-
-    def t_dot_dense(self, x: np.ndarray) -> np.ndarray:
-        """self.T @ x for a dense 2-D x."""
-        return self._by_col.gather_sum(x, self.values, self.row_idx)
 
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
@@ -160,7 +154,8 @@ def theta(h: Hypergraph) -> SparseMatrix:
     both nodes, scaled by the inverse square roots of both node degrees
     (their hyperedge counts), summed in hyperedge order. Rows of zero-degree
     nodes stay empty. Symmetric by construction, exactly: the (i, i') and (i', i)
-    accumulations see identical sequences of identical products.
+    accumulations see identical sequences of identical products, so Θ equals
+    its transpose bit for bit, and ``K.spmm``'s gradient, Θᵀ g, is Θ g.
     """
     node_deg = h.by_node.counts
     inv_sqrt = np.zeros(h.num_nodes, dtype=np.float64)

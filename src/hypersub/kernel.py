@@ -769,16 +769,17 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
 def spmm(m, x: Tensor) -> Tensor:
     """Sparse (constant) matrix times dense tensor: m @ x.
 
-    ``m`` is any COO-style object with rows/cols/dot_dense/t_dot_dense, e.g.
-    hypergraph.SparseMatrix. The sparse factor is constant; only x receives
-    gradient (dx = m.T @ g).
+    ``m`` is a COO-style object with rows/cols/dot_dense that equals its
+    own transpose bit for bit, as hypergraph.theta's SparseMatrix does. The
+    sparse factor is constant; only x receives gradient, dx = m.T @ g, which
+    by that symmetry is ``m.dot_dense(g)`` through the same row layout.
     """
     _need_2d("spmm input", x)
     if m.cols != x.data.shape[0]:
         raise ShapeError(f"spmm dims differ: {m.rows}x{m.cols} @ {x.data.shape}")
 
     def grad_fn(g):
-        _accum(x, m.t_dot_dense(g).astype(x.data.dtype))
+        _accum(x, m.dot_dense(g).astype(x.data.dtype))
 
     return _result(m.dot_dense(x.data).astype(x.data.dtype), (x,), grad_fn)
 

@@ -302,6 +302,17 @@ def test_train_without_any_label_exits_2(synth_dir, tmp_path):
     assert "InvalidLabel: no subject carries a label" in proc.stderr
 
 
+def test_train_split_without_val_subjects_exits_2(synth_dir, tmp_path):
+    split = tmp_path / "split.tsv"
+    split.write_text((synth_dir / "split.tsv").read_text().replace("\tval\n", "\ttrain\n"))
+    proc = run_process(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                        "--subgraphs", str(synth_dir / "subgraphs.tsv"), "--split", str(split),
+                        "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "EmptySplit: val split has no subjects" in proc.stderr
+
+
 def test_train_stratifies_on_sorted_label_sets(synth_dir, tmp_path):
     # multi-label fields out of sorted order, with a repeat: each subject's
     # stratification key is its set of labels, sorted
@@ -440,6 +451,19 @@ def test_interpret_without_subjects_exits_2(train_dir, tmp_path, capsys):
                 "--subgraphs", str(empty), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "InputDataError: no subjects" in capsys.readouterr().err
+
+
+def test_interpret_on_subjects_lacking_a_class_exits_2(synth_dir, train_dir, tmp_path):
+    vocab = load_checkpoint(train_dir / "model.ckpt").class_vocab
+    table = tmp_path / "no_last_class.tsv"
+    table.write_text("".join(line for line in
+                             (synth_dir / "subgraphs.tsv").read_text().splitlines(True)
+                             if line.split("\t")[1] != vocab[-1]))
+    proc = run_process(["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
+                        "--subgraphs", str(table), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"EmptyClass: no subjects carry class index {len(vocab) - 1}" in proc.stderr
 
 
 def test_evaluate_corrupt_checkpoint_exits_2(synth_dir, train_dir, tmp_path, capsys):

@@ -842,11 +842,13 @@ def test_version_3_round_trip_is_bit_exact(ckpt):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255),
                           st.sampled_from(["set", "delete", "insert"])),
-                min_size=1, max_size=3))
-def test_a_damaged_checkpoint_loads_or_is_input_error(tmp_path_factory, edits):
-    # bytes changed, dropped or added anywhere in a version 3 file
+                min_size=1, max_size=3),
+       st.sampled_from([None, V1_FIXTURE, V2_FIXTURE]))
+def test_a_damaged_checkpoint_loads_or_is_input_error(tmp_path_factory, edits, source):
+    # bytes changed, dropped or added anywhere in a version 3 file (None) or
+    # in the version 1 or 2 fixture
     tmp = tmp_path_factory.mktemp("damaged")
-    raw = bytearray(trained_fixture(tmp)[1].read_bytes())
+    raw = bytearray((source or trained_fixture(tmp)[1]).read_bytes())
     for at, value, kind in edits:
         pos = int(at * len(raw))
         if kind == "set":

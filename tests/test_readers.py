@@ -471,7 +471,8 @@ def test_checkpoint_edges_match_the_line_walk(tmp_path_factory, edge_lines):
 
 
 @pytest.mark.parametrize("members", ["1,,2", "1,2,", "", "99999999999999999999",
-                                     "0x10", "1.5", "-", "- 1", "1_0", "١"])
+                                     "0x10", "1.5", "-", "- 1", "1_0", "١",
+                                     "1 2", "+-1", "1+2", "1-", "--1"])
 def test_bad_member_tokens_name_their_edge_line(tmp_path, members):
     line = f"e9\t1.0\t{members}"
     path = tmp_path / "bad.ckpt"
