@@ -185,13 +185,12 @@ def cmd_evaluate(args) -> int:
     assignment = load_split(pathlib.Path(args.split))
     if args.split_name not in set(assignment.values()):
         raise InputDataError(f"split {args.split_name!r} has no subjects in {args.split}")
-    dataset = build_dataset(table, catalog, {sid: assignment.get(sid, "unused")
-                                             for sid in table.subject_ids})
-    idx = dataset.indices(args.split_name)
-    if idx.size == 0:
+    batch = resolve_subjects(table)   # first: a file of no subjects is named as such
+    idx = [k for k, sid in enumerate(table.subject_ids) if assignment.get(sid) == args.split_name]
+    if not idx:
         raise InputDataError(
             f"no subjects of split {args.split_name!r} appear in {args.subgraphs}")
-    batch = dataset.batch(idx)
+    batch = batch.subset(idx)
     scores = M.subgraph_scores(ckpt.hypergraph, ckpt.params, batch)
     pred = predictions_from_scores(scores, ckpt.config.mode, ckpt.config.threshold)
     value = micro_f1(pred, batch.labels)

@@ -192,10 +192,6 @@ def _labels(field: str) -> list[str]:
     return [lab.strip() for lab in field.split(",")]
 
 
-# the largest member weight: the model computes in float32
-_MAX_WEIGHT = float(np.finfo(np.float32).max)
-
-
 def _member_gene(no: int, token: str) -> str:
     """The gene of one stripped member token, once its checks pass; else
     the error that names its line."""
@@ -209,7 +205,7 @@ def _member_gene(no: int, token: str) -> str:
             w = float(wtext)
         except ValueError:
             raise MalformedLine(no, f"bad weight {wtext!r}") from None
-        if not 0 <= w <= _MAX_WEIGHT:
+        if not 0 <= w <= M.MAX_WEIGHT:
             raise MalformedLine(no, f"member weight must be finite and >= 0, got {wtext}")
     if not gene:
         raise MalformedLine(no, f"member token {token!r} has no gene symbol")
@@ -336,7 +332,7 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
     owner = np.repeat(np.arange(n), np.fromiter(
         map(str.count, member_fields, repeat(",")), np.intp, n) + 1)
     rows = np.fromiter(map(catalog.gene_index.get, genes, repeat(-1)), np.intp, len(genes))
-    bad = ~((weights >= 0) & (weights <= _MAX_WEIGHT))
+    bad = ~((weights >= 0) & (weights <= M.MAX_WEIGHT))
     # a token with no gene is not a catalog gene, unless the catalog names ""
     unknown = range(len(genes)) if "" in catalog.gene_index else np.flatnonzero(rows < 0).tolist()
     bad[[k for k in unknown if not genes[k]]] = True
@@ -632,7 +628,7 @@ def _line(raw: bytes, pos: int) -> tuple[str, int]:
     return _decode(raw[pos:end]), end + 1
 
 
-def _counted_sections(lines: list[str]) -> list[list[str]]:
+def _declared_sections(lines: list[str]) -> list[list[str]]:
     """Versions 2 and 3: each section is ``[name] count`` and ``count`` lines."""
     out, pos = [], 0
     for name in SECTIONS:
@@ -664,7 +660,6 @@ def _marked_sections(lines: list[str]) -> list[list[str]]:
     return out
 
 
-_INTP = np.iinfo(np.intp)
 # the members field of a version 1 or 2 edge line: comma-separated tokens,
 # each an optional sign and ASCII digits with ASCII whitespace around it
 _MEMBERS = re.compile(r"\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*)*", re.ASCII)
@@ -681,15 +676,8 @@ def _edge_line(line: str) -> tuple[str, np.ndarray]:
             raise ValueError("expected a weight and comma-separated integers")
         if not 0.0 < float(parts[1]) < math.inf:
             raise ValueError("edge weight must be positive and finite")
-        members = np.fromstring(parts[2], np.intp, sep=",")
-        # fromstring saturates a member past np.intp: a line holding either
-        # end of np.intp is read again, exactly
-        values = members.tolist()
-        if (_INTP.max in values or _INTP.min in values) and \
-                list(map(int, parts[2].split(","))) != values:
-            raise ValueError("integer out of range")
-        return parts[0], members
-    except ValueError as e:
+        return parts[0], np.array(list(map(int, parts[2].split(","))), dtype=np.intp)
+    except (ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"bad edge line {line!r}") from e
 
 
@@ -701,30 +689,18 @@ def _edge_section(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
         np.concatenate(members)
 
 
-def _count(text: str) -> int:
-    """A positive integer in canonical decimal, as the writer puts it, or 0."""
+def _sized_line(line: str) -> tuple[str, int]:
+    """Name and size of one version 3 edge line, ``name TAB size``: the size
+    a positive integer in canonical decimal, as the writer puts it. Any
+    other line is CorruptCheckpoint naming it."""
+    name, _, text = line.partition("\t")
     try:
-        value = int(text)
+        size = int(text)
     except ValueError:
-        return 0
-    return value if value > 0 and str(value) == text else 0
-
-
-def _sized_edges(lines: list[str]) -> tuple[list[str], list[int]]:
-    """Names and sizes of version 3 edge lines, each ``name TAB size``;
-    a line of any other shape is CorruptCheckpoint naming the first."""
-    fields = [line.split("\t") for line in lines]
-    if set(map(len, fields)) == {2}:
-        names, texts = map(list, zip(*fields))
-        try:
-            sizes = list(map(int, texts))
-        except ValueError:
-            sizes = [0]
-        if list(map(str, sizes)) == texts and min(sizes) > 0:
-            return names, sizes
-    bad = next(line for line, parts in zip(lines, fields)
-               if len(parts) != 2 or not _count(parts[1]))
-    raise CorruptCheckpoint(f"bad edge line {bad!r}")
+        size = 0
+    if size > 0 and str(size) == text:
+        return name, size
+    raise CorruptCheckpoint(f"bad edge line {line!r}")
 
 
 def _member_block(block, names: list[str], sizes: list[int], num_genes: int) -> Hypergraph:
@@ -792,7 +768,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint version {version}, expected 1, 2 or {CHECKPOINT_VERSION}")
     if lines[:2] != ["endian: little", "dtype: float32"]:
         raise CorruptCheckpoint("unexpected storage declaration")
-    sections = (_marked_sections if version == 1 else _counted_sections)(lines[2:])
+    sections = (_marked_sections if version == 1 else _declared_sections)(lines[2:])
     config_lines, class_vocab, gene_names, edge_lines, tensor_lines = sections
     try:
         config = parse_config("\n".join(config_lines))
@@ -805,7 +781,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptCheckpoint(f"gene {twice!r} appears twice in the genes section")
 
     if version == 3:
-        edge_names, sizes = _sized_edges(edge_lines)
+        edge_names, sizes = map(list, zip(*map(_sized_line, edge_lines)))
     else:
         edge_names, sizes, members = _edge_section(edge_lines)
         try:

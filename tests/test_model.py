@@ -669,6 +669,19 @@ def test_empty_batch_and_bad_member_shapes_raise_shape_error():
                                   labels=np.zeros((2, 2)))
 
 
+def test_a_weight_past_float32_is_an_invalid_member_weight():
+    # the model computes in float32, where 1e39 is inf; the subject reader
+    # rejects such a weight, and a batch built in the library does too
+    labels = np.zeros((1, 2))
+    for build in (lambda: M.SubgraphBatch.from_flat([0, 1], [1e39, 1.0], [2], labels),
+                  lambda: M.SubgraphBatch(members=[np.array([0, 1])],
+                                          weights=[np.array([1e39, 1.0])], labels=labels)):
+        with pytest.raises(ShapeError) as err:
+            build()
+        assert str(err.value) == "subgraph 0 has invalid member weights"
+    M.SubgraphBatch.from_flat([0, 1], [M.MAX_WEIGHT, 1.0], [2], labels)
+
+
 # Per-subject reference for the flat checks: the loop they replace.
 def first_fault_oracle(members, weights):
     for si, (mem, w) in enumerate(zip(members, weights)):
@@ -681,7 +694,7 @@ def first_fault_oracle(members, weights):
             return f"subgraph {si} has duplicate members"
         if w.shape != mem.shape:
             return f"subgraph {si} weights do not align with members"
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
+        if not np.all((w >= 0) & (w <= np.finfo(np.float32).max)):
             return f"subgraph {si} has invalid member weights"
         if not np.any(w > 0):
             return f"subgraph {si} has no positive member weight"
@@ -772,7 +785,7 @@ def test_injected_fault_is_named_as_the_loop_names_it(subjects, data):
             weights[k] = np.append(weights[k], 1.0)
         elif kind == "invalid":
             weights[k][data.draw(st.integers(0, weights[k].size - 1))] = \
-                data.draw(st.sampled_from([-1.0, np.nan, np.inf]))
+                data.draw(st.sampled_from([-1.0, np.nan, np.inf, 1e39]))
         else:
             weights[k] = np.zeros_like(weights[k])
     want = first_fault_oracle(members, weights)
