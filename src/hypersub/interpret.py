@@ -61,10 +61,11 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
     the per-node edge mixture sums to one), so the returned vector sums to 1
     whenever every member node touches at least one hyperedge. A sequence of
     class indices gives one row per class from a single backbone pass, or
-    from ``trace`` when given. The pass of its own runs the last layer over
-    the pairs of the batch's member rows alone, which gives those rows the
-    bits of a full pass; a ``trace`` must be a full pass of ``h``
-    (``backbone_trace``), or it raises ShapeError.
+    from ``trace`` when given. The pass of its own reads the batch's member
+    rows alone, so its last two node updates run over their pairs
+    (``forward_backbone``), which gives those rows the bits of a full pass;
+    a ``trace`` must be a full pass of ``h`` (``backbone_trace``), or it
+    raises ShapeError.
     """
     if len(batch.by_row) > h.num_nodes:
         raise ShapeError(f"subgraph batch has {len(batch.by_row)} member rows "
@@ -135,14 +136,19 @@ def class_enrichment(params: M.ModelParams, h: Hypergraph,
 def hyperedge_correlation(params: M.ModelParams, h: Hypergraph,
                           trace: M.ForwardTrace | None = None) -> np.ndarray:
     """Pairwise cosine similarity of final-layer hyperedge states, from
-    ``trace`` when given, or else from a full pass of its own: every
-    hyperedge state reads every pair. A trace restricted to read rows holds
-    no edge states and raises ShapeError."""
+    ``trace`` when given, or else from a pass of its own that reads the
+    edge states and no node row: it ends at the last edge update, whose
+    states read every pair, and runs the last node update over no pairs, so
+    the states have the bits of ``backbone_trace``'s. A trace that holds no
+    edge states (its caller read none) raises ShapeError."""
     if trace is None:
-        trace = backbone_trace(params, h)
+        trace = M.ForwardTrace()
+        with K.no_grad():
+            M.forward_backbone(h, params, training=False, trace=trace,
+                               reads=restrict_to_nodes(h, ()), edges=True)
     if trace.final_edge_states is None:
-        raise ShapeError("trace holds no final edge states: its last layer "
-                         "ran over the read rows alone")
+        raise ShapeError("trace holds no final edge states: its pass read "
+                         "no edge states")
     return cosine_matrix(trace.final_edge_states.data.astype(np.float64))
 
 

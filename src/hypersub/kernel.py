@@ -23,6 +23,11 @@ from .errors import GraphConsumed, NonDeterministic, NotScalar, ShapeError
 _grad_enabled = True
 
 
+def recording() -> bool:
+    """Whether ops record a graph now: False inside ``no_grad``."""
+    return _grad_enabled
+
+
 class no_grad:
     """Context manager that suspends graph recording."""
 
@@ -368,10 +373,12 @@ class Segments:
     ``order`` is the stable sort of the positions by group, or None where
     the positions already run in that order (the identity), so group k
     holds positions ``order[offsets[k]:offsets[k+1]]`` in ascending order.
-    Built once per grouping. The segment kernels below read every index
-    they use as the ``ids`` of a Segments argument: the softmax reduces
-    over one with 1-D ``reduceat``, and every weighted row sum goes
-    through ``gather_sum``.
+    The counts and offsets are built with the layout; ``order`` (the
+    in-order check and the sort) and ``plan`` are built on first use and
+    kept, so a layout that no kernel walks group by group never sorts its
+    positions. The segment kernels below read every index they use as the
+    ``ids`` of a Segments argument: the softmax reduces over one with 1-D
+    ``reduceat``, and every weighted row sum goes through ``gather_sum``.
     """
 
     def __init__(self, ids, num_groups: int):
@@ -386,12 +393,16 @@ class Segments:
         self.ids = ids
         self.counts = counts
         self.offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-        in_order = bool(np.all(ids[:-1] <= ids[1:]))
-        # the keys are unique, so any sort of them is the stable sort of ids
-        self.order = None if in_order else \
-            np.argsort(ids * ids.size + np.arange(ids.size))
         self.nonempty = np.flatnonzero(counts)   # groups holding a position
         self.starts = self.offsets[self.nonempty]
+
+    @cached_property
+    def order(self) -> np.ndarray | None:
+        ids = self.ids
+        if np.all(ids[:-1] <= ids[1:]):
+            return None
+        # the keys are unique, so any sort of them is the stable sort of ids
+        return np.argsort(ids * ids.size + np.arange(ids.size))
 
     def __len__(self) -> int:
         return self.offsets.size - 1

@@ -291,10 +291,14 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    """What a backbone pass ran, layer by layer. A pass restricted to
-    ``reads`` scores its last layer over those pairs alone and runs no last
-    edge update, so its last ``edge_attention`` and the
-    ``final_edge_states`` stay None."""
+    """What a backbone pass ran, layer by layer, over the pairs it ran
+    over (see ``forward_backbone``). A pass whose caller reads no edge
+    states runs no last edge update: its last ``edge_attention`` and the
+    ``final_edge_states`` stay None, and its last ``scores`` cover the read
+    pairs alone. Given ``reads``, the last ``node_attention`` covers the
+    read pairs alone, and so does the one before it in a pass that records
+    no tape and reads no edge states; ``final_node_states`` are zero off the
+    read rows. A trace taken without ``reads`` holds the whole pass."""
 
     layers: list[LayerTrace] = field(default_factory=list)
     final_node_states: Tensor | None = None
@@ -357,48 +361,71 @@ def node_update(h: Hypergraph, scores: Tensor, edge_states: Tensor,
     return attend(scores, h.by_node, edge_states, h.by_edge, h.by_node, rate, rng)
 
 
+def _scores_at(scores: Tensor, h: Hypergraph, reads: Hypergraph) -> Tensor:
+    """The entries of ``scores``, one per pair of ``h``, at the pairs of
+    ``reads``, in order."""
+    read = np.zeros(h.num_nodes, dtype=bool)
+    read[reads.node_of_pair] = True
+    at = K.Segments(np.flatnonzero(read[h.node_of_pair]), scores.data.size)
+    return K.reshape(K.gather_rows(K.reshape(scores, (-1, 1)), at), (-1,))
+
+
 def forward_backbone(h: Hypergraph, params: ModelParams, *,
                      training: bool = False,
                      rng: np.random.Generator | None = None,
                      trace: ForwardTrace | None = None,
-                     reads: Hypergraph | None = None) -> Tensor:
+                     reads: Hypergraph | None = None,
+                     edges: bool = False) -> Tensor:
     """Run all message passing layers; returns final node states (N, d).
 
-    Each update draws its own dropout mask, the edge update's first. The
-    last layer's edge update runs only for a ``trace`` taken without
-    ``reads``, which keeps its edge states: nothing else reads them.
-    Otherwise a training pass still draws that update's mask, so the rng
-    ends in the same state either way.
+    The caller says what it reads: ``reads``, the pairs of the node rows it
+    reads (``hypergraph.restrict_to_nodes``; None for every row), and
+    ``edges``, whether it reads the final edge states. A ``trace`` taken
+    without ``reads`` reads the whole pass, edge states included. Each
+    layer then computes only what a later layer or the caller reads:
 
-    ``reads``, the pairs of the rows the caller reads
-    (``hypergraph.restrict_to_nodes``), runs the last layer's scores and
-    node update over those pairs alone: the read rows get the bits of the
-    full pass, every other row comes out zero, and the rng ends in the same
-    state, since the pooling still draws a mask over every row. A ``trace``
-    records whatever the pass ran."""
+    - the last edge update runs only for a caller that reads edge states;
+      without it the last layer scores the read pairs alone;
+    - the last node update pools the read pairs alone, so the read rows get
+      the bits of the full pass and every other row comes out zero;
+    - in a pass that records no tape (``K.no_grad``) and runs no last edge
+      update, the node update before it pools the read pairs alone too:
+      the last layer reads its node states at the read rows only, and
+      reads edge states, not node states, everywhere else. A taped pass
+      keeps that update whole.
+
+    Each update draws its own dropout mask over every row, the edge
+    update's first, and a pass with dropout draws a skipped update's mask
+    too, so the rng ends in the same state whatever is skipped. A ``trace``
+    records what the pass ran, over the pairs it ran over."""
     if h.num_nodes != params.num_nodes:
         raise ShapeError("hypergraph and embeddings disagree on node count")
     rate = params.dropout_rate if training else 0.0
     if rate and rng is None:
         raise ValueError("training with dropout needs an rng")
-    full_trace = trace is not None and reads is None
+    edges = edges or (trace is not None and reads is None)
     if reads is None:
         reads = h
     elif (reads.num_nodes, reads.num_edges) != (h.num_nodes, h.num_edges):
         raise ShapeError("read pairs and hypergraph disagree on nodes or edges")
     last = params.num_layers - 1
+    # the first layer whose node update pools the read pairs alone
+    narrow = last if edges or K.recording() else last - 1
     hn = params.node_embeddings
     he = init_edge_states(h, hn)
     for k, layer in enumerate(params.layers):
-        graph = reads if k == last else h
-        scores = dual_attention_scores(graph, hn, he, layer, params.leaky_slope)
-        if k < last or full_trace:
+        edge_step = k < last or edges
+        scored = h if edge_step else reads
+        pooled = reads if k >= narrow else h
+        scores = dual_attention_scores(scored, hn, he, layer, params.leaky_slope)
+        if edge_step:
             he_next, a_edge = edge_update(h, scores, hn, rate, rng)
-        else:   # the last edge states reach no later layer; only a full trace reads them
+        else:   # the last edge states reach no later layer and no caller
             he_next = a_edge = None
             if rate:   # draw the skipped mask, so the rng ends where it would
                 K.keep_mask((h.num_edges, params.hidden_dim), rate, rng)
-        hn_next, a_node = node_update(graph, scores, he, rate, rng)
+        at_pooled = scores if pooled is scored else _scores_at(scores, h, pooled)
+        hn_next, a_node = node_update(pooled, at_pooled, he, rate, rng)
         if trace is not None:
             trace.layers.append(LayerTrace(scores, a_edge, a_node))
         hn, he = hn_next, he_next
@@ -549,8 +576,9 @@ def scores_from_states(node_states: Tensor, params: ModelParams,
 def subgraph_scores(h: Hypergraph, params: ModelParams,
                     batch: SubgraphBatch) -> np.ndarray:
     """Evaluation-mode class scores for a batch, as a plain array. The
-    backbone's last layer runs over the pairs of the batch's member rows
-    alone, which gives those rows the bits of a full pass."""
+    backbone reads the batch's member rows alone, so its last two node
+    updates run over their pairs (``forward_backbone``), which gives those
+    rows the bits of a full pass."""
     reads = restrict_to_nodes(h, batch.by_row.nonempty)
     with K.no_grad():
         x = forward_backbone(h, params, training=False, reads=reads)

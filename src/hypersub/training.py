@@ -15,6 +15,9 @@ from .errors import (EmptySplit, InvalidConfigValue, InvalidLabel,
 from .hypergraph import Hypergraph, restrict_to_nodes, theta
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 @dataclass
 class TrainConfig:
     """Knobs for one training run. ``monitor`` picks the early stopping
@@ -37,11 +40,15 @@ class TrainConfig:
     threshold: float = 0.5       # multilabel decision cutoff
 
     def validate(self):
-        """Raise InvalidConfigValue naming the first field out of range."""
+        """Raise InvalidConfigValue naming the first field out of range.
+        Every integer field must fit np.int64, the integer numpy sizes and
+        counts with."""
         for name, kind in config_field_types().items():
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
                 raise InvalidConfigValue(name, f"must be finite, got {value!r}")
+            if kind is int and not _INT64.min <= value <= _INT64.max:
+                raise InvalidConfigValue(name, f"must fit a 64-bit integer, got {value!r}")
         checks = (
             ("learning_rate", self.learning_rate > 0, "must be positive"),
             ("weight_decay", self.weight_decay >= 0, "must be non-negative"),

@@ -148,7 +148,10 @@ def test_train_rejects_unknown_config_key(synth_dir, tmp_path, capsys):
                                   "hidden_dim = 0", "leaky_slope = nan",
                                   "learning_rate = nan", "weight_decay = nan",
                                   "reg_weight = nan", "threshold = inf",
-                                  "seed = -1"])
+                                  "seed = -1",
+                                  *(f"{key} = 99999999999999999999" for key in
+                                    ("hidden_dim", "num_layers", "max_epochs", "patience",
+                                     "batch_size", "seed"))])
 def test_train_rejects_bad_config_value(synth_dir, tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("max_epochs = 2\n" + line + "\n")
@@ -171,6 +174,19 @@ def test_train_rejects_negative_seed_flag(synth_dir, tmp_path, capsys):
                 "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path)])
     assert code == 2
     assert "InvalidConfigValue: seed must be non-negative" in capsys.readouterr().err
+
+
+def test_train_rejects_a_seed_flag_past_int64(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "config.cfg"
+    cfg.write_text(CONFIG)
+    code = run(["train", "--gmt", str(synth_dir / "synthetic.gmt"),
+                "--subgraphs", str(synth_dir / "subgraphs.tsv"),
+                "--split", str(synth_dir / "split.tsv"), "--config", str(cfg),
+                "--seed", "99999999999999999999", "--out", str(tmp_path)])
+    assert code == 2
+    assert ("InvalidConfigValue: seed must fit a 64-bit integer, got 99999999999999999999"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("ratios", ["a,b,c", "0.5,0.3,0.3", "0.6,0.2,nan",

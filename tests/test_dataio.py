@@ -389,6 +389,25 @@ def test_parse_config_names_the_line_of_a_bad_value():
     assert str(info.value).startswith("line 3: leaky_slope must be finite")
 
 
+INT_FIELDS = ["hidden_dim", "num_layers", "max_epochs", "patience", "batch_size", "seed"]
+
+
+@pytest.mark.parametrize("key", INT_FIELDS)
+@pytest.mark.parametrize("value", ["99999999999999999999", "9223372036854775808",
+                                   "-99999999999999999999"])
+def test_parse_config_names_the_line_of_an_integer_past_int64(key, value):
+    with pytest.raises(InvalidConfigValue) as info:
+        D.parse_config(f"# tuning\nmax_epochs = 2\n{key} = {value}\n")
+    assert (info.value.key, info.value.line_no) == (key, 3)
+    assert str(info.value) == f"line 3: {key} must fit a 64-bit integer, got {int(value)}"
+
+
+@pytest.mark.parametrize("key", INT_FIELDS)
+def test_parse_config_takes_the_largest_int64(key):
+    cfg = D.parse_config(f"{key} = 9223372036854775807\n")
+    assert getattr(cfg, key) == 2 ** 63 - 1
+
+
 # --------------------------------------------------------------- checkpoints
 
 def trained_fixture(tmp_path):

@@ -27,7 +27,7 @@ WHOLE = -1    # the field index that stands for the whole line
 # "\udcff" is written as the byte 0xff, which is not UTF-8
 FIELD_VALUES = ["", " ", "#", "x", "-", "0", "-1", "2", "nan", "1e39", "C0,C1", "C9",
                 "train", "test", "g0000", "g0000:heavy", "g0000:1e39", "g0001:0", ",",
-                "a\tb", "é", "\udcff", "seed", "mode", COPY]
+                "a\tb", "é", "\udcff", "seed", "mode", "99999999999999999999", COPY]
 # edge line values keep the header UTF-8 and every line a line: no '[' to
 # open a version 1 section, no character that str.splitlines breaks at
 EDGE_VALUES = ["", "0", "1", "2", "-1", "+2", " 3", "2 ", "007", "x", "1.5", "nan",
@@ -123,6 +123,8 @@ def input_faults(draw):
 @example(("config", "train", 0, WHOLE, FAULTS["config"].strip()))
 # a mangled subject id in the split file leaves a subject without a split
 @example(("split", "train", 5, 0, "x"))
+# an integer config value past np.int64
+@example(("config", "train", 0, 1, "99999999999999999999"))
 def test_a_faulty_input_line_is_named(tmp_path_factory, inputs, fault):
     name, command, pick, field, value = fault
     texts = {n: inputs[n].read_text() for n in READERS}

@@ -221,6 +221,19 @@ def test_correlation_needs_the_final_edge_states():
         I.hyperedge_correlation(params, h, trace=restricted_trace(params, h, [0, 1, 2]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]), st.sampled_from([0.0, 0.5]))
+def test_correlation_of_its_own_pass_matches_the_full_trace(seed, num_layers, dtype, rate):
+    gen = np.random.default_rng(seed)
+    h = random_hypergraph(gen, max_nodes=10, max_edges=5)
+    params = M.init_model(h.num_nodes, 4, num_layers, 3, gen, dropout_rate=rate,
+                          dtype=dtype)
+    own = I.hyperedge_correlation(params, h)
+    traced = I.hyperedge_correlation(params, h, trace=I.backbone_trace(params, h))
+    assert own.tobytes() == traced.tobytes()
+
+
 def test_enrichment_report_covers_all_classes():
     h = build_hypergraph([[0, 1, 2], [1, 3]])
     params = make_model(h, np.random.default_rng(6))

@@ -1,13 +1,18 @@
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypersub import dataio as D
 from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.errors import GraphConsumed, InvalidLabel, ShapeError
 from hypersub.hypergraph import (SparseMatrix, build_hypergraph, dual,
                                  restrict_to_nodes, theta)
+from hypersub.training import TrainConfig
 
 from conftest import (group_positions, memberships, random_hypergraph,
                       to_dense, traced_memory)
@@ -225,12 +230,86 @@ def test_traced_pass_over_read_rows_records_what_it_ran(seed, data, num_layers, 
     assert not states[unread].any()
     assert part.final_edge_states is None and part.layers[-1].edge_attention is None
     # the last layer's scores and node attention cover the read pairs alone,
-    # with the full pass's bits there; every earlier layer is the full one
+    # with the full pass's bits there, and so does the node attention of the
+    # layer before it, in this pass that records no tape; every other
+    # attention and every earlier score is the full one
     kept = np.isin(h.node_of_pair, rows)
-    for got, want in zip(part.layers, full.layers):
-        at = kept if got is part.layers[-1] else slice(None)
+    for k, (got, want) in enumerate(zip(part.layers, full.layers)):
+        at = kept if k == num_layers - 1 else slice(None)
+        node_at = kept if k >= num_layers - 2 else slice(None)
         assert got.scores.data.tobytes() == want.scores.data[at].tobytes()
+        assert got.node_attention.data.tobytes() == \
+            want.node_attention.data[node_at].tobytes()
+        if k < num_layers - 1:
+            assert got.edge_attention.data.tobytes() == want.edge_attention.data.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data(), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_pass_that_reads_the_edges_runs_the_last_edge_update(seed, data, num_layers,
+                                                             dtype, training):
+    gen = np.random.default_rng(seed)
+    h = random_hypergraph(gen, max_nodes=10, max_edges=5)
+    # no rows at all is the correlation view's own pass
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1)))),
+                    dtype=np.intp)
+    params = M.init_model(h.num_nodes, 4, num_layers, 3, gen, dropout_rate=0.3,
+                          dtype=dtype)
+    gens = [np.random.default_rng(seed) for _ in range(2)]
+    full, part = M.ForwardTrace(), M.ForwardTrace()
+    with K.no_grad():
+        M.forward_backbone(h, params, training=training, rng=gens[0], trace=full)
+        x = M.forward_backbone(h, params, training=training, rng=gens[1], trace=part,
+                               reads=restrict_to_nodes(h, rows), edges=True)
+    # a node update over no pairs still draws its mask under dropout
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+    assert part.final_edge_states.data.tobytes() == full.final_edge_states.data.tobytes()
+    assert x.data[rows].tobytes() == full.final_node_states.data[rows].tobytes()
+    assert not np.delete(x.data, rows, axis=0).any()
+    # every layer is the full one, but for the last node attention, which
+    # covers the read pairs alone
+    kept = np.isin(h.node_of_pair, rows)
+    for k, (got, want) in enumerate(zip(part.layers, full.layers)):
+        at = kept if k == num_layers - 1 else slice(None)
+        assert got.scores.data.tobytes() == want.scores.data.tobytes()
+        assert got.edge_attention.data.tobytes() == want.edge_attention.data.tobytes()
         assert got.node_attention.data.tobytes() == want.node_attention.data[at].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_scores_of_a_loaded_checkpoint_walk_no_unread_node_group(seed, data):
+    gen = np.random.default_rng(seed)
+    h = random_hypergraph(gen, max_nodes=10, max_edges=5)
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1),
+                                             min_size=1))))
+    assume(restrict_to_nodes(h, rows) is not h)
+    params = M.init_model(h.num_nodes, 4, 2, 3, gen)
+    ckpt = D.Checkpoint(params=params, config=TrainConfig(hidden_dim=4, num_layers=2),
+                        gene_names=[f"g{i}" for i in range(h.num_nodes)],
+                        class_vocab=["a", "b", "c"],
+                        edge_names=[f"e{j}" for j in range(h.num_edges)], hypergraph=h)
+    with tempfile.TemporaryDirectory() as tmp:
+        D.save_checkpoint(ckpt, pathlib.Path(tmp) / "model.ckpt")
+        loaded = D.load_checkpoint(pathlib.Path(tmp) / "model.ckpt")
+    g = M.incidence_pairs(loaded.hypergraph)
+    batch = toy_batch(np.array_split(rows, (rows.size + 1) // 2), 3)
+    pooled = []
+    node_update = M.node_update
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(M, "node_update", lambda *a: pooled.append(a[0]) or node_update(*a))
+        got = M.subgraph_scores(g, loaded.params, batch)
+    # the node layout of the whole hypergraph is never walked group by group
+    assert "order" not in g.by_node.__dict__ and "plan" not in g.by_node.__dict__
+    read = np.isin(g.node_of_pair, rows)
+    assert len(pooled) == 2
+    for part in pooled:
+        assert part.node_of_pair.tobytes() == g.node_of_pair[read].tobytes()
+        assert part.edge_of_pair.tobytes() == g.edge_of_pair[read].tobytes()
+    with K.no_grad():
+        full = M.forward_backbone(g, loaded.params)
+    assert got.tobytes() == M.scores_from_states(full, loaded.params, batch).tobytes()
 
 
 def test_restriction_keeps_the_pairs_of_its_rows_and_rejects_others():
