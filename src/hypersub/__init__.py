@@ -8,14 +8,14 @@ classifier head, trained end to end by a built-in reverse-mode autodiff.
 
 __version__ = "0.1.0"
 
-from .hypergraph import Hypergraph, SparseMatrix, build_hypergraph, dual, theta
-from .kernel import Tensor, backward, grad_check
+from .hypergraph import Hypergraph, build_hypergraph, theta
+from .kernel import Tensor, backward
 from .model import ModelParams, SubgraphBatch, forward, init_model, subgraph_scores
 from .training import TrainConfig, TrainReport, micro_f1, train
 
 __all__ = [
-    "Hypergraph", "SparseMatrix", "build_hypergraph", "dual", "theta",
-    "Tensor", "backward", "grad_check",
+    "Hypergraph", "build_hypergraph", "theta",
+    "Tensor", "backward",
     "ModelParams", "SubgraphBatch", "forward", "init_model", "subgraph_scores",
     "TrainConfig", "TrainReport", "micro_f1", "train",
     "__version__",

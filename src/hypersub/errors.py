@@ -15,10 +15,6 @@ class EmptyHyperedge(InputDataError):
     """A hyperedge was declared with no member nodes."""
 
 
-class IsolatedNode(HypersubError):
-    """An operation requires every node to belong to at least one hyperedge."""
-
-
 # -------------------------------------------------------------------- kernel
 
 class ShapeError(HypersubError):
@@ -31,10 +27,6 @@ class NotScalar(HypersubError):
 
 class GraphConsumed(HypersubError):
     """A backward pass reached a graph that an earlier backward pass released."""
-
-
-class NonDeterministic(HypersubError):
-    """Gradient checking needs a deterministic function; repeated evaluation disagreed."""
 
 
 # ------------------------------------------------------------------ training

@@ -3,7 +3,8 @@
 Nodes and hyperedges are integer-indexed. The incidence relation is stored
 once, as edge-major integer arrays; the per-edge and per-node groupings that
 both directions of message passing reduce over are segment layouts of those
-arrays, built on first use and cached.
+arrays, built on first use and cached. The normalized adjacency Θ is held
+as its incidence factor, whose products walk those same two layouts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyHyperedge, IsolatedNode, ShapeError
+from .errors import EmptyHyperedge, ShapeError
 from .kernel import Segments
 
 
@@ -56,32 +57,36 @@ class Hypergraph:
 
 
 @dataclass(frozen=True, eq=False)
-class SparseMatrix:
-    """COO matrix with unique, lexicographically sorted (row, col) keys.
-    Products run through one row layout: every instance is a ``theta``,
-    exactly symmetric, so that layout serves ``K.spmm``'s gradient too."""
+class IncidenceFactor:
+    """Θ = B Bᵀ held as its incidence factor B = D^-½ H Δ^-½: the
+    hypergraph and one value per incidence pair, ``values[p]`` =
+    d_i^-½ δ_j^-½ for the node i and hyperedge j of pair p. Products walk
+    the hypergraph's own ``by_edge`` and ``by_node`` layouts, so no entry of
+    Θ is ever formed. Θ is symmetric as an operator, so ``K.spmm``'s
+    gradient Θᵀg is ``dot_dense(g)``."""
 
-    rows: int
-    cols: int
-    row_idx: np.ndarray
-    col_idx: np.ndarray
+    h: Hypergraph
     values: np.ndarray
 
     @property
+    def rows(self) -> int:
+        return self.h.num_nodes
+
+    cols = rows
+
+    @property
     def nnz(self) -> int:
+        """Stored values: one per incidence pair."""
         return self.values.size
 
-    @cached_property
-    def _by_row(self) -> Segments:
-        # the sorted keys make this the identity: entries are already CSR
-        return Segments(self.row_idx, self.rows)
-
     def row_sums(self) -> np.ndarray:
-        return np.bincount(self.row_idx, weights=self.values, minlength=self.rows)
+        return self.dot_dense(np.ones((self.rows, 1)))[:, 0]
 
     def dot_dense(self, x: np.ndarray) -> np.ndarray:
-        """self @ x for a dense 2-D x."""
-        return self._by_row.gather_sum(x, self.values, self.col_idx)
+        """Θ @ x for a dense 2-D x, as B (Bᵀ x)."""
+        h, b = self.h, self.values
+        return h.by_node.gather_sum(h.by_edge.gather_sum(x, b, h.node_of_pair),
+                                    b, h.edge_of_pair)
 
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
@@ -147,49 +152,12 @@ def restrict_to_nodes(h: Hypergraph, rows) -> Hypergraph:
                       h.node_of_pair[keep])
 
 
-def theta(h: Hypergraph) -> SparseMatrix:
-    """Degree-normalized node adjacency through shared hyperedges.
-
-    Entry (i, i') accumulates 1 / |e_j| over every hyperedge j containing
-    both nodes, scaled by the inverse square roots of both node degrees
-    (their hyperedge counts), summed in hyperedge order. Rows of zero-degree
-    nodes stay empty. Symmetric by construction, exactly: the (i, i') and (i', i)
-    accumulations see identical sequences of identical products, so Θ equals
-    its transpose bit for bit, and ``K.spmm``'s gradient, Θᵀ g, is Θ g.
-    """
-    node_deg = h.by_node.counts
-    inv_sqrt = np.zeros(h.num_nodes, dtype=np.float64)
-    pos = node_deg > 0
-    inv_sqrt[pos] = node_deg[pos].astype(np.float64) ** -0.5
-
-    # every (a, b) member pair of every hyperedge, edge-major: incidence a
-    # repeats once per member of its edge, and b runs over those members
-    edge_of, node_of = h.edge_of_pair, h.node_of_pair
-    sizes = h.by_edge.counts
-    first = np.cumsum(sizes) - sizes               # first incidence of each edge
-    reps = sizes[edge_of]
-    run = np.cumsum(reps) - reps                   # where each repeat run starts
-    left = np.repeat(np.arange(node_of.size), reps)
-    right = np.arange(left.size) + np.repeat(first[edge_of] - run, reps)
-    v = inv_sqrt[node_of]
-    block = (1.0 / sizes)[edge_of[left]] * (v[left] * v[right])
-    keys, slot = np.unique(node_of[left] * h.num_nodes + node_of[right],
-                           return_inverse=True)
-    values = np.bincount(slot, weights=block, minlength=keys.size)
-    return SparseMatrix(h.num_nodes, h.num_nodes, keys // h.num_nodes,
-                        keys % h.num_nodes, values)
-
-
-def dual(h: Hypergraph) -> Hypergraph:
-    """Interchange nodes and hyperedges.
-
-    Every node must belong to at least one hyperedge, otherwise the dual
-    would contain an empty hyperedge.
-    """
-    isolated = np.flatnonzero(h.by_node.counts == 0)
-    if isolated.size:
-        raise IsolatedNode(f"node {isolated[0]} belongs to no hyperedge")
-    # the stable node-major order keeps each node's edges ascending
-    pos = h.by_node.positions()
-    return Hypergraph(h.num_edges, h.num_nodes, h.node_of_pair[pos],
-                      h.edge_of_pair[pos])
+def theta(h: Hypergraph) -> IncidenceFactor:
+    """Degree-normalized node adjacency through shared hyperedges,
+    Θ = D^-½ H Δ^-1 Hᵀ D^-½ with unit hyperedge weights, as its incidence
+    factor: O(pairs) to build, and O(pairs · d) per product. Entry (i, i')
+    would be the sum of 1 / |e_j| over every hyperedge j holding both
+    nodes, scaled by the inverse square roots of both node degrees (their
+    hyperedge counts); rows and columns of zero-degree nodes are zero."""
+    degrees = h.by_node.counts[h.node_of_pair] * h.by_edge.counts[h.edge_of_pair]
+    return IncidenceFactor(h, degrees ** -0.5)

@@ -6,19 +6,17 @@ gradient rule. A forward pass links Tensors into a DAG through their parents;
 accumulates gradients into the leaves that require them: parameters and any
 tensor built outside an op. Each op's node is released as its rule fires, so
 intermediate gradients and the forward arrays the rules hold die as the pass
-proceeds, and a graph can be backpropagated only once. ``grad_check``
-verifies any composition against central finite differences.
+proceeds, and a graph can be backpropagated only once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GraphConsumed, NonDeterministic, NotScalar, ShapeError
+from .errors import GraphConsumed, NotScalar, ShapeError
 
 _grad_enabled = True
 
@@ -778,12 +776,11 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
 
 
 def spmm(m, x: Tensor) -> Tensor:
-    """Sparse (constant) matrix times dense tensor: m @ x.
+    """Constant linear operator times dense tensor: m @ x.
 
-    ``m`` is a COO-style object with rows/cols/dot_dense that equals its
-    own transpose bit for bit, as hypergraph.theta's SparseMatrix does. The
-    sparse factor is constant; only x receives gradient, dx = m.T @ g, which
-    by that symmetry is ``m.dot_dense(g)`` through the same row layout.
+    ``m`` is a symmetric operator with rows/cols/dot_dense, as
+    hypergraph.theta's IncidenceFactor is. It is constant; only x receives
+    gradient, dx = m.T @ g, which by that symmetry is ``m.dot_dense(g)``.
     """
     _need_2d("spmm input", x)
     if m.cols != x.data.shape[0]:
@@ -845,69 +842,3 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         _accum(x, masked(g))
 
     return _result(masked(x.data), (x,), grad_fn)
-
-
-# ---------------------------------------------------------------- grad check
-
-@dataclass
-class GradCheckReport:
-    passed: bool
-    max_rel_error: float
-    worst_param: int
-    worst_index: int
-    analytic: list[np.ndarray]
-    numeric: list[np.ndarray]
-
-
-def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
-               epsilon: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare taped gradients of a scalar-valued closure against central
-    finite differences (f(t+e) - f(t-e)) / 2e, entry by entry.
-
-    The relative error denominator is max(1, |analytic|, |numeric|), so tiny
-    gradients are judged absolutely. f must be deterministic; it is evaluated
-    twice up front and any discrepancy raises NonDeterministic.
-    """
-    with no_grad():
-        v1 = float(f().data.reshape(()))
-        v2 = float(f().data.reshape(()))
-    if v1 != v2:
-        raise NonDeterministic("function value changed between evaluations")
-
-    for p in params:
-        p.zero_grad()
-    loss = f()
-    if loss.data.size != 1:
-        raise NotScalar("grad_check needs a scalar-valued function")
-    backward(loss, params)
-    analytic = [p.grad.copy() for p in params]
-
-    numeric = [np.zeros_like(p.data) for p in params]
-    with no_grad():
-        for pi, p in enumerate(params):
-            for k in range(p.data.size):
-                saved = p.data.flat[k]
-                p.data.flat[k] = saved + epsilon
-                f_plus = float(f().data.reshape(()))
-                p.data.flat[k] = saved - epsilon
-                f_minus = float(f().data.reshape(()))
-                p.data.flat[k] = saved
-                numeric[pi].flat[k] = (f_plus - f_minus) / (2.0 * epsilon)
-
-    max_rel = 0.0
-    worst = (0, 0)
-    for pi, (a, n) in enumerate(zip(analytic, numeric)):
-        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
-        rel = np.abs(a - n) / denom
-        k = int(np.argmax(rel))
-        if rel.reshape(-1)[k] > max_rel:
-            max_rel = float(rel.reshape(-1)[k])
-            worst = (pi, k)
-    return GradCheckReport(
-        passed=max_rel <= tolerance,
-        max_rel_error=max_rel,
-        worst_param=worst[0],
-        worst_index=worst[1],
-        analytic=analytic,
-        numeric=numeric,
-    )

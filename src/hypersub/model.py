@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel as K
 from .errors import InvalidLabel, ShapeError
-from .hypergraph import Hypergraph, SparseMatrix, restrict_to_nodes
+from .hypergraph import Hypergraph, IncidenceFactor, restrict_to_nodes
 from .kernel import Tensor
 
 
@@ -435,12 +435,14 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
     return hn
 
 
-def regularizer(node_states: Tensor, theta_sp: SparseMatrix) -> Tensor:
+def regularizer(node_states: Tensor, theta_sp: IncidenceFactor) -> Tensor:
     """Quadratic smoothness penalty over the normalized adjacency.
 
-    Equals the dense double sum of theta[i, j] * ||X_i - X_j||^2, computed
-    sparsely as 2 * (sum_i rowsum_i * ||X_i||^2 - sum_ij X_ij (theta X)_ij).
-    Diagonal entries cancel; zero-degree nodes have empty rows and drop out.
+    Equals the dense double sum of theta[i, j] * ||X_i - X_j||^2 for any
+    symmetric ``theta_sp``, computed through its products alone as
+    2 * (sum_i rowsum_i * ||X_i||^2 - sum_ij X_ij (theta X)_ij); for
+    hypergraph.theta both run through its incidence factor. Diagonal
+    entries cancel; zero-degree nodes have zero rows and drop out.
     """
     dtype = node_states.data.dtype
     r = K.constant(theta_sp.row_sums().reshape(1, -1), dtype=dtype)
@@ -534,7 +536,7 @@ class ForwardResult:
 
 
 def objective(x: Tensor, params: ModelParams, batch: SubgraphBatch, *,
-              theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
+              theta_sp: IncidenceFactor | None = None, reg_weight: float = 0.0,
               training: bool = False, rng: np.random.Generator | None = None
               ) -> ForwardResult:
     """The half of ``forward`` past the backbone: pooling of the final node
@@ -552,7 +554,7 @@ def objective(x: Tensor, params: ModelParams, batch: SubgraphBatch, *,
 
 
 def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
-            theta_sp: SparseMatrix | None = None, reg_weight: float = 0.0,
+            theta_sp: IncidenceFactor | None = None, reg_weight: float = 0.0,
             training: bool = False, rng: np.random.Generator | None = None,
             reads: Hypergraph | None = None) -> ForwardResult:
     """Full pass: backbone, then ``objective``. ``reads`` goes to the

@@ -39,11 +39,38 @@ def group_positions(seg):
     return [order[lo:hi] for lo, hi in zip(seg.offsets[:-1], seg.offsets[1:])]
 
 
-def to_dense(sp):
-    """A SparseMatrix as a dense array."""
-    out = np.zeros((sp.rows, sp.cols), dtype=sp.values.dtype)
-    out[sp.row_idx, sp.col_idx] = sp.values
-    return out
+def to_dense(op):
+    """A square linear operator (anything with ``rows`` and ``dot_dense``)
+    as a dense array, one product with the identity."""
+    return op.dot_dense(np.eye(op.rows))
+
+
+def dense_theta(h):
+    """Oracle: the normalized adjacency D^-1/2 H De^-1 H^T D^-1/2 with unit
+    hyperedge weights, assembled from the dense 0/1 incidence matrix by
+    dense matrix products; rows of zero-degree nodes are zero."""
+    hm = np.zeros((h.num_nodes, h.num_edges))
+    hm[h.node_of_pair, h.edge_of_pair] = 1.0
+    node_deg, edge_deg = hm.sum(axis=1), hm.sum(axis=0)
+    dv = np.zeros(h.num_nodes)
+    dv[node_deg > 0] = node_deg[node_deg > 0] ** -0.5
+    return np.diag(dv) @ hm @ np.diag(1.0 / edge_deg) @ hm.T @ np.diag(dv)
+
+
+class DenseOperator:
+    """A dense symmetric matrix behind the operator interface that
+    ``model.regularizer`` and ``K.spmm`` read, so their contract is tested
+    on any symmetric Θ, not only on one ``hypergraph.theta`` can build."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.rows, self.cols = self.matrix.shape
+
+    def row_sums(self):
+        return self.matrix.sum(axis=1)
+
+    def dot_dense(self, x):
+        return self.matrix @ x
 
 
 @contextlib.contextmanager

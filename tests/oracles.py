@@ -1,0 +1,99 @@
+"""Oracles the tests check the package against: central finite
+differences for any taped composition, and the dual hypergraph, on which
+A3's exact score duality runs."""
+
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from hypersub import kernel as K
+from hypersub.errors import HypersubError, NotScalar
+from hypersub.hypergraph import Hypergraph
+
+
+class NonDeterministic(HypersubError):
+    """Gradient checking needs a deterministic function; repeated evaluation disagreed."""
+
+
+class IsolatedNode(HypersubError):
+    """An operation requires every node to belong to at least one hyperedge."""
+
+
+def dual(h: Hypergraph) -> Hypergraph:
+    """Interchange nodes and hyperedges.
+
+    Every node must belong to at least one hyperedge, otherwise the dual
+    would contain an empty hyperedge.
+    """
+    isolated = np.flatnonzero(h.by_node.counts == 0)
+    if isolated.size:
+        raise IsolatedNode(f"node {isolated[0]} belongs to no hyperedge")
+    # the stable node-major order keeps each node's edges ascending
+    pos = h.by_node.positions()
+    return Hypergraph(h.num_edges, h.num_nodes, h.node_of_pair[pos],
+                      h.edge_of_pair[pos])
+
+
+@dataclass
+class GradCheckReport:
+    passed: bool
+    max_rel_error: float
+    worst_param: int
+    worst_index: int
+    analytic: list[np.ndarray]
+    numeric: list[np.ndarray]
+
+
+def grad_check(f: Callable[[], K.Tensor], params: Sequence[K.Tensor],
+               epsilon: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
+    """Compare taped gradients of a scalar-valued closure against central
+    finite differences (f(t+e) - f(t-e)) / 2e, entry by entry.
+
+    The relative error denominator is max(1, |analytic|, |numeric|), so tiny
+    gradients are judged absolutely. f must be deterministic; it is evaluated
+    twice up front and any discrepancy raises NonDeterministic.
+    """
+    with K.no_grad():
+        v1 = float(f().data.reshape(()))
+        v2 = float(f().data.reshape(()))
+    if v1 != v2:
+        raise NonDeterministic("function value changed between evaluations")
+
+    for p in params:
+        p.zero_grad()
+    loss = f()
+    if loss.data.size != 1:
+        raise NotScalar("grad_check needs a scalar-valued function")
+    K.backward(loss, params)
+    analytic = [p.grad.copy() for p in params]
+
+    numeric = [np.zeros_like(p.data) for p in params]
+    with K.no_grad():
+        for pi, p in enumerate(params):
+            for k in range(p.data.size):
+                saved = p.data.flat[k]
+                p.data.flat[k] = saved + epsilon
+                f_plus = float(f().data.reshape(()))
+                p.data.flat[k] = saved - epsilon
+                f_minus = float(f().data.reshape(()))
+                p.data.flat[k] = saved
+                numeric[pi].flat[k] = (f_plus - f_minus) / (2.0 * epsilon)
+
+    max_rel = 0.0
+    worst = (0, 0)
+    for pi, (a, n) in enumerate(zip(analytic, numeric)):
+        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
+        rel = np.abs(a - n) / denom
+        k = int(np.argmax(rel))
+        if rel.reshape(-1)[k] > max_rel:
+            max_rel = float(rel.reshape(-1)[k])
+            worst = (pi, k)
+    return GradCheckReport(
+        passed=max_rel <= tolerance,
+        max_rel_error=max_rel,
+        worst_param=worst[0],
+        worst_index=worst[1],
+        analytic=analytic,
+        numeric=numeric,
+    )

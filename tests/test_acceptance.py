@@ -21,11 +21,12 @@ from hypersub import dataio as D
 from hypersub import kernel as K
 from hypersub import model as M
 from hypersub import training as T
-from hypersub.hypergraph import build_hypergraph, dual, theta
+from hypersub.hypergraph import build_hypergraph, theta
 from hypersub.interpret import class_enrichment
 from hypersub.synthetic import make_synthetic
 
-from conftest import group_positions, random_hypergraph, to_dense
+from conftest import dense_theta, group_positions, random_hypergraph
+from oracles import dual, grad_check
 
 
 def verdict(tag: str, ok: bool, detail: str):
@@ -92,7 +93,7 @@ def test_a1_gradient_correctness():
         return M.forward(pairs, params, batch, theta_sp=t,
                          reg_weight=0.7).total_loss
 
-    report = K.grad_check(f, params.parameters(), epsilon=1e-6,
+    report = grad_check(f, params.parameters(), epsilon=1e-6,
                           tolerance=1e-4)
     dt = time.perf_counter() - t0
     verdict("A1", report.passed and dt < 30.0,
@@ -103,7 +104,9 @@ def test_a1_gradient_correctness():
 
 def test_a2_regularizer_oracle():
     # sparse form vs brute-force pairwise sum on 50 random hypergraphs
-    # with up to 12 nodes; agreement <= 1e-10; < 10 s
+    # with up to 12 nodes; agreement <= 1e-10; < 10 s. The brute force
+    # weights its pairs by Θ assembled from the dense incidence matrix, not
+    # by the operator under test
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -111,7 +114,7 @@ def test_a2_regularizer_oracle():
         h = random_hypergraph(rng, max_nodes=12, max_edges=6)
         t = theta(h)
         x = rng.normal(size=(h.num_nodes, 4))
-        dense = to_dense(t)
+        dense = dense_theta(h)
         brute = sum(dense[i, j] * float(((x[i] - x[j]) ** 2).sum())
                     for i in range(h.num_nodes) for j in range(h.num_nodes))
         got = float(M.regularizer(K.constant(x), t).data)

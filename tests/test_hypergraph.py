@@ -3,28 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersub.errors import EmptyHyperedge, IsolatedNode
-from hypersub.hypergraph import build_hypergraph, dual, theta
+from hypersub.errors import EmptyHyperedge
+from hypersub.hypergraph import build_hypergraph, theta
 
-from conftest import group_positions, memberships, random_hypergraph, to_dense
-
-
-def incidence_matrix(h):
-    """Dense 0/1 incidence, nodes by hyperedges."""
-    m = np.zeros((h.num_nodes, h.num_edges), dtype=np.float64)
-    m[h.node_of_pair, h.edge_of_pair] = 1.0
-    return m
-
-
-def dense_theta(h):
-    """Oracle: normalized adjacency assembled from dense matrix products,
-    with unit hyperedge weights."""
-    hm = incidence_matrix(h)
-    node_deg, edge_deg = hm.sum(axis=1), hm.sum(axis=0)
-    dv = np.zeros(h.num_nodes)
-    dv[node_deg > 0] = node_deg[node_deg > 0] ** -0.5
-    de_inv = np.diag(1.0 / edge_deg)
-    return np.diag(dv) @ hm @ de_inv @ hm.T @ np.diag(dv)
+from conftest import (dense_theta, group_positions, memberships, random_hypergraph,
+                      to_dense, traced_memory)
+from oracles import IsolatedNode, dual
 
 
 def test_build_dedupes_and_sorts():
@@ -117,21 +101,29 @@ def test_theta_matches_dense_oracle(rng):
 
 
 def test_theta_symmetry_and_zero_degree_rows(rng):
+    # the factor's products sum per group through BLAS, so the dense form is
+    # symmetric to rounding rather than bit for bit
     for _ in range(20):
         h = random_hypergraph(rng)
         t = to_dense(theta(h))
-        assert np.array_equal(t, t.T)
+        assert np.max(np.abs(t - t.T)) <= 1e-15 * np.max(np.abs(t))
     h = build_hypergraph([[0, 1]], num_nodes=3)
     t = to_dense(theta(h))
     assert np.all(t[2] == 0) and np.all(t[:, 2] == 0)
 
 
-def test_theta_entries_unique_and_sorted(rng):
-    h = random_hypergraph(rng)
-    sp = theta(h)
-    keys = list(zip(sp.row_idx.tolist(), sp.col_idx.tolist()))
-    assert keys == sorted(keys)
-    assert len(keys) == len(set(keys))
+def test_theta_holds_one_value_per_pair_and_no_pair_expansion():
+    # one hyperedge of 3,000 members: sum |e|^2 = 9M member pairs, which an
+    # adjacency with an entry per pair would hold in several 72 MB arrays;
+    # the factor and one product at d=4 peak at about 0.6 MiB
+    h = build_hypergraph([np.arange(3000)])
+    x = np.random.default_rng(0).normal(size=(3000, 4))
+    with traced_memory() as probe:
+        t = theta(h)
+        y = t.dot_dense(x)
+    assert t.nnz == 3000
+    assert probe.peak < 2 * 2**20, probe.peak
+    assert np.allclose(y, np.broadcast_to(x.mean(axis=0), x.shape), rtol=0, atol=1e-12)
 
 
 def test_sparse_matvec_agrees_with_dense(rng):
@@ -139,8 +131,8 @@ def test_sparse_matvec_agrees_with_dense(rng):
         h = random_hypergraph(rng)
         sp = theta(h)
         x = rng.normal(size=(h.num_nodes, 3))
-        assert np.allclose(sp.dot_dense(x), to_dense(sp) @ x, atol=1e-12)
-        assert np.allclose(sp.row_sums(), to_dense(sp).sum(axis=1), atol=1e-12)
+        assert np.allclose(sp.dot_dense(x), dense_theta(h) @ x, atol=1e-12)
+        assert np.allclose(sp.row_sums(), dense_theta(h).sum(axis=1), atol=1e-12)
 
 
 def test_dual_swaps_roles():

@@ -10,12 +10,12 @@ from hypersub import dataio as D
 from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.errors import GraphConsumed, InvalidLabel, ShapeError
-from hypersub.hypergraph import (SparseMatrix, build_hypergraph, dual,
-                                 restrict_to_nodes, theta)
+from hypersub.hypergraph import build_hypergraph, restrict_to_nodes, theta
 from hypersub.training import TrainConfig
 
-from conftest import (group_positions, memberships, random_hypergraph,
-                      to_dense, traced_memory)
+from conftest import (DenseOperator, dense_theta, group_positions, memberships,
+                      random_hypergraph, traced_memory)
+from oracles import dual, grad_check
 
 
 def toy_model(h, d=4, num_classes=3, num_layers=2, seed=0, **kw):
@@ -612,13 +612,11 @@ def test_training_step_peak_through_backward():
 # ------------------------------------------------------------- regularizer
 
 def test_regularizer_hand_values():
-    t = SparseMatrix(2, 2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
-                     np.full(4, 1.0 / 3.0))
+    t = DenseOperator(np.full((2, 2), 1.0 / 3.0))
     x = K.constant(np.array([[1.0], [0.0]]))
     assert abs(float(M.regularizer(x, t).data) - 2.0 / 3.0) <= 1e-12
     same = K.constant(np.array([[2.0, 1.0], [2.0, 1.0]]))
-    t2 = SparseMatrix(2, 2, np.array([0, 1]), np.array([1, 0]),
-                      np.array([0.7, 0.7]))
+    t2 = DenseOperator([[0.0, 0.7], [0.7, 0.0]])
     assert abs(float(M.regularizer(same, t2).data)) <= 1e-12
 
 
@@ -628,7 +626,7 @@ def test_regularizer_matches_pairwise_oracle(rng):
         t = theta(h)
         x = rng.normal(size=(h.num_nodes, 4))
         got = float(M.regularizer(K.constant(x), t).data)
-        assert abs(got - regularizer_oracle(x, to_dense(t))) <= 1e-10
+        assert abs(got - regularizer_oracle(x, dense_theta(h))) <= 1e-10
 
 
 def test_regularizer_diagonal_is_inert(rng):
@@ -636,8 +634,7 @@ def test_regularizer_diagonal_is_inert(rng):
     t = theta(h)
     x = rng.normal(size=(3, 2))
     base = float(M.regularizer(K.constant(x), t).data)
-    boosted = SparseMatrix(t.rows, t.cols, t.row_idx, t.col_idx,
-                           t.values + 5.0 * (t.row_idx == t.col_idx))
+    boosted = DenseOperator(dense_theta(h) + 5.0 * np.eye(3))
     assert abs(float(M.regularizer(K.constant(x), boosted).data) - base) <= 1e-10
 
 
@@ -1010,7 +1007,7 @@ def test_full_loss_grad_check_small():
         return M.forward(pairs, params, batch, theta_sp=t,
                          reg_weight=0.7).total_loss
 
-    report = K.grad_check(f, params.parameters(), epsilon=1e-6)
+    report = grad_check(f, params.parameters(), epsilon=1e-6)
     assert report.passed, f"max rel error {report.max_rel_error}"
 
 
