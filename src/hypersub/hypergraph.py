@@ -80,6 +80,11 @@ class IncidenceFactor:
         return self.values.size
 
     def row_sums(self) -> np.ndarray:
+        """Θ·1, kept from the first call: the factor never changes."""
+        return self._row_sums
+
+    @cached_property
+    def _row_sums(self) -> np.ndarray:
         return self.dot_dense(np.ones((self.rows, 1)))[:, 0]
 
     def dot_dense(self, x: np.ndarray) -> np.ndarray:

@@ -44,11 +44,11 @@ def _member_attention(node_states, batch, params):
 
 
 def backbone_trace(params: M.ModelParams, h: Hypergraph) -> M.ForwardTrace:
-    """One full evaluation-mode backbone pass, recorded; every view below
-    can take it as ``trace`` instead of running its own."""
+    """One full evaluation-mode backbone pass, edge states included; every
+    view below can take it as ``trace`` instead of running its own."""
     trace = M.ForwardTrace()
     with K.no_grad():
-        M.forward_backbone(h, params, training=False, trace=trace)
+        M.forward_backbone(h, params, training=False, trace=trace, edges=True)
     return trace
 
 

@@ -21,11 +21,6 @@ from .errors import GraphConsumed, NotScalar, ShapeError
 _grad_enabled = True
 
 
-def recording() -> bool:
-    """Whether ops record a graph now: False inside ``no_grad``."""
-    return _grad_enabled
-
-
 class no_grad:
     """Context manager that suspends graph recording."""
 

@@ -292,13 +292,12 @@ class LayerTrace:
 @dataclass
 class ForwardTrace:
     """What a backbone pass ran, layer by layer, over the pairs it ran
-    over (see ``forward_backbone``). A pass whose caller reads no edge
-    states runs no last edge update: its last ``edge_attention`` and the
-    ``final_edge_states`` stay None, and its last ``scores`` cover the read
-    pairs alone. Given ``reads``, the last ``node_attention`` covers the
-    read pairs alone, and so does the one before it in a pass that records
-    no tape and reads no edge states; ``final_node_states`` are zero off the
-    read rows. A trace taken without ``reads`` holds the whole pass."""
+    over (see ``forward_backbone``). A pass without ``edges`` runs no last
+    edge update: its last ``edge_attention`` and the ``final_edge_states``
+    stay None, and its last ``scores`` and last two ``node_attention``s
+    cover the read pairs alone. With ``edges``, only the last
+    ``node_attention`` does. ``final_node_states`` are zero off the read
+    rows."""
 
     layers: list[LayerTrace] = field(default_factory=list)
     final_node_states: Tensor | None = None
@@ -330,15 +329,15 @@ def dual_attention_scores(h: Hypergraph, node_states: Tensor,
                               slope)
 
 
-def attend(scores: Tensor, softmax_layout: K.Segments, states: Tensor,
-           by_row: K.Segments, layout: K.Segments, rate: float,
+def attend(scores: Tensor, layout: K.Segments, states: Tensor,
+           by_row: K.Segments, rate: float,
            rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
-    """One direction of a layer: the scores normalized over
-    ``softmax_layout``, then the rectified attention-weighted sums of the
-    ``states`` rows (grouped by ``by_row``) over ``layout``, with dropout at
+    """One direction of a layer: the scores normalized over ``layout``,
+    then the rectified attention-weighted sums of the ``states`` rows
+    (grouped by ``by_row``) over the same ``layout``, with dropout at
     ``rate`` applied inside the pooling op. Returns (new states, attention).
     """
-    attn = K.masked_softmax(scores, softmax_layout)
+    attn = K.masked_softmax(scores, layout)
     out = K.weighted_row_sum(states, attn, by_row, layout, rectify=True,
                              rate=rate, rng=rng)
     return out, attn
@@ -349,7 +348,7 @@ def edge_update(h: Hypergraph, scores: Tensor, node_states: Tensor,
                 ) -> tuple[Tensor, Tensor]:
     """New hyperedge states: scores normalized per edge over its members,
     then a rectified attention-weighted sum of member node states."""
-    return attend(scores, h.by_edge, node_states, h.by_node, h.by_edge, rate, rng)
+    return attend(scores, h.by_edge, node_states, h.by_node, rate, rng)
 
 
 def node_update(h: Hypergraph, scores: Tensor, edge_states: Tensor,
@@ -358,7 +357,7 @@ def node_update(h: Hypergraph, scores: Tensor, edge_states: Tensor,
     """New node states from the same scores, normalized per node over its
     incident edges. Nodes with no membership hold empty groups and yield
     rows of zeros."""
-    return attend(scores, h.by_node, edge_states, h.by_edge, h.by_node, rate, rng)
+    return attend(scores, h.by_node, edge_states, h.by_edge, rate, rng)
 
 
 def _scores_at(scores: Tensor, h: Hypergraph, reads: Hypergraph) -> Tensor:
@@ -378,21 +377,14 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
                      edges: bool = False) -> Tensor:
     """Run all message passing layers; returns final node states (N, d).
 
-    The caller says what it reads: ``reads``, the pairs of the node rows it
-    reads (``hypergraph.restrict_to_nodes``; None for every row), and
-    ``edges``, whether it reads the final edge states. A ``trace`` taken
-    without ``reads`` reads the whole pass, edge states included. Each
-    layer then computes only what a later layer or the caller reads:
-
-    - the last edge update runs only for a caller that reads edge states;
-      without it the last layer scores the read pairs alone;
-    - the last node update pools the read pairs alone, so the read rows get
-      the bits of the full pass and every other row comes out zero;
-    - in a pass that records no tape (``K.no_grad``) and runs no last edge
-      update, the node update before it pools the read pairs alone too:
-      the last layer reads its node states at the read rows only, and
-      reads edge states, not node states, everywhere else. A taped pass
-      keeps that update whole.
+    What the caller reads alone decides what runs: ``reads``, the pairs of
+    the node rows it reads (``hypergraph.restrict_to_nodes``; None for
+    every row), and ``edges``, whether it reads the final edge states. The
+    last node update pools the read pairs alone, so the read rows get the
+    bits of the full pass and every other row comes out zero. The last edge
+    update runs only given ``edges``. Without it the last layer scores the
+    read pairs alone, so it reads the node states before it at the read
+    rows only, and the node update before it pools the read pairs alone too.
 
     Each update draws its own dropout mask over every row, the edge
     update's first, and a pass with dropout draws a skipped update's mask
@@ -403,14 +395,13 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
     rate = params.dropout_rate if training else 0.0
     if rate and rng is None:
         raise ValueError("training with dropout needs an rng")
-    edges = edges or (trace is not None and reads is None)
     if reads is None:
         reads = h
     elif (reads.num_nodes, reads.num_edges) != (h.num_nodes, h.num_edges):
         raise ShapeError("read pairs and hypergraph disagree on nodes or edges")
     last = params.num_layers - 1
     # the first layer whose node update pools the read pairs alone
-    narrow = last if edges or K.recording() else last - 1
+    narrow = last if edges else last - 1
     hn = params.node_embeddings
     he = init_edge_states(h, hn)
     for k, layer in enumerate(params.layers):

@@ -64,6 +64,8 @@ class TrainConfig:
             ("seed", self.seed >= 0, "must be non-negative"),
             ("monitor", self.monitor in ("total", "classification"),
              "must be total or classification"),
+            ("leaky_slope", abs(self.leaky_slope) <= np.finfo(np.float32).max,
+             "must fit float32, in which the scores are computed"),
             ("threshold", 0.0 < self.threshold < 1.0, "must be in (0, 1)"),
         )
         for name, ok, reason in checks:
@@ -213,9 +215,9 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
     of the best epoch are kept with its parameters, and every split's final
     metric is scored from them, so no backbone pass follows the last epoch.
     With the regularizer off, nothing reads a node state outside the
-    subjects' member rows, so the backbone's last layer runs over the pairs
-    of the train split's rows in a step and of every split's rows in the
-    evaluation pass; with it on, every pass runs over every pair.
+    subjects' member rows, so the backbone's last two node updates pool
+    only the pairs of the train split's rows in a step and of every split's
+    rows in the evaluation pass; with it on, every pass runs over every pair.
 
     ``dataset`` provides indices("train"|"val"|"test") and batch(indices);
     see dataio.SubgraphDataset. Deterministic for a fixed config and seed.

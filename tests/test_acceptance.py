@@ -138,7 +138,7 @@ def test_a3_strong_duality(monkeypatch):
     monkeypatch.setattr(K, "attention_scores",
                         lambda *a: score_evals.append(1) or attention_scores(*a))
     trace = M.ForwardTrace()
-    M.forward_backbone(pairs, params, trace=trace)
+    M.forward_backbone(pairs, params, trace=trace, edges=True)
     monkeypatch.undo()
     shared = (len(score_evals) == 2
               and all(tr.scores.data.shape == (pairs.edge_of_pair.size,)
@@ -153,8 +153,8 @@ def test_a3_strong_duality(monkeypatch):
                               allow_isolated=False)
         p = model_for(g, seed=int(rng.integers(1000)))
         t1, t2 = M.ForwardTrace(), M.ForwardTrace()
-        M.forward_backbone(M.incidence_pairs(g), p, trace=t1)
-        M.forward_backbone(M.incidence_pairs(dual(dual(g))), p, trace=t2)
+        M.forward_backbone(M.incidence_pairs(g), p, trace=t1, edges=True)
+        M.forward_backbone(M.incidence_pairs(dual(dual(g))), p, trace=t2, edges=True)
         double_ok &= all(np.array_equal(a.scores.data, b.scores.data)
                          for a, b in zip(t1.layers, t2.layers))
 
@@ -199,7 +199,7 @@ def test_a4_attention_normalization_and_symmetry():
 
     # group sums == 1 within 1e-6
     trace = M.ForwardTrace()
-    x = M.forward_backbone(pairs, params, trace=trace)
+    x = M.forward_backbone(pairs, params, trace=trace, edges=True)
     attn = M.subgraph_attention(x, batch, params.subgraph_context)
     sums_err = 0.0
     for tr in trace.layers:

@@ -1,8 +1,8 @@
 """A fault corpus: one field of one line of an input file, or of one
-checkpoint edge line, is changed, and a command runs on the result in
-process. Whatever the change, the command exits 0, 2 or 3 and raises
-nothing, and an input error names the line at fault: a text file's line by
-its number, a checkpoint edge line by quoting it."""
+checkpoint edge or config line, is changed, and a command runs on the
+result in process. Whatever the change, the command exits 0, 2 or 3 and
+raises nothing, and an input error names the line at fault: a text file's
+line by its number, a checkpoint edge line by quoting it."""
 
 import contextlib
 import io
@@ -190,3 +190,35 @@ def test_a_faulty_edge_line_is_quoted(tmp_path_factory, inputs, version, command
     assert len(errors) == (code == 2)
     quoted = errors == [f"error: CorruptCheckpoint: bad edge line {line!r}"]
     assert quoted == edge_line_is_bad(version, line), (errors, line)
+
+
+def with_mutated_config_line(raw, pick, field, value):
+    """The version 3 checkpoint ``raw`` with one line of its [config]
+    section mutated, and its header length rewritten to match."""
+    magic, version, length, rest = raw.split(b"\n", 3)
+    size = int(length.partition(b": ")[2])
+    lines = rest[:size].decode().split("\n")
+    start = next(k for k, line in enumerate(lines) if line.startswith("[config] ")) + 1
+    config = lines[start:start + int(lines[start - 1].split()[1])]
+    lines[start + pick % len(config)] = mutate(config, pick % len(config), "=", field, value)
+    header = "\n".join(lines).encode("utf-8", "surrogateescape")
+    return b"\n".join([magic, version, b"header_bytes: %d" % len(header), header + rest[size:]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["predict", "evaluate", "interpret"]), st.integers(0, 99),
+       st.integers(WHOLE, 2), st.sampled_from(FIELD_VALUES))
+# sizes whose parameter schema no reader could build, and a slope past
+# float32: lines 3, 4 and 13 of the section are hidden_dim, num_layers and
+# leaky_slope
+@example("predict", 4, 1, " 1000000000000")
+@example("predict", 3, 1, " 1099511627776")
+@example("predict", 13, 1, " 1e39")
+def test_a_faulty_checkpoint_config_line_exits_cleanly(tmp_path_factory, inputs, command,
+                                                       pick, field, value):
+    raw = with_mutated_config_line(inputs["v3"].read_bytes(), pick, field, value)
+    tmp = tmp_path_factory.mktemp("case")
+    (tmp / "config.ckpt").write_bytes(raw)
+    code, errors = run(command_line(command, inputs, tmp, checkpoint=tmp / "config.ckpt"))
+    assert code in (0, 2, 3)
+    assert len(errors) == (code == 2)

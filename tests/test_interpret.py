@@ -270,7 +270,7 @@ def test_hyperedge_correlation_matches_direct_cosine():
     pairs = M.incidence_pairs(h)
     trace = M.ForwardTrace()
     with K.no_grad():
-        M.forward_backbone(pairs, params, training=False, trace=trace)
+        M.forward_backbone(pairs, params, training=False, trace=trace, edges=True)
     want = I.cosine_matrix(trace.final_edge_states.data.astype(np.float64))
     got = I.hyperedge_correlation(params, h)
     assert got.shape == (3, 3)

@@ -1,3 +1,4 @@
+import contextlib
 import pathlib
 import tempfile
 
@@ -141,7 +142,7 @@ def test_updates_match_loop_oracle(rng):
         want_hn, want_he, _ = backbone_oracle(h, params)
         assert np.max(np.abs(x.data - want_hn)) <= 1e-9
         trace = M.ForwardTrace()
-        M.forward_backbone(pairs, params, trace=trace)
+        M.forward_backbone(pairs, params, trace=trace, edges=True)
         assert np.max(np.abs(trace.final_edge_states.data - want_he)) <= 1e-9
 
 
@@ -207,9 +208,9 @@ def test_backbone_over_read_rows_matches_the_full_pass(seed, data, num_layers, d
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.data(), st.integers(1, 3),
-       st.sampled_from([np.float32, np.float64]), st.booleans())
+       st.sampled_from([np.float32, np.float64]), st.booleans(), st.booleans())
 def test_traced_pass_over_read_rows_records_what_it_ran(seed, data, num_layers, dtype,
-                                                        training):
+                                                        training, tape):
     gen = np.random.default_rng(seed)
     h = random_hypergraph(gen, max_nodes=10, max_edges=5)
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1),
@@ -220,7 +221,8 @@ def test_traced_pass_over_read_rows_records_what_it_ran(seed, data, num_layers, 
     reads = restrict_to_nodes(h, rows)
     gens = [np.random.default_rng(seed) for _ in range(2)]
     full, part = M.ForwardTrace(), M.ForwardTrace()
-    with K.no_grad():
+    # what runs is the same whether or not a tape records it
+    with contextlib.nullcontext() if tape else K.no_grad():
         M.forward_backbone(h, params, training=training, rng=gens[0], trace=full)
         M.forward_backbone(h, params, training=training, rng=gens[1], trace=part,
                            reads=reads)
@@ -231,7 +233,7 @@ def test_traced_pass_over_read_rows_records_what_it_ran(seed, data, num_layers, 
     assert part.final_edge_states is None and part.layers[-1].edge_attention is None
     # the last layer's scores and node attention cover the read pairs alone,
     # with the full pass's bits there, and so does the node attention of the
-    # layer before it, in this pass that records no tape; every other
+    # layer before it, in this pass that reads no edge states; every other
     # attention and every earlier score is the full one
     kept = np.isin(h.node_of_pair, rows)
     for k, (got, want) in enumerate(zip(part.layers, full.layers)):
@@ -259,7 +261,8 @@ def test_pass_that_reads_the_edges_runs_the_last_edge_update(seed, data, num_lay
     gens = [np.random.default_rng(seed) for _ in range(2)]
     full, part = M.ForwardTrace(), M.ForwardTrace()
     with K.no_grad():
-        M.forward_backbone(h, params, training=training, rng=gens[0], trace=full)
+        M.forward_backbone(h, params, training=training, rng=gens[0], trace=full,
+                           edges=True)
         x = M.forward_backbone(h, params, training=training, rng=gens[1], trace=part,
                                reads=restrict_to_nodes(h, rows), edges=True)
     # a node update over no pairs still draws its mask under dropout
@@ -329,7 +332,7 @@ def test_attention_matches_oracle_per_pair(rng):
     params = toy_model(h, d=3, num_layers=2, seed=5)
     pairs = M.incidence_pairs(h)
     trace = M.ForwardTrace()
-    M.forward_backbone(pairs, params, trace=trace)
+    M.forward_backbone(pairs, params, trace=trace, edges=True)
     _, _, per_layer = backbone_oracle(h, params)
     for tr, (score, a_edge, a_node) in zip(trace.layers, per_layer):
         for p in range(pairs.edge_of_pair.size):
@@ -379,7 +382,7 @@ def test_one_score_tensor_per_layer_feeds_both_directions(monkeypatch):
     monkeypatch.setattr(K, "attention_scores",
                         lambda *a: score_evals.append(1) or attention_scores(*a))
     trace = M.ForwardTrace()
-    M.forward_backbone(pairs, params, trace=trace)
+    M.forward_backbone(pairs, params, trace=trace, edges=True)
     assert len(score_evals) == 2  # exactly one score build per layer
     for tr in trace.layers:
         assert tr.edge_attention._parents[0] is tr.scores
@@ -394,8 +397,8 @@ def test_self_duality_scores_bit_identical(rng):
                               allow_isolated=False)
         params = toy_model(h, d=4, num_layers=2, seed=int(rng.integers(1000)))
         t1, t2 = M.ForwardTrace(), M.ForwardTrace()
-        M.forward_backbone(M.incidence_pairs(h), params, trace=t1)
-        M.forward_backbone(M.incidence_pairs(dual(dual(h))), params, trace=t2)
+        M.forward_backbone(M.incidence_pairs(h), params, trace=t1, edges=True)
+        M.forward_backbone(M.incidence_pairs(dual(dual(h))), params, trace=t2, edges=True)
         for a, b in zip(t1.layers, t2.layers):
             assert np.array_equal(a.scores.data, b.scores.data)
             assert np.array_equal(a.edge_attention.data, b.edge_attention.data)

@@ -18,6 +18,7 @@ pytestmark = pytest.mark.skipif(sys.version_info < (3, 11),
                                 reason="code objects carry co_qualname from 3.11")
 
 PACKAGE = pathlib.Path(hypersub.__file__).parent
+BENCH = pathlib.Path(__file__).parents[1] / "bench"
 
 # "module:qualname" of each function no command reaches, and why it stays
 _PATCHED = "benchmark name: bench/spans.py patches it; tests compose with it"
@@ -149,3 +150,15 @@ def test_every_function_is_reached_or_allowed(tmp_path):
 
     reached = {f"{pathlib.Path(c.co_filename).stem}:{c.co_qualname}" for c in entered}
     assert package_functions() - reached == set(ALLOWED)
+
+
+def test_each_benchmark_name_is_one_the_benchmark_mentions():
+    """An entry kept as a benchmark name names, by the last part of its
+    qualname outside any ``<locals>``, something the ``bench/*.py`` sources
+    mention, so it fails in the change to the benchmark that drops it."""
+    text = "\n".join(path.read_text() for path in sorted(BENCH.glob("*.py")))
+    assert text
+    for entry, reason in ALLOWED.items():
+        if reason.startswith("benchmark name"):
+            name = entry.partition(":")[2].split(".<locals>")[0].rpartition(".")[2]
+            assert re.search(rf"\b{re.escape(name)}\b", text), entry
