@@ -74,14 +74,14 @@ def _write_manifest(directory: pathlib.Path, command: str, inputs: dict,
 
 
 def _catalog_from_checkpoint(ckpt: Checkpoint) -> GeneSetCatalog:
-    """The trained catalog, its sets in the hypergraph's columns and its
-    gene table the reader's. A checkpoint keeps no descriptions; each reads
-    '-', so that no set's GMT line reads as a comment or a blank line."""
-    h, genes = ckpt.hypergraph, ckpt.gene_names
+    """The trained catalog, its sets in the hypergraph's columns. A
+    checkpoint keeps no descriptions; each reads '-', so that no set's GMT
+    line reads as a comment or a blank line."""
+    h = ckpt.hypergraph
     return GeneSetCatalog(
         names=list(ckpt.edge_names),
         descriptions=["-"] * len(ckpt.edge_names),
-        gene_index=ckpt.gene_index or dict(zip(genes, range(len(genes)))),
+        gene_index=dict(zip(ckpt.gene_names, range(len(ckpt.gene_names)))),
         member_rows=h.node_of_pair,
         sizes=h.by_edge.counts,
     )

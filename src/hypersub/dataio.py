@@ -552,8 +552,6 @@ class Checkpoint:
     class_vocab: list[str]
     edge_names: list[str]
     hypergraph: Hypergraph
-    # the row of each gene name, set by load_checkpoint alone
-    gene_index: dict[str, int] | None = field(default=None, init=False, repr=False)
 
 
 def _tensor_line(name: str, shape: tuple[int, ...]) -> str:
@@ -778,8 +776,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptCheckpoint(f"bad embedded config: {e}") from e
     if not class_vocab or not gene_names or not edge_lines:
         raise CorruptCheckpoint("empty classes, genes, or edges section")
-    gene_index = dict(zip(gene_names, range(len(gene_names))))
-    if len(gene_index) < len(gene_names):   # two nodes by one name
+    if len(set(gene_names)) < len(gene_names):   # two nodes by one name
         twice = next(name for name, n in Counter(gene_names).items() if n > 1)
         raise CorruptCheckpoint(f"gene {twice!r} appears twice in the genes section")
 
@@ -792,8 +789,9 @@ def load_checkpoint(path) -> Checkpoint:
         except Exception as e:
             raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
 
-    # 5 tensors a layer and 8 more: a config claiming 10**12 layers builds no schema
-    schema = len(tensor_lines) == 5 * config.num_layers + 8 and M.param_shapes(
+    # each layer adds tensor lines, so a config claiming more layers than the
+    # section has lines cannot match, and builds no schema
+    schema = config.num_layers <= len(tensor_lines) and M.param_shapes(
         len(gene_names), config.hidden_dim, config.num_layers, len(class_vocab))
     if not schema or tensor_lines != [_tensor_line(name, shape) for name, shape in schema]:
         raise CorruptCheckpoint("tensor section does not match the parameter "
@@ -818,7 +816,5 @@ def load_checkpoint(path) -> Checkpoint:
         tensors, config.num_layers, mode=config.mode,
         dropout_rate=config.dropout_rate, leaky_slope=config.leaky_slope,
         use_subgraph_attention=config.use_subgraph_attention)
-    ckpt = Checkpoint(params=params, config=config, gene_names=gene_names,
+    return Checkpoint(params=params, config=config, gene_names=gene_names,
                       class_vocab=class_vocab, edge_names=edge_names, hypergraph=h)
-    ckpt.gene_index = gene_index
-    return ckpt

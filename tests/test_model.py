@@ -154,7 +154,7 @@ def test_untraced_backbone_skips_only_the_last_edge_update(monkeypatch, rng, tra
     for g in gens:   # leave half a 64-bit draw buffered, as int32 draws do
         g.integers(0, 100, dtype=np.int32)
     traced = M.forward_backbone(h, params, training=training, rng=gens[0],
-                                trace=M.ForwardTrace())
+                                trace=M.ForwardTrace(), edges=True)
     calls = []
     edge_update = M.edge_update
     monkeypatch.setattr(M, "edge_update", lambda *a: calls.append(a) or edge_update(*a))
@@ -223,7 +223,8 @@ def test_traced_pass_over_read_rows_records_what_it_ran(seed, data, num_layers, 
     full, part = M.ForwardTrace(), M.ForwardTrace()
     # what runs is the same whether or not a tape records it
     with contextlib.nullcontext() if tape else K.no_grad():
-        M.forward_backbone(h, params, training=training, rng=gens[0], trace=full)
+        M.forward_backbone(h, params, training=training, rng=gens[0], trace=full,
+                           edges=True)
         M.forward_backbone(h, params, training=training, rng=gens[1], trace=part,
                            reads=reads)
     assert gens[0].bit_generator.state == gens[1].bit_generator.state
