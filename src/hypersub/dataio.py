@@ -3,7 +3,7 @@
 Text inputs are tab-separated with '#' comment lines; gene symbols are
 case-sensitive and never normalized. Checkpoints pair a human-readable header
 with raw little-endian blocks (float32 tensors, then the int32 hyperedge
-members) and are written atomically.
+sizes and members) and are written atomically.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .training import TrainConfig, config_field_types
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = "hypersub-checkpoint"
-CHECKPOINT_VERSION = 3          # the version written; versions 1 and 2 are still read
+CHECKPOINT_VERSION = 4          # the version written; versions 1 to 3 are still read
 SECTIONS = ("config", "classes", "genes", "edges", "tensors")
 
 
@@ -560,12 +560,10 @@ def _tensor_line(name: str, shape: tuple[int, ...]) -> str:
 
 def _sections(ckpt: Checkpoint) -> list[list[str]]:
     """Header lines of each of SECTIONS, in order."""
-    sizes = ckpt.hypergraph.by_edge.counts.tolist()
-    edges = [f"{name}\t{size}" for name, size in zip(ckpt.edge_names, sizes)]
     tensors = [_tensor_line(name, t.data.shape)
                for name, t in ckpt.params.named_parameters()]
     return [serialize_config(ckpt.config).splitlines(), list(ckpt.class_vocab),
-            list(ckpt.gene_names), edges, tensors]
+            list(ckpt.gene_names), list(ckpt.edge_names), tensors]
 
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
@@ -580,9 +578,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     ``[name] count`` line followed by exactly ``count`` lines, and a closing
     ``[payload]`` line. Counts and the byte length, not line contents, mark
     where things end, so any name without a newline round-trips. An edge
-    line is ``name TAB size``. The payload is every tensor as float32, in
-    the order of the tensor section, then the members of every hyperedge
-    as one int32 block, edge after edge and ascending within an edge:
+    line is the hyperedge's name. The payload is every tensor as float32,
+    in the order of the tensor section, then two int32 blocks: the size of
+    every hyperedge, in the order of the edge section, and the members of
+    every hyperedge, edge after edge and ascending within an edge:
     ``Hypergraph.node_of_pair`` as it is. A node index past the int32 range
     raises ValueError before anything is written.
     """
@@ -605,6 +604,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(rest)
             for _, t in ckpt.params.named_parameters():
                 fh.write(np.ascontiguousarray(t.data, dtype="<f4"))
+            fh.write(ckpt.hypergraph.by_edge.counts.astype("<i4"))
             fh.write(members.astype("<i4"))
         os.replace(tmp, path)
     except BaseException:
@@ -705,16 +705,24 @@ def _sized_line(line: str) -> tuple[str, int]:
 
 def _member_block(block, names: list[str], sizes: list[int], num_genes: int) -> Hypergraph:
     """The hypergraph of a version 3 member block: every edge's members as
-    little-endian int32, edge after edge, ``sizes[j]`` of them for edge j,
-    each in [0, num_genes) and rising strictly within its edge. That is the
-    layout a Hypergraph holds, so it is checked in one pass and kept as it
-    is; anything else is CorruptCheckpoint."""
+    little-endian int32, ``sizes[j]`` of them for edge j, as ``_incidence``
+    takes them. A block of another length is CorruptCheckpoint."""
     total = sum(sizes)   # in Python ints, which hold any size a line can state
     if len(block) != 4 * total:
         raise CorruptCheckpoint(f"member block holds {len(block)} bytes, "
                                 f"the edge sizes need {4 * total}")
-    sizes = np.array(sizes, dtype=np.intp)
-    members = np.frombuffer(block, dtype="<i4").astype(np.intp)
+    return _incidence(np.frombuffer(block, dtype="<i4"), names,
+                      np.array(sizes, dtype=np.intp), num_genes)
+
+
+def _incidence(members: np.ndarray, names: list[str], sizes: np.ndarray,
+               num_genes: int) -> Hypergraph:
+    """The hypergraph of the flat ``members`` of every edge, edge after
+    edge, ``sizes[j]`` of them for edge j, each in [0, num_genes) and rising
+    strictly within its edge. That is the layout a Hypergraph holds, so it
+    is checked in one pass and kept as it is; anything else is
+    CorruptCheckpoint naming the edge."""
+    members = members.astype(np.intp)
     ends = np.cumsum(sizes)
     outside = np.flatnonzero((members < 0) | (members >= num_genes))
     rising = np.diff(members) > 0
@@ -730,87 +738,136 @@ def _member_block(block, names: list[str], sizes: list[int], num_genes: int) -> 
                       np.repeat(np.arange(sizes.size, dtype=np.intp), sizes), members)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint of version 1, 2 or 3; every structural
-    inconsistency raises CorruptCheckpoint, any other version raises
-    UnsupportedVersion."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic, pos = _line(raw, 0)
+def _left(fh) -> int:
+    """The bytes of the open file ``fh`` past its position."""
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
+def _read_into(fh, arr: np.ndarray) -> np.ndarray:
+    """``arr`` filled with the next bytes of ``fh``, which the caller has
+    found are there."""
+    if fh.readinto(arr) != arr.nbytes:
+        raise CorruptCheckpoint("checkpoint file shrank while it was read")
+    return arr
+
+
+def _incidence_blocks(fh, left: int, names: list[str], num_genes: int) -> Hypergraph:
+    """The hypergraph of the last two blocks of a version 4 payload, which
+    must fill the ``left`` bytes that remain of ``fh``: the size of each
+    edge of ``names``, then the members of every edge as ``_incidence``
+    takes them, both as little-endian int32. Each block is read straight
+    into an array of its own. A size that is not positive, or sizes that
+    do not add up to the member block, is CorruptCheckpoint naming the
+    edge."""
+    if 4 * len(names) > left:
+        raise CorruptCheckpoint(f"payload truncated at the size of edge {names[left // 4]!r}")
+    sizes = _read_into(fh, np.empty(len(names), "<i4"))
+    left -= sizes.nbytes
+    if sizes.min() <= 0:
+        at = int(np.argmin(sizes > 0))
+        raise CorruptCheckpoint(f"edge {names[at]!r} has size {sizes[at]}, not a positive one")
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
+    if 4 * total > left:
+        at = int(np.searchsorted(ends, left // 4, side="right"))
+        raise CorruptCheckpoint(f"payload truncated at the members of edge {names[at]!r}")
+    if 4 * total < left:
+        raise CorruptCheckpoint(f"payload runs {left - 4 * total} bytes past the members "
+                                f"of edge {names[-1]!r}, the last")
+    return _incidence(_read_into(fh, np.empty(total, "<i4")), names, sizes, num_genes)
+
+
+def _header(fh) -> tuple[int, list[str]]:
+    """The version and the header lines of the checkpoint open as ``fh``,
+    which is left at the start of the payload."""
+    head = fh.readline() + fh.readline()   # the magic and version lines
+    magic, pos = _line(head, 0)
     if magic != CHECKPOINT_MAGIC:
         raise CorruptCheckpoint("bad magic")
-    line, pos = _line(raw, pos)
+    line, pos = _line(head, pos)
     if not line.startswith("version: "):
         raise CorruptCheckpoint("missing version")
     try:
         version = int(line.split(": ", 1)[1])
     except ValueError as e:
         raise CorruptCheckpoint("unreadable version") from e
-    if version in (2, 3):
-        line, pos = _line(raw, pos)
-        key, _, length = line.partition(": ")
-        if key != "header_bytes" or not length.isdecimal():
-            raise CorruptCheckpoint("missing header length")
-        cut = pos + int(length)
-        if cut > len(raw):
-            raise CorruptCheckpoint("header truncated")
-        lines = _decode(raw[pos:cut]).split("\n")
-        payload = memoryview(raw)[cut:]
-    elif version == 1:
+    if version == 1:
+        raw = head + fh.read()
         marker = b"\n[payload]\n"
         cut = raw.find(marker)
         if cut < 0:
             raise CorruptCheckpoint("missing payload marker")
-        lines = _decode(raw[pos:cut]).splitlines()
-        payload = memoryview(raw)[cut + len(marker):]
-    else:
+        fh.seek(cut + len(marker))
+        return version, _decode(raw[pos:cut]).splitlines()
+    if version not in (2, 3, 4):
         raise UnsupportedVersion(
-            f"checkpoint version {version}, expected 1, 2 or {CHECKPOINT_VERSION}")
-    if lines[:2] != ["endian: little", "dtype: float32"]:
-        raise CorruptCheckpoint("unexpected storage declaration")
-    sections = (_marked_sections if version == 1 else _declared_sections)(lines[2:])
-    config_lines, class_vocab, gene_names, edge_lines, tensor_lines = sections
-    try:
-        config = parse_config("\n".join(config_lines))
-    except Exception as e:
-        raise CorruptCheckpoint(f"bad embedded config: {e}") from e
-    if not class_vocab or not gene_names or not edge_lines:
-        raise CorruptCheckpoint("empty classes, genes, or edges section")
-    if len(set(gene_names)) < len(gene_names):   # two nodes by one name
-        twice = next(name for name, n in Counter(gene_names).items() if n > 1)
-        raise CorruptCheckpoint(f"gene {twice!r} appears twice in the genes section")
+            f"checkpoint version {version}, expected 1 to {CHECKPOINT_VERSION}")
+    key, _, length = _line(fh.readline(), 0)[0].partition(": ")
+    if key != "header_bytes" or not length.isdecimal():
+        raise CorruptCheckpoint("missing header length")
+    left = _left(fh)
+    # a length of more digits than the bytes left is past them, and may be
+    # too long for int() to parse
+    if len(length) > len(str(left)) or int(length) > left:
+        raise CorruptCheckpoint("header truncated")
+    return version, _decode(fh.read(int(length))).split("\n")
 
-    if version == 3:
-        edge_names, sizes = map(list, zip(*map(_sized_line, edge_lines)))
-    else:
-        edge_names, sizes, members = _edge_section(edge_lines)
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint of version 1 to 4; every structural
+    inconsistency raises CorruptCheckpoint, any other version raises
+    UnsupportedVersion. The header is read first, then each tensor and
+    each block of the payload straight into an array of its own."""
+    with open(path, "rb") as fh:
+        version, lines = _header(fh)
+        if lines[:2] != ["endian: little", "dtype: float32"]:
+            raise CorruptCheckpoint("unexpected storage declaration")
+        sections = (_marked_sections if version == 1 else _declared_sections)(lines[2:])
+        config_lines, class_vocab, gene_names, edge_lines, tensor_lines = sections
         try:
-            h = build_hypergraph(members, num_nodes=len(gene_names), sizes=sizes)
+            config = parse_config("\n".join(config_lines))
         except Exception as e:
-            raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
+            raise CorruptCheckpoint(f"bad embedded config: {e}") from e
+        if not class_vocab or not gene_names or not edge_lines:
+            raise CorruptCheckpoint("empty classes, genes, or edges section")
+        if len(set(gene_names)) < len(gene_names):   # two nodes by one name
+            twice = next(name for name, n in Counter(gene_names).items() if n > 1)
+            raise CorruptCheckpoint(f"gene {twice!r} appears twice in the genes section")
 
-    # each layer adds tensor lines, so a config claiming more layers than the
-    # section has lines cannot match, and builds no schema
-    schema = config.num_layers <= len(tensor_lines) and M.param_shapes(
-        len(gene_names), config.hidden_dim, config.num_layers, len(class_vocab))
-    if not schema or tensor_lines != [_tensor_line(name, shape) for name, shape in schema]:
-        raise CorruptCheckpoint("tensor section does not match the parameter "
-                                "schema of the embedded config")
-    tensors, offset = [], 0
-    for name, shape in schema:
-        count = math.prod(shape)
-        if offset + 4 * count > len(payload):
-            raise CorruptCheckpoint(f"payload truncated at tensor {name!r}")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        try:
-            tensors.append(K.parameter(arr.reshape(shape).copy()))
-        except ValueError as e:   # a non-finite value
-            raise CorruptCheckpoint(f"tensor {name!r}: {e}") from e
-        offset += 4 * count
-    if version == 3:
-        h = _member_block(payload[offset:], edge_names, sizes, len(gene_names))
-    elif offset != len(payload):
-        raise CorruptCheckpoint("payload has trailing bytes")
+        if version == 4:
+            edge_names = edge_lines
+        elif version == 3:
+            edge_names, sizes = map(list, zip(*map(_sized_line, edge_lines)))
+        else:
+            edge_names, sizes, members = _edge_section(edge_lines)
+            try:
+                h = build_hypergraph(members, num_nodes=len(gene_names), sizes=sizes)
+            except Exception as e:
+                raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
+
+        # each layer adds tensor lines, so a config claiming more layers than the
+        # section has lines cannot match, and builds no schema
+        schema = config.num_layers <= len(tensor_lines) and M.param_shapes(
+            len(gene_names), config.hidden_dim, config.num_layers, len(class_vocab))
+        if not schema or tensor_lines != [_tensor_line(name, shape) for name, shape in schema]:
+            raise CorruptCheckpoint("tensor section does not match the parameter "
+                                    "schema of the embedded config")
+        tensors, left = [], _left(fh)
+        for name, shape in schema:
+            if 4 * math.prod(shape) > left:
+                raise CorruptCheckpoint(f"payload truncated at tensor {name!r}")
+            data = _read_into(fh, np.empty(shape, "<f4"))
+            left -= data.nbytes
+            try:
+                tensors.append(K.parameter(data))
+            except ValueError as e:   # a non-finite value
+                raise CorruptCheckpoint(f"tensor {name!r}: {e}") from e
+        if version == 4:
+            h = _incidence_blocks(fh, left, edge_names, len(gene_names))
+        elif version == 3:
+            h = _member_block(fh.read(), edge_names, sizes, len(gene_names))
+        elif left:
+            raise CorruptCheckpoint("payload has trailing bytes")
 
     params = M.ModelParams.from_tensors(
         tensors, config.num_layers, mode=config.mode,

@@ -16,6 +16,8 @@ from .hypergraph import Hypergraph, restrict_to_nodes, theta
 
 
 _INT64 = np.iinfo(np.int64)
+# a Python float, so that comparing a larger one with it casts nothing
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -51,6 +53,8 @@ class TrainConfig:
                 raise InvalidConfigValue(name, f"must fit a 64-bit integer, got {value!r}")
         checks = (
             ("learning_rate", self.learning_rate > 0, "must be positive"),
+            ("learning_rate", self.learning_rate <= _FLOAT32_MAX,
+             "must fit float32, in which the parameters are updated"),
             ("weight_decay", self.weight_decay >= 0, "must be non-negative"),
             ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "must be in [0, 1)"),
             ("hidden_dim", self.hidden_dim >= 1, "must be positive"),
@@ -64,7 +68,7 @@ class TrainConfig:
             ("seed", self.seed >= 0, "must be non-negative"),
             ("monitor", self.monitor in ("total", "classification"),
              "must be total or classification"),
-            ("leaky_slope", abs(self.leaky_slope) <= np.finfo(np.float32).max,
+            ("leaky_slope", abs(self.leaky_slope) <= _FLOAT32_MAX,
              "must fit float32, in which the scores are computed"),
             ("threshold", 0.0 < self.threshold < 1.0, "must be in (0, 1)"),
         )

@@ -510,8 +510,10 @@ def test_predict_rejects_a_checkpoint_naming_a_gene_twice(train_dir, tmp_path, c
 def test_predict_non_finite_tensor_exits_2(train_dir, tmp_path, capsys):
     broken = tmp_path / "nan.ckpt"   # the last float32 is head.out_bias[-1]
     raw = (train_dir / "model.ckpt").read_bytes()
-    # the int32 member block, 4 bytes a pair, follows the tensors
-    end = len(raw) - 4 * load_checkpoint(train_dir / "model.ckpt").hypergraph.node_of_pair.size
+    # the int32 size and member blocks, 4 bytes an edge and a pair, follow
+    # the tensors
+    h = load_checkpoint(train_dir / "model.ckpt").hypergraph
+    end = len(raw) - 4 * (h.num_edges + h.node_of_pair.size)
     broken.write_bytes(raw[:end - 4] + np.array([np.nan], dtype="<f4").tobytes() + raw[end:])
     probe = tmp_path / "probe.tsv"
     probe.write_text("p1\t-\tg0000\n")

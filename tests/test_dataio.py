@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypersub import dataio as D
 from hypersub import kernel as K
 from hypersub import model as M
+from hypersub import training as T
 from hypersub.errors import (CorruptCheckpoint, DuplicateSet, EmptySubgraph,
                              InputDataError, InvalidConfigValue,
                              InvalidSplitRatios, MalformedLine, ShapeError,
@@ -408,6 +409,18 @@ def test_parse_config_takes_the_largest_int64(key):
     assert getattr(cfg, key) == 2 ** 63 - 1
 
 
+@pytest.mark.parametrize("key", ["learning_rate", "leaky_slope"])
+def test_parse_config_names_the_line_of_a_float_past_float32(key):
+    # float32's largest value is taken; one past it is named, with no
+    # overflow warning from the comparison
+    largest = float(np.finfo(np.float32).max)
+    assert getattr(D.parse_config(f"{key} = {largest!r}\n"), key) == largest
+    with pytest.raises(InvalidConfigValue) as info:
+        D.parse_config(f"max_epochs = 2\n{key} = 1e39\n")
+    assert (info.value.key, info.value.line_no) == (key, 2)
+    assert "must fit float32" in str(info.value)
+
+
 # --------------------------------------------------------------- checkpoints
 
 def trained_fixture(tmp_path):
@@ -564,14 +577,17 @@ def write(path, blob):
 DATA = pathlib.Path(__file__).parent / "data"
 V1_FIXTURE = DATA / "v1.ckpt"
 V2_FIXTURE = DATA / "v2.ckpt"
+V3_FIXTURE = DATA / "v3.ckpt"
 # Each fixture is the file its version's writer wrote; a regenerated one is
 # not a test of the old format, so its digest is pinned.
 FIXTURE_SHA256 = {
     "v1.ckpt": "1096e22fc37c237bef3ef2c3483c6c59742a39599c2e02da0453fab8714b22a4",
     "v2.ckpt": "e967473707475eee144bcfae2510d7f5f96af30d0a3413ad860b0de7a3d4d041",
+    "v3.ckpt": "0c19cfe656d1b1a338630698ff229344cd7d92e4590625f69661fa928057a2f7",
 }
 # subgraph_scores of each fixture on fixture_batch() as the code of the
-# version 2 writer computed them, exactly: an old checkpoint scores as it did
+# time the fixture was added computed them, exactly: an old checkpoint
+# scores as it did
 FIXTURE_SCORES = {
     "v1.ckpt": [[0.5056324005126953, 0.4943676292896271],
                 [0.5195136666297913, 0.48048633337020874],
@@ -579,6 +595,9 @@ FIXTURE_SCORES = {
     "v2.ckpt": [[0.0310081634670496, 0.2806612551212311, 0.5009541511535645],
                 [0.011812263168394566, 0.15417441725730896, 0.2608458697795868],
                 [0.1704338937997818, 0.42072948813438416, 0.8448577523231506]],
+    "v3.ckpt": [[0.8682470321655273, 0.1283019483089447, 0.003450951538980007],
+                [0.7977364659309387, 0.19778379797935486, 0.004479776136577129],
+                [0.9820260405540466, 0.017040487378835678, 0.0009335324284620583]],
 }
 
 
@@ -647,7 +666,8 @@ def test_version_2_checkpoint_still_loads(tmp_path):
     assert ckpt.hypergraph.edge_members == ((0, 1, 2), (1, 3), (0, 4))
     path = tmp_path / "resaved.ckpt"
     D.save_checkpoint(ckpt, path)
-    assert path.read_bytes().startswith(b"hypersub-checkpoint\nversion: 3\n")
+    assert path.read_bytes().startswith(
+        f"hypersub-checkpoint\nversion: {D.CHECKPOINT_VERSION}\n".encode())
     again = D.load_checkpoint(path)
     assert_same_checkpoint(again, ckpt)
     batch = fixture_batch(3)
@@ -655,11 +675,30 @@ def test_version_2_checkpoint_still_loads(tmp_path):
                              batch).tolist() == FIXTURE_SCORES["v2.ckpt"]
 
 
+def test_version_3_checkpoint_still_loads(tmp_path):
+    # tests/data/v3.ckpt was written by the version 3 writer: each edge line
+    # is name and size, and the members follow the tensors as one int32 block
+    assert V3_FIXTURE.read_bytes().startswith(b"hypersub-checkpoint\nversion: 3\n")
+    ckpt = D.load_checkpoint(V3_FIXTURE)
+    assert (ckpt.config.hidden_dim, ckpt.config.num_layers, ckpt.config.mode,
+            ckpt.config.use_subgraph_attention) == (2, 3, "multiclass", False)
+    assert ckpt.class_vocab == ["X", "Y", "Z"]
+    assert ckpt.gene_names == ["G1", "G2", "G3", "G4", "G5", "G6"]
+    assert ckpt.edge_names == ["PW_A", "PW_B", "PW_C", "PW_D"]
+    assert ckpt.hypergraph.edge_members == ((0, 1, 2), (2, 3, 4), (5,), (0, 5))
+    path = tmp_path / "resaved.ckpt"
+    D.save_checkpoint(ckpt, path)
+    assert path.read_bytes().startswith(
+        f"hypersub-checkpoint\nversion: {D.CHECKPOINT_VERSION}\n".encode())
+    assert_same_checkpoint(D.load_checkpoint(path), ckpt)
+
+
+# any name without a line break: a leading '[', a tab, non-ASCII text
 _NAME = st.one_of(
     st.sampled_from(["[payload]", "[edges]", "[genes] 3", "[g1", "[", "a\rb",
-                     "x y", "\x0c"]),
-    st.text(st.characters(blacklist_categories=("Cs",),
-                          blacklist_characters="\n\t"), min_size=1, max_size=8))
+                     "x y", "\x0c", "a\tb", "\t", "[x\t1", "gène", "Ω\t2"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+            min_size=1, max_size=8))
 
 
 @settings(max_examples=60, deadline=None)
@@ -690,6 +729,7 @@ def test_checkpoint_rejects_bad_counts_and_lengths(tmp_path):
     for old, new in ((b"[genes] 4", b"[genes] 5"), (b"[genes] 4", b"[genes] 3"),
                      (b"[genes] 4", b"[genes] x"), (b"[tensors] ", b"[tensor] "),
                      (b"header_bytes: ", b"header_bytes: 9"),
+                     (b"header_bytes: ", b"header_bytes: " + b"9" * 5000),
                      (b"header_bytes: ", b"header_bytes: -"),
                      (b"header_bytes: ", b"header_size: ")):
         assert old in raw
@@ -738,67 +778,69 @@ def with_edges(raw: bytes, edge_lines=None, block=None) -> bytes:
     return top + b"header_bytes: %d\n" % len(body) + body + tensors + block
 
 
-def test_version_3_layout(tmp_path):
-    # edge lines carry sizes; the members follow the tensors as int32
-    ckpt, path = trained_fixture(tmp_path)
-    raw = path.read_bytes()
-    assert raw.startswith(b"hypersub-checkpoint\nversion: 3\n")
-    assert b"[edges] 2\npathway_a\t3\npathway_b\t2\n[tensors] " in raw
-    assert raw.endswith(np.array([0, 1, 2, 1, 3], dtype="<i4").tobytes())
-    assert with_edges(raw) == raw
-
-
-_BLOCK = np.array([0, 1, 2, 1, 3], dtype="<i4").tobytes()
+# the members of the version 3 fixture's edges PW_A to PW_D
+_MEMBERS = [0, 1, 2, 2, 3, 4, 5, 0, 5]
+_BLOCK = np.array(_MEMBERS, dtype="<i4").tobytes()
 _BAD_SIZES = ("+2", "02", " 2", "2 ", "2.0", "-2", "1_1", "\u0662", "2\t2", "x")
 
 
+def test_version_3_layout():
+    # edge lines carry sizes; the members follow the tensors as int32
+    raw = V3_FIXTURE.read_bytes()
+    assert raw.startswith(b"hypersub-checkpoint\nversion: 3\n")
+    assert b"[edges] 4\nPW_A\t3\nPW_B\t3\nPW_C\t1\nPW_D\t2\n[tensors] " in raw
+    assert raw.endswith(_BLOCK)
+    assert with_edges(raw) == raw
+
+
+def _second(line: str) -> list[str]:
+    """The version 3 fixture's edge lines with PW_B's replaced by ``line``."""
+    return ["PW_A\t3", line, "PW_C\t1", "PW_D\t2"]
+
+
 @pytest.mark.parametrize("edge_lines, block, message", [
-    pytest.param(None, [0, 1, 2, 1, 4], "edge 'pathway_b' holds member 4, outside the 4 genes",
+    pytest.param(None, _MEMBERS[:-1] + [6], "edge 'PW_D' holds member 6, outside the 6 genes",
                  id="member-at-gene-count"),
-    pytest.param(None, [-1, 1, 2, 1, 3], "edge 'pathway_a' holds member -1, outside the 4 genes",
+    pytest.param(None, [-1] + _MEMBERS[1:], "edge 'PW_A' holds member -1, outside the 6 genes",
                  id="negative-member"),
-    pytest.param(None, [0, 2, 1, 1, 3], "members of edge 'pathway_a' do not rise strictly",
+    pytest.param(None, [0, 2, 1] + _MEMBERS[3:], "members of edge 'PW_A' do not rise strictly",
                  id="descending"),
-    pytest.param(None, [0, 1, 2, 3, 3], "members of edge 'pathway_b' do not rise strictly",
+    pytest.param(None, [0, 1, 2, 2, 3, 3, 5, 0, 5], "members of edge 'PW_B' do not rise strictly",
                  id="repeated"),
-    pytest.param(None, _BLOCK[:-4], "member block holds 16 bytes, the edge sizes need 20",
+    pytest.param(None, _BLOCK[:-4], "member block holds 32 bytes, the edge sizes need 36",
                  id="truncated"),
-    pytest.param(None, _BLOCK[:-1], "member block holds 19 bytes, the edge sizes need 20",
+    pytest.param(None, _BLOCK[:-1], "member block holds 35 bytes, the edge sizes need 36",
                  id="cut-mid-member"),
-    pytest.param(None, _BLOCK + bytes(4), "member block holds 24 bytes, the edge sizes need 20",
+    pytest.param(None, _BLOCK + bytes(4), "member block holds 40 bytes, the edge sizes need 36",
                  id="trailing-bytes"),
-    pytest.param(["pathway_a\t3", "pathway_b\t3"], None,
-                 "member block holds 20 bytes, the edge sizes need 24", id="sizes-past-block"),
-    pytest.param(["pathway_a\t3", "pathway_b\t99999999999999999999"], None,
-                 "member block holds 20 bytes, the edge sizes need 400000000000000000008",
+    pytest.param(_second("PW_B\t4"), None,
+                 "member block holds 36 bytes, the edge sizes need 40", id="sizes-past-block"),
+    pytest.param(_second("PW_B\t99999999999999999999"), None,
+                 "member block holds 36 bytes, the edge sizes need 400000000000000000020",
                  id="size-past-int64"),
-    pytest.param(["pathway_a\t3", "pathway_b\t0"], None, "bad edge line 'pathway_b\\t0'",
-                 id="size-0"),
-    pytest.param(["pathway_a\t3", "pathway_b"], None, "bad edge line 'pathway_b'",
-                 id="no-size"),
-    pytest.param(["pathway_a\t3", "pathway_b\t"], None, "bad edge line 'pathway_b\\t'",
-                 id="empty-size"),
-    pytest.param(["pathway_a", "pathway_b\t2"], None, "bad edge line 'pathway_a'",
+    pytest.param(_second("PW_B\t0"), None, "bad edge line 'PW_B\\t0'", id="size-0"),
+    pytest.param(_second("PW_B"), None, "bad edge line 'PW_B'", id="no-size"),
+    pytest.param(_second("PW_B\t"), None, "bad edge line 'PW_B\\t'", id="empty-size"),
+    pytest.param(["PW_A", *_second("")[1:]], None, "bad edge line 'PW_A'",
                  id="first-line-without-size"),
-    *[pytest.param(["pathway_a\t3", f"pathway_b\t{size}"], None,
-                   f"bad edge line {'pathway_b' + chr(9) + size!r}", id=f"size-{size!a}")
+    *[pytest.param(_second(f"PW_B\t{size}"), None,
+                   f"bad edge line {'PW_B' + chr(9) + size!r}", id=f"size-{size!a}")
       for size in _BAD_SIZES],
 ])
 def test_version_3_rejects_a_bad_incidence(tmp_path, edge_lines, block, message):
-    _, path = trained_fixture(tmp_path)
-    bad = write(tmp_path / "bad.ckpt", with_edges(path.read_bytes(), edge_lines, block))
+    bad = write(tmp_path / "bad.ckpt", with_edges(V3_FIXTURE.read_bytes(), edge_lines, block))
     with pytest.raises(CorruptCheckpoint) as err:
         D.load_checkpoint(bad)
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_a_gene_named_twice_is_corrupt(tmp_path, version):
     # the second-to-last gene's name given to the last as well: the gene
     # index would keep one of the two rows, and subjects lose members
-    if version == 3:
-        D.save_checkpoint(D.load_checkpoint(V2_FIXTURE), tmp_path / "v3.ckpt")
-        raw = (tmp_path / "v3.ckpt").read_bytes()
+    if version == D.CHECKPOINT_VERSION:
+        D.save_checkpoint(D.load_checkpoint(V3_FIXTURE), tmp_path / "current.ckpt")
+        raw = (tmp_path / "current.ckpt").read_bytes()
     else:
         raw = (DATA / f"v{version}.ckpt").read_bytes()
     assert raw.startswith(b"hypersub-checkpoint\nversion: %d\n" % version)
@@ -806,6 +848,90 @@ def test_a_gene_named_twice_is_corrupt(tmp_path, version):
     with pytest.raises(CorruptCheckpoint) as err:
         D.load_checkpoint(bad)
     assert str(err.value) == "gene 'G5' appears twice in the genes section"
+
+
+# ------------------------------------------------------- checkpoint version 4
+
+def test_version_4_layout(tmp_path):
+    # edge lines are names alone; the sizes, then the members, follow the
+    # tensors as int32 blocks
+    ckpt, path = trained_fixture(tmp_path)
+    raw = path.read_bytes()
+    assert raw.startswith(b"hypersub-checkpoint\nversion: 4\n")
+    assert b"[edges] 2\npathway_a\npathway_b\n[tensors] " in raw
+    tensors = b"".join(t.data.astype("<f4").tobytes() for t in ckpt.params.parameters())
+    assert raw.endswith(tensors + np.array([3, 2, 0, 1, 2, 1, 3], dtype="<i4").tobytes())
+
+
+def with_blocks(raw: bytes, sizes=None, members=None) -> bytes:
+    """The version 4 checkpoint of trained_fixture, whose edges hold 3 and
+    2 members, with its size block, its member block or both replaced by
+    int32 values or raw bytes."""
+    def pack(values):
+        return values if isinstance(values, bytes) else np.array(values, dtype="<i4").tobytes()
+    assert np.frombuffer(raw[-28:-20], dtype="<i4").tolist() == [3, 2]
+    return raw[:-28] + (raw[-28:-20] if sizes is None else pack(sizes)) + \
+        (raw[-20:] if members is None else pack(members))
+
+
+@pytest.mark.parametrize("sizes, members, message", [
+    pytest.param([3, 0], None, "edge 'pathway_b' has size 0, not a positive one", id="size-0"),
+    pytest.param([-3, 2], None, "edge 'pathway_a' has size -3, not a positive one",
+                 id="negative-size"),
+    pytest.param([4, 2], None, "payload truncated at the members of edge 'pathway_b'",
+                 id="sizes-past-block"),
+    pytest.param([2**31 - 1, 2], None, "payload truncated at the members of edge 'pathway_a'",
+                 id="size-past-the-file"),
+    pytest.param([3, 1], None,
+                 "payload runs 4 bytes past the members of edge 'pathway_b', the last",
+                 id="sizes-short-of-block"),
+    pytest.param(None, [0, 1, 2, 1], "payload truncated at the members of edge 'pathway_b'",
+                 id="member-block-short"),
+    pytest.param(None, bytes(19), "payload truncated at the members of edge 'pathway_b'",
+                 id="cut-mid-member"),
+    pytest.param(None, bytes(11), "payload truncated at the members of edge 'pathway_a'",
+                 id="cut-in-first-edge"),
+    pytest.param(None, [0, 1, 2, 1, 3, 0],
+                 "payload runs 4 bytes past the members of edge 'pathway_b', the last",
+                 id="trailing-member"),
+    pytest.param(None, bytes(21),
+                 "payload runs 1 bytes past the members of edge 'pathway_b', the last",
+                 id="trailing-byte"),
+    pytest.param(None, [0, 1, 2, 1, 4], "edge 'pathway_b' holds member 4, outside the 4 genes",
+                 id="member-at-gene-count"),
+    pytest.param(None, [0, 2, 1, 1, 3], "members of edge 'pathway_a' do not rise strictly",
+                 id="descending"),
+    pytest.param(None, [0, 1, 2, 3, 3], "members of edge 'pathway_b' do not rise strictly",
+                 id="repeated"),
+    pytest.param(b"", b"", "payload truncated at the size of edge 'pathway_a'",
+                 id="no-size-block"),
+    pytest.param(bytes(6), b"", "payload truncated at the size of edge 'pathway_b'",
+                 id="cut-mid-size"),
+])
+def test_version_4_rejects_bad_blocks(tmp_path, sizes, members, message):
+    _, path = trained_fixture(tmp_path)
+    bad = write(tmp_path / "bad.ckpt", with_blocks(path.read_bytes(), sizes, members))
+    with pytest.raises(CorruptCheckpoint) as err:
+        D.load_checkpoint(bad)
+    assert str(err.value) == message
+
+
+def test_version_4_names_the_tensor_a_cut_falls_in(tmp_path):
+    ckpt, path = trained_fixture(tmp_path)
+    raw = path.read_bytes()
+    named = [(name, 4 * t.data.size) for name, t in ckpt.params.named_parameters()]
+    payload = 28 + sum(size for _, size in named)
+    first, last = named[0][0], named[-1][0]
+    for cut, name in ((payload, first), (payload - 1, first), (29, last),
+                      (28 + named[-1][1], last)):
+        with pytest.raises(CorruptCheckpoint) as err:
+            D.load_checkpoint(write(tmp_path / "cut.ckpt", raw[:-cut]))
+        assert str(err.value) == f"payload truncated at tensor {name!r}", cut
+
+
+def test_a_file_that_shrinks_while_read_is_corrupt():
+    with pytest.raises(CorruptCheckpoint, match="shrank"):
+        D._read_into(io.BytesIO(bytes(6)), np.empty(2, "<i4"))
 
 
 def test_save_refuses_a_node_index_past_int32(tmp_path):
@@ -848,7 +974,7 @@ def _checkpoints(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_checkpoints())
-def test_version_3_round_trip_is_bit_exact(ckpt):
+def test_version_4_round_trip_is_bit_exact(ckpt):
     with tempfile.TemporaryDirectory() as tmp:
         path, again = pathlib.Path(tmp) / "model.ckpt", pathlib.Path(tmp) / "again.ckpt"
         D.save_checkpoint(ckpt, path)
@@ -856,16 +982,24 @@ def test_version_3_round_trip_is_bit_exact(ckpt):
         D.save_checkpoint(loaded, again)
         assert path.read_bytes() == again.read_bytes()
     assert_same_checkpoint(loaded, ckpt)
+    # each tensor is an array of its own, which an Adam step updates in
+    # place as it does the tensors that were saved
+    assert all(p.data.flags.owndata and p.data.flags.writeable
+               for p in loaded.params.parameters())
+    for params in (ckpt.params.parameters(), loaded.params.parameters()):
+        T.adam_step(params, [np.ones_like(p.data) for p in params], T.AdamState(),
+                    learning_rate=0.01)
+    assert_same_checkpoint(loaded, ckpt)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255),
                           st.sampled_from(["set", "delete", "insert"])),
                 min_size=1, max_size=3),
-       st.sampled_from([None, V1_FIXTURE, V2_FIXTURE]))
+       st.sampled_from([None, V1_FIXTURE, V2_FIXTURE, V3_FIXTURE]))
 def test_a_damaged_checkpoint_loads_or_is_input_error(tmp_path_factory, edits, source):
-    # bytes changed, dropped or added anywhere in a version 3 file (None) or
-    # in the version 1 or 2 fixture
+    # bytes changed, dropped or added anywhere in a version 4 file (None) or
+    # in the version 1, 2 or 3 fixture
     tmp = tmp_path_factory.mktemp("damaged")
     raw = bytearray((source or trained_fixture(tmp)[1]).read_bytes())
     for at, value, kind in edits:

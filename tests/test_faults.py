@@ -1,19 +1,23 @@
 """A fault corpus: one field of one line of an input file, or of one
-checkpoint edge or config line, is changed, and a command runs on the
-result in process. Whatever the change, the command exits 0, 2 or 3 and
-raises nothing, and an input error names the line at fault: a text file's
-line by its number, a checkpoint edge line by quoting it."""
+checkpoint edge or config line, or one value of a checkpoint's binary
+blocks, is changed, and a command runs on the result in process. Whatever
+the change, the command exits 0, 2 or 3 and raises nothing, and an input
+error names what is at fault: a text file's line by its number, a
+checkpoint edge line by quoting it, a binary block's fault by its edge or
+tensor."""
 
 import contextlib
 import io
 import pathlib
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypersub import cli
+from hypersub import dataio as D
 from hypersub.errors import CorruptCheckpoint
 
 from test_reach import FAULTS, OLD_CHECKPOINTS, PROFILE, SMALL
@@ -33,17 +37,19 @@ FIELD_VALUES = ["", " ", "#", "x", "-", "0", "-1", "2", "nan", "1e39", "C0,C1", 
 EDGE_VALUES = ["", "0", "1", "2", "-1", "+2", " 3", "2 ", "007", "x", "1.5", "nan",
                "1e3", "0x10", "١", "99999999999999999999", "9223372036854775807",
                "9223372036854775808", "1,1", "0,9", "1,,2", "a\tb", COPY]
-# subjects of every class of the version 1 and 2 fixtures, whose genes are
-# G1 to G6: multiclass X and Y, and multilabel X, Y and Z
+# subjects of every class of the version 1 to 3 fixtures, whose genes are
+# G1 to G6: multiclass X and Y, multilabel X, Y and Z, and multiclass X, Y
+# and Z
 FIXTURE_SUBJECTS = {"v1": "p1\tX\tG1:0.5,G5:2\np2\tY\tG2,G3\n",
-                    "v2": "p1\tX\tG1:0.5,G5:2\np2\tY,Z\tG2,G3\n"}
+                    "v2": "p1\tX\tG1:0.5,G5:2\np2\tY,Z\tG2,G3\n",
+                    "v3": "p1\tX\tG1:0.5,G5:2\np2\tY\tG2,G3\np3\tZ\tG6\n"}
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The paths of the small profile's files, the small config, a version
-    3 checkpoint trained on them, and subject and split files that fit the
-    version 1 and 2 fixtures."""
+    4 checkpoint trained on them, and subject and split files that fit the
+    version 1 to 3 fixtures."""
     tmp = tmp_path_factory.mktemp("inputs")
     assert run(["make-synthetic", *PROFILE, "--out", str(tmp)])[0] == 0
     paths = {"gmt": tmp / "synthetic.gmt", "subgraphs": tmp / "subgraphs.tsv",
@@ -53,10 +59,11 @@ def inputs(tmp_path_factory):
         paths[f"{version}_subgraphs"], paths[f"{version}_split"] = \
             tmp / f"{version}.tsv", tmp / f"{version}.split"
         paths[f"{version}_subgraphs"].write_text(text)
-        paths[f"{version}_split"].write_text("p1\ttest\np2\ttest\n")
+        paths[f"{version}_split"].write_text(
+            "".join(line.split("\t")[0] + "\ttest\n" for line in text.splitlines()))
     assert run(command_line("train", paths, tmp))[0] == 0
-    paths["v3"] = tmp / "model.ckpt"
-    paths["v1"], paths["v2"] = OLD_CHECKPOINTS
+    paths["v4"] = tmp / "model.ckpt"
+    paths["v1"], paths["v2"], paths["v3"] = OLD_CHECKPOINTS
     return paths
 
 
@@ -68,10 +75,10 @@ def run(argv):
     return code, [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
 
 
-def command_line(command, paths, out, checkpoint=None, version="v3"):
+def command_line(command, paths, out, checkpoint=None, version="v4"):
     """The arguments of ``command`` on ``paths`` and ``checkpoint``, with
     the subjects and split that fit a checkpoint of ``version``."""
-    prefix = "" if version == "v3" else f"{version}_"
+    prefix = "" if version == "v4" else f"{version}_"
     subjects, split = paths[f"{prefix}subgraphs"], paths[f"{prefix}split"]
     if command == "train":
         return ["train", "--gmt", str(paths["gmt"]), "--subgraphs", str(subjects),
@@ -125,6 +132,8 @@ def input_faults(draw):
 @example(("split", "train", 5, 0, "x"))
 # an integer config value past np.int64
 @example(("config", "train", 0, 1, "99999999999999999999"))
+# a learning rate past float32, in which the parameters are updated
+@example(("config", "train", 0, WHOLE, "learning_rate = 1e39"))
 def test_a_faulty_input_line_is_named(tmp_path_factory, inputs, fault):
     name, command, pick, field, value = fault
     texts = {n: inputs[n].read_text() for n in READERS}
@@ -137,7 +146,7 @@ def test_a_faulty_input_line_is_named(tmp_path_factory, inputs, fault):
     tmp = tmp_path_factory.mktemp("case")
     (tmp / name).write_bytes(texts[name].encode("utf-8", "surrogateescape"))
     code, errors = run(command_line(command, dict(inputs, **{name: tmp / name}), tmp,
-                                    checkpoint=inputs["v3"]))
+                                    checkpoint=inputs["v4"]))
     assert code in (0, 2, 3)
     assert len(errors) == (code == 2)
     if code == 2:
@@ -145,7 +154,10 @@ def test_a_faulty_input_line_is_named(tmp_path_factory, inputs, fault):
 
 
 def edge_line_is_bad(version, line):
-    """Whether ``line`` breaks the edge line grammar of its version."""
+    """Whether ``line`` breaks the edge line grammar of its version;
+    version 4's is any name."""
+    if version == "v4":
+        return False
     parts = line.split("\t")
     if version == "v3":
         return len(parts) != 2 or not re.fullmatch("[1-9][0-9]*", parts[1])
@@ -175,7 +187,8 @@ def with_mutated_edge_line(raw, pick, field, value):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["v1", "v2", "v3"]), st.sampled_from(["predict", "evaluate", "interpret"]),
+@given(st.sampled_from(["v1", "v2", "v3", "v4"]),
+       st.sampled_from(["predict", "evaluate", "interpret"]),
        st.integers(0, 99), st.integers(WHOLE, 2), st.sampled_from(EDGE_VALUES))
 @example("v3", "predict", 0, 1, "99999999999999999999,1")   # the reach test's corruption
 @example("v2", "predict", 0, 2, "99999999999999999999,0")
@@ -193,8 +206,8 @@ def test_a_faulty_edge_line_is_quoted(tmp_path_factory, inputs, version, command
 
 
 def with_mutated_config_line(raw, pick, field, value):
-    """The version 3 checkpoint ``raw`` with one line of its [config]
-    section mutated, and its header length rewritten to match."""
+    """The checkpoint ``raw``, of version 2 or later, with one line of its
+    [config] section mutated, and its header length rewritten to match."""
     magic, version, length, rest = raw.split(b"\n", 3)
     size = int(length.partition(b": ")[2])
     lines = rest[:size].decode().split("\n")
@@ -216,9 +229,63 @@ def with_mutated_config_line(raw, pick, field, value):
 @example("predict", 13, 1, " 1e39")
 def test_a_faulty_checkpoint_config_line_exits_cleanly(tmp_path_factory, inputs, command,
                                                        pick, field, value):
-    raw = with_mutated_config_line(inputs["v3"].read_bytes(), pick, field, value)
+    raw = with_mutated_config_line(inputs["v4"].read_bytes(), pick, field, value)
     tmp = tmp_path_factory.mktemp("case")
     (tmp / "config.ckpt").write_bytes(raw)
     code, errors = run(command_line(command, inputs, tmp, checkpoint=tmp / "config.ckpt"))
     assert code in (0, 2, 3)
     assert len(errors) == (code == 2)
+
+
+# int32 values a block may be changed to, the profile's 40 genes among
+# them; None stands for the value of the block's next entry
+INT32_VALUES = [-2**31, -1, 0, 1, 2, 3, 39, 40, 41, 2**31 - 1, None]
+
+
+@st.composite
+def block_faults(draw):
+    """One change to a version 4 payload: an int32 of the size or the
+    member block set to a value, or the payload cut short or extended by
+    ``k`` bytes; with the command to run."""
+    kind = draw(st.sampled_from(["sizes", "members", "truncate", "extend"]))
+    value = draw(st.one_of(st.sampled_from(INT32_VALUES), st.integers(-2**31, 2**31 - 1)))
+    return (kind, draw(st.integers(0, 10**6)), value,
+            draw(st.sampled_from(["predict", "evaluate", "interpret"])))
+
+
+def with_block_fault(raw, ckpt, fault):
+    """``raw``, the version 4 file of ``ckpt``, with ``fault`` applied."""
+    kind, pick, value, _ = fault
+    edges, pairs = ckpt.hypergraph.num_edges, ckpt.hypergraph.node_of_pair.size
+    tensors = sum(t.data.size for t in ckpt.params.parameters())
+    payload = 4 * (tensors + edges + pairs)
+    if kind == "truncate":
+        return raw[:-(1 + pick % payload)]
+    if kind == "extend":
+        return raw + bytes([(value or 0) % 256]) * (1 + pick % 64)
+    start, count = (len(raw) - 4 * (edges + pairs), edges) if kind == "sizes" else \
+        (len(raw) - 4 * pairs, pairs)
+    values = np.frombuffer(raw[start:], dtype="<i4")[:count].copy()
+    at = pick % count
+    values[at] = values[(at + 1) % count] if value is None else value
+    return raw[:start] + values.tobytes() + raw[start + 4 * count:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_faults())
+@example(("sizes", 0, 0, "predict"))
+@example(("members", 0, 40, "predict"))
+@example(("truncate", 0, 0, "evaluate"))
+@example(("extend", 0, 0, "interpret"))
+def test_a_faulty_payload_block_names_its_edge_or_tensor(tmp_path_factory, inputs, fault):
+    ckpt = D.load_checkpoint(inputs["v4"])
+    raw = with_block_fault(inputs["v4"].read_bytes(), ckpt, fault)
+    tmp = tmp_path_factory.mktemp("case")
+    (tmp / "blocks.ckpt").write_bytes(raw)
+    code, errors = run(command_line(fault[-1], inputs, tmp, checkpoint=tmp / "blocks.ckpt"))
+    assert code in (0, 2)
+    assert len(errors) == (code == 2)
+    if code == 2:
+        named = [f"edge {name!r}" for name in ckpt.edge_names] + \
+            [f"tensor {name!r}" for name, _ in ckpt.params.named_parameters()]
+        assert any(n in errors[0] for n in named), errors

@@ -4,7 +4,7 @@ fixed run must equal those recorded in tests/data/golden.json.
 The run is ``make-synthetic`` at test_reach.PROFILE, then ``train`` (with a
 stratified split) over both of test_reach.FAMILIES, the first regularized and
 the second not, each followed by ``evaluate``, ``predict`` and ``interpret``;
-then ``predict`` on the version 1 and 2 fixtures. It goes in a subprocess
+then ``predict`` on the version 1 to 3 fixtures. It goes in a subprocess
 with one BLAS thread. Hashes depend on the numpy version and on the kernels
 the CPU runs, so each entry is keyed by both; where no entry matches the
 running platform, the test skips and says why.
@@ -33,7 +33,7 @@ from test_reach import FAMILIES, OLD_CHECKPOINTS, PROFILE
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "data" / "golden.json"
 SRC = HERE.parent / "src"
-# subjects over the genes G1-G6 of the version 1 and 2 fixtures
+# subjects over the genes G1-G6 of the version 1 to 3 fixtures
 PROBE = "p1\t-\tG1:0.5,G5:2\np2\t-\tG2,G3,G4\np3\t-\tG6:1.5,G1\n"
 
 

@@ -51,7 +51,7 @@ FAMILIES = {
                          "use_subgraph_attention = false\nreg_weight = 0\n"),
 }
 OLD_CHECKPOINTS = [pathlib.Path(__file__).parent / "data" / name
-                   for name in ("v1.ckpt", "v2.ckpt")]
+                   for name in ("v1.ckpt", "v2.ckpt", "v3.ckpt")]
 # one input per reader that it rejects, with exit code 2, each at a check
 # that runs only on a fault
 FAULTS = {"gmt": "only one field\n",
@@ -89,9 +89,10 @@ def package_functions() -> set[str]:
 def run_commands(tmp: pathlib.Path):
     """make-synthetic, then train (with and without --split), evaluate,
     predict and interpret for each config family, then one fault per
-    reader, predict on the version 1 and 2 fixtures, and on three corrupt
+    reader, predict on the version 1 to 3 fixtures, and on four corrupt
     checkpoints (a bad edge line of version 3 and of version 2, a gene
-    named twice); each exit code as expected."""
+    named twice, a version 4 payload cut short); each exit code as
+    expected."""
     synth = tmp / "synth"
     assert cli.main(["make-synthetic", *PROFILE, "--out", str(synth)]) == 0
     gmt, subjects, split = (str(synth / n) for n in
@@ -126,8 +127,10 @@ def run_commands(tmp: pathlib.Path):
     for old in OLD_CHECKPOINTS:
         assert cli.main(["predict", "--checkpoint", str(old), "--subgraphs", str(probe)]) == 0
     bad = tmp / "bad.ckpt"
-    for raw in (corrupt_checkpoint(out / "model.ckpt"), corrupt_checkpoint(OLD_CHECKPOINTS[-1]),
-                OLD_CHECKPOINTS[-1].read_bytes().replace(b"\nG6\n", b"\nG5\n", 1)):
+    v2, v3 = OLD_CHECKPOINTS[1:]
+    for raw in (corrupt_checkpoint(v3), corrupt_checkpoint(v2),
+                v3.read_bytes().replace(b"\nG6\n", b"\nG5\n", 1),
+                (out / "model.ckpt").read_bytes()[:-4]):
         bad.write_bytes(raw)
         assert cli.main(["predict", "--checkpoint", str(bad), "--subgraphs", subjects]) == 2
 
