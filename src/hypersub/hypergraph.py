@@ -3,8 +3,8 @@
 Nodes and hyperedges are integer-indexed. The incidence relation is stored
 once, as edge-major integer arrays; the per-edge and per-node groupings that
 both directions of message passing reduce over are segment layouts of those
-arrays, built on first use and cached. The normalized adjacency Θ is held
-as its incidence factor, whose products walk those same two layouts.
+arrays, built on first use and cached. Θ's Laplacian is held through Θ's
+incidence factor, whose products walk those same two layouts.
 """
 
 from __future__ import annotations
@@ -57,16 +57,18 @@ class Hypergraph:
 
 
 @dataclass(frozen=True, eq=False)
-class IncidenceFactor:
-    """Θ = B Bᵀ held as its incidence factor B = D^-½ H Δ^-½: the
-    hypergraph and one value per incidence pair, ``values[p]`` =
-    d_i^-½ δ_j^-½ for the node i and hyperedge j of pair p. Products walk
+class Laplacian:
+    """L = diag(Θ1) − Θ, the hypergraph Laplacian of Θ = B Bᵀ, held as
+    Θ's incidence factor B = D^-½ H Δ^-½ and Θ's row sums: the hypergraph
+    and one value per incidence pair, ``values[p]`` = d_i^-½ δ_j^-½ for the
+    node i and hyperedge j of pair p, and ``theta_sums`` = Θ1. Products walk
     the hypergraph's own ``by_edge`` and ``by_node`` layouts, so no entry of
-    Θ is ever formed. Θ is symmetric as an operator, so ``K.spmm``'s
-    gradient Θᵀg is ``dot_dense(g)``."""
+    Θ is ever formed. L is symmetric, so ``K.spmm``'s gradient Lᵀg is
+    ``dot_dense(g)``."""
 
     h: Hypergraph
     values: np.ndarray
+    theta_sums: np.ndarray
 
     @property
     def rows(self) -> int:
@@ -79,19 +81,14 @@ class IncidenceFactor:
         """Stored values: one per incidence pair."""
         return self.values.size
 
-    def row_sums(self) -> np.ndarray:
-        """Θ·1, kept from the first call: the factor never changes."""
-        return self._row_sums
-
-    @cached_property
-    def _row_sums(self) -> np.ndarray:
-        return self.dot_dense(np.ones((self.rows, 1)))[:, 0]
-
     def dot_dense(self, x: np.ndarray) -> np.ndarray:
-        """Θ @ x for a dense 2-D x, as B (Bᵀ x)."""
+        """L @ x for a dense 2-D x, as Θ1 ⊙ x − B (Bᵀ x) in float64. The
+        difference is taken in place in the product's buffer, so each row
+        cancels only against itself."""
         h, b = self.h, self.values
-        return h.by_node.gather_sum(h.by_edge.gather_sum(x, b, h.node_of_pair),
-                                    b, h.edge_of_pair)
+        y = h.by_node.gather_sum(h.by_edge.gather_sum(x, b, h.node_of_pair),
+                                 b, h.edge_of_pair)
+        return np.subtract(self.theta_sums[:, None] * x, y, out=y)
 
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],
@@ -157,12 +154,17 @@ def restrict_to_nodes(h: Hypergraph, rows) -> Hypergraph:
                       h.node_of_pair[keep])
 
 
-def theta(h: Hypergraph) -> IncidenceFactor:
-    """Degree-normalized node adjacency through shared hyperedges,
-    Θ = D^-½ H Δ^-1 Hᵀ D^-½ with unit hyperedge weights, as its incidence
-    factor: O(pairs) to build, and O(pairs · d) per product. Entry (i, i')
-    would be the sum of 1 / |e_j| over every hyperedge j holding both
-    nodes, scaled by the inverse square roots of both node degrees (their
-    hyperedge counts); rows and columns of zero-degree nodes are zero."""
+def theta(h: Hypergraph) -> Laplacian:
+    """The Laplacian L = diag(Θ1) − Θ of the degree-normalized node
+    adjacency through shared hyperedges, Θ = D^-½ H Δ^-1 Hᵀ D^-½ with unit
+    hyperedge weights, held through Θ's incidence factor: O(pairs) to
+    build, and O(pairs · d) per product. Entry (i, i') of Θ would be the sum
+    of 1 / |e_j| over every hyperedge j holding both nodes, scaled by the
+    inverse square roots of both node degrees (their hyperedge counts); rows
+    and columns of zero-degree nodes are zero in Θ and in L."""
     degrees = h.by_node.counts[h.node_of_pair] * h.by_edge.counts[h.edge_of_pair]
-    return IncidenceFactor(h, degrees ** -0.5)
+    b = degrees ** -0.5
+    edge_sums = np.bincount(h.edge_of_pair, weights=b, minlength=h.num_edges)   # Bᵀ1
+    theta_sums = np.bincount(h.node_of_pair, weights=b * edge_sums[h.edge_of_pair],
+                             minlength=h.num_nodes)
+    return Laplacian(h, b, theta_sums)

@@ -774,7 +774,7 @@ def spmm(m, x: Tensor) -> Tensor:
     """Constant linear operator times dense tensor: m @ x.
 
     ``m`` is a symmetric operator with rows/cols/dot_dense, as
-    hypergraph.theta's IncidenceFactor is. It is constant; only x receives
+    hypergraph.theta's Laplacian is. It is constant; only x receives
     gradient, dx = m.T @ g, which by that symmetry is ``m.dot_dense(g)``.
     """
     _need_2d("spmm input", x)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel as K
 from .errors import InvalidLabel, ShapeError
-from .hypergraph import Hypergraph, IncidenceFactor, restrict_to_nodes
+from .hypergraph import Hypergraph, Laplacian, restrict_to_nodes
 from .kernel import Tensor
 
 
@@ -426,20 +426,16 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
     return hn
 
 
-def regularizer(node_states: Tensor, theta_sp: IncidenceFactor) -> Tensor:
-    """Quadratic smoothness penalty over the normalized adjacency.
-
-    Equals the dense double sum of theta[i, j] * ||X_i - X_j||^2 for any
-    symmetric ``theta_sp``, computed through its products alone as
-    2 * (sum_i rowsum_i * ||X_i||^2 - sum_ij X_ij (theta X)_ij); for
-    hypergraph.theta both run through its incidence factor. Diagonal
-    entries cancel; zero-degree nodes have zero rows and drop out.
+def regularizer(node_states: Tensor, theta_sp: Laplacian) -> Tensor:
+    """Quadratic smoothness penalty over the normalized adjacency Θ, the
+    dense double sum of Θ[i, j] * ||X_i - X_j||^2. For symmetric Θ it is
+    2 * sum(X * LX) with L = diag(Θ1) - Θ, one product of ``theta_sp``,
+    which applies L as hypergraph.theta's operator does; the tape gives
+    the gradient 4LX. Θ's diagonal cancels in L; zero-degree nodes have
+    zero rows and drop out.
     """
-    dtype = node_states.data.dtype
-    r = K.constant(theta_sp.row_sums().reshape(1, -1), dtype=dtype)
-    t1 = K.reduce_sum(K.matmul(r, K.elementwise_mul(node_states, node_states)))
-    t2 = K.reduce_sum(K.elementwise_mul(node_states, K.spmm(theta_sp, node_states)))
-    return K.scale(K.sub(t1, t2), 2.0)
+    lx = K.spmm(theta_sp, node_states)
+    return K.scale(K.reduce_sum(K.elementwise_mul(node_states, lx)), 2.0)
 
 
 def subgraph_attention(node_states: Tensor, batch: SubgraphBatch,
@@ -527,7 +523,7 @@ class ForwardResult:
 
 
 def objective(x: Tensor, params: ModelParams, batch: SubgraphBatch, *,
-              theta_sp: IncidenceFactor | None = None, reg_weight: float = 0.0,
+              theta_sp: Laplacian | None = None, reg_weight: float = 0.0,
               training: bool = False, rng: np.random.Generator | None = None
               ) -> ForwardResult:
     """The half of ``forward`` past the backbone: pooling of the final node
@@ -545,7 +541,7 @@ def objective(x: Tensor, params: ModelParams, batch: SubgraphBatch, *,
 
 
 def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
-            theta_sp: IncidenceFactor | None = None, reg_weight: float = 0.0,
+            theta_sp: Laplacian | None = None, reg_weight: float = 0.0,
             training: bool = False, rng: np.random.Generator | None = None,
             reads: Hypergraph | None = None) -> ForwardResult:
     """Full pass: backbone, then ``objective``. ``reads`` goes to the

@@ -56,12 +56,16 @@ class TrainConfig:
             ("learning_rate", self.learning_rate <= _FLOAT32_MAX,
              "must fit float32, in which the parameters are updated"),
             ("weight_decay", self.weight_decay >= 0, "must be non-negative"),
+            ("weight_decay", self.weight_decay <= _FLOAT32_MAX,
+             "must fit float32, in which the parameters are decayed"),
             ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "must be in [0, 1)"),
             ("hidden_dim", self.hidden_dim >= 1, "must be positive"),
             ("num_layers", self.num_layers >= 1, "must be positive"),
             ("max_epochs", self.max_epochs >= 1, "must be positive"),
             ("patience", self.patience >= 1, "must be positive"),
             ("reg_weight", self.reg_weight >= 0, "must be non-negative"),
+            ("reg_weight", self.reg_weight <= _FLOAT32_MAX,
+             "must fit float32, in which the penalty is weighted"),
             ("mode", self.mode in ("multiclass", "multilabel"),
              "must be multiclass or multilabel"),
             ("batch_size", self.batch_size >= 0, "must be 0 (full batch) or positive"),

@@ -57,17 +57,21 @@ def dense_theta(h):
     return np.diag(dv) @ hm @ np.diag(1.0 / edge_deg) @ hm.T @ np.diag(dv)
 
 
+def dense_laplacian(h):
+    """Oracle: L = diag(Θ1) − Θ, with Θ from ``dense_theta``."""
+    return DenseOperator(dense_theta(h)).matrix
+
+
 class DenseOperator:
-    """A dense symmetric matrix behind the operator interface that
-    ``model.regularizer`` and ``K.spmm`` read, so their contract is tested
-    on any symmetric Θ, not only on one ``hypergraph.theta`` can build."""
+    """The Laplacian diag(Θ1) − Θ of a dense symmetric Θ behind the
+    operator interface that ``model.regularizer`` and ``K.spmm`` read, so
+    their contract is tested on any symmetric Θ, not only on one
+    ``hypergraph.theta`` can build."""
 
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+    def __init__(self, theta):
+        theta = np.asarray(theta, dtype=np.float64)
+        self.matrix = np.diag(theta.sum(axis=1)) - theta
         self.rows, self.cols = self.matrix.shape
-
-    def row_sums(self):
-        return self.matrix.sum(axis=1)
 
     def dot_dense(self, x):
         return self.matrix @ x

@@ -132,8 +132,12 @@ def input_faults(draw):
 @example(("split", "train", 5, 0, "x"))
 # an integer config value past np.int64
 @example(("config", "train", 0, 1, "99999999999999999999"))
-# a learning rate past float32, in which the parameters are updated
+# a learning rate, weight decay or penalty weight past float32, in which
+# each is applied
 @example(("config", "train", 0, WHOLE, "learning_rate = 1e39"))
+@example(("config", "train", 0, WHOLE, "weight_decay = 1e39"))
+@example(("config", "train", 0, WHOLE, "weight_decay = 1e42"))
+@example(("config", "train", 0, WHOLE, "reg_weight = 1e39"))
 def test_a_faulty_input_line_is_named(tmp_path_factory, inputs, fault):
     name, command, pick, field, value = fault
     texts = {n: inputs[n].read_text() for n in READERS}

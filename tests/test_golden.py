@@ -10,8 +10,9 @@ the CPU runs, so each entry is keyed by both; where no entry matches the
 running platform, the test skips and says why.
 
 After an intended change to a seeded output, rewrite this platform's entry
-with ``PYTHONPATH=src python tests/test_golden.py --write`` and record the old
-hash, the new one and the reason in CHANGES.md.
+with ``PYTHONPATH=src python tests/test_golden.py --write``, which prints
+each entry it changes as ``name old → new`` (``None`` for an entry added or
+dropped), and record the old hash, the new one and the reason in CHANGES.md.
 """
 
 import contextlib
@@ -113,7 +114,11 @@ def test_seeded_outputs_match_the_recorded_hashes():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-        recorded[platform_key()] = hashes()
+        old, new = recorded.get(platform_key(), {}), hashes()
+        for name in sorted(old.keys() | new.keys()):
+            if old.get(name) != new.get(name):
+                print(f"{name} {old.get(name)} → {new.get(name)}")
+        recorded[platform_key()] = new
         GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN}")
     else:

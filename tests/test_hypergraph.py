@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hypersub.errors import EmptyHyperedge
 from hypersub.hypergraph import build_hypergraph, theta
 
-from conftest import (dense_theta, group_positions, memberships, random_hypergraph,
-                      to_dense, traced_memory)
+from conftest import (dense_laplacian, dense_theta, group_positions, memberships,
+                      random_hypergraph, to_dense, traced_memory)
 from oracles import IsolatedNode, dual
 
 
@@ -79,25 +79,29 @@ def test_round_trip_from_edge_lists(rng):
 
 
 def test_theta_single_edge_uniform():
+    # Θ is 1/3 everywhere and each row sums to 1, so L = I - Θ
     h = build_hypergraph([[0, 1, 2]])
     t = to_dense(theta(h))
-    assert np.allclose(t, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
+    assert np.allclose(t, np.eye(3) - 1.0 / 3.0, rtol=0, atol=1e-12)
+    assert np.allclose(t, dense_laplacian(h), rtol=0, atol=1e-12)
 
 
 def test_theta_two_edges_hand_value():
+    # Θ00 = Θ11 = 1/2, Θ01 = Θ12 = 1/(2√2) and Θ02 = 0; L = diag(Θ1) - Θ
     h = build_hypergraph([[0, 1], [1, 2]])
     t = to_dense(theta(h))
-    assert abs(t[0, 0] - 0.5) <= 1e-12
-    assert abs(t[1, 1] - 0.5) <= 1e-12
-    assert abs(t[0, 1] - 0.5 / np.sqrt(2.0)) <= 1e-12
+    assert abs(t[0, 0] - 0.5 / np.sqrt(2.0)) <= 1e-12
+    assert abs(t[1, 1] - 1.0 / np.sqrt(2.0)) <= 1e-12
+    assert abs(t[0, 1] + 0.5 / np.sqrt(2.0)) <= 1e-12
     assert abs(t[0, 2] - 0.0) <= 1e-12
+    assert np.max(np.abs(t - dense_laplacian(h))) <= 1e-12
 
 
 def test_theta_matches_dense_oracle(rng):
     for _ in range(50):
         h = random_hypergraph(rng)
         sp = theta(h)
-        assert np.max(np.abs(to_dense(sp) - dense_theta(h))) <= 1e-10
+        assert np.max(np.abs(to_dense(sp) - dense_laplacian(h))) <= 1e-10
 
 
 def test_theta_symmetry_and_zero_degree_rows(rng):
@@ -115,7 +119,8 @@ def test_theta_symmetry_and_zero_degree_rows(rng):
 def test_theta_holds_one_value_per_pair_and_no_pair_expansion():
     # one hyperedge of 3,000 members: sum |e|^2 = 9M member pairs, which an
     # adjacency with an entry per pair would hold in several 72 MB arrays;
-    # the factor and one product at d=4 peak at about 0.6 MiB
+    # the factor and one product at d=4 peak at about 0.6 MiB. Each row of
+    # Θ sums to 1, so Lx is x less its column means
     h = build_hypergraph([np.arange(3000)])
     x = np.random.default_rng(0).normal(size=(3000, 4))
     with traced_memory() as probe:
@@ -123,7 +128,7 @@ def test_theta_holds_one_value_per_pair_and_no_pair_expansion():
         y = t.dot_dense(x)
     assert t.nnz == 3000
     assert probe.peak < 2 * 2**20, probe.peak
-    assert np.allclose(y, np.broadcast_to(x.mean(axis=0), x.shape), rtol=0, atol=1e-12)
+    assert np.allclose(y, x - x.mean(axis=0), rtol=0, atol=1e-12)
 
 
 def test_sparse_matvec_agrees_with_dense(rng):
@@ -131,8 +136,8 @@ def test_sparse_matvec_agrees_with_dense(rng):
         h = random_hypergraph(rng)
         sp = theta(h)
         x = rng.normal(size=(h.num_nodes, 3))
-        assert np.allclose(sp.dot_dense(x), dense_theta(h) @ x, atol=1e-12)
-        assert np.allclose(sp.row_sums(), dense_theta(h).sum(axis=1), atol=1e-12)
+        assert np.allclose(sp.dot_dense(x), dense_laplacian(h) @ x, atol=1e-12)
+        assert np.allclose(sp.theta_sums, dense_theta(h).sum(axis=1), atol=1e-12)
 
 
 def test_dual_swaps_roles():

@@ -7,7 +7,7 @@ from hypersub import kernel as K
 from hypersub.errors import GraphConsumed, NotScalar, ShapeError
 from hypersub.hypergraph import build_hypergraph, theta
 
-from conftest import dense_theta, group_positions
+from conftest import dense_laplacian, group_positions
 from oracles import NonDeterministic, grad_check
 
 
@@ -277,9 +277,9 @@ def test_spmm_matches_dense():
     sp = theta(h)
     x = K.parameter(np.arange(8.0).reshape(4, 2))
     y = K.spmm(sp, x)
-    assert np.allclose(y.data, dense_theta(h) @ x.data, atol=1e-12)
+    assert np.allclose(y.data, dense_laplacian(h) @ x.data, atol=1e-12)
     K.backward(K.reduce_sum(y))
-    assert np.allclose(x.grad, dense_theta(h).T @ np.ones((4, 2)), atol=1e-12)
+    assert np.allclose(x.grad, dense_laplacian(h).T @ np.ones((4, 2)), atol=1e-12)
 
 
 def test_dropout_scales_survivors():
@@ -781,7 +781,7 @@ def test_grad_check_through_spmm():
         lambda: K.reduce_sum(K.elementwise_mul(K.spmm(sp, x), c)), [x],
         epsilon=1e-6)
     assert report.passed, report.max_rel_error
-    dense = dense_theta(h)
+    dense = dense_laplacian(h)
     y = rng.normal(size=(h.num_nodes, 4))
     assert np.max(np.abs(sp.dot_dense(y) - dense @ y)) <= 1e-12
 
