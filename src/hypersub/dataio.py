@@ -691,28 +691,17 @@ def _edge_section(lines: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 def _sized_line(line: str) -> tuple[str, int]:
     """Name and size of one version 3 edge line, ``name TAB size``: the size
-    a positive integer in canonical decimal, as the writer puts it. Any
-    other line is CorruptCheckpoint naming it."""
+    a positive integer in canonical decimal, as the writer puts it, and
+    within int32, as version 4's size block holds it. Any other line is
+    CorruptCheckpoint naming it."""
     name, _, text = line.partition("\t")
     try:
         size = int(text)
     except ValueError:
         size = 0
-    if size > 0 and str(size) == text:
+    if 0 < size <= _INT32_MAX and str(size) == text:
         return name, size
     raise CorruptCheckpoint(f"bad edge line {line!r}")
-
-
-def _member_block(block, names: list[str], sizes: list[int], num_genes: int) -> Hypergraph:
-    """The hypergraph of a version 3 member block: every edge's members as
-    little-endian int32, ``sizes[j]`` of them for edge j, as ``_incidence``
-    takes them. A block of another length is CorruptCheckpoint."""
-    total = sum(sizes)   # in Python ints, which hold any size a line can state
-    if len(block) != 4 * total:
-        raise CorruptCheckpoint(f"member block holds {len(block)} bytes, "
-                                f"the edge sizes need {4 * total}")
-    return _incidence(np.frombuffer(block, dtype="<i4"), names,
-                      np.array(sizes, dtype=np.intp), num_genes)
 
 
 def _incidence(members: np.ndarray, names: list[str], sizes: np.ndarray,
@@ -751,21 +740,24 @@ def _read_into(fh, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _incidence_blocks(fh, left: int, names: list[str], num_genes: int) -> Hypergraph:
-    """The hypergraph of the last two blocks of a version 4 payload, which
+def _incidence_blocks(fh, left: int, names: list[str], num_genes: int,
+                      sizes: np.ndarray | None) -> Hypergraph:
+    """The hypergraph of the blocks that end a version 3 or 4 payload, which
     must fill the ``left`` bytes that remain of ``fh``: the size of each
-    edge of ``names``, then the members of every edge as ``_incidence``
+    edge of ``names``, unless ``sizes`` gives them (version 3 states them
+    in its edge lines), then the members of every edge as ``_incidence``
     takes them, both as little-endian int32. Each block is read straight
     into an array of its own. A size that is not positive, or sizes that
     do not add up to the member block, is CorruptCheckpoint naming the
     edge."""
-    if 4 * len(names) > left:
-        raise CorruptCheckpoint(f"payload truncated at the size of edge {names[left // 4]!r}")
-    sizes = _read_into(fh, np.empty(len(names), "<i4"))
-    left -= sizes.nbytes
-    if sizes.min() <= 0:
-        at = int(np.argmin(sizes > 0))
-        raise CorruptCheckpoint(f"edge {names[at]!r} has size {sizes[at]}, not a positive one")
+    if sizes is None:
+        if 4 * len(names) > left:
+            raise CorruptCheckpoint(f"payload truncated at the size of edge {names[left // 4]!r}")
+        sizes = _read_into(fh, np.empty(len(names), "<i4"))
+        left -= sizes.nbytes
+        if sizes.min() <= 0:
+            at = int(np.argmin(sizes > 0))
+            raise CorruptCheckpoint(f"edge {names[at]!r} has size {sizes[at]}, not a positive one")
     ends = np.cumsum(sizes)
     total = int(ends[-1])
     if 4 * total > left:
@@ -834,11 +826,11 @@ def load_checkpoint(path) -> Checkpoint:
             twice = next(name for name, n in Counter(gene_names).items() if n > 1)
             raise CorruptCheckpoint(f"gene {twice!r} appears twice in the genes section")
 
-        if version == 4:
-            edge_names = edge_lines
-        elif version == 3:
-            edge_names, sizes = map(list, zip(*map(_sized_line, edge_lines)))
-        else:
+        edge_names, sizes = edge_lines, None   # version 4 reads its sizes as a block
+        if version == 3:
+            edge_names, sizes = zip(*map(_sized_line, edge_lines))
+            edge_names, sizes = list(edge_names), np.array(sizes, dtype=np.intp)
+        elif version < 3:
             edge_names, sizes, members = _edge_section(edge_lines)
             try:
                 h = build_hypergraph(members, num_nodes=len(gene_names), sizes=sizes)
@@ -862,12 +854,11 @@ def load_checkpoint(path) -> Checkpoint:
                 tensors.append(K.parameter(data))
             except ValueError as e:   # a non-finite value
                 raise CorruptCheckpoint(f"tensor {name!r}: {e}") from e
-        if version == 4:
-            h = _incidence_blocks(fh, left, edge_names, len(gene_names))
-        elif version == 3:
-            h = _member_block(fh.read(), edge_names, sizes, len(gene_names))
+        if version >= 3:
+            h = _incidence_blocks(fh, left, edge_names, len(gene_names), sizes)
         elif left:
-            raise CorruptCheckpoint("payload has trailing bytes")
+            raise CorruptCheckpoint(f"payload runs {left} bytes past tensor "
+                                    f"{schema[-1][0]!r}, the last")
 
     params = M.ModelParams.from_tensors(
         tensors, config.num_layers, mode=config.mode,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, fields
@@ -43,37 +44,31 @@ class TrainConfig:
 
     def validate(self):
         """Raise InvalidConfigValue naming the first field out of range.
-        Every integer field must fit np.int64, the integer numpy sizes and
-        counts with."""
+        Every float field must fit float32, in which it is applied, and
+        every integer field np.int64, the integer numpy sizes and counts
+        with."""
         for name, kind in config_field_types().items():
             value = getattr(self, name)
-            if kind is float and not math.isfinite(value):
-                raise InvalidConfigValue(name, f"must be finite, got {value!r}")
+            if kind is float and not abs(value) <= _FLOAT32_MAX:   # NaN fails too
+                raise InvalidConfigValue(name, f"must be finite and must fit float32, "
+                                               f"in which it is applied, got {value!r}")
             if kind is int and not _INT64.min <= value <= _INT64.max:
                 raise InvalidConfigValue(name, f"must fit a 64-bit integer, got {value!r}")
         checks = (
             ("learning_rate", self.learning_rate > 0, "must be positive"),
-            ("learning_rate", self.learning_rate <= _FLOAT32_MAX,
-             "must fit float32, in which the parameters are updated"),
             ("weight_decay", self.weight_decay >= 0, "must be non-negative"),
-            ("weight_decay", self.weight_decay <= _FLOAT32_MAX,
-             "must fit float32, in which the parameters are decayed"),
             ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "must be in [0, 1)"),
             ("hidden_dim", self.hidden_dim >= 1, "must be positive"),
             ("num_layers", self.num_layers >= 1, "must be positive"),
             ("max_epochs", self.max_epochs >= 1, "must be positive"),
             ("patience", self.patience >= 1, "must be positive"),
             ("reg_weight", self.reg_weight >= 0, "must be non-negative"),
-            ("reg_weight", self.reg_weight <= _FLOAT32_MAX,
-             "must fit float32, in which the penalty is weighted"),
             ("mode", self.mode in ("multiclass", "multilabel"),
              "must be multiclass or multilabel"),
             ("batch_size", self.batch_size >= 0, "must be 0 (full batch) or positive"),
             ("seed", self.seed >= 0, "must be non-negative"),
             ("monitor", self.monitor in ("total", "classification"),
              "must be total or classification"),
-            ("leaky_slope", abs(self.leaky_slope) <= _FLOAT32_MAX,
-             "must fit float32, in which the scores are computed"),
             ("threshold", 0.0 < self.threshold < 1.0, "must be in (0, 1)"),
         )
         for name, ok, reason in checks:
@@ -214,6 +209,17 @@ def _epoch_val_loss(node_states, params, batch, theta_sp, config) -> tuple[float
     return monitored, total
 
 
+@contextlib.contextmanager
+def _epoch_guard(epoch: int):
+    """Run one epoch with float overflow and invalid operations raised
+    rather than warned about, and name ``epoch`` in any divergence."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, NumericalDivergence) as e:
+        raise NumericalDivergence(f"{e} at epoch {epoch}") from e
+
+
 def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, TrainReport]:
     """Train a fresh model on the dataset's train split, early-stopping on the
     validation split, and restore the parameters of the best epoch.
@@ -275,49 +281,50 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
     val_losses: list[float] = []
 
     for epoch in range(1, config.max_epochs + 1):
-        if config.batch_size and config.batch_size < len(train_batch):
-            order = rng.permutation(len(train_batch))
-            chunks = [order[i:i + config.batch_size]
-                      for i in range(0, order.size, config.batch_size)]
-        else:
-            chunks = [None]
-        ce_sum = 0.0
-        reg_last = 0.0
-        for chunk in chunks:
-            if chunk is None:
-                batch, reg_weight = train_batch, config.reg_weight
-            else:   # each chunk carries its share: an epoch applies reg_weight once
-                batch = train_batch.subset(chunk)
-                reg_weight = config.reg_weight * len(chunk) / len(train_batch)
-            res = M.forward(h, params, batch, theta_sp=theta_sp,
-                            reg_weight=reg_weight, training=True, rng=rng,
-                            reads=step_reads)
-            if not np.isfinite(res.total_loss.data):
-                raise NumericalDivergence(f"training loss non-finite at epoch {epoch}")
-            for t in tensors:
-                t.zero_grad()
-            grads = K.backward(res.total_loss, tensors)
-            adam_step(tensors, grads, adam,
-                      config.learning_rate, config.weight_decay)
-            ce_sum += res.classification_loss
-            reg_last = res.regularization
-        train_losses.append(ce_sum + config.reg_weight * reg_last)
+        with _epoch_guard(epoch):
+            if config.batch_size and config.batch_size < len(train_batch):
+                order = rng.permutation(len(train_batch))
+                chunks = [order[i:i + config.batch_size]
+                          for i in range(0, order.size, config.batch_size)]
+            else:
+                chunks = [None]
+            ce_sum = 0.0
+            reg_last = 0.0
+            for chunk in chunks:
+                if chunk is None:
+                    batch, reg_weight = train_batch, config.reg_weight
+                else:   # each chunk carries its share: an epoch applies reg_weight once
+                    batch = train_batch.subset(chunk)
+                    reg_weight = config.reg_weight * len(chunk) / len(train_batch)
+                res = M.forward(h, params, batch, theta_sp=theta_sp,
+                                reg_weight=reg_weight, training=True, rng=rng,
+                                reads=step_reads)
+                if not np.isfinite(res.total_loss.data):
+                    raise NumericalDivergence("training loss non-finite")
+                for t in tensors:
+                    t.zero_grad()
+                grads = K.backward(res.total_loss, tensors)
+                adam_step(tensors, grads, adam,
+                          config.learning_rate, config.weight_decay)
+                ce_sum += res.classification_loss
+                reg_last = res.regularization
+            train_losses.append(ce_sum + config.reg_weight * reg_last)
 
-        with K.no_grad():
-            node_states = M.forward_backbone(h, params, training=False,
-                                             reads=eval_reads)
-        monitored, total_val = _epoch_val_loss(node_states, params, val_batch,
-                                               theta_sp, config)
-        # a finite epoch 1 always improves on the initial infinity, so the
-        # best epoch exists after the loop
-        if not np.all(np.isfinite((monitored, total_val))):
-            raise NumericalDivergence(f"validation loss non-finite at epoch {epoch}")
-        val_losses.append(monitored)
-        if stopper.update(monitored):
-            best_snapshot = [t.data.copy() for t in tensors]
-            best_states = node_states
-        if stopper.should_stop:
-            break
+            with K.no_grad():
+                node_states = M.forward_backbone(h, params, training=False,
+                                                 reads=eval_reads)
+            monitored, total_val = _epoch_val_loss(node_states, params, val_batch,
+                                                   theta_sp, config)
+            # a finite epoch 1 always improves on the initial infinity, so the
+            # best epoch exists after the loop
+            if not np.all(np.isfinite((monitored, total_val))):
+                raise NumericalDivergence("validation loss non-finite")
+            val_losses.append(monitored)
+            if stopper.update(monitored):
+                best_snapshot = [t.data.copy() for t in tensors]
+                best_states = node_states
+            if stopper.should_stop:
+                break
 
     for t, saved in zip(tensors, best_snapshot):
         t.data[...] = saved

@@ -28,13 +28,13 @@ def run(argv):
     return cli.main(argv)
 
 
-def run_process(argv):
+def run_process(argv, flags=()):
     """The CLI in a separate process, so an uncaught exception shows as a
-    traceback in its stderr."""
+    traceback in its stderr; ``flags`` go to the interpreter."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "hypersub.cli", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "hypersub.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
 

@@ -737,6 +737,19 @@ def test_checkpoint_rejects_bad_counts_and_lengths(tmp_path):
             D.load_checkpoint(write(tmp_path / "bad", raw.replace(old, new, 1)))
 
 
+@pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_FIXTURE], ids=["v1", "v2"])
+@pytest.mark.parametrize("extra", [1, 4, 9])
+def test_versions_1_and_2_name_the_last_tensor_of_a_payload_run_past(tmp_path, fixture, extra):
+    # a version 1 or 2 payload ends at its last tensor; the error says by how
+    # much it runs past, as version 4's does for its last edge
+    last = list(D.load_checkpoint(fixture).params.named_parameters())[-1][0]
+    assert last == "head.out_bias"
+    bad = write(tmp_path / "long.ckpt", fixture.read_bytes() + bytes(extra))
+    with pytest.raises(CorruptCheckpoint) as err:
+        D.load_checkpoint(bad)
+    assert str(err.value) == f"payload runs {extra} bytes past tensor {last!r}, the last"
+
+
 def test_version_2_weight_field_must_be_positive_and_finite(tmp_path):
     # the weight column of version 2, written as 1.0 and otherwise unused,
     # must hold a positive finite number; a bad one names its edge line
@@ -807,17 +820,22 @@ def _second(line: str) -> list[str]:
                  id="descending"),
     pytest.param(None, [0, 1, 2, 2, 3, 3, 5, 0, 5], "members of edge 'PW_B' do not rise strictly",
                  id="repeated"),
-    pytest.param(None, _BLOCK[:-4], "member block holds 32 bytes, the edge sizes need 36",
+    pytest.param(None, _BLOCK[:-4], "payload truncated at the members of edge 'PW_D'",
                  id="truncated"),
-    pytest.param(None, _BLOCK[:-1], "member block holds 35 bytes, the edge sizes need 36",
+    pytest.param(None, _BLOCK[:-1], "payload truncated at the members of edge 'PW_D'",
                  id="cut-mid-member"),
-    pytest.param(None, _BLOCK + bytes(4), "member block holds 40 bytes, the edge sizes need 36",
+    pytest.param(None, _BLOCK + bytes(4),
+                 "payload runs 4 bytes past the members of edge 'PW_D', the last",
                  id="trailing-bytes"),
     pytest.param(_second("PW_B\t4"), None,
-                 "member block holds 36 bytes, the edge sizes need 40", id="sizes-past-block"),
+                 "payload truncated at the members of edge 'PW_D'", id="sizes-past-block"),
     pytest.param(_second("PW_B\t99999999999999999999"), None,
-                 "member block holds 36 bytes, the edge sizes need 400000000000000000020",
-                 id="size-past-int64"),
+                 "bad edge line 'PW_B\\t99999999999999999999'", id="size-past-int64"),
+    # version 3 sizes are bounded as version 4's int32 size block bounds them
+    pytest.param(_second("PW_B\t2147483648"), None, "bad edge line 'PW_B\\t2147483648'",
+                 id="size-past-int32"),
+    pytest.param(_second("PW_B\t2147483647"), None,
+                 "payload truncated at the members of edge 'PW_B'", id="largest-int32-size"),
     pytest.param(_second("PW_B\t0"), None, "bad edge line 'PW_B\\t0'", id="size-0"),
     pytest.param(_second("PW_B"), None, "bad edge line 'PW_B'", id="no-size"),
     pytest.param(_second("PW_B\t"), None, "bad edge line 'PW_B\\t'", id="empty-size"),

@@ -20,6 +20,7 @@ from hypersub import cli
 from hypersub import dataio as D
 from hypersub.errors import CorruptCheckpoint
 
+from test_cli import run_process
 from test_reach import FAULTS, OLD_CHECKPOINTS, PROFILE, SMALL
 from test_readers import _in_grammar, reference_edge_lines
 
@@ -29,8 +30,8 @@ READERS = {"gmt": ["train"], "config": ["train"], "split": ["train", "evaluate"]
 COPY = None   # the same field of the next line
 WHOLE = -1    # the field index that stands for the whole line
 # "\udcff" is written as the byte 0xff, which is not UTF-8
-FIELD_VALUES = ["", " ", "#", "x", "-", "0", "-1", "2", "nan", "1e39", "C0,C1", "C9",
-                "train", "test", "g0000", "g0000:heavy", "g0000:1e39", "g0001:0", ",",
+FIELD_VALUES = ["", " ", "#", "x", "-", "0", "-1", "2", "nan", "1e38", "1e39", "C0,C1",
+                "C9", "train", "test", "g0000", "g0000:heavy", "g0000:1e39", "g0001:0", ",",
                 "a\tb", "é", "\udcff", "seed", "mode", "99999999999999999999", COPY]
 # edge line values keep the header UTF-8 and every line a line: no '[' to
 # open a version 1 section, no character that str.splitlines breaks at
@@ -68,11 +69,13 @@ def inputs(tmp_path_factory):
 
 
 def run(argv):
-    """The exit code of ``cli.main(argv)`` and its "error: " lines."""
+    """The exit code of ``cli.main(argv)`` and its "error: " and
+    "numerical failure: " lines."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    return code, [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    return code, [line for line in err.getvalue().splitlines()
+                  if line.startswith(("error: ", "numerical failure: "))]
 
 
 def command_line(command, paths, out, checkpoint=None, version="v4"):
@@ -138,6 +141,13 @@ def input_faults(draw):
 @example(("config", "train", 0, WHOLE, "weight_decay = 1e39"))
 @example(("config", "train", 0, WHOLE, "weight_decay = 1e42"))
 @example(("config", "train", 0, WHOLE, "reg_weight = 1e39"))
+# values just under that bound, which overflow float32 in the first epoch:
+# train exits 3 naming the epoch, and warns of nothing; line 2 of the
+# config is patience, so hidden_dim stays 8
+@example(("config", "train", 2, WHOLE, "learning_rate = 1e37"))
+@example(("config", "train", 2, WHOLE, "learning_rate = 1e38"))
+@example(("config", "train", 2, WHOLE, "weight_decay = 1e38"))
+@example(("config", "train", 2, WHOLE, "reg_weight = 1e38"))
 def test_a_faulty_input_line_is_named(tmp_path_factory, inputs, fault):
     name, command, pick, field, value = fault
     texts = {n: inputs[n].read_text() for n in READERS}
@@ -152,9 +162,23 @@ def test_a_faulty_input_line_is_named(tmp_path_factory, inputs, fault):
     code, errors = run(command_line(command, dict(inputs, **{name: tmp / name}), tmp,
                                     checkpoint=inputs["v4"]))
     assert code in (0, 2, 3)
-    assert len(errors) == (code == 2)
+    assert len(errors) == (code != 0)
     if code == 2:
         assert names_the_line(errors[0], texts, name, i + 1), (errors[0], lines[i])
+    if code == 3:
+        assert re.search(r" at epoch \d+$", errors[0]), errors
+
+
+def test_an_overflow_in_training_exits_3_under_warnings_as_errors(inputs, tmp_path):
+    # an interpreter that makes every RuntimeWarning an exception still
+    # gets exit 3 and the epoch, not a traceback
+    config = tmp_path / "overflow.cfg"
+    config.write_text(SMALL + "learning_rate = 1e38\n")
+    proc = run_process(command_line("train", dict(inputs, config=config), tmp_path),
+                       flags=["-W", "error::RuntimeWarning"])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.rstrip().endswith(" at epoch 1"), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def edge_line_is_bad(version, line):
@@ -163,8 +187,9 @@ def edge_line_is_bad(version, line):
     if version == "v4":
         return False
     parts = line.split("\t")
-    if version == "v3":
-        return len(parts) != 2 or not re.fullmatch("[1-9][0-9]*", parts[1])
+    if version == "v3":   # a size in plain decimal, within int32
+        return len(parts) != 2 or not re.fullmatch("[1-9][0-9]*", parts[1]) \
+            or int(parts[1]) > 2**31 - 1
     try:
         reference_edge_lines([line])
     except CorruptCheckpoint:
@@ -238,29 +263,37 @@ def test_a_faulty_checkpoint_config_line_exits_cleanly(tmp_path_factory, inputs,
     (tmp / "config.ckpt").write_bytes(raw)
     code, errors = run(command_line(command, inputs, tmp, checkpoint=tmp / "config.ckpt"))
     assert code in (0, 2, 3)
-    assert len(errors) == (code == 2)
+    assert len(errors) == (code != 0)
 
 
-# int32 values a block may be changed to, the profile's 40 genes among
-# them; None stands for the value of the block's next entry
-INT32_VALUES = [-2**31, -1, 0, 1, 2, 3, 39, 40, 41, 2**31 - 1, None]
+# int32 values a block may be changed to, the gene counts of the version 4
+# checkpoint (40) and of the version 1 to 3 fixtures (6) among them; None
+# stands for the value of the block's next entry
+INT32_VALUES = [-2**31, -1, 0, 1, 2, 3, 5, 6, 7, 39, 40, 41, 2**31 - 1, None]
+# the payload faults of each version: a version 1 or 2 payload ends at its
+# last tensor, version 3 adds a member block, version 4 a size block before it
+BLOCK_KINDS = {"v1": ["truncate", "extend"], "v2": ["truncate", "extend"],
+               "v3": ["members", "truncate", "extend"],
+               "v4": ["sizes", "members", "truncate", "extend"]}
 
 
 @st.composite
 def block_faults(draw):
-    """One change to a version 4 payload: an int32 of the size or the
-    member block set to a value, or the payload cut short or extended by
-    ``k`` bytes; with the command to run."""
-    kind = draw(st.sampled_from(["sizes", "members", "truncate", "extend"]))
+    """One change to the payload of a checkpoint of any version: an int32
+    of its size or member block set to a value, or the payload cut short or
+    extended by ``k`` bytes; with the command to run."""
+    version = draw(st.sampled_from(sorted(BLOCK_KINDS)))
+    kind = draw(st.sampled_from(BLOCK_KINDS[version]))
     value = draw(st.one_of(st.sampled_from(INT32_VALUES), st.integers(-2**31, 2**31 - 1)))
-    return (kind, draw(st.integers(0, 10**6)), value,
+    return (version, kind, draw(st.integers(0, 10**6)), value,
             draw(st.sampled_from(["predict", "evaluate", "interpret"])))
 
 
 def with_block_fault(raw, ckpt, fault):
-    """``raw``, the version 4 file of ``ckpt``, with ``fault`` applied."""
-    kind, pick, value, _ = fault
-    edges, pairs = ckpt.hypergraph.num_edges, ckpt.hypergraph.node_of_pair.size
+    """``raw``, the file of ``ckpt``, with ``fault`` applied."""
+    version, kind, pick, value, _ = fault
+    edges = ckpt.hypergraph.num_edges if version == "v4" else 0   # of the size block
+    pairs = ckpt.hypergraph.node_of_pair.size if version in ("v3", "v4") else 0
     tensors = sum(t.data.size for t in ckpt.params.parameters())
     payload = 4 * (tensors + edges + pairs)
     if kind == "truncate":
@@ -277,16 +310,24 @@ def with_block_fault(raw, ckpt, fault):
 
 @settings(max_examples=200, deadline=None)
 @given(block_faults())
-@example(("sizes", 0, 0, "predict"))
-@example(("members", 0, 40, "predict"))
-@example(("truncate", 0, 0, "evaluate"))
-@example(("extend", 0, 0, "interpret"))
+@example(("v4", "sizes", 0, 0, "predict"))
+@example(("v4", "members", 0, 40, "predict"))
+@example(("v4", "truncate", 0, 0, "evaluate"))
+@example(("v4", "extend", 0, 0, "interpret"))
+@example(("v3", "members", 0, 6, "predict"))
+@example(("v3", "truncate", 0, 0, "evaluate"))
+@example(("v3", "extend", 0, 0, "interpret"))
+@example(("v2", "truncate", 0, 0, "predict"))
+@example(("v2", "extend", 0, 0, "evaluate"))
+@example(("v1", "extend", 3, 0, "interpret"))
 def test_a_faulty_payload_block_names_its_edge_or_tensor(tmp_path_factory, inputs, fault):
-    ckpt = D.load_checkpoint(inputs["v4"])
-    raw = with_block_fault(inputs["v4"].read_bytes(), ckpt, fault)
+    version, command = fault[0], fault[-1]
+    ckpt = D.load_checkpoint(inputs[version])
+    raw = with_block_fault(inputs[version].read_bytes(), ckpt, fault)
     tmp = tmp_path_factory.mktemp("case")
     (tmp / "blocks.ckpt").write_bytes(raw)
-    code, errors = run(command_line(fault[-1], inputs, tmp, checkpoint=tmp / "blocks.ckpt"))
+    code, errors = run(command_line(command, inputs, tmp, checkpoint=tmp / "blocks.ckpt",
+                                    version=version))
     assert code in (0, 2)
     assert len(errors) == (code == 2)
     if code == 2:

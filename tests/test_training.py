@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +223,26 @@ def test_train_rejects_a_non_finite_monitored_loss(monkeypatch):
                         lambda pairs, params, batch, theta_sp, config: (math.inf, 1.0))
     with pytest.raises(NumericalDivergence, match="epoch 1"):
         train(ds, h, tiny_config(max_epochs=3))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"learning_rate": 1e37}, {"learning_rate": 1e38}, {"weight_decay": 1e38},
+    {"reg_weight": 1e38}, {"reg_weight": 1e30}])
+def test_train_names_the_epoch_of_a_float32_overflow(overrides):
+    # values that fit float32 but overflow its arithmetic stop the run as a
+    # divergence that names its op, or adam's gradient check, and its
+    # epoch, with no warning on the way; numpy's error handling is as it was
+    # once train has returned
+    ds, h = tiny_dataset()
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDivergence) as info:
+            train(ds, h, tiny_config(max_epochs=3, **overrides))
+    assert re.fullmatch(r"((overflow|invalid value) encountered in [a-z_ ]+|gradient "
+                        r"non-finite or too large to square) at epoch [1-3]",
+                        str(info.value)), str(info.value)
+    assert np.geterr() == before
 
 
 def test_train_without_regularizer_never_builds_theta(monkeypatch):
