@@ -46,46 +46,46 @@ def _member_attention(node_states, batch, params):
 def backbone_trace(params: M.ModelParams, h: Hypergraph) -> M.ForwardTrace:
     """One full evaluation-mode backbone pass, edge states included; every
     view below can take it as ``trace`` instead of running its own."""
-    trace = M.ForwardTrace()
     with K.no_grad():
-        M.forward_backbone(h, params, training=False, trace=trace, edges=True)
-    return trace
+        return M.forward_backbone(h, params, training=False, edges=True)
 
 
 def class_edge_scores(params: M.ModelParams, h: Hypergraph,
-                      batch: M.SubgraphBatch, class_index,
+                      batch: M.SubgraphBatch, class_indices,
                       trace: M.ForwardTrace | None = None) -> np.ndarray:
-    """Average hyperedge attribution over one class's subjects.
+    """Average hyperedge attribution over each class's subjects: one row
+    per index of ``class_indices``, from a single backbone pass, or from
+    ``trace`` when given.
 
     Each subject contributes total mass 1 (member attention sums to one and
-    the per-node edge mixture sums to one), so the returned vector sums to 1
-    whenever every member node touches at least one hyperedge. A sequence of
-    class indices gives one row per class from a single backbone pass, or
-    from ``trace`` when given. The pass of its own reads the batch's member
-    rows alone, so its last two node updates run over their pairs
-    (``forward_backbone``), which gives those rows the bits of a full pass;
-    a ``trace`` must be a full pass of ``h`` (``backbone_trace``), or it
-    raises ShapeError.
+    the per-node edge mixture sums to one), so a row sums to 1 whenever
+    every member node touches at least one hyperedge. The pass of its own
+    reads the batch's member rows alone (``forward_backbone``), which gives
+    those rows the bits of a full pass; a ``trace`` must be a full pass of
+    ``h`` (``backbone_trace``), or it raises ShapeError. Either way the mass
+    spreads over the member rows' pairs of ``trace.reads``.
     """
     if len(batch.by_row) > h.num_nodes:
         raise ShapeError(f"subgraph batch has {len(batch.by_row)} member rows "
                          f"for {h.num_nodes} nodes")
-    classes = np.atleast_1d(np.asarray(class_index, dtype=np.intp))
+    classes = np.asarray(class_indices, dtype=np.intp)
+    if classes.ndim != 1:
+        raise ShapeError("class indices must be a 1-D sequence")
     carries = batch.labels[:, classes] > 0.5          # (subjects, classes)
     sizes = carries.sum(axis=0)
     if np.any(sizes == 0):
         empty = int(classes[np.flatnonzero(sizes == 0)[0]])
         raise EmptyClass(f"no subjects carry class index {empty}")
 
-    rows, pairs = batch.by_row.nonempty, h
+    rows = batch.by_row.nonempty
     if trace is None:
-        pairs, trace = restrict_to_nodes(h, rows), M.ForwardTrace()
         with K.no_grad():
-            M.forward_backbone(h, params, training=False, trace=trace, reads=pairs)
-    elif trace.final_edge_states is None or \
-            trace.layers[-1].node_attention.data.size != h.edge_of_pair.size:
+            trace = M.forward_backbone(h, params, training=False,
+                                       reads=restrict_to_nodes(h, rows))
+    elif trace.reads is not h or trace.final_edge_states is None:
         raise ShapeError(f"trace is not a full pass over the "
                          f"{h.edge_of_pair.size} pairs of the hypergraph")
+    pairs = trace.reads
     with K.no_grad():
         member_attn = _member_attention(trace.final_node_states, batch, params)
 
@@ -103,11 +103,10 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
         weights=mass.ravel(), minlength=c * h.num_nodes).reshape(c, h.num_nodes)
     flow = node_mass[:, pairs.node_of_pair[at]] * node_attn
     # not in place: a bincount over no pairs at all comes back as integers
-    scores = np.bincount(
+    return np.bincount(
         (np.arange(c)[:, None] * h.num_edges + pairs.edge_of_pair[at]).ravel(),
         weights=flow.ravel(), minlength=c * h.num_edges
     ).reshape(c, h.num_edges) / sizes[:, None]
-    return scores if np.ndim(class_index) else scores[0]
 
 
 def _top(scores: np.ndarray, top_k: int, names: list[str]) -> list[tuple[str, float]]:
@@ -142,10 +141,9 @@ def hyperedge_correlation(params: M.ModelParams, h: Hypergraph,
     the states have the bits of ``backbone_trace``'s. A trace that holds no
     edge states (its caller read none) raises ShapeError."""
     if trace is None:
-        trace = M.ForwardTrace()
         with K.no_grad():
-            M.forward_backbone(h, params, training=False, trace=trace,
-                               reads=restrict_to_nodes(h, ()), edges=True)
+            trace = M.forward_backbone(h, params, training=False,
+                                       reads=restrict_to_nodes(h, ()), edges=True)
     if trace.final_edge_states is None:
         raise ShapeError("trace holds no final edge states: its pass read "
                          "no edge states")

@@ -291,17 +291,20 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    """What a backbone pass ran, layer by layer, over the pairs it ran
-    over (see ``forward_backbone``). A pass without ``edges`` runs no last
-    edge update: its last ``edge_attention`` and the ``final_edge_states``
-    stay None, and its last ``scores`` and last two ``node_attention``s
-    cover the read pairs alone. With ``edges``, only the last
-    ``node_attention`` does. ``final_node_states`` are zero off the read
-    rows."""
+    """What a backbone pass ran, layer by layer (see ``forward_backbone``).
+    ``reads`` is the hypergraph whose pairs the last node update pooled:
+    ``h`` itself for a full pass, or the restriction passed in. The last
+    ``node_attention`` covers the pairs of ``reads``. A pass without
+    ``edges`` runs no last edge update: its last ``edge_attention`` and the
+    ``final_edge_states`` are None, and its last ``scores`` and the
+    ``node_attention`` before the last cover the pairs of ``reads`` too.
+    Everything else covers every pair of ``h``. ``final_node_states`` are
+    zero off the read rows."""
 
-    layers: list[LayerTrace] = field(default_factory=list)
-    final_node_states: Tensor | None = None
-    final_edge_states: Tensor | None = None
+    layers: list[LayerTrace]
+    final_node_states: Tensor
+    final_edge_states: Tensor | None
+    reads: Hypergraph
 
 
 # ------------------------------------------------------------- forward pass
@@ -372,10 +375,10 @@ def _scores_at(scores: Tensor, h: Hypergraph, reads: Hypergraph) -> Tensor:
 def forward_backbone(h: Hypergraph, params: ModelParams, *,
                      training: bool = False,
                      rng: np.random.Generator | None = None,
-                     trace: ForwardTrace | None = None,
                      reads: Hypergraph | None = None,
-                     edges: bool = False) -> Tensor:
-    """Run all message passing layers; returns final node states (N, d).
+                     edges: bool = False) -> ForwardTrace:
+    """Run all message passing layers; returns what ran as a ForwardTrace,
+    whose ``final_node_states`` are the (N, d) node states.
 
     What the caller reads alone decides what runs: ``reads``, the pairs of
     the node rows it reads (``hypergraph.restrict_to_nodes``; None for
@@ -388,8 +391,7 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
 
     Each update draws its own dropout mask over every row, the edge
     update's first, and a pass with dropout draws a skipped update's mask
-    too, so the rng ends in the same state whatever is skipped. A ``trace``
-    records what the pass ran, over the pairs it ran over."""
+    too, so the rng ends in the same state whatever is skipped."""
     if h.num_nodes != params.num_nodes:
         raise ShapeError("hypergraph and embeddings disagree on node count")
     rate = params.dropout_rate if training else 0.0
@@ -404,6 +406,7 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
     narrow = last if edges else last - 1
     hn = params.node_embeddings
     he = init_edge_states(h, hn)
+    layers = []
     for k, layer in enumerate(params.layers):
         edge_step = k < last or edges
         scored = h if edge_step else reads
@@ -417,13 +420,9 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
                 K.keep_mask((h.num_edges, params.hidden_dim), rate, rng)
         at_pooled = scores if pooled is scored else _scores_at(scores, h, pooled)
         hn_next, a_node = node_update(pooled, at_pooled, he, rate, rng)
-        if trace is not None:
-            trace.layers.append(LayerTrace(scores, a_edge, a_node))
+        layers.append(LayerTrace(scores, a_edge, a_node))
         hn, he = hn_next, he_next
-    if trace is not None:
-        trace.final_node_states = hn
-        trace.final_edge_states = he
-    return hn
+    return ForwardTrace(layers, hn, he, reads)
 
 
 def regularizer(node_states: Tensor, theta_sp: Laplacian) -> Tensor:
@@ -547,7 +546,8 @@ def forward(h: Hypergraph, params: ModelParams, batch: SubgraphBatch, *,
     """Full pass: backbone, then ``objective``. ``reads`` goes to the
     backbone; it must hold the batch's rows, and every row when the
     regularizer is on."""
-    x = forward_backbone(h, params, training=training, rng=rng, reads=reads)
+    x = forward_backbone(h, params, training=training, rng=rng,
+                         reads=reads).final_node_states
     return objective(x, params, batch, theta_sp=theta_sp, reg_weight=reg_weight,
                      training=training, rng=rng)
 
@@ -570,5 +570,6 @@ def subgraph_scores(h: Hypergraph, params: ModelParams,
     rows the bits of a full pass."""
     reads = restrict_to_nodes(h, batch.by_row.nonempty)
     with K.no_grad():
-        x = forward_backbone(h, params, training=False, reads=reads)
+        x = forward_backbone(h, params, training=False,
+                             reads=reads).final_node_states
     return scores_from_states(x, params, batch)

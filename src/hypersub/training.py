@@ -311,8 +311,8 @@ def train(dataset, h: Hypergraph, config: TrainConfig) -> tuple[M.ModelParams, T
             train_losses.append(ce_sum + config.reg_weight * reg_last)
 
             with K.no_grad():
-                node_states = M.forward_backbone(h, params, training=False,
-                                                 reads=eval_reads)
+                node_states = M.forward_backbone(
+                    h, params, training=False, reads=eval_reads).final_node_states
             monitored, total_val = _epoch_val_loss(node_states, params, val_batch,
                                                    theta_sp, config)
             # a finite epoch 1 always improves on the initial infinity, so the

@@ -34,8 +34,9 @@ def memberships(h):
 
 
 def group_positions(seg):
-    """The positions of each group of a Segments, ascending."""
-    order = np.arange(seg.size) if seg.order is None else seg.order
+    """The positions of each group of a Segments, ascending, from its
+    ``ids`` alone, so a wrong ``Segments.order`` cannot hide here."""
+    order = np.argsort(seg.ids, kind="stable")
     return [order[lo:hi] for lo, hi in zip(seg.offsets[:-1], seg.offsets[1:])]
 
 

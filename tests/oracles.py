@@ -29,8 +29,9 @@ def dual(h: Hypergraph) -> Hypergraph:
     isolated = np.flatnonzero(h.by_node.counts == 0)
     if isolated.size:
         raise IsolatedNode(f"node {isolated[0]} belongs to no hyperedge")
-    # the stable node-major order keeps each node's edges ascending
-    pos = h.by_node.positions()
+    # the stable node-major order keeps each node's edges ascending; it is
+    # sorted here, not read from the layout under test
+    pos = np.argsort(h.node_of_pair, kind="stable")
     return Hypergraph(h.num_edges, h.num_nodes, h.node_of_pair[pos],
                       h.edge_of_pair[pos])
 

@@ -137,8 +137,7 @@ def test_a3_strong_duality(monkeypatch):
     attention_scores = K.attention_scores
     monkeypatch.setattr(K, "attention_scores",
                         lambda *a: score_evals.append(1) or attention_scores(*a))
-    trace = M.ForwardTrace()
-    M.forward_backbone(pairs, params, trace=trace, edges=True)
+    trace = M.forward_backbone(pairs, params, edges=True)
     monkeypatch.undo()
     shared = (len(score_evals) == 2
               and all(tr.scores.data.shape == (pairs.edge_of_pair.size,)
@@ -152,9 +151,8 @@ def test_a3_strong_duality(monkeypatch):
         g = random_hypergraph(rng, max_nodes=8, max_edges=4,
                               allow_isolated=False)
         p = model_for(g, seed=int(rng.integers(1000)))
-        t1, t2 = M.ForwardTrace(), M.ForwardTrace()
-        M.forward_backbone(M.incidence_pairs(g), p, trace=t1, edges=True)
-        M.forward_backbone(M.incidence_pairs(dual(dual(g))), p, trace=t2, edges=True)
+        t1 = M.forward_backbone(M.incidence_pairs(g), p, edges=True)
+        t2 = M.forward_backbone(M.incidence_pairs(dual(dual(g))), p, edges=True)
         double_ok &= all(np.array_equal(a.scores.data, b.scores.data)
                          for a, b in zip(t1.layers, t2.layers))
 
@@ -198,8 +196,8 @@ def test_a4_attention_normalization_and_symmetry():
     batch = one_hot_batch([[0, 2, 3], [1, 4, 6], [5, 6], [0, 1, 2, 3]], 3)
 
     # group sums == 1 within 1e-6
-    trace = M.ForwardTrace()
-    x = M.forward_backbone(pairs, params, trace=trace, edges=True)
+    trace = M.forward_backbone(pairs, params, edges=True)
+    x = trace.final_node_states
     attn = M.subgraph_attention(x, batch, params.subgraph_context)
     sums_err = 0.0
     for tr in trace.layers:
@@ -224,7 +222,7 @@ def test_a4_attention_normalization_and_symmetry():
     batch2 = M.SubgraphBatch(
         members=[np.array([perm[i] for i in mem]) for mem in members],
         weights=[w.copy() for w in weights], labels=batch.labels.copy())
-    x2 = M.forward_backbone(M.incidence_pairs(h2), params2)
+    x2 = M.forward_backbone(M.incidence_pairs(h2), params2).final_node_states
     s2 = M.subgraph_repr(x2, batch2, params2)
     z2 = M.classify(s2, params2)
     relabel_err = max(float(np.abs(s1.data - s2.data).max()),
@@ -356,7 +354,7 @@ def test_a7_inductive_contract(synth):
     # pooled representations bit-identical, class scores within 1e-6 (the
     # dense head matmul picks different float32 kernels per batch shape)
     with K.no_grad():
-        x = M.forward_backbone(pairs, params, training=False)
+        x = M.forward_backbone(pairs, params, training=False).final_node_states
         pooled = M.subgraph_repr(x, batch, params).data
     independent = True
     for k in range(0, held_idx.size, 10):

@@ -27,10 +27,8 @@ def make_model(h, rng, num_classes=2, hidden_dim=5, **kw):
 def restricted_trace(params, h, rows):
     """A recorded evaluation pass whose last layer runs over the pairs of
     the node ``rows`` alone."""
-    trace = M.ForwardTrace()
     with K.no_grad():
-        M.forward_backbone(h, params, trace=trace, reads=restrict_to_nodes(h, rows))
-    return trace
+        return M.forward_backbone(h, params, reads=restrict_to_nodes(h, rows))
 
 
 def flatten_context(params):
@@ -46,8 +44,8 @@ def test_single_member_single_edge_gets_full_mass():
     batch = M.SubgraphBatch(members=[np.array([0])],
                             weights=[np.array([1.0])],
                             labels=one_hot([0], 2))
-    scores = I.class_edge_scores(params, h, batch, 0)
-    assert scores.tolist() == [1.0, 0.0]
+    scores = I.class_edge_scores(params, h, batch, [0])
+    assert scores.tolist() == [[1.0, 0.0]]
 
 
 def test_class_scores_sum_to_one():
@@ -63,7 +61,7 @@ def test_class_scores_sum_to_one():
     batch = M.SubgraphBatch(members=members, weights=weights,
                             labels=one_hot(labels, 3))
     for ci in range(3):
-        total = I.class_edge_scores(params, h, batch, ci).sum()
+        total = I.class_edge_scores(params, h, batch, [ci]).sum()
         assert abs(total - 1.0) <= 1e-9
 
 
@@ -77,8 +75,8 @@ def test_class_scores_subject_order_invariant():
     fwd = M.SubgraphBatch(members=members, weights=weights, labels=labels)
     rev = M.SubgraphBatch(members=members[::-1], weights=weights[::-1],
                           labels=labels[::-1].copy())
-    a = I.class_edge_scores(params, h, fwd, 0)
-    b = I.class_edge_scores(params, h, rev, 0)
+    a = I.class_edge_scores(params, h, fwd, [0])
+    b = I.class_edge_scores(params, h, rev, [0])
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -89,7 +87,22 @@ def test_class_scores_empty_class():
                             weights=[np.array([1.0])],
                             labels=one_hot([0], 2))
     with pytest.raises(EmptyClass):
-        I.class_edge_scores(params, h, batch, 1)
+        I.class_edge_scores(params, h, batch, [1])
+
+
+def test_class_scores_take_a_sequence_of_classes():
+    h = build_hypergraph([[0, 1], [1, 2]])
+    params = make_model(h, np.random.default_rng(1))
+    batch = M.SubgraphBatch(members=[np.array([0]), np.array([2])],
+                            weights=[np.ones(1), np.ones(1)],
+                            labels=one_hot([0, 1], 2))
+    both = I.class_edge_scores(params, h, batch, [1, 0])
+    assert both.shape == (2, 2)
+    assert both.tobytes() == I.class_edge_scores(params, h, batch, np.array([1, 0])).tobytes()
+    assert I.class_edge_scores(params, h, batch, [0]).tobytes() == both[1:].tobytes()
+    for bad in (0, [[0]]):
+        with pytest.raises(ShapeError, match="1-D sequence"):
+            I.class_edge_scores(params, h, batch, bad)
 
 
 def test_rank_breaks_ties_toward_lower_index():
@@ -138,7 +151,7 @@ def test_ablated_model_uses_uniform_member_attention():
     batch = M.SubgraphBatch(members=[np.array([0, 2])],
                             weights=[np.array([100.0, 0.001])],
                             labels=one_hot([0], 2))
-    scores = I.class_edge_scores(params, h, batch, 0)
+    scores = I.class_edge_scores(params, h, batch, [0])[0]
     assert np.allclose(scores, [0.5, 0.5], atol=1e-12)
 
 
@@ -153,7 +166,7 @@ def test_member_past_the_last_node_is_rejected(attention, traced):
                             labels=one_hot([0, 1], 2))
     trace = I.backbone_trace(params, h) if traced else None
     with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
-        I.class_edge_scores(params, h, batch, 0, trace=trace)
+        I.class_edge_scores(params, h, batch, [0], trace=trace)
     with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
         I.class_enrichment(params, h, batch, ["c0", "c1"], 2,
                            edge_names=["e0", "e1"], trace=trace)
@@ -199,7 +212,7 @@ def test_a_trace_must_be_a_full_pass_of_the_hypergraph():
     traces.append(I.backbone_trace(params, build_hypergraph([[0, 1, 2], [2, 3]])))
     for trace in traces:
         with pytest.raises(ShapeError, match="not a full pass over the 6 pairs"):
-            I.class_edge_scores(params, h, batch, 0, trace=trace)
+            I.class_edge_scores(params, h, batch, [0], trace=trace)
         with pytest.raises(ShapeError, match="not a full pass over the 6 pairs"):
             I.class_enrichment(params, h, batch, ["c0", "c1"], 2,
                                edge_names=["e0", "e1", "e2"], trace=trace)
@@ -268,9 +281,8 @@ def test_hyperedge_correlation_matches_direct_cosine():
     h = build_hypergraph([[0, 1, 2], [2, 3], [0, 3, 4]])
     params = make_model(h, np.random.default_rng(7))
     pairs = M.incidence_pairs(h)
-    trace = M.ForwardTrace()
     with K.no_grad():
-        M.forward_backbone(pairs, params, training=False, trace=trace, edges=True)
+        trace = M.forward_backbone(pairs, params, training=False, edges=True)
     want = I.cosine_matrix(trace.final_edge_states.data.astype(np.float64))
     got = I.hyperedge_correlation(params, h)
     assert got.shape == (3, 3)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import pathlib
 import tempfile
 
@@ -12,6 +13,7 @@ from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.errors import GraphConsumed, InvalidLabel, ShapeError
 from hypersub.hypergraph import build_hypergraph, restrict_to_nodes, theta
+from hypersub.synthetic import make_synthetic
 from hypersub.training import TrainConfig
 
 from conftest import (DenseOperator, dense_laplacian, dense_theta, group_positions,
@@ -138,28 +140,28 @@ def test_updates_match_loop_oracle(rng):
         h = random_hypergraph(rng, max_nodes=8, max_edges=4)
         params = toy_model(h, d=4, num_layers=2, seed=int(rng.integers(1000)))
         pairs = M.incidence_pairs(h)
-        x = M.forward_backbone(pairs, params)
+        x = M.forward_backbone(pairs, params).final_node_states
         want_hn, want_he, _ = backbone_oracle(h, params)
         assert np.max(np.abs(x.data - want_hn)) <= 1e-9
-        trace = M.ForwardTrace()
-        M.forward_backbone(pairs, params, trace=trace, edges=True)
+        trace = M.forward_backbone(pairs, params, edges=True)
         assert np.max(np.abs(trace.final_edge_states.data - want_he)) <= 1e-9
 
 
 @pytest.mark.parametrize("training", [False, True], ids=["evaluation", "training"])
-def test_untraced_backbone_skips_only_the_last_edge_update(monkeypatch, rng, training):
+def test_backbone_without_edges_skips_only_the_last_edge_update(monkeypatch, rng,
+                                                               training):
     h = random_hypergraph(rng, max_nodes=9, max_edges=5)
     params = toy_model(h, d=4, num_layers=3, seed=2, dropout_rate=0.3)
     gens = [np.random.default_rng(8) for _ in range(2)]
     for g in gens:   # leave half a 64-bit draw buffered, as int32 draws do
         g.integers(0, 100, dtype=np.int32)
-    traced = M.forward_backbone(h, params, training=training, rng=gens[0],
-                                trace=M.ForwardTrace(), edges=True)
+    full = M.forward_backbone(h, params, training=training, rng=gens[0], edges=True)
     calls = []
     edge_update = M.edge_update
     monkeypatch.setattr(M, "edge_update", lambda *a: calls.append(a) or edge_update(*a))
-    untraced = M.forward_backbone(h, params, training=training, rng=gens[1])
-    assert untraced.data.tobytes() == traced.data.tobytes()
+    part = M.forward_backbone(h, params, training=training, rng=gens[1])
+    assert part.final_node_states.data.tobytes() == full.final_node_states.data.tobytes()
+    assert part.final_edge_states is None and part.reads is full.reads is h
     assert gens[0].bit_generator.state == gens[1].bit_generator.state
     assert len(calls) == params.num_layers - 1
 
@@ -179,9 +181,10 @@ def test_backbone_over_read_rows_matches_the_full_pass(seed, data, num_layers, d
     reads = restrict_to_nodes(h, rows)
     gens = [np.random.default_rng(seed) for _ in range(2)]
     with K.no_grad():
-        full = M.forward_backbone(h, params, training=training, rng=gens[0]).data
+        full = M.forward_backbone(h, params, training=training,
+                                  rng=gens[0]).final_node_states.data
         part = M.forward_backbone(h, params, training=training, rng=gens[1],
-                                  reads=reads).data
+                                  reads=reads).final_node_states.data
     assert part[rows].tobytes() == full[rows].tobytes()
     assert not part[unread].any()
     assert gens[0].bit_generator.state == gens[1].bit_generator.state
@@ -220,14 +223,14 @@ def test_traced_pass_over_read_rows_records_what_it_ran(seed, data, num_layers, 
                           dtype=dtype)
     reads = restrict_to_nodes(h, rows)
     gens = [np.random.default_rng(seed) for _ in range(2)]
-    full, part = M.ForwardTrace(), M.ForwardTrace()
     # what runs is the same whether or not a tape records it
     with contextlib.nullcontext() if tape else K.no_grad():
-        M.forward_backbone(h, params, training=training, rng=gens[0], trace=full,
-                           edges=True)
-        M.forward_backbone(h, params, training=training, rng=gens[1], trace=part,
-                           reads=reads)
+        full = M.forward_backbone(h, params, training=training, rng=gens[0],
+                                  edges=True)
+        part = M.forward_backbone(h, params, training=training, rng=gens[1],
+                                  reads=reads)
     assert gens[0].bit_generator.state == gens[1].bit_generator.state
+    assert full.reads is h and part.reads is reads
     states = part.final_node_states.data
     assert states[rows].tobytes() == full.final_node_states.data[rows].tobytes()
     assert not states[unread].any()
@@ -260,12 +263,12 @@ def test_pass_that_reads_the_edges_runs_the_last_edge_update(seed, data, num_lay
     params = M.init_model(h.num_nodes, 4, num_layers, 3, gen, dropout_rate=0.3,
                           dtype=dtype)
     gens = [np.random.default_rng(seed) for _ in range(2)]
-    full, part = M.ForwardTrace(), M.ForwardTrace()
     with K.no_grad():
-        M.forward_backbone(h, params, training=training, rng=gens[0], trace=full,
-                           edges=True)
-        x = M.forward_backbone(h, params, training=training, rng=gens[1], trace=part,
-                               reads=restrict_to_nodes(h, rows), edges=True)
+        full = M.forward_backbone(h, params, training=training, rng=gens[0],
+                                  edges=True)
+        part = M.forward_backbone(h, params, training=training, rng=gens[1],
+                                  reads=restrict_to_nodes(h, rows), edges=True)
+    x = part.final_node_states
     # a node update over no pairs still draws its mask under dropout
     assert gens[0].bit_generator.state == gens[1].bit_generator.state
     assert part.final_edge_states.data.tobytes() == full.final_edge_states.data.tobytes()
@@ -279,6 +282,33 @@ def test_pass_that_reads_the_edges_runs_the_last_edge_update(seed, data, num_lay
         assert got.scores.data.tobytes() == want.scores.data.tobytes()
         assert got.edge_attention.data.tobytes() == want.edge_attention.data.tobytes()
         assert got.node_attention.data.tobytes() == want.node_attention.data[at].tobytes()
+
+
+@functools.cache
+def synthetic_hypergraph():
+    """The hypergraph of ``make-synthetic``'s default profile."""
+    return make_synthetic().catalog.to_hypergraph()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data(), st.integers(1, 3))
+def test_restricted_trace_reads_the_pairs_of_its_rows(seed, data, num_layers):
+    h = synthetic_hypergraph()
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1),
+                                             min_size=1))))
+    params = M.init_model(h.num_nodes, 8, num_layers, 4, np.random.default_rng(seed))
+    with K.no_grad():
+        full = M.forward_backbone(h, params)
+        part = M.forward_backbone(h, params, reads=restrict_to_nodes(h, rows))
+    # the positions in h of the read rows' pairs, in h's order
+    at = np.flatnonzero(np.isin(h.node_of_pair, rows))
+    assert full.reads is h and (part.reads is h) == (at.size == h.node_of_pair.size)
+    assert part.reads.edge_of_pair.tobytes() == h.edge_of_pair[at].tobytes()
+    assert part.reads.node_of_pair.tobytes() == h.node_of_pair[at].tobytes()
+    assert part.final_node_states.data[rows].tobytes() == \
+        full.final_node_states.data[rows].tobytes()
+    assert part.layers[-1].node_attention.data.tobytes() == \
+        full.layers[-1].node_attention.data[at].tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,7 +342,7 @@ def test_scores_of_a_loaded_checkpoint_walk_no_unread_node_group(seed, data):
         assert part.node_of_pair.tobytes() == g.node_of_pair[read].tobytes()
         assert part.edge_of_pair.tobytes() == g.edge_of_pair[read].tobytes()
     with K.no_grad():
-        full = M.forward_backbone(g, loaded.params)
+        full = M.forward_backbone(g, loaded.params).final_node_states
     assert got.tobytes() == M.scores_from_states(full, loaded.params, batch).tobytes()
 
 
@@ -332,8 +362,7 @@ def test_attention_matches_oracle_per_pair(rng):
     h = random_hypergraph(rng, max_nodes=7, max_edges=3)
     params = toy_model(h, d=3, num_layers=2, seed=5)
     pairs = M.incidence_pairs(h)
-    trace = M.ForwardTrace()
-    M.forward_backbone(pairs, params, trace=trace, edges=True)
+    trace = M.forward_backbone(pairs, params, edges=True)
     _, _, per_layer = backbone_oracle(h, params)
     for tr, (score, a_edge, a_node) in zip(trace.layers, per_layer):
         for p in range(pairs.edge_of_pair.size):
@@ -360,7 +389,7 @@ def test_zero_membership_node_state_is_zero():
     h = build_hypergraph([[0, 1]], num_nodes=4)
     params = toy_model(h, d=4)
     pairs = M.incidence_pairs(h)
-    x = M.forward_backbone(pairs, params)
+    x = M.forward_backbone(pairs, params).final_node_states
     assert np.all(x.data[2] == 0.0) and np.all(x.data[3] == 0.0)
     # and they hold empty attention groups
     assert [g.size for g in group_positions(pairs.by_node)] == [1, 1, 0, 0]
@@ -382,8 +411,7 @@ def test_one_score_tensor_per_layer_feeds_both_directions(monkeypatch):
     attention_scores = K.attention_scores
     monkeypatch.setattr(K, "attention_scores",
                         lambda *a: score_evals.append(1) or attention_scores(*a))
-    trace = M.ForwardTrace()
-    M.forward_backbone(pairs, params, trace=trace, edges=True)
+    trace = M.forward_backbone(pairs, params, edges=True)
     assert len(score_evals) == 2  # exactly one score build per layer
     for tr in trace.layers:
         assert tr.edge_attention._parents[0] is tr.scores
@@ -397,9 +425,8 @@ def test_self_duality_scores_bit_identical(rng):
         h = random_hypergraph(rng, max_nodes=8, max_edges=4,
                               allow_isolated=False)
         params = toy_model(h, d=4, num_layers=2, seed=int(rng.integers(1000)))
-        t1, t2 = M.ForwardTrace(), M.ForwardTrace()
-        M.forward_backbone(M.incidence_pairs(h), params, trace=t1, edges=True)
-        M.forward_backbone(M.incidence_pairs(dual(dual(h))), params, trace=t2, edges=True)
+        t1 = M.forward_backbone(M.incidence_pairs(h), params, edges=True)
+        t2 = M.forward_backbone(M.incidence_pairs(dual(dual(h))), params, edges=True)
         for a, b in zip(t1.layers, t2.layers):
             assert np.array_equal(a.scores.data, b.scores.data)
             assert np.array_equal(a.edge_attention.data, b.edge_attention.data)
@@ -739,7 +766,7 @@ def test_subgraph_attention_uniform_cases():
 def test_subgraph_repr_member_order_invariance():
     h = build_hypergraph([[0, 1, 2, 3, 4]])
     params = toy_model(h, d=4)
-    x = M.forward_backbone(M.incidence_pairs(h), params)
+    x = M.forward_backbone(M.incidence_pairs(h), params).final_node_states
     fwd = M.SubgraphBatch(members=[np.array([0, 2, 4])],
                           weights=[np.array([0.3, 0.9, 1.5])],
                           labels=np.zeros((1, 3)))
@@ -754,7 +781,7 @@ def test_subgraph_repr_member_order_invariance():
 def test_subgraph_repr_sum_ablation():
     h = build_hypergraph([[0, 1, 2]])
     params = toy_model(h, d=4, use_subgraph_attention=False)
-    x = M.forward_backbone(M.incidence_pairs(h), params)
+    x = M.forward_backbone(M.incidence_pairs(h), params).final_node_states
     batch = M.SubgraphBatch(members=[np.array([0, 2])],
                             weights=[np.array([0.1, 9.0])],
                             labels=np.zeros((1, 3)))
@@ -1010,7 +1037,7 @@ def test_objective_adds_the_weighted_regularizer():
     h = build_hypergraph([[0, 1, 2], [2, 3]])
     params = toy_model(h, num_classes=2)
     batch = toy_batch([[0, 1], [3]], 2)
-    x = M.forward_backbone(h, params)
+    x = M.forward_backbone(h, params).final_node_states
     plain = M.objective(x, params, batch)
     assert plain.regularization == 0.0
     assert float(plain.total_loss.data) == plain.classification_loss
@@ -1053,10 +1080,10 @@ def test_node_relabeling_leaves_outputs_unchanged(rng):
     perm = rng.permutation(h.num_nodes).tolist()
     h2, params2, batch2 = apply_permutation(h, params, batch, perm)
 
-    x1 = M.forward_backbone(M.incidence_pairs(h), params)
+    x1 = M.forward_backbone(M.incidence_pairs(h), params).final_node_states
     s1 = M.subgraph_repr(x1, batch, params)
     z1 = M.classify(s1, params)
-    x2 = M.forward_backbone(M.incidence_pairs(h2), params2)
+    x2 = M.forward_backbone(M.incidence_pairs(h2), params2).final_node_states
     s2 = M.subgraph_repr(x2, batch2, params2)
     z2 = M.classify(s2, params2)
     assert np.max(np.abs(s1.data - s2.data)) <= 1e-9

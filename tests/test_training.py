@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -383,6 +384,37 @@ def test_only_an_unregularized_run_restricts_the_backbone(monkeypatch, reg_weigh
         assert reads.edge_of_pair.tobytes() == want.edge_of_pair.tobytes()
 
 
+@pytest.mark.parametrize("reg_weight", [0.0, 0.5])
+def test_training_step_holds_no_layer_of_its_trace_across_backward(monkeypatch,
+                                                                   reg_weight):
+    # the tape alone keeps a taped step's layer tensors until their rules
+    # fire; a trace held past the backward pass would keep them alive
+    # through it, where the step's memory peaks
+    held, checked = [], []
+    original, backward = M.forward_backbone, K.backward
+
+    def recording(*args, **kwargs):
+        trace = original(*args, **kwargs)
+        if kwargs.get("training"):
+            held.extend(weakref.ref(t.data) for layer in trace.layers
+                        for t in vars(layer).values() if t is not None)
+        return trace
+
+    def checking(loss, params):
+        assert held and all(ref() is not None for ref in held)
+        grads = backward(loss, params)
+        checked.append([ref() is None for ref in held])
+        held.clear()
+        return grads
+
+    monkeypatch.setattr(M, "forward_backbone", recording)
+    monkeypatch.setattr(K, "backward", checking)
+    ds, h = tiny_dataset()
+    train(ds, h, tiny_config(max_epochs=2, patience=2, dropout_rate=0.3,
+                             reg_weight=reg_weight))
+    assert len(checked) == 2 and all(all(step) for step in checked)
+
+
 def test_final_metrics_match_per_split_scores():
     ds, h = tiny_dataset()
     cfg = tiny_config(max_epochs=6, dropout_rate=0.2)
@@ -392,7 +424,7 @@ def test_final_metrics_match_per_split_scores():
         batch = ds.batch(ds.indices(split))
         scores = M.subgraph_scores(pairs, params, batch)
         with K.no_grad():
-            x = M.forward_backbone(pairs, params)
+            x = M.forward_backbone(pairs, params).final_node_states
         assert np.array_equal(M.scores_from_states(x, params, batch), scores)
         pred = predictions_from_scores(scores, cfg.mode, cfg.threshold)
         assert report.metrics[f"micro_f1_{split}"] == micro_f1(pred, batch.labels)
