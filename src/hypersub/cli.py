@@ -27,8 +27,8 @@ from .dataio import (Checkpoint, GeneSetCatalog, SubgraphTable, build_dataset,
                      parse_gmt, resolve_subjects, save_checkpoint,
                      serialize_split, stratified_split)
 from .errors import InputDataError, InvalidLabel, NumericalDivergence
-from .interpret import (backbone_trace, class_enrichment, correlation_tsv,
-                        enrichment_tsv, hyperedge_correlation)
+from .interpret import (class_enrichment, correlation_tsv, enrichment_tsv,
+                        hyperedge_correlation)
 from .synthetic import make_synthetic
 from .training import (TrainConfig, micro_f1, predictions_from_scores, train)
 
@@ -238,15 +238,13 @@ def cmd_interpret(args) -> int:
                            class_vocab=ckpt.class_vocab)
     batch = resolve_subjects(table)
 
-    # both views read one evaluation-mode backbone pass
-    trace = backbone_trace(ckpt.params, ckpt.hypergraph)
     report = class_enrichment(ckpt.params, ckpt.hypergraph, batch,
                               ckpt.class_vocab, args.top_k,
-                              edge_names=ckpt.edge_names, trace=trace)
+                              edge_names=ckpt.edge_names)
     enrich_path = out / "enrichment.tsv"
     enrich_path.write_text(enrichment_tsv(report))
 
-    corr = hyperedge_correlation(ckpt.params, ckpt.hypergraph, trace=trace)
+    corr = hyperedge_correlation(ckpt.params, ckpt.hypergraph)
     corr_path = out / "correlation.tsv"
     corr_path.write_text(correlation_tsv(corr, ckpt.edge_names))
 

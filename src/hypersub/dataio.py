@@ -205,7 +205,7 @@ def _member_gene(no: int, token: str) -> str:
             w = float(wtext)
         except ValueError:
             raise MalformedLine(no, f"bad weight {wtext!r}") from None
-        if not 0 <= w <= M.MAX_WEIGHT:
+        if not 0 <= w <= M.FLOAT32_MAX:
             raise MalformedLine(no, f"member weight must be finite and >= 0, got {wtext}")
     if not gene:
         raise MalformedLine(no, f"member token {token!r} has no gene symbol")
@@ -332,7 +332,7 @@ def load_subgraphs(source, catalog: GeneSetCatalog,
     owner = np.repeat(np.arange(n), np.fromiter(
         map(str.count, member_fields, repeat(",")), np.intp, n) + 1)
     rows = np.fromiter(map(catalog.gene_index.get, genes, repeat(-1)), np.intp, len(genes))
-    bad = ~((weights >= 0) & (weights <= M.MAX_WEIGHT))
+    bad = ~((weights >= 0) & (weights <= M.FLOAT32_MAX))
     # a token with no gene is not a catalog gene, unless the catalog names ""
     unknown = range(len(genes)) if "" in catalog.gene_index else np.flatnonzero(rows < 0).tolist()
     bad[[k for k in unknown if not genes[k]]] = True
@@ -822,9 +822,6 @@ def load_checkpoint(path) -> Checkpoint:
             raise CorruptCheckpoint(f"bad embedded config: {e}") from e
         if not class_vocab or not gene_names or not edge_lines:
             raise CorruptCheckpoint("empty classes, genes, or edges section")
-        if len(set(gene_names)) < len(gene_names):   # two nodes by one name
-            twice = next(name for name, n in Counter(gene_names).items() if n > 1)
-            raise CorruptCheckpoint(f"gene {twice!r} appears twice in the genes section")
 
         edge_names, sizes = edge_lines, None   # version 4 reads its sizes as a block
         if version == 3:
@@ -836,6 +833,13 @@ def load_checkpoint(path) -> Checkpoint:
                 h = build_hypergraph(members, num_nodes=len(gene_names), sizes=sizes)
             except Exception as e:
                 raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
+        # two rows or columns by one name: a reader by name keeps one of them
+        for kind, section, names in (("class", "classes", class_vocab),
+                                     ("gene", "genes", gene_names),
+                                     ("edge", "edges", edge_names)):
+            if len(set(names)) < len(names):
+                twice = next(name for name, n in Counter(names).items() if n > 1)
+                raise CorruptCheckpoint(f"{kind} {twice!r} appears twice in the {section} section")
 
         # each layer adds tensor lines, so a config claiming more layers than the
         # section has lines cannot match, and builds no schema

@@ -43,27 +43,16 @@ def _member_attention(node_states, batch, params):
     return batch.groups.expand(share)
 
 
-def backbone_trace(params: M.ModelParams, h: Hypergraph) -> M.ForwardTrace:
-    """One full evaluation-mode backbone pass, edge states included; every
-    view below can take it as ``trace`` instead of running its own."""
-    with K.no_grad():
-        return M.forward_backbone(h, params, training=False, edges=True)
-
-
 def class_edge_scores(params: M.ModelParams, h: Hypergraph,
-                      batch: M.SubgraphBatch, class_indices,
-                      trace: M.ForwardTrace | None = None) -> np.ndarray:
+                      batch: M.SubgraphBatch, class_indices) -> np.ndarray:
     """Average hyperedge attribution over each class's subjects: one row
-    per index of ``class_indices``, from a single backbone pass, or from
-    ``trace`` when given.
+    per index of ``class_indices``, from a single backbone pass.
 
     Each subject contributes total mass 1 (member attention sums to one and
     the per-node edge mixture sums to one), so a row sums to 1 whenever
-    every member node touches at least one hyperedge. The pass of its own
-    reads the batch's member rows alone (``forward_backbone``), which gives
-    those rows the bits of a full pass; a ``trace`` must be a full pass of
-    ``h`` (``backbone_trace``), or it raises ShapeError. Either way the mass
-    spreads over the member rows' pairs of ``trace.reads``.
+    every member node touches at least one hyperedge. The pass reads the
+    batch's member rows alone (``forward_backbone``), which gives those rows
+    the bits of a full pass, and the mass spreads over the pairs it read.
     """
     if len(batch.by_row) > h.num_nodes:
         raise ShapeError(f"subgraph batch has {len(batch.by_row)} member rows "
@@ -77,34 +66,23 @@ def class_edge_scores(params: M.ModelParams, h: Hypergraph,
         empty = int(classes[np.flatnonzero(sizes == 0)[0]])
         raise EmptyClass(f"no subjects carry class index {empty}")
 
-    rows = batch.by_row.nonempty
-    if trace is None:
-        with K.no_grad():
-            trace = M.forward_backbone(h, params, training=False,
-                                       reads=restrict_to_nodes(h, rows))
-    elif trace.reads is not h or trace.final_edge_states is None:
-        raise ShapeError(f"trace is not a full pass over the "
-                         f"{h.edge_of_pair.size} pairs of the hypergraph")
-    pairs = trace.reads
     with K.no_grad():
+        trace = M.forward_backbone(h, params, training=False,
+                                   reads=restrict_to_nodes(h, batch.by_row.nonempty))
         member_attn = _member_attention(trace.final_node_states, batch, params)
+    pairs = trace.reads
 
     # member attention summed per (class, node), then spread over each
-    # member node's incident edges by its final-layer attention; the pairs
-    # of the other nodes would carry no mass, adding exactly +0.0 to a sum
-    read = np.zeros(h.num_nodes, dtype=bool)
-    read[rows] = True
-    at = np.flatnonzero(read[pairs.node_of_pair])
-    node_attn = trace.layers[-1].node_attention.data[at]
+    # member node's incident edges by its final-layer attention
     c = classes.size
     mass = carries[batch.groups.ids] * member_attn[:, None].astype(np.float64)
     node_mass = np.bincount(
         (np.arange(c) * h.num_nodes + batch.member_rows[:, None]).ravel(),
         weights=mass.ravel(), minlength=c * h.num_nodes).reshape(c, h.num_nodes)
-    flow = node_mass[:, pairs.node_of_pair[at]] * node_attn
+    flow = node_mass[:, pairs.node_of_pair] * trace.layers[-1].node_attention.data
     # not in place: a bincount over no pairs at all comes back as integers
     return np.bincount(
-        (np.arange(c)[:, None] * h.num_edges + pairs.edge_of_pair[at]).ravel(),
+        (np.arange(c)[:, None] * h.num_edges + pairs.edge_of_pair).ravel(),
         weights=flow.ravel(), minlength=c * h.num_edges
     ).reshape(c, h.num_edges) / sizes[:, None]
 
@@ -117,14 +95,12 @@ def _top(scores: np.ndarray, top_k: int, names: list[str]) -> list[tuple[str, fl
 
 def class_enrichment(params: M.ModelParams, h: Hypergraph,
                      batch: M.SubgraphBatch, class_vocab: list[str],
-                     top_k: int, edge_names: list[str],
-                     trace: M.ForwardTrace | None = None) -> EnrichmentReport:
+                     top_k: int, edge_names: list[str]) -> EnrichmentReport:
     """Each class's ``top_k`` hyperedges by ``class_edge_scores``, named by
     ``edge_names``, one name per hyperedge."""
     if len(edge_names) != h.num_edges:
         raise ShapeError(f"{len(edge_names)} edge names for {h.num_edges} hyperedges")
-    scores = class_edge_scores(params, h, batch, list(range(len(class_vocab))),
-                               trace=trace)
+    scores = class_edge_scores(params, h, batch, list(range(len(class_vocab))))
     rankings = {cname: _top(row, top_k, edge_names)
                 for cname, row in zip(class_vocab, scores)}
     return EnrichmentReport(classes=list(class_vocab), rankings=rankings,
@@ -132,21 +108,15 @@ def class_enrichment(params: M.ModelParams, h: Hypergraph,
                             num_layers=params.num_layers)
 
 
-def hyperedge_correlation(params: M.ModelParams, h: Hypergraph,
-                          trace: M.ForwardTrace | None = None) -> np.ndarray:
-    """Pairwise cosine similarity of final-layer hyperedge states, from
-    ``trace`` when given, or else from a pass of its own that reads the
-    edge states and no node row: it ends at the last edge update, whose
-    states read every pair, and runs the last node update over no pairs, so
-    the states have the bits of ``backbone_trace``'s. A trace that holds no
-    edge states (its caller read none) raises ShapeError."""
-    if trace is None:
-        with K.no_grad():
-            trace = M.forward_backbone(h, params, training=False,
-                                       reads=restrict_to_nodes(h, ()), edges=True)
-    if trace.final_edge_states is None:
-        raise ShapeError("trace holds no final edge states: its pass read "
-                         "no edge states")
+def hyperedge_correlation(params: M.ModelParams, h: Hypergraph) -> np.ndarray:
+    """Pairwise cosine similarity of final-layer hyperedge states, from a
+    backbone pass that reads the edge states and no node row: it ends at
+    the last edge update, whose states read every pair, and runs the last
+    node update over no pairs, so the states have the bits of a full
+    pass's."""
+    with K.no_grad():
+        trace = M.forward_backbone(h, params, training=False,
+                                   reads=restrict_to_nodes(h, ()), edges=True)
     return cosine_matrix(trace.final_edge_states.data.astype(np.float64))
 
 

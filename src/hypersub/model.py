@@ -157,8 +157,10 @@ def init_model(num_nodes: int, hidden_dim: int, num_layers: int, num_classes: in
 
 # -------------------------------------------------------------------- batch
 
-# the largest member weight: the model computes in float32
-MAX_WEIGHT = float(np.finfo(np.float32).max)
+# the largest member weight or config float: the model computes in
+# float32. A Python float, so that comparing a larger one with it casts
+# nothing
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # A subject's checks, in the order they run.
 _SUBJECT_FAULTS = ("members are not a 1-D array", "has no members",
@@ -190,7 +192,7 @@ def _check_subjects(labels, rows, weights, sizes, weight_sizes, flat=True, align
     fails[1] = sizes == 0
     fails[2, keys[1:][keys[1:] == keys[:-1]] // span] = True
     fails[3] = np.logical_not(aligned)
-    fails[4, owner[~((weights >= 0) & (weights <= MAX_WEIGHT))]] = True
+    fails[4, owner[~((weights >= 0) & (weights <= FLOAT32_MAX))]] = True
     fails[5] = np.bincount(owner[weights > 0], minlength=n) == 0
     if fails.any():
         k = fails.any(axis=0).argmax()

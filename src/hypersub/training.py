@@ -17,8 +17,6 @@ from .hypergraph import Hypergraph, restrict_to_nodes, theta
 
 
 _INT64 = np.iinfo(np.int64)
-# a Python float, so that comparing a larger one with it casts nothing
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -49,7 +47,7 @@ class TrainConfig:
         with."""
         for name, kind in config_field_types().items():
             value = getattr(self, name)
-            if kind is float and not abs(value) <= _FLOAT32_MAX:   # NaN fails too
+            if kind is float and not abs(value) <= M.FLOAT32_MAX:   # NaN fails too
                 raise InvalidConfigValue(name, f"must be finite and must fit float32, "
                                                f"in which it is applied, got {value!r}")
             if kind is int and not _INT64.min <= value <= _INT64.max:

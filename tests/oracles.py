@@ -1,13 +1,16 @@
 """Oracles the tests check the package against: central finite
-differences for any taped composition, and the dual hypergraph, on which
-A3's exact score duality runs."""
+differences for any taped composition, the dual hypergraph, on which A3's
+exact score duality runs, and the class hyperedge ranking read off a full
+backbone pass."""
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from hypersub import interpret as I
 from hypersub import kernel as K
+from hypersub import model as M
 from hypersub.errors import HypersubError, NotScalar
 from hypersub.hypergraph import Hypergraph
 
@@ -98,3 +101,29 @@ def grad_check(f: Callable[[], K.Tensor], params: Sequence[K.Tensor],
         analytic=analytic,
         numeric=numeric,
     )
+
+
+def full_pass_edge_scores(params: M.ModelParams, h: Hypergraph, batch: M.SubgraphBatch,
+                          class_indices) -> np.ndarray:
+    """``interpret.class_edge_scores`` read off a full evaluation-mode
+    backbone pass, edge states included: the pairs of the batch's member
+    rows are picked out of every pair of ``h``, in ``h``'s order, and the
+    other pairs, which would carry no mass, are left out."""
+    with K.no_grad():
+        trace = M.forward_backbone(h, params, training=False, edges=True)
+        member_attn = I._member_attention(trace.final_node_states, batch, params)
+    classes = np.asarray(class_indices, dtype=np.intp)
+    carries = batch.labels[:, classes] > 0.5          # (subjects, classes)
+    read = np.zeros(h.num_nodes, dtype=bool)
+    read[batch.by_row.nonempty] = True
+    at = np.flatnonzero(read[h.node_of_pair])
+    c = classes.size
+    mass = carries[batch.groups.ids] * member_attn[:, None].astype(np.float64)
+    node_mass = np.bincount(
+        (np.arange(c) * h.num_nodes + batch.member_rows[:, None]).ravel(),
+        weights=mass.ravel(), minlength=c * h.num_nodes).reshape(c, h.num_nodes)
+    flow = node_mass[:, h.node_of_pair[at]] * trace.layers[-1].node_attention.data[at]
+    return np.bincount(
+        (np.arange(c)[:, None] * h.num_edges + h.edge_of_pair[at]).ravel(),
+        weights=flow.ravel(), minlength=c * h.num_edges
+    ).reshape(c, h.num_edges) / carries.sum(axis=0)[:, None]

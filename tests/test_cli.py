@@ -16,6 +16,7 @@ from hypersub import interpret as I
 from hypersub import model as M
 from hypersub.dataio import load_checkpoint
 from hypersub.errors import NumericalDivergence
+from hypersub.hypergraph import restrict_to_nodes
 from hypersub.training import TrainConfig, train
 
 PROFILE = ["--nodes", "40", "--edges", "8", "--classes", "4",
@@ -604,41 +605,51 @@ def test_usage_error_exits_2():
     assert err.value.code == 2
 
 
-def test_interpret_runs_one_backbone_pass(synth_dir, train_dir, tmp_path,
-                                          monkeypatch):
+def test_interpret_runs_each_view_on_a_pass_of_its_own(synth_dir, train_dir, tmp_path,
+                                                       monkeypatch):
     # the whole cohort reads every gene; one subject per class leaves genes
-    # unread, so the view's own pass runs its last layer over part of them
+    # unread, so the ranking's pass runs its last layer over part of them
     lines = (synth_dir / "subgraphs.tsv").read_text().splitlines(keepends=True)
     firsts = {line.split("\t")[1]: line for line in reversed(lines)}
     part = tmp_path / "part.tsv"
     part.write_text("".join(sorted(firsts.values())))
     ckpt = load_checkpoint(train_dir / "model.ckpt")
+    h = ckpt.hypergraph
     catalog = cli._catalog_from_checkpoint(ckpt)
     original = M.forward_backbone
     for subjects, unread in ((synth_dir / "subgraphs.tsv", False), (part, True)):
-        out = tmp_path / subjects.stem
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(M, "forward_backbone", counting)
-        code = run(["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
-                    "--subgraphs", str(subjects), "--top-k", "3", "--out", str(out)])
-        assert code == 0
-        assert len(calls) == 1
-        monkeypatch.undo()
-
-        # each view on a backbone pass of its own writes the same bytes
         table = D.load_subgraphs(subjects.read_text(), catalog,
                                  class_vocab=ckpt.class_vocab)
         dataset = D.build_dataset(table, catalog, dict.fromkeys(table.subject_ids, "train"))
         batch = dataset.batch(np.arange(len(table.subject_ids)))
-        assert (batch.by_row.nonempty.size < ckpt.hypergraph.num_nodes) == unread
-        report = I.class_enrichment(ckpt.params, ckpt.hypergraph, batch,
-                                    ckpt.class_vocab, 3, edge_names=ckpt.edge_names)
-        corr = I.hyperedge_correlation(ckpt.params, ckpt.hypergraph)
+        assert (batch.by_row.nonempty.size < h.num_nodes) == unread
+        out = tmp_path / subjects.stem
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((kwargs["reads"], kwargs.get("edges", False)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(M, "forward_backbone", recording)
+        code = run(["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
+                    "--subgraphs", str(subjects), "--top-k", "3", "--out", str(out)])
+        assert code == 0
+        monkeypatch.undo()
+
+        # the ranking's pass over the cohort's member rows without edges,
+        # then the correlation's over no rows with edges
+        members = restrict_to_nodes(h, batch.by_row.nonempty)
+        (ranked, ranked_edges), (correlated, correlated_edges) = calls
+        assert np.array_equal(ranked.edge_of_pair, members.edge_of_pair)
+        assert np.array_equal(ranked.node_of_pair, members.node_of_pair)
+        assert (ranked.edge_of_pair.size < h.edge_of_pair.size) == unread
+        assert not ranked_edges
+        assert correlated.edge_of_pair.size == 0 and correlated_edges
+
+        # each view called as the library does writes the same bytes
+        report = I.class_enrichment(ckpt.params, h, batch, ckpt.class_vocab, 3,
+                                    edge_names=ckpt.edge_names)
+        corr = I.hyperedge_correlation(ckpt.params, h)
         assert (out / "enrichment.tsv").read_bytes() == I.enrichment_tsv(report).encode()
         assert (out / "correlation.tsv").read_bytes() == \
             I.correlation_tsv(corr, ckpt.edge_names).encode()

@@ -968,7 +968,8 @@ def test_save_refuses_a_node_index_past_int32(tmp_path):
 @st.composite
 def _checkpoints(draw):
     """A small checkpoint: isolated genes and one-member edges come up
-    often, names are drawn from _NAME and 1-3 layers."""
+    often, names are drawn from _NAME, none twice in a section, and 1-3
+    layers."""
     num_genes = draw(st.integers(1, 7))
     edges = draw(st.lists(st.sets(st.integers(0, num_genes - 1), min_size=1, max_size=num_genes),
                           min_size=1, max_size=5))
@@ -986,7 +987,7 @@ def _checkpoints(draw):
         params=params, config=config,
         gene_names=draw(st.lists(_NAME, min_size=num_genes, max_size=num_genes, unique=True)),
         class_vocab=draw(st.lists(_NAME, min_size=classes, max_size=classes, unique=True)),
-        edge_names=draw(st.lists(_NAME, min_size=len(edges), max_size=len(edges))),
+        edge_names=draw(st.lists(_NAME, min_size=len(edges), max_size=len(edges), unique=True)),
         hypergraph=h)
 
 

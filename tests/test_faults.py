@@ -234,6 +234,37 @@ def test_a_faulty_edge_line_is_quoted(tmp_path_factory, inputs, version, command
     assert quoted == edge_line_is_bad(version, line), (errors, line)
 
 
+def with_a_name_repeated(raw, section):
+    """The checkpoint ``raw`` with the name of the second line of its
+    ``section`` (classes or edges) given to the first line as well, and
+    that name; a counted header's length is kept right."""
+    top, rest = raw.split(b"\n[%s]" % section, 1)
+    count, first, second, tail = rest.split(b"\n", 3)
+    name = second.partition(b"\t")[0]
+    new = name + first[len(first.partition(b"\t")[0]):]
+    head = top.split(b"\n")
+    if head[1] != b"version: 1":
+        head[2] = b"header_bytes: %d" % (int(head[2].split(b": ")[1]) + len(new) - len(first))
+    return b"\n".join(head) + b"\n[%s]" % section + b"\n".join([count, new, second, tail]), \
+        name.decode()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "interpret"])
+@pytest.mark.parametrize("version", ["v1", "v2", "v3", "v4"])
+@pytest.mark.parametrize("section, kind", [("classes", "class"), ("edges", "edge")])
+def test_a_class_or_edge_named_twice_exits_2(tmp_path, inputs, section, kind, version,
+                                            command):
+    # read as is, a repeated class is two columns of one name in predict's
+    # table, and a repeated edge two rows and columns of correlation.tsv
+    raw, name = with_a_name_repeated(inputs[version].read_bytes(), section.encode())
+    (tmp_path / "twice.ckpt").write_bytes(raw)
+    code, errors = run(command_line(command, inputs, tmp_path,
+                                    checkpoint=tmp_path / "twice.ckpt", version=version))
+    assert code == 2
+    assert errors == [f"error: CorruptCheckpoint: {kind} {name!r} appears twice "
+                      f"in the {section} section"]
+
+
 def with_mutated_config_line(raw, pick, field, value):
     """The checkpoint ``raw``, of version 2 or later, with one line of its
     [config] section mutated, and its header length rewritten to match."""

@@ -7,9 +7,10 @@ from hypersub import interpret as I
 from hypersub import kernel as K
 from hypersub import model as M
 from hypersub.errors import EmptyClass, ShapeError
-from hypersub.hypergraph import build_hypergraph, restrict_to_nodes
+from hypersub.hypergraph import build_hypergraph
 
 from conftest import random_hypergraph
+from oracles import full_pass_edge_scores
 
 
 def one_hot(rows, num_classes):
@@ -22,13 +23,6 @@ def one_hot(rows, num_classes):
 def make_model(h, rng, num_classes=2, hidden_dim=5, **kw):
     return M.init_model(h.num_nodes, hidden_dim, 2, num_classes, rng,
                         dtype=np.float64, **kw)
-
-
-def restricted_trace(params, h, rows):
-    """A recorded evaluation pass whose last layer runs over the pairs of
-    the node ``rows`` alone."""
-    with K.no_grad():
-        return M.forward_backbone(h, params, reads=restrict_to_nodes(h, rows))
 
 
 def flatten_context(params):
@@ -156,20 +150,18 @@ def test_ablated_model_uses_uniform_member_attention():
 
 
 @pytest.mark.parametrize("attention", [True, False], ids=["attention", "sum"])
-@pytest.mark.parametrize("traced", [False, True], ids=["own-pass", "trace"])
-def test_member_past_the_last_node_is_rejected(attention, traced):
+def test_member_past_the_last_node_is_rejected(attention):
     h = build_hypergraph([[0, 1], [1, 2]])
     params = make_model(h, np.random.default_rng(2),
                         use_subgraph_attention=attention)
     batch = M.SubgraphBatch(members=[np.array([0, h.num_nodes]), np.array([1])],
                             weights=[np.ones(2), np.ones(1)],
                             labels=one_hot([0, 1], 2))
-    trace = I.backbone_trace(params, h) if traced else None
     with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
-        I.class_edge_scores(params, h, batch, [0], trace=trace)
+        I.class_edge_scores(params, h, batch, [0])
     with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
         I.class_enrichment(params, h, batch, ["c0", "c1"], 2,
-                           edge_names=["e0", "e1"], trace=trace)
+                           edge_names=["e0", "e1"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,44 +186,8 @@ def test_own_pass_ranks_with_the_bits_of_a_full_trace(seed, data, num_layers, dt
                           use_subgraph_attention=attention, dtype=dtype)
     everything = list(range(classes))
     own = I.class_edge_scores(params, h, batch, everything)
-    full = I.class_edge_scores(params, h, batch, everything,
-                               trace=I.backbone_trace(params, h))
+    full = full_pass_edge_scores(params, h, batch, everything)
     assert own.tobytes() == full.tobytes()
-
-
-def test_a_trace_must_be_a_full_pass_of_the_hypergraph():
-    h = build_hypergraph([[0, 1], [1, 2], [2, 3]])
-    params = make_model(h, np.random.default_rng(8))
-    batch = M.SubgraphBatch(members=[np.array([0, 3]), np.array([1])],
-                            weights=[np.ones(2), np.ones(1)],
-                            labels=one_hot([0, 1], 2))
-    # a restricted pass, over fewer rows than the members, over the members
-    # or over every row, and a full pass of another hypergraph
-    traces = [restricted_trace(params, h, rows)
-              for rows in ([0, 1], [0, 1, 3], [0, 1, 2, 3])]
-    traces.append(I.backbone_trace(params, build_hypergraph([[0, 1, 2], [2, 3]])))
-    for trace in traces:
-        with pytest.raises(ShapeError, match="not a full pass over the 6 pairs"):
-            I.class_edge_scores(params, h, batch, [0], trace=trace)
-        with pytest.raises(ShapeError, match="not a full pass over the 6 pairs"):
-            I.class_enrichment(params, h, batch, ["c0", "c1"], 2,
-                               edge_names=["e0", "e1", "e2"], trace=trace)
-    # a full trace gives the bits of the pass of its own
-    own = I.class_edge_scores(params, h, batch, [0, 1])
-    got = I.class_edge_scores(params, h, batch, [0, 1], trace=I.backbone_trace(params, h))
-    assert got.tobytes() == own.tobytes()
-
-
-def test_correlation_needs_the_final_edge_states():
-    h = build_hypergraph([[0, 1], [1, 2]])
-    params = make_model(h, np.random.default_rng(9))
-    trace = restricted_trace(params, h, [0])
-    assert trace.final_edge_states is None
-    with pytest.raises(ShapeError, match="no final edge states"):
-        I.hyperedge_correlation(params, h, trace=trace)
-    # every row read still restricts the pass, and still holds no edge states
-    with pytest.raises(ShapeError, match="no final edge states"):
-        I.hyperedge_correlation(params, h, trace=restricted_trace(params, h, [0, 1, 2]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,8 +199,10 @@ def test_correlation_of_its_own_pass_matches_the_full_trace(seed, num_layers, dt
     params = M.init_model(h.num_nodes, 4, num_layers, 3, gen, dropout_rate=rate,
                           dtype=dtype)
     own = I.hyperedge_correlation(params, h)
-    traced = I.hyperedge_correlation(params, h, trace=I.backbone_trace(params, h))
-    assert own.tobytes() == traced.tobytes()
+    with K.no_grad():
+        full = M.forward_backbone(h, params, training=False, edges=True)
+    want = I.cosine_matrix(full.final_edge_states.data.astype(np.float64))
+    assert own.tobytes() == want.tobytes()
 
 
 def test_enrichment_report_covers_all_classes():

@@ -851,7 +851,7 @@ def test_a_weight_past_float32_is_an_invalid_member_weight():
         with pytest.raises(ShapeError) as err:
             build()
         assert str(err.value) == "subgraph 0 has invalid member weights"
-    M.SubgraphBatch.from_flat([0, 1], [M.MAX_WEIGHT, 1.0], [2], labels)
+    M.SubgraphBatch.from_flat([0, 1], [M.FLOAT32_MAX, 1.0], [2], labels)
 
 
 # Per-subject reference for the flat checks: the loop they replace.

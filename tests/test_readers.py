@@ -146,12 +146,15 @@ def reference_edge_lines(edge_lines):
 
 def reference_edge_section(edge_lines, num_genes):
     """The edge section of a checkpoint, parsed line by line and built into
-    a hypergraph."""
+    a hypergraph; then the first name given to two edges is corrupt."""
     edge_names, edge_lists = reference_edge_lines(edge_lines)
     try:
         h = build_hypergraph(edge_lists, num_nodes=num_genes)
     except Exception as e:
         raise CorruptCheckpoint(f"bad hypergraph: {e}") from e
+    for name in edge_names:
+        if edge_names.count(name) > 1:
+            raise CorruptCheckpoint(f"edge {name!r} appears twice in the edges section")
     return edge_names, h
 
 
