@@ -26,7 +26,6 @@ AGGREGATION_RULE = ("subject attention distributed over incident hyperedges "
 class EnrichmentReport:
     classes: list[str]
     rankings: dict[str, list[tuple[str, float]]]
-    aggregation: str
     num_layers: int
 
 
@@ -40,41 +39,38 @@ def _member_attention(node_states, batch, params):
         return M.subgraph_attention(node_states, batch,
                                     params.subgraph_context).data
     share = (1.0 / batch.groups.counts).astype(node_states.data.dtype)
-    return batch.groups.expand(share)
+    return np.repeat(share, batch.groups.counts)
 
 
 def class_edge_scores(params: M.ModelParams, h: Hypergraph,
-                      batch: M.SubgraphBatch, class_indices) -> np.ndarray:
+                      batch: M.SubgraphBatch) -> np.ndarray:
     """Average hyperedge attribution over each class's subjects: one row
-    per index of ``class_indices``, from a single backbone pass.
+    per label column of ``batch``, from a single backbone pass.
 
     Each subject contributes total mass 1 (member attention sums to one and
     the per-node edge mixture sums to one), so a row sums to 1 whenever
     every member node touches at least one hyperedge. The pass reads the
     batch's member rows alone (``forward_backbone``), which gives those rows
-    the bits of a full pass, and the mass spreads over the pairs it read.
+    the bits of a full pass, and the mass spreads over the pairs of those
+    rows.
     """
     if len(batch.by_row) > h.num_nodes:
         raise ShapeError(f"subgraph batch has {len(batch.by_row)} member rows "
                          f"for {h.num_nodes} nodes")
-    classes = np.asarray(class_indices, dtype=np.intp)
-    if classes.ndim != 1:
-        raise ShapeError("class indices must be a 1-D sequence")
-    carries = batch.labels[:, classes] > 0.5          # (subjects, classes)
+    carries = batch.labels > 0.5          # (subjects, classes)
     sizes = carries.sum(axis=0)
     if np.any(sizes == 0):
-        empty = int(classes[np.flatnonzero(sizes == 0)[0]])
+        empty = np.flatnonzero(sizes == 0)[0]
         raise EmptyClass(f"no subjects carry class index {empty}")
 
+    pairs = restrict_to_nodes(h, batch.by_row.nonempty)
     with K.no_grad():
-        trace = M.forward_backbone(h, params, training=False,
-                                   reads=restrict_to_nodes(h, batch.by_row.nonempty))
+        trace = M.forward_backbone(h, params, training=False, reads=pairs)
         member_attn = _member_attention(trace.final_node_states, batch, params)
-    pairs = trace.reads
 
     # member attention summed per (class, node), then spread over each
     # member node's incident edges by its final-layer attention
-    c = classes.size
+    c = sizes.size
     mass = carries[batch.groups.ids] * member_attn[:, None].astype(np.float64)
     node_mass = np.bincount(
         (np.arange(c) * h.num_nodes + batch.member_rows[:, None]).ravel(),
@@ -97,14 +93,17 @@ def class_enrichment(params: M.ModelParams, h: Hypergraph,
                      batch: M.SubgraphBatch, class_vocab: list[str],
                      top_k: int, edge_names: list[str]) -> EnrichmentReport:
     """Each class's ``top_k`` hyperedges by ``class_edge_scores``, named by
+    ``class_vocab``, one name per label column of ``batch``, and by
     ``edge_names``, one name per hyperedge."""
     if len(edge_names) != h.num_edges:
         raise ShapeError(f"{len(edge_names)} edge names for {h.num_edges} hyperedges")
-    scores = class_edge_scores(params, h, batch, list(range(len(class_vocab))))
+    if len(class_vocab) != batch.labels.shape[1]:
+        raise ShapeError(f"{len(class_vocab)} class names for "
+                         f"{batch.labels.shape[1]} label columns")
+    scores = class_edge_scores(params, h, batch)
     rankings = {cname: _top(row, top_k, edge_names)
                 for cname, row in zip(class_vocab, scores)}
     return EnrichmentReport(classes=list(class_vocab), rankings=rankings,
-                            aggregation=AGGREGATION_RULE,
                             num_layers=params.num_layers)
 
 
@@ -133,7 +132,7 @@ def cosine_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def enrichment_tsv(report: EnrichmentReport) -> str:
-    lines = [f"# aggregation: {report.aggregation}",
+    lines = [f"# aggregation: {AGGREGATION_RULE}",
              f"# layers: {report.num_layers}",
              "class\trank\thyperedge\tscore"]
     for cname in report.classes:

@@ -97,9 +97,9 @@ _CONSUMED = ("backward already ran through this graph; "
              "build it again to take another gradient")
 
 
-def _released(g):
-    """The rule of a node whose own rule has fired and been dropped."""
-    raise GraphConsumed(_CONSUMED)
+# the rule a node holds once its own has fired and been dropped: a marker,
+# never called, since ``Tape.run`` refuses a tape holding one
+_released = object()
 
 
 class Tape:
@@ -110,8 +110,9 @@ class Tape:
     gradients flowing into its output have accumulated. Once its rule has
     fired, a node is released: the tape lets go of it, and it drops its
     gradient, its rule (with the forward arrays the rule holds) and its
-    links to its parents. Leaves keep their gradients. Running the tape
-    again, or any tape through a released node, raises GraphConsumed.
+    links to its parents, and holds the ``_released`` marker as its rule.
+    Leaves keep their gradients. Running the tape again, or any tape through
+    a released node, raises GraphConsumed before any rule fires.
     """
 
     def __init__(self, root: Tensor):
@@ -404,13 +405,9 @@ class Segments:
     def size(self) -> int:
         return self.ids.size
 
-    def positions(self):
-        """Index of the positions in segment order."""
-        return slice(None) if self.order is None else self.order
-
     def gather(self, a: np.ndarray) -> np.ndarray:
         """Rows of ``a`` at the positions, in segment order."""
-        return a[self.positions()]
+        return a if self.order is None else a[self.order]
 
     def scatter(self, a: np.ndarray) -> np.ndarray:
         """Inverse of ``gather``: segment-order rows back to their positions."""
@@ -419,11 +416,6 @@ class Segments:
         out = np.empty_like(a)
         out[self.order] = a
         return out
-
-    def expand(self, v: np.ndarray) -> np.ndarray:
-        """Per-group rows repeated over their groups' positions, in segment
-        order."""
-        return np.repeat(v, self.counts, axis=0)
 
     @cached_property
     def plan(self) -> SegmentPlan:

@@ -294,19 +294,17 @@ class LayerTrace:
 @dataclass
 class ForwardTrace:
     """What a backbone pass ran, layer by layer (see ``forward_backbone``).
-    ``reads`` is the hypergraph whose pairs the last node update pooled:
-    ``h`` itself for a full pass, or the restriction passed in. The last
-    ``node_attention`` covers the pairs of ``reads``. A pass without
-    ``edges`` runs no last edge update: its last ``edge_attention`` and the
-    ``final_edge_states`` are None, and its last ``scores`` and the
-    ``node_attention`` before the last cover the pairs of ``reads`` too.
-    Everything else covers every pair of ``h``. ``final_node_states`` are
-    zero off the read rows."""
+    The last ``node_attention`` covers the pairs the last node update
+    pooled: every pair of ``h`` for a full pass, or those of the ``reads``
+    restriction passed in. A pass without ``edges`` runs no last edge
+    update: its last ``edge_attention`` and the ``final_edge_states`` are
+    None, and its last ``scores`` and the ``node_attention`` before the
+    last cover the read pairs too. Everything else covers every pair of
+    ``h``. ``final_node_states`` are zero off the read rows."""
 
     layers: list[LayerTrace]
     final_node_states: Tensor
     final_edge_states: Tensor | None
-    reads: Hypergraph
 
 
 # ------------------------------------------------------------- forward pass
@@ -424,7 +422,7 @@ def forward_backbone(h: Hypergraph, params: ModelParams, *,
         hn_next, a_node = node_update(pooled, at_pooled, he, rate, rng)
         layers.append(LayerTrace(scores, a_edge, a_node))
         hn, he = hn_next, he_next
-    return ForwardTrace(layers, hn, he, reads)
+    return ForwardTrace(layers, hn, he)
 
 
 def regularizer(node_states: Tensor, theta_sp: Laplacian) -> Tensor:
@@ -474,15 +472,13 @@ def classify(subgraph_states: Tensor, params: ModelParams, *,
     """Two rectified fully connected layers, a linear output layer, and the
     mode's output normalization (row softmax or elementwise sigmoid)."""
     head = params.head
-    drop = training and params.dropout_rate > 0.0
-    if drop and rng is None:
+    rate = params.dropout_rate if training else 0.0
+    if rate and rng is None:
         raise ValueError("training with dropout needs an rng")
     hidden = K.relu(K.matmul(subgraph_states, head.fc1_weight, head.fc1_bias))
-    if drop:
-        hidden = K.dropout(hidden, params.dropout_rate, rng)
+    hidden = K.dropout(hidden, rate, rng)
     hidden = K.relu(K.matmul(hidden, head.fc2_weight, head.fc2_bias))
-    if drop:
-        hidden = K.dropout(hidden, params.dropout_rate, rng)
+    hidden = K.dropout(hidden, rate, rng)
     logits = K.matmul(hidden, head.out_weight, head.out_bias)
     if params.mode == "multiclass":
         return K.softmax_rows(logits)

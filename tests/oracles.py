@@ -103,8 +103,8 @@ def grad_check(f: Callable[[], K.Tensor], params: Sequence[K.Tensor],
     )
 
 
-def full_pass_edge_scores(params: M.ModelParams, h: Hypergraph, batch: M.SubgraphBatch,
-                          class_indices) -> np.ndarray:
+def full_pass_edge_scores(params: M.ModelParams, h: Hypergraph,
+                          batch: M.SubgraphBatch) -> np.ndarray:
     """``interpret.class_edge_scores`` read off a full evaluation-mode
     backbone pass, edge states included: the pairs of the batch's member
     rows are picked out of every pair of ``h``, in ``h``'s order, and the
@@ -112,12 +112,11 @@ def full_pass_edge_scores(params: M.ModelParams, h: Hypergraph, batch: M.Subgrap
     with K.no_grad():
         trace = M.forward_backbone(h, params, training=False, edges=True)
         member_attn = I._member_attention(trace.final_node_states, batch, params)
-    classes = np.asarray(class_indices, dtype=np.intp)
-    carries = batch.labels[:, classes] > 0.5          # (subjects, classes)
+    carries = batch.labels > 0.5          # (subjects, classes)
     read = np.zeros(h.num_nodes, dtype=bool)
     read[batch.by_row.nonempty] = True
     at = np.flatnonzero(read[h.node_of_pair])
-    c = classes.size
+    c = carries.shape[1]
     mass = carries[batch.groups.ids] * member_attn[:, None].astype(np.float64)
     node_mass = np.bincount(
         (np.arange(c) * h.num_nodes + batch.member_rows[:, None]).ravel(),

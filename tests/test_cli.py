@@ -75,10 +75,17 @@ def test_make_synthetic_reruns_identically(synth_dir, tmp_path):
 
 
 def test_make_synthetic_infeasible_profile_exits_2(tmp_path, capsys):
-    code = run(["make-synthetic", "--nodes", "40", "--edges", "8",
-                "--classes", "10", "--subjects", "60", "--out", str(tmp_path)])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    for flags, message in [
+            (["--classes", "10"], "need at least one hyperedge per class"),
+            (["--edges", "41", "--classes", "2"], "need at least one gene per hyperedge"),
+            (["--subjects", "11"], "need at least three subjects per class for a split"),
+            (["--noise", "1.5"], "noise must be in [0, 1]"),
+            (["--noise", "-0.1"], "noise must be in [0, 1]")]:
+        code = run(["make-synthetic", "--nodes", "40", "--edges", "8", "--classes", "4",
+                    "--subjects", "60", *flags, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: InputDataError: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "synthetic.gmt").exists()
 
 
 def test_train_writes_artifacts(train_dir):
@@ -472,15 +479,18 @@ def test_interpret_without_subjects_exits_2(train_dir, tmp_path, capsys):
 
 def test_interpret_on_subjects_lacking_a_class_exits_2(synth_dir, train_dir, tmp_path):
     vocab = load_checkpoint(train_dir / "model.ckpt").class_vocab
-    table = tmp_path / "no_last_class.tsv"
-    table.write_text("".join(line for line in
-                             (synth_dir / "subgraphs.tsv").read_text().splitlines(True)
-                             if line.split("\t")[1] != vocab[-1]))
-    proc = run_process(["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
-                        "--subgraphs", str(table), "--out", str(tmp_path / "out")])
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert f"EmptyClass: no subjects carry class index {len(vocab) - 1}" in proc.stderr
+    lines = (synth_dir / "subgraphs.tsv").read_text().splitlines(True)
+    # without the last class, and with the first alone: the lowest class
+    # index no subject carries is named
+    for name, keep, missing in (("no_last_class", lambda c: c != vocab[-1], len(vocab) - 1),
+                                ("first_class_only", lambda c: c == vocab[0], 1)):
+        table = tmp_path / f"{name}.tsv"
+        table.write_text("".join(line for line in lines if keep(line.split("\t")[1])))
+        proc = run_process(["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
+                            "--subgraphs", str(table), "--out", str(tmp_path / name)])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"EmptyClass: no subjects carry class index {missing}" in proc.stderr
 
 
 def test_evaluate_corrupt_checkpoint_exits_2(synth_dir, train_dir, tmp_path, capsys):

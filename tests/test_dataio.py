@@ -290,6 +290,18 @@ def test_stratified_split_preserves_class_balance():
             assert sum(1 for m in members if got[m] == name) == want
 
 
+def test_stratified_split_keeps_a_train_subject_under_degenerate_ratios():
+    # a class of 3 rounds to 2 val and 2 test, a class of 4 to 2 and 2: the
+    # cut takes from val first, so each keeps exactly one train subject
+    ids = [f"s{i}" for i in range(7)]
+    labels = ["a"] * 3 + ["b"] * 4
+    got = D.stratified_split(ids, labels, (0.0, 0.5, 0.5), seed=0)
+    assert sorted(got) == sorted(ids)
+    for key, want in (("a", ["test", "test", "train"]),
+                      ("b", ["test", "test", "train", "val"])):
+        assert sorted(got[i] for i, k in zip(ids, labels) if k == key) == want
+
+
 def test_stratified_split_small_class_goes_to_train(caplog):
     ids = ["a", "b", "c", "d", "e"]
     labels = ["rare", "rare", "common", "common", "common"]

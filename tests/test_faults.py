@@ -265,6 +265,39 @@ def test_a_class_or_edge_named_twice_exits_2(tmp_path, inputs, section, kind, ve
                       f"in the {section} section"]
 
 
+# a fault of the header outside its sections, for the checkpoint version it
+# is made in: the edit of the file's bytes, and the message it exits 2 with
+HEADER_FAULTS = {
+    # the version line without its newline
+    "truncated header": ("v4", lambda raw: raw.partition(b"\nheader_bytes: ")[0]),
+    "missing version": ("v4", lambda raw: raw.replace(b"\nversion: ", b"\nedition: ", 1)),
+    "unreadable version": ("v4", lambda raw: raw.replace(b"\nversion: 4", b"\nversion: x", 1)),
+    # of the same length, so the header length still holds
+    "unexpected storage declaration": ("v4", lambda raw: raw.replace(
+        b"\nendian: little\n", b"\nendian: middle\n", 1)),
+    "empty classes, genes, or edges section": ("v1", lambda raw: raw.replace(
+        b"\n[classes]\nX\nY\n", b"\n[classes]\n", 1)),
+    "missing payload marker": ("v1", lambda raw: raw.replace(
+        b"\n[payload]\n", b"\n[payload]x\n", 1)),
+    "expected section [classes]": ("v1", lambda raw: raw.replace(
+        b"\n[classes]\n", b"\n[labels]\n", 1)),
+    "unexpected trailing header content": ("v1", lambda raw: raw.replace(
+        b"\n[payload]\n", b"\n[extra]\n[payload]\n", 1)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(HEADER_FAULTS))
+def test_a_faulty_checkpoint_header_exits_2(tmp_path, inputs, message):
+    version, edit = HEADER_FAULTS[message]
+    raw = inputs[version].read_bytes()
+    assert edit(raw) != raw
+    (tmp_path / "header.ckpt").write_bytes(edit(raw))
+    code, errors = run(command_line("predict", inputs, tmp_path,
+                                    checkpoint=tmp_path / "header.ckpt", version=version))
+    assert code == 2
+    assert errors == [f"error: CorruptCheckpoint: {message}"]
+
+
 def with_mutated_config_line(raw, pick, field, value):
     """The checkpoint ``raw``, of version 2 or later, with one line of its
     [config] section mutated, and its header length rewritten to match."""

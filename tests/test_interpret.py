@@ -37,8 +37,8 @@ def test_single_member_single_edge_gets_full_mass():
     params = make_model(h, np.random.default_rng(0))
     batch = M.SubgraphBatch(members=[np.array([0])],
                             weights=[np.array([1.0])],
-                            labels=one_hot([0], 2))
-    scores = I.class_edge_scores(params, h, batch, [0])
+                            labels=one_hot([0], 1))
+    scores = I.class_edge_scores(params, h, batch)
     assert scores.tolist() == [[1.0, 0.0]]
 
 
@@ -54,9 +54,9 @@ def test_class_scores_sum_to_one():
         labels.append(s % 3)
     batch = M.SubgraphBatch(members=members, weights=weights,
                             labels=one_hot(labels, 3))
-    for ci in range(3):
-        total = I.class_edge_scores(params, h, batch, [ci]).sum()
-        assert abs(total - 1.0) <= 1e-9
+    scores = I.class_edge_scores(params, h, batch)
+    assert scores.shape == (3, h.num_edges)
+    assert np.all(np.abs(scores.sum(axis=1) - 1.0) <= 1e-9)
 
 
 def test_class_scores_subject_order_invariant():
@@ -69,8 +69,8 @@ def test_class_scores_subject_order_invariant():
     fwd = M.SubgraphBatch(members=members, weights=weights, labels=labels)
     rev = M.SubgraphBatch(members=members[::-1], weights=weights[::-1],
                           labels=labels[::-1].copy())
-    a = I.class_edge_scores(params, h, fwd, [0])
-    b = I.class_edge_scores(params, h, rev, [0])
+    a = I.class_edge_scores(params, h, fwd)
+    b = I.class_edge_scores(params, h, rev)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -80,23 +80,8 @@ def test_class_scores_empty_class():
     batch = M.SubgraphBatch(members=[np.array([0])],
                             weights=[np.array([1.0])],
                             labels=one_hot([0], 2))
-    with pytest.raises(EmptyClass):
-        I.class_edge_scores(params, h, batch, [1])
-
-
-def test_class_scores_take_a_sequence_of_classes():
-    h = build_hypergraph([[0, 1], [1, 2]])
-    params = make_model(h, np.random.default_rng(1))
-    batch = M.SubgraphBatch(members=[np.array([0]), np.array([2])],
-                            weights=[np.ones(1), np.ones(1)],
-                            labels=one_hot([0, 1], 2))
-    both = I.class_edge_scores(params, h, batch, [1, 0])
-    assert both.shape == (2, 2)
-    assert both.tobytes() == I.class_edge_scores(params, h, batch, np.array([1, 0])).tobytes()
-    assert I.class_edge_scores(params, h, batch, [0]).tobytes() == both[1:].tobytes()
-    for bad in (0, [[0]]):
-        with pytest.raises(ShapeError, match="1-D sequence"):
-            I.class_edge_scores(params, h, batch, bad)
+    with pytest.raises(EmptyClass, match="no subjects carry class index 1"):
+        I.class_edge_scores(params, h, batch)
 
 
 def test_rank_breaks_ties_toward_lower_index():
@@ -105,7 +90,7 @@ def test_rank_breaks_ties_toward_lower_index():
     flatten_context(params)
     batch = M.SubgraphBatch(members=[np.array([0])],
                             weights=[np.array([1.0])],
-                            labels=one_hot([0], 2))
+                            labels=one_hot([0], 1))
     report = I.class_enrichment(params, h, batch, ["c0"], top_k=2,
                                 edge_names=["beta", "alpha"])
     assert report.rankings["c0"] == [("beta", 0.5), ("alpha", 0.5)]
@@ -116,7 +101,7 @@ def test_rank_top_k_clamps():
     params = make_model(h, np.random.default_rng(3))
     batch = M.SubgraphBatch(members=[np.array([1])],
                             weights=[np.array([1.0])],
-                            labels=one_hot([0], 2))
+                            labels=one_hot([0], 1))
 
     def top(k):
         return I.class_enrichment(params, h, batch, ["c0"], top_k=k,
@@ -130,10 +115,24 @@ def test_enrichment_needs_a_name_per_hyperedge():
     params = make_model(h, np.random.default_rng(3))
     batch = M.SubgraphBatch(members=[np.array([1])],
                             weights=[np.array([1.0])],
-                            labels=one_hot([0], 2))
+                            labels=one_hot([0], 1))
     for names in (["e0"], ["e0", "e1", "e2"]):
         with pytest.raises(ShapeError, match="edge names for 2 hyperedges"):
             I.class_enrichment(params, h, batch, ["c0"], 1, edge_names=names)
+
+
+def test_enrichment_needs_a_name_per_label_column():
+    h = build_hypergraph([[0, 1], [1, 2]])
+    params = make_model(h, np.random.default_rng(3))
+    batch = M.SubgraphBatch(members=[np.array([0]), np.array([2])],
+                            weights=[np.ones(1), np.ones(1)],
+                            labels=one_hot([0, 1], 2))
+    for vocab in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ShapeError,
+                           match=f"{len(vocab)} class names for 2 label columns"):
+            I.class_enrichment(params, h, batch, vocab, 1, edge_names=["e0", "e1"])
+    report = I.class_enrichment(params, h, batch, ["a", "b"], 1, edge_names=["e0", "e1"])
+    assert list(report.rankings) == ["a", "b"]
 
 
 def test_ablated_model_uses_uniform_member_attention():
@@ -144,8 +143,8 @@ def test_ablated_model_uses_uniform_member_attention():
     # pooling must still split the mass evenly
     batch = M.SubgraphBatch(members=[np.array([0, 2])],
                             weights=[np.array([100.0, 0.001])],
-                            labels=one_hot([0], 2))
-    scores = I.class_edge_scores(params, h, batch, [0])[0]
+                            labels=one_hot([0], 1))
+    scores = I.class_edge_scores(params, h, batch)[0]
     assert np.allclose(scores, [0.5, 0.5], atol=1e-12)
 
 
@@ -158,7 +157,7 @@ def test_member_past_the_last_node_is_rejected(attention):
                             weights=[np.ones(2), np.ones(1)],
                             labels=one_hot([0, 1], 2))
     with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
-        I.class_edge_scores(params, h, batch, [0])
+        I.class_edge_scores(params, h, batch)
     with pytest.raises(ShapeError, match="4 member rows for 3 nodes"):
         I.class_enrichment(params, h, batch, ["c0", "c1"], 2,
                            edge_names=["e0", "e1"])
@@ -184,9 +183,8 @@ def test_own_pass_ranks_with_the_bits_of_a_full_trace(seed, data, num_layers, dt
                                            classes))
     params = M.init_model(h.num_nodes, 4, num_layers, classes, gen,
                           use_subgraph_attention=attention, dtype=dtype)
-    everything = list(range(classes))
-    own = I.class_edge_scores(params, h, batch, everything)
-    full = full_pass_edge_scores(params, h, batch, everything)
+    own = I.class_edge_scores(params, h, batch)
+    full = full_pass_edge_scores(params, h, batch)
     assert own.tobytes() == full.tobytes()
 
 
@@ -253,7 +251,7 @@ def test_enrichment_tsv_layout():
     report = I.EnrichmentReport(classes=["a", "b"],
                                 rankings={"a": [("e1", 0.75), ("e0", 0.25)],
                                           "b": [("e0", 1.0), ("e1", 0.0)]},
-                                aggregation=I.AGGREGATION_RULE, num_layers=2)
+                                num_layers=2)
     text = I.enrichment_tsv(report)
     lines = text.splitlines()
     assert lines[0].startswith("# aggregation: ")

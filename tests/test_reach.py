@@ -29,7 +29,6 @@ ALLOWED = {
     "dataio:SubgraphTable.subjects": "benchmark name: bench/pipeline.py's predict reads the records",
     "hypergraph:Hypergraph.edge_members": "benchmark name: bench/spans.py's incidences gauge",
     "hypergraph:Laplacian.nnz": "benchmark name: bench/spans.py's theta_nnz gauge",
-    "kernel:_released": "fault path: a second backward through a released graph",
     "kernel:add_bias": _PATCHED,
     "kernel:add_bias.<locals>.grad_fn": _PATCHED,
     "kernel:leaky_relu": _PATCHED,
