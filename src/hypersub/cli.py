@@ -36,6 +36,8 @@ logger = logging.getLogger(__name__)
 
 
 def _out_dir(args) -> pathlib.Path:
+    """The output directory, made if missing. A command calls it only once
+    its inputs have passed their checks, so one that exits 2 writes none."""
     base = args.out if getattr(args, "out", None) else os.environ.get("HYPERSUB_OUT", ".")
     path = pathlib.Path(base)
     path.mkdir(parents=True, exist_ok=True)
@@ -103,7 +105,6 @@ def _check_one_label_each(table: SubgraphTable) -> None:
 # ------------------------------------------------------------------ commands
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
     catalog = parse_gmt(pathlib.Path(args.gmt))
     h = catalog.to_hypergraph()
     table = load_subgraphs(pathlib.Path(args.subgraphs), catalog)
@@ -138,6 +139,7 @@ def cmd_train(args) -> int:
     inputs = {"gmt": args.gmt, "subgraphs": args.subgraphs}
     if args.split:
         inputs["split"] = args.split
+    out = _out_dir(args)
     _write_manifest(out, "train", inputs, [], config=config,
                     extra={"split_source": split_source}, status="running")
 
@@ -231,7 +233,6 @@ def cmd_predict(args) -> int:
 def cmd_interpret(args) -> int:
     if args.top_k < 0:
         raise InputDataError(f"--top-k must be non-negative, got {args.top_k}")
-    out = _out_dir(args)
     ckpt = load_checkpoint(pathlib.Path(args.checkpoint))
     catalog = _catalog_from_checkpoint(ckpt)
     table = load_subgraphs(pathlib.Path(args.subgraphs), catalog,
@@ -241,10 +242,11 @@ def cmd_interpret(args) -> int:
     report = class_enrichment(ckpt.params, ckpt.hypergraph, batch,
                               ckpt.class_vocab, args.top_k,
                               edge_names=ckpt.edge_names)
+    corr = hyperedge_correlation(ckpt.params, ckpt.hypergraph)
+
+    out = _out_dir(args)
     enrich_path = out / "enrichment.tsv"
     enrich_path.write_text(enrichment_tsv(report))
-
-    corr = hyperedge_correlation(ckpt.params, ckpt.hypergraph)
     corr_path = out / "correlation.tsv"
     corr_path.write_text(correlation_tsv(corr, ckpt.edge_names))
 
@@ -262,10 +264,10 @@ def cmd_make_synthetic(args) -> int:
         raise InputDataError(f"--classes must be at least 1, got {args.classes}")
     if args.seed < 0:
         raise InputDataError(f"--seed must be non-negative, got {args.seed}")
-    out = _out_dir(args)
     data = make_synthetic(num_nodes=args.nodes, num_edges=args.edges,
                           num_classes=args.classes, num_subjects=args.subjects,
                           noise=args.noise, seed=args.seed)
+    out = _out_dir(args)
     gmt_path = out / "synthetic.gmt"
     sub_path = out / "subgraphs.tsv"
     split_path = out / "split.tsv"

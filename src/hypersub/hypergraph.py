@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyHyperedge, ShapeError
-from .kernel import Segments
+from .kernel import Segments, _centred
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +82,18 @@ class Laplacian:
         return self.values.size
 
     def dot_dense(self, x: np.ndarray) -> np.ndarray:
-        """L @ x for a dense 2-D x, as Θ1 ⊙ x − B (Bᵀ x) in float64. The
-        difference is taken in place in the product's buffer, so each row
-        cancels only against itself."""
-        h, b = self.h, self.values
-        y = h.by_node.gather_sum(h.by_edge.gather_sum(x, b, h.node_of_pair),
+        """L @ x for a dense 2-D x, in x's dtype, as Θ1 ⊙ c − B (Bᵀ c) over
+        the column-centred c = x − 1x̄ᵀ: every row of L sums to zero, so
+        Lc = Lx, and each row's difference cancels against the spread of
+        the states, not their offset. The difference is taken in place in
+        c."""
+        h, dtype = self.h, x.dtype
+        b = self.values.astype(dtype, copy=False)
+        c = _centred(x)
+        y = h.by_node.gather_sum(h.by_edge.gather_sum(c, b, h.node_of_pair),
                                  b, h.edge_of_pair)
-        return np.subtract(self.theta_sums[:, None] * x, y, out=y)
+        c *= self.theta_sums.astype(dtype, copy=False)[:, None]
+        return np.subtract(c, y, out=c)
 
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],

@@ -773,10 +773,39 @@ def spmm(m, x: Tensor) -> Tensor:
     if m.cols != x.data.shape[0]:
         raise ShapeError(f"spmm dims differ: {m.rows}x{m.cols} @ {x.data.shape}")
 
-    def grad_fn(g):
-        _accum(x, m.dot_dense(g).astype(x.data.dtype))
+    def product(a):
+        return m.dot_dense(a).astype(x.data.dtype, copy=False)
 
-    return _result(m.dot_dense(x.data).astype(x.data.dtype), (x,), grad_fn)
+    def grad_fn(g):
+        _accum(x, product(g))
+
+    return _result(product(x.data), (x,), grad_fn)
+
+
+def _centred(a: np.ndarray) -> np.ndarray:
+    """a less its column means, taken in float64 and cast to a's dtype."""
+    return a - a.mean(axis=0, dtype=np.float64).astype(a.dtype)
+
+
+def centred_dot(x: Tensor, y: Tensor) -> Tensor:
+    """<x - 1x̄ᵀ, y>, with x̄ the column means of x: the sum over every entry
+    of the column-centred x times y, in numpy's pairwise summation. The
+    gradients are y - 1ȳᵀ for x and x - 1x̄ᵀ for y, recomputed by the rule,
+    so the tape holds no centred array."""
+    if x.data.shape != y.data.shape:
+        raise ShapeError(f"centred_dot shapes differ: {x.data.shape} vs {y.data.shape}")
+    _need_2d("centred_dot input", x)
+    product = _centred(x.data)
+    product *= y.data
+
+    def grad_fn(g):
+        for a, b in ((x, y), (y, x)):
+            if a.requires_grad:
+                d = _centred(b.data)
+                d *= g
+                _accum(a, d)
+
+    return _result(np.asarray(np.sum(product), dtype=x.data.dtype), (x, y), grad_fn)
 
 
 def _check_rate(rate: float):

@@ -429,12 +429,14 @@ def regularizer(node_states: Tensor, theta_sp: Laplacian) -> Tensor:
     """Quadratic smoothness penalty over the normalized adjacency Θ, the
     dense double sum of Θ[i, j] * ||X_i - X_j||^2. For symmetric Θ it is
     2 * sum(X * LX) with L = diag(Θ1) - Θ, one product of ``theta_sp``,
-    which applies L as hypergraph.theta's operator does; the tape gives
-    the gradient 4LX. Θ's diagonal cancels in L; zero-degree nodes have
-    zero rows and drop out.
+    which applies L as hypergraph.theta's operator does. L1 = 0, so the
+    sum is taken over the column-centred X, and its terms cancel against
+    the spread of the states, not their offset; the tape gives the
+    gradient 4LX. Θ's diagonal cancels in L; zero-degree nodes have zero
+    rows and drop out.
     """
     lx = K.spmm(theta_sp, node_states)
-    return K.scale(K.reduce_sum(K.elementwise_mul(node_states, lx)), 2.0)
+    return K.scale(K.centred_dot(node_states, lx), 2.0)
 
 
 def subgraph_attention(node_states: Tensor, batch: SubgraphBatch,

@@ -229,6 +229,25 @@ def test_bad_flag_value_exits_2(synth_dir, train_dir, tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["noise", "missing_gmt", "cohort_lacking_a_class"])
+def test_input_fault_writes_no_out_directory(synth_dir, train_dir, tmp_path, case):
+    out = tmp_path / "fresh"
+    if case == "noise":
+        argv = ["make-synthetic", "--noise", "1.5"]
+    elif case == "missing_gmt":
+        argv = ["train", "--gmt", str(tmp_path / "missing.gmt"),
+                "--subgraphs", str(synth_dir / "subgraphs.tsv")]
+    else:
+        last = load_checkpoint(train_dir / "model.ckpt").class_vocab[-1]
+        lines = (synth_dir / "subgraphs.tsv").read_text().splitlines(True)
+        table = tmp_path / "cohort.tsv"
+        table.write_text("".join(line for line in lines if line.split("\t")[1] != last))
+        argv = ["interpret", "--checkpoint", str(train_dir / "model.ckpt"),
+                "--subgraphs", str(table)]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_train_rejects_subject_without_positive_weight(synth_dir, tmp_path, capsys):
     lines = (synth_dir / "subgraphs.tsv").read_text().splitlines()
     sid, labels, members = lines[0].split("\t")

@@ -282,6 +282,40 @@ def test_spmm_matches_dense():
     assert np.allclose(x.grad, dense_laplacian(h).T @ np.ones((4, 2)), atol=1e-12)
 
 
+def test_centred_dot_hand_value_and_gradients():
+    # column means (2, 4): <[[-1, -2], [1, 2]], y> = -1 + 2 + 2
+    x = K.parameter([[1.0, 2.0], [3.0, 6.0]])
+    y = K.parameter([[1.0, 0.0], [2.0, 1.0]])
+    out = K.centred_dot(x, y)
+    assert float(out.data) == 3.0
+    K.backward(out)
+    assert x.grad.tolist() == [[-0.5, -0.5], [0.5, 0.5]]
+    assert y.grad.tolist() == [[-1.0, -2.0], [1.0, 2.0]]
+
+
+def test_centred_dot_rejects_unequal_shapes():
+    with pytest.raises(ShapeError):
+        K.centred_dot(K.constant(np.ones((3, 2))), K.constant(np.ones((2, 3))))
+
+
+def test_grad_check_through_centred_dot():
+    rng = np.random.default_rng(8)
+    x = K.parameter(rng.normal(size=(5, 3)))
+    y = K.parameter(rng.normal(size=(5, 3)))
+    report = grad_check(lambda: K.centred_dot(x, y), [x, y], epsilon=1e-6)
+    assert report.passed, report.max_rel_error
+
+
+def test_centred_dot_ignores_a_constant_added_to_a_column_of_x():
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+    base = float(K.centred_dot(K.constant(x), K.constant(y)).data)
+    shifted = x.copy()
+    shifted[:, 2] += 40.0
+    got = float(K.centred_dot(K.constant(shifted), K.constant(y)).data)
+    assert abs(got - base) <= 1e-12 * 40.0 * np.abs(y).sum()
+
+
 def test_dropout_scales_survivors():
     rng = np.random.default_rng(5)
     x = K.parameter(np.ones((100, 100)))
