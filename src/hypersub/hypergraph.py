@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyHyperedge, ShapeError
-from .kernel import Segments, _centred
+from .kernel import Segments
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ class Laplacian:
     node i and hyperedge j of pair p, and ``theta_sums`` = Θ1. Products walk
     the hypergraph's own ``by_edge`` and ``by_node`` layouts, so no entry of
     Θ is ever formed. L is symmetric, so ``K.spmm``'s gradient Lᵀg is
-    ``dot_dense(g)``."""
+    ``dot_dense(g)``, taken in place in g."""
 
     h: Hypergraph
     values: np.ndarray
@@ -85,15 +85,15 @@ class Laplacian:
         """L @ x for a dense 2-D x, in x's dtype, as Θ1 ⊙ c − B (Bᵀ c) over
         the column-centred c = x − 1x̄ᵀ: every row of L sums to zero, so
         Lc = Lx, and each row's difference cancels against the spread of
-        the states, not their offset. The difference is taken in place in
-        c."""
+        the states, not their offset. It takes x over: c is x centred in
+        place, and the difference is taken in place in c and returned."""
         h, dtype = self.h, x.dtype
         b = self.values.astype(dtype, copy=False)
-        c = _centred(x)
-        y = h.by_node.gather_sum(h.by_edge.gather_sum(c, b, h.node_of_pair),
+        x -= x.mean(axis=0, dtype=np.float64).astype(dtype)
+        y = h.by_node.gather_sum(h.by_edge.gather_sum(x, b, h.node_of_pair),
                                  b, h.edge_of_pair)
-        c *= self.theta_sums.astype(dtype, copy=False)[:, None]
-        return np.subtract(c, y, out=c)
+        x *= self.theta_sums.astype(dtype, copy=False)[:, None]
+        return np.subtract(x, y, out=x)
 
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],

@@ -271,12 +271,13 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """max(x, 0). The rule reads its mask from the output, as ``y > 0``."""
+    y = np.maximum(x.data, 0)
 
     def grad_fn(g):
-        _accum(x, g * mask)
+        _accum(x, np.multiply(g, y > 0, out=g))
 
-    return _result(np.maximum(x.data, 0), (x,), grad_fn)
+    return _result(y, (x,), grad_fn)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
@@ -311,16 +312,14 @@ def log(x: Tensor) -> Tensor:
     """Natural log with the argument clamped below at 1e-12.
 
     The clamp keeps cross-entropy finite when a probability underflows; the
-    gradient is zero wherever the clamp is active.
+    gradient is zero where it is active, which the rule reads from x again.
     """
     floor = 1e-12
-    clamped = np.maximum(x.data, floor)
-    active = x.data >= floor
 
     def grad_fn(g):
-        _accum(x, np.where(active, g / clamped, 0.0))
+        _accum(x, np.where(x.data >= floor, g / np.maximum(x.data, floor), 0.0))
 
-    return _result(np.log(clamped), (x,), grad_fn)
+    return _result(np.log(np.maximum(x.data, floor)), (x,), grad_fn)
 
 
 def reduce_sum(x: Tensor) -> Tensor:
@@ -674,7 +673,7 @@ def masked_softmax(scores: Tensor, seg: Segments) -> Tensor:
     """Softmax normalized independently within each group of ``seg`` over a
     1-D tensor. An empty group has nothing to normalize. The per-group
     maximum is subtracted before exponentiation, so uniform score shifts
-    within a group change nothing.
+    within a group change nothing. The rule reads its probabilities from its output.
     """
     x = scores.data
     if x.ndim != 1:
@@ -683,15 +682,15 @@ def masked_softmax(scores: Tensor, seg: Segments) -> Tensor:
     sizes = seg.counts[seg.nonempty]   # of the groups the reductions run over
     xs = seg.gather(x)
     e = np.exp(xs - np.repeat(np.maximum.reduceat(xs, seg.starts), sizes))
-    ys = e / np.repeat(np.add.reduceat(e, seg.starts), sizes)
+    y = seg.scatter(e / np.repeat(np.add.reduceat(e, seg.starts), sizes))
 
     def grad_fn(g):
         # per group: dx = y * (g - sum(g * y))
-        gs = seg.gather(g)
+        ys, gs = seg.gather(y), seg.gather(g)
         dot = np.add.reduceat(gs * ys, seg.starts)
         _accum(scores, seg.scatter(ys * (gs - np.repeat(dot, sizes))))
 
-    return _result(seg.scatter(ys), (scores,), grad_fn)
+    return _result(y, (scores,), grad_fn)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -718,8 +717,9 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
 
     ``rectify`` and a dropout ``rate`` (with its ``rng``) finish the sums
     in place, with the bits of ``dropout(relu(sums), rate, rng)`` forward
-    and backward and the same draws from ``rng``; the rule keeps only the
-    boolean masks, and the rectifier's only when the result is recorded.
+    and backward and the same draws from ``rng``. A rectified rule reads
+    both masks as ``out > 0``, since q = 1/(1 - rate) >= 1 keeps a kept
+    positive sum positive; an unrectified one keeps the keep mask.
 
     The gradient is one ``gather_sum`` over ``by_row``: each of its groups is
     one row r of x, and the rows of the output gradient G gathered at its
@@ -735,23 +735,21 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
     _covers(seg, w.size, "weighted_row_sum layout")
     _check_rate(rate)
     out = seg.gather_sum(x.data, w, rows)
-    recorded = _grad_enabled and (x.requires_grad or weights.requires_grad)
-    positive = out > 0 if rectify and recorded else None
     if rectify:
         np.maximum(out, 0, out=out)
-    keep = None
     if rate:
-        keep, q = keep_mask(out.shape, rate, rng), _keep_scale(out.dtype, rate)
-        out *= keep
+        mask, q = keep_mask(out.shape, rate, rng), _keep_scale(out.dtype, rate)
+        out *= mask
         out *= q
+    keep = mask if rate and not rectify else None
 
     def grad_fn(g):
-        # dropout's rule, then the rectifier's: ((g * keep) * q) * positive
-        if keep is not None:
-            g = g * keep
+        # dropout's rule, then the rectifier's: ((g * keep) * q) * (sums > 0),
+        # which has the bits of (g * (out > 0)) * q wherever g * q is finite
+        if rectify or rate:
+            np.multiply(g, out > 0 if rectify else keep, out=g)
+        if rate:
             g *= q
-        if positive is not None:
-            g = np.multiply(g, positive, out=None if keep is None else g)
         if weights.requires_grad:
             dx, dw = by_row.gather_sum(g, w, seg.ids, x.data.shape[0], dot=x.data)
             _accum(weights, dw)
@@ -768,6 +766,7 @@ def spmm(m, x: Tensor) -> Tensor:
     ``m`` is a symmetric operator with rows/cols/dot_dense, as
     hypergraph.theta's Laplacian is. It is constant; only x receives
     gradient, dx = m.T @ g, which by that symmetry is ``m.dot_dense(g)``.
+    ``dot_dense`` may take its argument over: a copy of x, or the rule's g.
     """
     _need_2d("spmm input", x)
     if m.cols != x.data.shape[0]:
@@ -779,7 +778,7 @@ def spmm(m, x: Tensor) -> Tensor:
     def grad_fn(g):
         _accum(x, product(g))
 
-    return _result(product(x.data), (x,), grad_fn)
+    return _result(product(np.copy(x.data)), (x,), grad_fn)
 
 
 def _centred(a: np.ndarray) -> np.ndarray:

@@ -24,6 +24,17 @@ def random_hypergraph(rng, max_nodes=12, max_edges=6, allow_isolated=True):
     return build_hypergraph(lists, num_nodes=n)
 
 
+def quick_shaped(rng):
+    """A hypergraph shaped like the benchmark's quick catalog (200 genes in
+    20 pathways of 12): 150 to 250 nodes, each the core member of one of
+    15 to 25 hyperedges, which take up to four more members at random."""
+    n = int(rng.integers(150, 251))
+    cores = np.array_split(rng.permutation(n), int(rng.integers(15, 26)))
+    return build_hypergraph([np.union1d(c, rng.choice(n, int(rng.integers(0, 5)),
+                                                      replace=False)) for c in cores],
+                            num_nodes=n)
+
+
 def memberships(h):
     """Hyperedges incident on each node, ascending, by a plain loop."""
     out = [[] for _ in range(h.num_nodes)]

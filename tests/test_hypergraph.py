@@ -125,7 +125,7 @@ def test_theta_holds_one_value_per_pair_and_no_pair_expansion():
     x = np.random.default_rng(0).normal(size=(3000, 4))
     with traced_memory() as probe:
         t = theta(h)
-        y = t.dot_dense(x)
+        y = t.dot_dense(x.copy())
     assert t.nnz == 3000
     assert probe.peak < 2 * 2**20, probe.peak
     assert np.allclose(y, x - x.mean(axis=0), rtol=0, atol=1e-12)
@@ -136,7 +136,7 @@ def test_sparse_matvec_agrees_with_dense(rng):
         h = random_hypergraph(rng)
         sp = theta(h)
         x = rng.normal(size=(h.num_nodes, 3))
-        assert np.allclose(sp.dot_dense(x), dense_laplacian(h) @ x, atol=1e-12)
+        assert np.allclose(sp.dot_dense(x.copy()), dense_laplacian(h) @ x, atol=1e-12)
         assert np.allclose(sp.theta_sums, dense_theta(h).sum(axis=1), atol=1e-12)
 
 

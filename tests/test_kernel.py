@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hypersub import kernel as K
 from hypersub.errors import GraphConsumed, NotScalar, ShapeError
@@ -402,7 +403,8 @@ def test_pooling_epilogue_is_bit_identical_to_relu_and_dropout(rate, dtype):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
     assert got_state == want_state
-    # an unrecorded pass, which builds no rectifier mask, gives the same bits
+    # an unrecorded pass makes the same draws and gives the same bits; no
+    # pass builds a rectifier mask, which the rule reads from the output
     with K.no_grad():
         rng = np.random.default_rng(3)
         y = K.weighted_row_sum(K.constant(xs), K.constant(ws), by_row, seg,
@@ -411,6 +413,48 @@ def test_pooling_epilogue_is_bit_identical_to_relu_and_dropout(rate, dtype):
     with pytest.raises(ValueError):
         K.weighted_row_sum(K.constant(xs), K.constant(ws), by_row, seg, rate=1.0,
                            rng=rng)
+
+
+def _specials(dtype):
+    """±0, the smallest subnormals, ±inf, NaN and the extremes of a dtype."""
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    return np.array([0.0, -0.0, tiny, -tiny, info.tiny, np.inf, -np.inf, np.nan,
+                     info.max, -info.max, 1.0, -1.0], dtype=dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.data())
+def test_rectified_masks_read_from_the_output_have_the_bits_of_the_kept_masks(dtype, data):
+    # the q = 1/(1 - rate) >= 1 scale keeps a kept positive sum positive, so
+    # the output's sign is the keep mask and the rectifier's at once: the
+    # rule's (g * (out > 0)) * q has the bits of dropout's rule followed by
+    # the rectifier's, ((g * keep) * q) * (sums > 0), wherever g * q is
+    # finite (past that, inf * 0 is NaN on one side and 0 on the other)
+    floats = st.floats(width=np.finfo(dtype).bits)
+    special = _specials(dtype)
+    n = data.draw(st.integers(0, 30))
+    sums = np.concatenate([special, data.draw(hnp.arrays(dtype, n, elements=floats))])
+    g = data.draw(hnp.arrays(dtype, sums.size, elements=floats))
+    keep = data.draw(hnp.arrays(bool, sums.size))
+    rate = data.draw(st.floats(0.0, 0.9))
+    q = K._keep_scale(np.dtype(dtype), rate)
+    with np.errstate(all="ignore"):
+        out = np.maximum(sums, 0)   # the pooling epilogue, as weighted_row_sum runs it
+        out *= keep
+        out *= q
+        got = (g * (out > 0)) * q
+        want = ((g * keep) * q) * (sums > 0)
+        finite = np.isfinite(g * q)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    # relu's rule reads its mask from its output too; it has g * (x > 0)
+    for x in (sums, -sums):
+        t = K.parameter(np.zeros_like(x))
+        t.data[:] = x   # past the constructor's finiteness check
+        with np.errstate(all="ignore"):
+            K.relu(t)._grad_fn(g.copy())
+            want = g * (x > 0)
+        assert t.grad.dtype == dtype and t.grad.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -817,7 +861,7 @@ def test_grad_check_through_spmm():
     assert report.passed, report.max_rel_error
     dense = dense_laplacian(h)
     y = rng.normal(size=(h.num_nodes, 4))
-    assert np.max(np.abs(sp.dot_dense(y) - dense @ y)) <= 1e-12
+    assert np.max(np.abs(sp.dot_dense(y.copy()) - dense @ y)) <= 1e-12
 
 
 # ------------------------------------------------- fused attention scores

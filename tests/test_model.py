@@ -17,7 +17,7 @@ from hypersub.synthetic import make_synthetic
 from hypersub.training import TrainConfig
 
 from conftest import (DenseOperator, dense_laplacian, dense_theta, group_positions,
-                      memberships, random_hypergraph, traced_memory)
+                      memberships, quick_shaped, random_hypergraph, traced_memory)
 from oracles import dual, grad_check
 
 
@@ -679,17 +679,6 @@ def test_regularizer_is_one_laplacian_product():
     assert np.max(np.abs(x.grad - 4.0 * dense_laplacian(h) @ x.data)) <= 1e-12
 
 
-def quick_shaped(rng):
-    """A hypergraph shaped like the benchmark's quick catalog (200 genes in
-    20 pathways of 12): 150 to 250 nodes, each the core member of one of
-    15 to 25 hyperedges, which take up to four more members at random."""
-    n = int(rng.integers(150, 251))
-    cores = np.array_split(rng.permutation(n), int(rng.integers(15, 26)))
-    return build_hypergraph([np.union1d(c, rng.choice(n, int(rng.integers(0, 5)),
-                                                      replace=False)) for c in cores],
-                            num_nodes=n)
-
-
 def regularizer_reference(h, x):
     """The penalty and its gradient in float64, hyperedge by hyperedge, with
     a_i = d_i^-1/2, c_j = 1/|e_j|, A_j = sum a_i and mu_j = sum a_i x_i / A_j
@@ -736,19 +725,42 @@ def test_regularizer_float32_holds_under_an_offset(seed, offset):
 
 
 def test_laplacian_product_keeps_float32_and_no_float64_copy():
-    # at d=300 the product holds the centred states, which become the
-    # result, and the per-node sums, all float32: 3.9 to 4.0 times the
-    # states' bytes over five such graphs. Through a float64 copy of the
-    # states, with a float64 result, it peaked at 5.1 to 5.4 times
+    # at d=300 the product centres the states it is handed in place, and
+    # they become the result; it holds the per-node sums and a gather
+    # block beside them, all float32: 2.95 to 3.01 times the states' bytes
+    # over five such graphs. A centred copy of the states made it 3.95 to
+    # 4.01 times, and a float64 copy, with a float64 result, 5.1 to 5.4
     h = quick_shaped(np.random.default_rng(3))
     x = np.random.default_rng(4).standard_normal((h.num_nodes, 300)).astype(np.float32)
     t = theta(h)
-    t.dot_dense(x)   # builds the cached layouts outside the trace
+    t.dot_dense(x.copy())   # builds the cached layouts outside the trace
+    owned = x.copy()
     with traced_memory() as mem:
-        y = t.dot_dense(x)
-    assert y.dtype == np.float32
-    assert mem.peak < 4.5 * x.nbytes, mem.peak / x.nbytes
+        y = t.dot_dense(owned)
+    assert y is owned and y.dtype == np.float32
+    assert mem.peak < 3.5 * x.nbytes, mem.peak / x.nbytes
     assert np.max(np.abs(y - dense_laplacian(h) @ x)) <= 1e-5
+
+
+def test_regularizer_backward_takes_the_product_in_place_and_keeps_its_input():
+    # the backward pass of the d=300 penalty holds the gradients of x and
+    # of Lx, and the product's per-node sums and gather block: 4.96 to 5.01
+    # times the states' bytes over five such graphs. Centring a copy of the
+    # gradient in the product made it 5.96 to 6.01 times. K.spmm hands the
+    # product a copy of the states, so they keep their bytes
+    h = quick_shaped(np.random.default_rng(3))
+    x32 = np.random.default_rng(4).standard_normal((h.num_nodes, 300)).astype(np.float32)
+    t = theta(h)
+    t.dot_dense(x32.copy())   # builds the cached layouts outside the trace
+    x = K.parameter(x32.copy())
+    reg = M.regularizer(x, t)
+    assert x.data.tobytes() == x32.tobytes()
+    with traced_memory() as mem:
+        K.backward(reg)
+    assert x.data.tobytes() == x32.tobytes()
+    assert mem.peak < 5.5 * x32.nbytes, mem.peak / x32.nbytes
+    _, grad = regularizer_reference(h, x32)
+    assert np.max(np.abs(x.grad - grad)) <= 1e-6 * np.max(np.abs(grad))
 
 
 # ------------------------------------------------------- subgraph attention

@@ -13,11 +13,13 @@ from hypersub import model as M
 from hypersub.dataio import build_dataset, load_subgraphs
 from hypersub.errors import (EmptySplit, InputDataError, InvalidConfigValue,
                              NumericalDivergence, ShapeError)
-from hypersub.hypergraph import restrict_to_nodes
+from hypersub.hypergraph import restrict_to_nodes, theta
 from hypersub.synthetic import make_synthetic
 from hypersub.training import (AdamState, EarlyStopping, TrainConfig,
                                adam_step, config_field_types,
                                micro_f1, predictions_from_scores, train)
+
+from conftest import quick_shaped
 
 
 def tiny_dataset(seed=3, subjects=60, noise=0.1):
@@ -413,6 +415,44 @@ def test_training_step_holds_no_layer_of_its_trace_across_backward(monkeypatch,
     train(ds, h, tiny_config(max_epochs=2, patience=2, dropout_rate=0.3,
                              reg_weight=reg_weight))
     assert len(checked) == 2 and all(all(step) for step in checked)
+
+
+def test_training_step_rules_keep_no_mask_or_copy_of_what_the_tape_holds():
+    # one regularized step at d=300 on a graph shaped like the quick
+    # catalog: the rules that rectify, normalize or take a log rebuild
+    # their masks and probabilities from their own output or input, so
+    # each holds no array but its parents' data, its output and the
+    # layouts' index arrays
+    rng = np.random.default_rng(5)
+    h = quick_shaped(rng)
+    params = M.init_model(h.num_nodes, 300, 2, 4, rng, dropout_rate=0.5)
+    members = [rng.choice(h.num_nodes, int(rng.integers(10, 26)), replace=False)
+               for _ in range(40)]
+    labels = np.eye(4)[np.arange(40) % 4]
+    batch = M.SubgraphBatch(members, [rng.random(m.size) for m in members], labels)
+    res = M.forward(h, params, batch, theta_sp=theta(h), reg_weight=1.0,
+                    training=True, rng=rng)
+    tape = K.Tape(res.total_loss)
+    ops = ("weighted_row_sum", "relu", "masked_softmax", "log")
+    seen, extra = set(), set()
+    for node in tape.nodes:
+        rule = node._grad_fn
+        op = rule.__qualname__.split(".")[0] if rule is not None else None
+        if op not in ops:
+            continue
+        seen.add(op)
+        own = [node.data, *(p.data for p in node._parents)]
+        for name, cell in zip(rule.__code__.co_freevars, rule.__closure__):
+            try:
+                held = cell.cell_contents
+            except ValueError:   # a name the op never bound
+                continue
+            if (isinstance(held, np.ndarray) and held.dtype.kind not in "iu"
+                    and not any(held is a for a in own)):
+                extra.add((op, name, held.dtype.name))
+    assert seen == set(ops) and not extra, sorted(extra)
+    tape.run()
+    assert all(p.grad is not None for p in params.parameters())
 
 
 def test_final_metrics_match_per_split_scores():
