@@ -86,14 +86,20 @@ class Laplacian:
         the column-centred c = x − 1x̄ᵀ: every row of L sums to zero, so
         Lc = Lx, and each row's difference cancels against the spread of
         the states, not their offset. It takes x over: c is x centred in
-        place, and the difference is taken in place in c and returned."""
+        place, and the difference is taken in place in c and returned. The
+        per-node sums come compact, one row per node holding a pair, and
+        are subtracted into those rows block by block, so no second nodes x
+        d array is made."""
         h, dtype = self.h, x.dtype
         b = self.values.astype(dtype, copy=False)
         x -= x.mean(axis=0, dtype=np.float64).astype(dtype)
         y = h.by_node.gather_sum(h.by_edge.gather_sum(x, b, h.node_of_pair),
-                                 b, h.edge_of_pair)
+                                 b, h.edge_of_pair, compact=True)
         x *= self.theta_sums.astype(dtype, copy=False)[:, None]
-        return np.subtract(x, y, out=x)
+        rows, step = h.by_node.plan.groups, 4096
+        for lo in range(0, rows.size, step):
+            x[rows[lo:lo + step]] -= y[lo:lo + step]
+        return x
 
 
 def build_hypergraph(edge_node_lists: Sequence[Sequence[int]],

@@ -372,6 +372,12 @@ class Segments:
     positions. The segment kernels below read every index they use as the
     ``ids`` of a Segments argument: the softmax reduces over one with 1-D
     ``reduceat``, and every weighted row sum goes through ``gather_sum``.
+
+    A layout also holds the walks ``gather_sum`` has taken over a read-only
+    index array that owns its memory: that array in the plan's slot order
+    and its largest entry, so a repeat walk does no gather and no scan.
+    A Hypergraph freezes its pair arrays as it makes them, so they cannot
+    change; any other array is gathered and checked on every walk.
     """
 
     def __init__(self, ids, num_groups: int):
@@ -388,6 +394,7 @@ class Segments:
         self.offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
         self.nonempty = np.flatnonzero(counts)   # groups holding a position
         self.starts = self.offsets[self.nonempty]
+        self._walks = {}   # id(rows) -> (rows, rows in slot order, max of rows)
 
     @cached_property
     def order(self) -> np.ndarray | None:
@@ -444,6 +451,32 @@ class Segments:
                            list(zip(width[lo].tolist(), lo.tolist(), hi.tolist(),
                                     first[lo].tolist())))
 
+    def _walk(self, rows: np.ndarray | None, n: int) -> np.ndarray:
+        """``rows`` (the positions themselves when None) in the plan's slot
+        order, each checked to lie in [0, n). A read-only ``rows`` that owns
+        its memory is gathered and scanned once and held with its largest
+        entry; a repeat walk over it compares n with that entry alone."""
+        if rows is None:
+            if n < self.size:
+                raise ShapeError(f"gather_sum needs a row per position, got {n} "
+                                 f"rows for {self.size}")
+            return self.plan.source
+        held = self._walks.get(id(rows))
+        if held is not None and not rows.flags.writeable:
+            _, walk, top = held
+        else:
+            low, top = (rows.min(), rows.max()) if self.size else (0, -1)
+            if low < 0:
+                raise ShapeError(f"gather_sum rows must lie in [0, {n})")
+            walk = rows[self.plan.source]
+            if rows.flags.writeable or not rows.flags.owndata:
+                self._walks.pop(id(rows), None)   # a held array made writeable
+            else:   # the entry holds rows, so its id names no other array
+                self._walks[id(rows)] = rows, walk, top
+        if top >= n:
+            raise ShapeError(f"gather_sum rows must lie in [0, {n})")
+        return walk
+
     def gather_sum(self, x: np.ndarray, weights: np.ndarray | None = None,
                    rows: np.ndarray | None = None, length: int | None = None,
                    dot: np.ndarray | None = None, compact: bool = False):
@@ -471,21 +504,18 @@ class Segments:
         slot has zero weight and reads its group's first row, so a
         non-finite row of ``x`` reaches only the groups that hold it.
         ``take`` runs in ``mode="clip"``, which skips its own bounds check,
-        so ``rows`` is checked once up front: an entry outside [0, len(x))
-        raises ShapeError, as does an ``x`` with fewer rows than positions
-        when ``rows`` is not given.
+        so ``rows`` is checked up front: an entry outside [0, len(x)) raises
+        ShapeError, as does an ``x`` with fewer rows than positions when
+        ``rows`` is not given. The rows in slot order and their check come
+        from ``_walk``, which does that index work once for a ``rows`` the
+        layout can hold.
         """
         length = len(self) if length is None else length
         n, d = x.shape
         dtype = x.dtype if weights is None else np.result_type(weights, x)
         x = x.astype(dtype, copy=False)
-        if rows is None and n < self.size:
-            raise ShapeError(f"gather_sum needs a row per position, got {n} "
-                             f"rows for {self.size}")
-        if rows is not None and self.size and (rows.min() < 0 or rows.max() >= n):
-            raise ShapeError(f"gather_sum rows must lie in [0, {n})")
         plan = self.plan
-        r = plan.source if rows is None else rows[plan.source]
+        r = self._walk(rows, n)
         w = np.zeros(self.size + 1, dtype=dtype)   # the last: padding
         w[:-1] = 1 if weights is None else weights
         w = w[plan.padded]
@@ -548,6 +578,29 @@ def gather_rows(x: Tensor, by_row: Segments) -> Tensor:
         _accum(x, by_row.gather_sum(g, length=x.data.shape[0]))
 
     return _result(x.data[rows], (x,), grad_fn)
+
+
+def select(x: Tensor, positions) -> Tensor:
+    """The entries of a 1-D tensor at ``positions``, which must be distinct
+    and ascending in [0, len(x)); anything else raises ShapeError. The rule
+    writes g at the positions into zeros, with each -0.0 of g as +0.0, the
+    bits a sum over one position starting at +0.0 gives, as ``gather_rows``
+    over a layout of the positions does."""
+    if x.data.ndim != 1:
+        raise ShapeError(f"select needs a 1-D tensor, got shape {x.data.shape}")
+    at = np.asarray(positions)
+    if at.ndim != 1 or at.dtype.kind not in "iu" or at.size and (
+            at[0] < 0 or at[-1] >= x.data.size or np.any(at[1:] <= at[:-1])):
+        raise ShapeError(f"select positions must be distinct and ascending "
+                         f"in [0, {x.data.size})")
+
+    def grad_fn(g):
+        g += 0   # -0.0 + 0 is +0.0
+        dx = np.zeros(x.data.shape, dtype=g.dtype)
+        dx[at] = g
+        _accum(x, dx)
+
+    return _result(x.data[at], (x,), grad_fn)
 
 
 # Blocks hold whole multiples of this many rows, padded at the end, so BLAS

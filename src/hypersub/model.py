@@ -365,11 +365,11 @@ def node_update(h: Hypergraph, scores: Tensor, edge_states: Tensor,
 
 def _scores_at(scores: Tensor, h: Hypergraph, reads: Hypergraph) -> Tensor:
     """The entries of ``scores``, one per pair of ``h``, at the pairs of
-    ``reads``, in order."""
+    ``reads``, in order: one ``K.select`` of their ascending positions in
+    ``h``, so no layout over the pairs of ``h`` is built."""
     read = np.zeros(h.num_nodes, dtype=bool)
     read[reads.node_of_pair] = True
-    at = K.Segments(np.flatnonzero(read[h.node_of_pair]), scores.data.size)
-    return K.reshape(K.gather_rows(K.reshape(scores, (-1, 1)), at), (-1,))
+    return K.select(scores, np.flatnonzero(read[h.node_of_pair]))
 
 
 def forward_backbone(h: Hypergraph, params: ModelParams, *,

@@ -1,7 +1,7 @@
 """Oracles the tests check the package against: central finite
 differences for any taped composition, the dual hypergraph, on which A3's
-exact score duality runs, and the class hyperedge ranking read off a full
-backbone pass."""
+exact score duality runs, the restricted pass's score gather as layout ops,
+and the class hyperedge ranking read off a full backbone pass."""
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -101,6 +101,16 @@ def grad_check(f: Callable[[], K.Tensor], params: Sequence[K.Tensor],
         analytic=analytic,
         numeric=numeric,
     )
+
+
+def scores_at_by_layout(scores: K.Tensor, h: Hypergraph, reads: Hypergraph) -> K.Tensor:
+    """``model._scores_at`` composed of layout ops: the scores as a column,
+    the rows of a layout over every pair of ``h`` holding the read pairs'
+    positions, and back to 1-D, three tape ops where ``K.select`` is one."""
+    read = np.zeros(h.num_nodes, dtype=bool)
+    read[reads.node_of_pair] = True
+    at = K.Segments(np.flatnonzero(read[h.node_of_pair]), scores.data.size)
+    return K.reshape(K.gather_rows(K.reshape(scores, (-1, 1)), at), (-1,))
 
 
 def full_pass_edge_scores(params: M.ModelParams, h: Hypergraph,

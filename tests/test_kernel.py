@@ -1055,3 +1055,118 @@ def test_gather_sum_rejects_rows_out_of_range():
                           [[8.0, 10.0], [0.0, 1.0]])
     with pytest.raises(ShapeError, match="row per position"):
         seg.gather_sum(x[:2])   # rows default to the 3 positions
+
+
+# ------------------------------------------------------------- held walks
+
+def _add_at_sums(x, w, rows, ids, ngroups):
+    """np.add.at reference for Segments.gather_sum, in float64."""
+    out = np.zeros((ngroups, x.shape[1]))
+    np.add.at(out, ids, w[:, None] * x[rows].astype(np.float64))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(BUCKET_SIZES + [0]), min_size=1, max_size=10),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+def test_held_walks_give_the_first_sums_and_never_hold_a_writeable_array(sizes, dtype,
+                                                                         seed):
+    rng = np.random.default_rng(seed)
+    ngroups = len(sizes)
+    ids = np.repeat(np.arange(ngroups), sizes).astype(np.intp)
+    rng.shuffle(ids)
+    nrows = int(rng.integers(1, 20))
+    x = rng.normal(size=(nrows, 3)).astype(dtype)
+    w = rng.normal(size=ids.size).astype(dtype)
+    tol = 1e-4 if dtype == np.float32 else 1e-11
+
+    def draw():
+        return rng.integers(0, nrows, size=ids.size).astype(np.intp)
+
+    def close(got, rows):
+        want = _add_at_sums(x, w, rows, ids, ngroups)
+        return np.all(np.abs(got - want) <= tol * (1 + np.abs(want)) * (1 + ids.size))
+
+    # a read-only array that owns its memory is held: every repeat call
+    # gives the first call's bits
+    frozen = draw()
+    frozen.flags.writeable = False
+    layout = K.Segments(ids, ngroups)
+    first = layout.gather_sum(x, w, frozen)
+    assert close(first, frozen)
+    for _ in range(3):
+        assert layout.gather_sum(x, w, frozen).tobytes() == first.tobytes()
+    assert [entry[0] for entry in layout._walks.values()] == [frozen]
+
+    # a writeable array, a read-only view of a writeable base, and a held
+    # array made writeable again are read afresh after they are written
+    base = draw()
+    view = base[:]
+    view.flags.writeable = False
+    for rows, target in ((draw(), None), (view, base), (frozen, frozen)):
+        target = rows if target is None else target
+        target.flags.writeable = True
+        layout.gather_sum(x, w, rows)
+        if ids.size:
+            target[rng.integers(0, ids.size)] = rng.integers(0, nrows)
+            target[...] = rng.permutation(target)
+        assert close(layout.gather_sum(x, w, rows), rows)
+    assert not layout._walks
+
+    # a row past the operand raises on a first call and on a held one
+    if ids.size:
+        top = np.intp(frozen.max())
+        frozen.flags.writeable = False
+        fresh = K.Segments(ids, ngroups)
+        with pytest.raises(ShapeError, match="rows"):
+            fresh.gather_sum(x[:top], w, frozen)
+        fresh.gather_sum(x, w, frozen)
+        with pytest.raises(ShapeError, match="rows"):
+            fresh.gather_sum(x[:top], w, frozen)
+        assert fresh.gather_sum(x, w, frozen).tobytes() == \
+            layout.gather_sum(x, w, frozen).tobytes()
+
+
+# ---------------------------------------------------------------- select
+
+def test_select_picks_ascending_positions_and_rejects_others():
+    x = K.constant(np.arange(6.0))
+    assert K.select(x, [0, 2, 5]).data.tolist() == [0.0, 2.0, 5.0]
+    assert K.select(x, np.zeros(0, np.intp)).data.shape == (0,)
+    for bad in ([1, 1], [3, 2], [0, 6], [-1, 2], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(ShapeError, match="distinct and ascending"):
+            K.select(x, np.asarray(bad))
+    with pytest.raises(ShapeError, match="1-D"):
+        K.select(K.constant(np.ones((3, 1))), [0])
+
+
+def test_grad_check_through_select():
+    rng = np.random.default_rng(5)
+    x = K.parameter(rng.normal(size=9))
+    c = K.constant(rng.normal(size=4))
+    at = np.array([0, 3, 4, 8])
+
+    def f():
+        return K.reduce_sum(K.elementwise_mul(K.sigmoid(K.select(x, at)), c))
+
+    report = grad_check(f, [x], epsilon=1e-6)
+    assert report.passed, report.max_rel_error
+    assert not report.analytic[0][np.setdiff1d(np.arange(9), at)].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_select_gradient_has_the_bits_of_the_layout_composition(dtype):
+    rng = np.random.default_rng(8)
+    at = np.array([1, 2, 6, 7, 10])
+    # -0.0 weights reach the rule as -0.0 gradients, which come out +0.0
+    c = np.array([-0.0, 2.5, -1.0, 0.0, -0.0], dtype=dtype)
+    grads = []
+    for pick in (lambda x: K.select(x, at),
+                 lambda x: K.reshape(K.gather_rows(K.reshape(x, (-1, 1)),
+                                                   K.Segments(at, 12)), (-1,))):
+        x = K.parameter(rng.normal(size=12).astype(dtype))
+        K.backward(K.reduce_sum(K.elementwise_mul(pick(x), K.constant(c))))
+        grads.append(x.grad)
+    assert grads[0].dtype == dtype
+    assert grads[0].tobytes() == grads[1].tobytes()
+    assert not np.signbit(grads[0][grads[0] == 0]).any()

@@ -18,7 +18,7 @@ from hypersub.training import TrainConfig
 
 from conftest import (DenseOperator, dense_laplacian, dense_theta, group_positions,
                       memberships, quick_shaped, random_hypergraph, traced_memory)
-from oracles import dual, grad_check
+from oracles import dual, grad_check, scores_at_by_layout
 
 
 def toy_model(h, d=4, num_classes=3, num_layers=2, seed=0, **kw):
@@ -207,6 +207,34 @@ def test_backbone_over_read_rows_matches_the_full_pass(seed, data, num_layers, d
     scale = max(np.max(np.abs(g), initial=0.0) for g in grads[0])
     for (name, _), a, b in zip(params.named_parameters(), *grads):
         assert np.max(np.abs(b - a), initial=0.0) <= 1e-12 * scale, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data(), st.integers(2, 3),
+       st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_restricted_step_picks_its_scores_with_the_bits_of_the_layout_ops(
+        seed, data, num_layers, dtype, training):
+    gen = np.random.default_rng(seed)
+    h = random_hypergraph(gen, max_nodes=10, max_edges=5)
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, h.num_nodes - 1),
+                                             min_size=1))))
+    reads = restrict_to_nodes(h, rows)
+    assume(reads is not h)   # the train split leaves a row unread
+    params = M.init_model(h.num_nodes, 4, num_layers, 3, gen, dropout_rate=0.3,
+                          dtype=dtype)
+    batch = toy_batch(np.array_split(rows, (rows.size + 1) // 2), 3)
+    tensors = params.parameters()
+    runs = []
+    for pick in (M._scores_at, scores_at_by_layout):
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(M, "_scores_at", pick)
+            res = M.forward(h, params, batch, training=training,
+                            rng=np.random.default_rng(seed), reads=reads)
+        for t in tensors:
+            t.zero_grad()
+        grads = K.backward(res.total_loss, tensors)
+        runs.append([res.total_loss.data.tobytes()] + [g.tobytes() for g in grads])
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -87,10 +87,12 @@ def package_functions() -> set[str]:
 
 def run_commands(tmp: pathlib.Path):
     """make-synthetic, then train (with and without --split), evaluate,
-    predict and interpret for each config family, then one fault per
-    reader, predict on the version 1 to 3 fixtures, and on four corrupt
-    checkpoints (a bad edge line of version 3 and of version 2, a gene
-    named twice, a version 4 payload cut short); each exit code as
+    predict and interpret for each config family, then a train of the
+    unregularized family on a split whose one train subject leaves genes
+    unread, so its taped steps pool a restriction of the pairs, then one
+    fault per reader, predict on the version 1 to 3 fixtures, and on four
+    corrupt checkpoints (a bad edge line of version 3 and of version 2, a
+    gene named twice, a version 4 payload cut short); each exit code as
     expected."""
     synth = tmp / "synth"
     assert cli.main(["make-synthetic", *PROFILE, "--out", str(synth)]) == 0
@@ -111,6 +113,13 @@ def run_commands(tmp: pathlib.Path):
                          "--out", str(out / "pred.tsv")]) == 0
         assert cli.main(["interpret", "--checkpoint", ckpt, "--subgraphs", subjects,
                          "--top-k", "3", "--out", str(out)]) == 0
+    narrow = tmp / "narrow.tsv"
+    ids = [line.split("\t", 1)[0] for line in pathlib.Path(subjects).read_text().splitlines()]
+    narrow.write_text("".join(f"{sid}\t{'val' if k else 'train'}\n"
+                              for k, sid in enumerate(ids)))
+    assert cli.main(["train", "--gmt", gmt, "--subgraphs", subjects,
+                     "--config", str(tmp / "variants.cfg"), "--split", str(narrow),
+                     "--out", str(tmp / "narrow")]) == 0
 
     inputs = {"gmt": gmt, "subgraphs": subjects, "split": split,
               "config": str(tmp / "defaults.cfg")}
