@@ -93,8 +93,8 @@ class Laplacian:
         h, dtype = self.h, x.dtype
         b = self.values.astype(dtype, copy=False)
         x -= x.mean(axis=0, dtype=np.float64).astype(dtype)
-        y = h.by_node.gather_sum(h.by_edge.gather_sum(x, b, h.node_of_pair),
-                                 b, h.edge_of_pair, compact=True)
+        y = h.by_node.gather_sum(h.by_edge.gather_sum(x, b, h.by_node),
+                                 b, h.by_edge, compact=True)
         x *= self.theta_sums.astype(dtype, copy=False)[:, None]
         rows, step = h.by_node.plan.groups, 4096
         for lo in range(0, rows.size, step):

@@ -373,11 +373,11 @@ class Segments:
     ``ids`` of a Segments argument: the softmax reduces over one with 1-D
     ``reduceat``, and every weighted row sum goes through ``gather_sum``.
 
-    A layout also holds the walks ``gather_sum`` has taken over a read-only
-    index array that owns its memory: that array in the plan's slot order
-    and its largest entry, so a repeat walk does no gather and no scan.
-    A Hypergraph freezes its pair arrays as it makes them, so they cannot
-    change; any other array is gathered and checked on every walk.
+    A layout's ids must not change once it is made: ``order`` and ``plan``
+    are built from them once, and so are the walks it holds. Walked as the
+    ``rows`` of another layout's ``gather_sum``, a layout keeps its ids in
+    that layout's slot order, so the index work of each pair of layouts is
+    done once and is freed with the layout whose ids it reads.
     """
 
     def __init__(self, ids, num_groups: int):
@@ -394,7 +394,7 @@ class Segments:
         self.offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
         self.nonempty = np.flatnonzero(counts)   # groups holding a position
         self.starts = self.offsets[self.nonempty]
-        self._walks = {}   # id(rows) -> (rows, rows in slot order, max of rows)
+        self._walks = {}   # id(walker's ids) -> (those ids, own ids in its slots)
 
     @cached_property
     def order(self) -> np.ndarray | None:
@@ -451,50 +451,45 @@ class Segments:
                            list(zip(width[lo].tolist(), lo.tolist(), hi.tolist(),
                                     first[lo].tolist())))
 
-    def _walk(self, rows: np.ndarray | None, n: int) -> np.ndarray:
-        """``rows`` (the positions themselves when None) in the plan's slot
-        order, each checked to lie in [0, n). A read-only ``rows`` that owns
-        its memory is gathered and scanned once and held with its largest
-        entry; a repeat walk over it compares n with that entry alone."""
+    def _walk(self, rows: Segments | None, n: int) -> np.ndarray:
+        """The row of ``x`` each slot of the plan reads: ``rows.ids`` in
+        slot order, or the positions themselves when ``rows`` is None. A
+        layout's ids lie in [0, len(rows)), so one comparison with n checks
+        them all. The walk is built once and held by ``rows``; its entry
+        holds these ids, so its key names no other array."""
         if rows is None:
             if n < self.size:
                 raise ShapeError(f"gather_sum needs a row per position, got {n} "
                                  f"rows for {self.size}")
             return self.plan.source
-        held = self._walks.get(id(rows))
-        if held is not None and not rows.flags.writeable:
-            _, walk, top = held
-        else:
-            low, top = (rows.min(), rows.max()) if self.size else (0, -1)
-            if low < 0:
-                raise ShapeError(f"gather_sum rows must lie in [0, {n})")
-            walk = rows[self.plan.source]
-            if rows.flags.writeable or not rows.flags.owndata:
-                self._walks.pop(id(rows), None)   # a held array made writeable
-            else:   # the entry holds rows, so its id names no other array
-                self._walks[id(rows)] = rows, walk, top
-        if top >= n:
-            raise ShapeError(f"gather_sum rows must lie in [0, {n})")
-        return walk
+        if len(rows) > n:
+            raise ShapeError(f"gather_sum rows has {len(rows)} groups for {n} rows")
+        _covers(rows, self.size, "gather_sum rows")
+        held = rows._walks.get(id(self.ids))
+        if held is None:
+            held = rows._walks[id(self.ids)] = self.ids, rows.ids[self.plan.source]
+        return held[1]
 
     def gather_sum(self, x: np.ndarray, weights: np.ndarray | None = None,
-                   rows: np.ndarray | None = None, length: int | None = None,
+                   rows: Segments | None = None, length: int | None = None,
                    dot: np.ndarray | None = None, compact: bool = False):
         """Fused gather-scale-reduce: ``out[k] = sum over p in group k of
-        weights[p] * x[rows[p]]``, for a 2-D ``x``. ``weights`` default to
-        one and ``rows`` to the positions themselves; empty groups give
-        zeros, and ``length`` pads the result with rows of zeros past the
-        last group. ``compact`` returns the rows of the nonempty groups
-        alone, in the walk order of ``plan.groups``.
+        weights[p] * x[rows.ids[p]]``, for a 2-D ``x`` and a layout ``rows``
+        of the same positions by the row of ``x`` each reads. ``weights``
+        default to one and ``rows`` to the positions themselves; empty
+        groups give zeros, and ``length`` pads the result with rows of zeros
+        past the last group. ``compact`` returns the rows of the nonempty
+        groups alone, in the walk order of ``plan.groups``.
 
         Given ``dot``, a 2-D array with a row per group, it returns
-        ``(out, dots)`` with ``dots[p] = x[rows[p]] @ dot[k]`` for p in group
-        k: the same gathered rows serve both, so a gradient that needs the
-        reduction and the per-position products (SpMM and SDDMM) walks the
-        layout once.
+        ``(out, dots)`` with ``dots[p] = x[rows.ids[p]] @ dot[k]`` for p in
+        group k: the same gathered rows serve both, so a gradient that needs
+        the reduction and the per-position products (SpMM and SDDMM) walks
+        the layout once.
 
-        The walk follows ``plan``: the weights and the rows are each gathered
-        once into the plan's slot order, and each bucket of width L is reduced by
+        The walk follows ``plan``: the weights are gathered into the plan's
+        slot order once a call, the rows once a partner (``_walk``), and
+        each bucket of width L is reduced by
         batched products of its (groups, 1, L) weights with its (groups, L, d)
         rows of ``x`` (for L = 1, an elementwise product with the same
         bits), taken with ``np.take`` in slices of about
@@ -504,11 +499,10 @@ class Segments:
         slot has zero weight and reads its group's first row, so a
         non-finite row of ``x`` reaches only the groups that hold it.
         ``take`` runs in ``mode="clip"``, which skips its own bounds check,
-        so ``rows`` is checked up front: an entry outside [0, len(x)) raises
+        so ``_walk`` checks the rows up front: a ``rows`` with more groups
+        than ``x`` has rows, or over another number of positions, raises
         ShapeError, as does an ``x`` with fewer rows than positions when
-        ``rows`` is not given. The rows in slot order and their check come
-        from ``_walk``, which does that index work once for a ``rows`` the
-        layout can hold.
+        ``rows`` is not given.
         """
         length = len(self) if length is None else length
         n, d = x.shape
@@ -675,7 +669,8 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
         if te.requires_grad or context.requires_grad:
             rank = np.zeros(tnd.shape[0], dtype=np.intp)
             rank[read] = np.arange(read.size)
-            at_edge = by_edge.gather_sum(split(x), g, rank[n], ted.shape[0])
+            at_edge = by_edge.gather_sum(split(x), g, Segments(rank[n], read.size),
+                                         ted.shape[0])
             if context.requires_grad:   # read before _dstate picks into at_edge
                 dc = np.maximum(ted, 0) * at_edge[:, :d] \
                     + np.minimum(ted, 0) * at_edge[:, d:]
@@ -684,7 +679,7 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
                 _accum(te, _dstate(ted, at_edge, ctx))
         if tn.requires_grad:
             # the read rows' gradient first: its temporaries go before the zeros come
-            at_node = by_node.gather_sum(split(ted), g, e, compact=True)
+            at_node = by_node.gather_sum(split(ted), g, by_edge, compact=True)
             dread = _dstate(x, at_node, ctx)
             dtn = np.zeros_like(tnd)
             dtn[read] = dread
@@ -770,9 +765,9 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
 
     ``rectify`` and a dropout ``rate`` (with its ``rng``) finish the sums
     in place, with the bits of ``dropout(relu(sums), rate, rng)`` forward
-    and backward and the same draws from ``rng``. A rectified rule reads
-    both masks as ``out > 0``, since q = 1/(1 - rate) >= 1 keeps a kept
-    positive sum positive; an unrectified one keeps the keep mask.
+    and backward and the same draws from ``rng``; a ``rate`` needs
+    ``rectify``. The rule reads both masks as ``out > 0``, since
+    q = 1/(1 - rate) >= 1 keeps a kept positive sum positive.
 
     The gradient is one ``gather_sum`` over ``by_row``: each of its groups is
     one row r of x, and the rows of the output gradient G gathered at its
@@ -783,31 +778,30 @@ def weighted_row_sum(x: Tensor, weights: Tensor, by_row: Segments,
     w = weights.data
     if w.ndim != 1:
         raise ShapeError("weighted_row_sum weights must be 1-D")
-    rows = _rows_of(by_row, x, "weighted_row_sum row layout")
-    _covers(by_row, w.size, "weighted_row_sum row layout")
     _covers(seg, w.size, "weighted_row_sum layout")
     _check_rate(rate)
-    out = seg.gather_sum(x.data, w, rows)
+    if rate and not rectify:
+        raise ValueError("weighted_row_sum applies dropout to rectified sums only")
+    out = seg.gather_sum(x.data, w, by_row)
     if rectify:
         np.maximum(out, 0, out=out)
     if rate:
-        mask, q = keep_mask(out.shape, rate, rng), _keep_scale(out.dtype, rate)
-        out *= mask
+        out *= keep_mask(out.shape, rate, rng)
+        q = _keep_scale(out.dtype, rate)
         out *= q
-    keep = mask if rate and not rectify else None
 
     def grad_fn(g):
         # dropout's rule, then the rectifier's: ((g * keep) * q) * (sums > 0),
         # which has the bits of (g * (out > 0)) * q wherever g * q is finite
-        if rectify or rate:
-            np.multiply(g, out > 0 if rectify else keep, out=g)
+        if rectify:
+            np.multiply(g, out > 0, out=g)
         if rate:
             g *= q
         if weights.requires_grad:
-            dx, dw = by_row.gather_sum(g, w, seg.ids, x.data.shape[0], dot=x.data)
+            dx, dw = by_row.gather_sum(g, w, seg, x.data.shape[0], dot=x.data)
             _accum(weights, dw)
         else:
-            dx = by_row.gather_sum(g, w, seg.ids, x.data.shape[0])
+            dx = by_row.gather_sum(g, w, seg, x.data.shape[0])
         _accum(x, dx)
 
     return _result(out, (x, weights), grad_fn)

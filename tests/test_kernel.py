@@ -413,6 +413,9 @@ def test_pooling_epilogue_is_bit_identical_to_relu_and_dropout(rate, dtype):
     with pytest.raises(ValueError):
         K.weighted_row_sum(K.constant(xs), K.constant(ws), by_row, seg, rate=1.0,
                            rng=rng)
+    with pytest.raises(ValueError):   # dropout applies to rectified sums only
+        K.weighted_row_sum(K.constant(xs), K.constant(ws), by_row, seg, rate=0.5,
+                           rng=rng)
 
 
 def _specials(dtype):
@@ -645,12 +648,14 @@ def _loop_gather_sum(x, w, rows, ids, ngroups):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(BUCKET_SIZES + [0]), min_size=1, max_size=12),
        st.integers(0, 8), st.sampled_from([np.float32, np.float64]),
-       st.booleans(), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+       st.booleans(), st.integers(0, 3), st.booleans(), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
 def test_gather_sum_matches_group_loop_across_buckets(sizes, tail, dtype,
                                                       hub, zero_rows, zero_singles,
-                                                      seed):
-    # ``tail`` positions make a last group, and ``zero_rows`` positions read
-    # the last row of x, which is all zero
+                                                      excess, seed):
+    # ``tail`` positions make a last group, ``zero_rows`` positions read
+    # the last row of x, which is all zero, and partners ``excess`` groups
+    # or positions off are rejected
     rng = np.random.default_rng(seed)
     sizes = list(sizes) + ([int(rng.integers(300, 700))] if hub else []) + [tail]
     ngroups = len(sizes)
@@ -664,6 +669,7 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, tail, dtype,
     w = rng.normal(size=ids.size).astype(dtype)
     rows = rng.integers(0, nrows, size=ids.size)
     rows[rng.permutation(ids.size)[:zero_rows]] = nrows   # the zero row of x
+    by_rows = K.Segments(rows, nrows + 1)
     if zero_singles:   # zero weights in the groups of one, on rows with negatives
         w[np.isin(ids, np.flatnonzero(np.asarray(sizes) == 1))] = 0
     want = _loop_gather_sum(x, w, rows, ids, ngroups)
@@ -673,8 +679,24 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, tail, dtype,
     terms = x[rows].astype(np.float64) * dot[ids]
     want_dots = terms.sum(axis=1)
 
-    got = layout.gather_sum(x, w, rows)
+    got = layout.gather_sum(x, w, by_rows)
     assert got.dtype == dtype and got.shape == (ngroups, 4)
+    # the walk is held by the partner, once, and a repeat call or a fresh
+    # partner over the same rows gives the first call's bits
+    assert list(by_rows._walks) == [id(layout.ids)] and not layout._walks
+    for partner in (by_rows, by_rows, K.Segments(rows, nrows + 1)):
+        assert layout.gather_sum(x, w, partner).tobytes() == got.tobytes()
+    assert len(by_rows._walks) == 1
+    # a partner with more groups than x has rows, or over another number of
+    # positions, is rejected before any walk
+    partners = [K.Segments(rows, nrows + 1 + excess),
+                K.Segments(np.append(rows, [0] * excess), nrows + 1)]
+    if ids.size >= excess:
+        partners.append(K.Segments(rows[excess:], nrows + 1))
+    for partner in partners:
+        with pytest.raises(ShapeError, match="rows"):
+            layout.gather_sum(x, w, partner)
+        assert not partner._walks
     # a sum of products starts at +0.0, so -0.0 (a zero weight on a negative
     # entry, alone in its group) comes out as +0.0 in every bucket
     assert not np.signbit(got[got == 0]).any()
@@ -684,8 +706,8 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, tail, dtype,
     try:   # one group per slice of a bucket sums every group the same way
         for budget in (saved, 1):
             K.BLOCK_BYTES = budget
-            assert np.array_equal(layout.gather_sum(x, w, rows), got)
-            out, dp = layout.gather_sum(x, w, rows, dot=dot)
+            assert np.array_equal(layout.gather_sum(x, w, by_rows), got)
+            out, dp = layout.gather_sum(x, w, by_rows, dot=dot)
             assert np.array_equal(out, got)
             assert dp.dtype == dtype and dp.shape == (ids.size,)
             assert np.all(np.abs(dp - want_dots)
@@ -694,7 +716,7 @@ def test_gather_sum_matches_group_loop_across_buckets(sizes, tail, dtype,
     finally:
         K.BLOCK_BYTES = saved
     assert np.array_equal(dots[0], dots[1])
-    padded = layout.gather_sum(x, w, rows, length=ngroups + 3)
+    padded = layout.gather_sum(x, w, by_rows, length=ngroups + 3)
     assert np.array_equal(padded[:ngroups], got) and not padded[ngroups:].any()
     # unit weights over the positions themselves sum rows per group
     xp = rng.normal(size=(ids.size, 4)).astype(dtype)
@@ -720,7 +742,7 @@ def test_gather_sum_keeps_a_non_finite_row_in_its_groups(sizes, dtype, seed):
         x = rng.normal(size=(nrows, 3)).astype(dtype)
         x[bad] = [np.nan, np.inf, -np.inf]
         with np.errstate(invalid="ignore"):   # inf - inf in the touched groups
-            got = layout.gather_sum(x, w, rows)
+            got = layout.gather_sum(x, w, K.Segments(rows, nrows))
         touched = np.zeros(ngroups, dtype=bool)
         touched[ids[rows == bad]] = True
         assert np.all(np.isfinite(got[~touched]))
@@ -738,7 +760,7 @@ def test_gather_sum_hub_group_matches_loop():
     w = rng.normal(size=ids.size)
     rows = rng.integers(0, 50, size=ids.size)
     want = _loop_gather_sum(x, w, rows, ids, ngroups)
-    assert np.max(np.abs(layout.gather_sum(x, w, rows) - want)) <= 1e-11
+    assert np.max(np.abs(layout.gather_sum(x, w, K.Segments(rows, 50)) - want)) <= 1e-11
     # every nonempty group sits in exactly one bucket, padded below 2x
     plan = layout.plan
     held = np.concatenate([plan.groups[lo:hi] for _, lo, hi, _ in plan.buckets])
@@ -827,7 +849,7 @@ def test_fused_weighted_row_sum_backward_matches_position_loop(
     g = rng.normal(size=(ngroups + 1, d)).astype(dtype)
     want, scale = _loop_weight_grad(g, x0, rows, ids)
     tol = 1e-6 if dtype == np.float32 else 1e-12
-    want_dx = by_row.gather_sum(g, w0, ids, nrows)
+    want_dx = by_row.gather_sum(g, w0, K.Segments(ids, ngroups + 1), nrows)
 
     saved = K.BLOCK_BYTES
     got = []
@@ -1048,83 +1070,17 @@ def test_segment_kernels_check_their_layouts():
 def test_gather_sum_rejects_rows_out_of_range():
     seg = K.Segments([0, 0, 1], 2)
     x = np.arange(6.0).reshape(3, 2)
-    for bad in ([0, 1, 3], [0, 1, 4], [-1, 0, 1], [0, 99, 1]):   # 3 is len(x)
+    for bad in ([0, 1, 3], [0, 1, 4], [0, 99, 1]):   # 3 is len(x)
         with pytest.raises(ShapeError, match="rows"):
-            seg.gather_sum(x, rows=np.array(bad))
-    assert np.array_equal(seg.gather_sum(x, rows=np.array([2, 2, 0])),
+            seg.gather_sum(x, rows=K.Segments(bad, max(bad) + 1))
+    with pytest.raises(ShapeError, match="rows"):   # 4 groups for 3 rows
+        seg.gather_sum(x, rows=K.Segments([0, 1, 2], 4))
+    with pytest.raises(ShapeError):   # a negative row is no layout
+        K.Segments([-1, 0, 1], 3)
+    assert np.array_equal(seg.gather_sum(x, rows=K.Segments([2, 2, 0], 3)),
                           [[8.0, 10.0], [0.0, 1.0]])
     with pytest.raises(ShapeError, match="row per position"):
         seg.gather_sum(x[:2])   # rows default to the 3 positions
-
-
-# ------------------------------------------------------------- held walks
-
-def _add_at_sums(x, w, rows, ids, ngroups):
-    """np.add.at reference for Segments.gather_sum, in float64."""
-    out = np.zeros((ngroups, x.shape[1]))
-    np.add.at(out, ids, w[:, None] * x[rows].astype(np.float64))
-    return out
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from(BUCKET_SIZES + [0]), min_size=1, max_size=10),
-       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
-def test_held_walks_give_the_first_sums_and_never_hold_a_writeable_array(sizes, dtype,
-                                                                         seed):
-    rng = np.random.default_rng(seed)
-    ngroups = len(sizes)
-    ids = np.repeat(np.arange(ngroups), sizes).astype(np.intp)
-    rng.shuffle(ids)
-    nrows = int(rng.integers(1, 20))
-    x = rng.normal(size=(nrows, 3)).astype(dtype)
-    w = rng.normal(size=ids.size).astype(dtype)
-    tol = 1e-4 if dtype == np.float32 else 1e-11
-
-    def draw():
-        return rng.integers(0, nrows, size=ids.size).astype(np.intp)
-
-    def close(got, rows):
-        want = _add_at_sums(x, w, rows, ids, ngroups)
-        return np.all(np.abs(got - want) <= tol * (1 + np.abs(want)) * (1 + ids.size))
-
-    # a read-only array that owns its memory is held: every repeat call
-    # gives the first call's bits
-    frozen = draw()
-    frozen.flags.writeable = False
-    layout = K.Segments(ids, ngroups)
-    first = layout.gather_sum(x, w, frozen)
-    assert close(first, frozen)
-    for _ in range(3):
-        assert layout.gather_sum(x, w, frozen).tobytes() == first.tobytes()
-    assert [entry[0] for entry in layout._walks.values()] == [frozen]
-
-    # a writeable array, a read-only view of a writeable base, and a held
-    # array made writeable again are read afresh after they are written
-    base = draw()
-    view = base[:]
-    view.flags.writeable = False
-    for rows, target in ((draw(), None), (view, base), (frozen, frozen)):
-        target = rows if target is None else target
-        target.flags.writeable = True
-        layout.gather_sum(x, w, rows)
-        if ids.size:
-            target[rng.integers(0, ids.size)] = rng.integers(0, nrows)
-            target[...] = rng.permutation(target)
-        assert close(layout.gather_sum(x, w, rows), rows)
-    assert not layout._walks
-
-    # a row past the operand raises on a first call and on a held one
-    if ids.size:
-        top = np.intp(frozen.max())
-        frozen.flags.writeable = False
-        fresh = K.Segments(ids, ngroups)
-        with pytest.raises(ShapeError, match="rows"):
-            fresh.gather_sum(x[:top], w, frozen)
-        fresh.gather_sum(x, w, frozen)
-        with pytest.raises(ShapeError, match="rows"):
-            fresh.gather_sum(x[:top], w, frozen)
-        assert fresh.gather_sum(x, w, frozen).tobytes() == \
-            layout.gather_sum(x, w, frozen).tobytes()
 
 
 # ---------------------------------------------------------------- select

@@ -431,6 +431,29 @@ def test_incidence_pairs_builds_the_layouts_once():
     assert all(a is b for a, b in zip(first, (g.by_edge, g.by_node)))
 
 
+def test_taped_steps_hold_one_walk_per_layout_pair():
+    # every walk over the pairs reads one of the two pair layouts through
+    # the other, so after whole steps each holds one walk, as do the
+    # batch's layouts; the attention rule's per-call rank takes its own
+    rng = np.random.default_rng(6)
+    h = quick_shaped(rng)
+    params = toy_model(h, d=8, num_layers=2, dropout_rate=0.3)
+    batch = toy_batch([rng.choice(h.num_nodes, 5, replace=False) for _ in range(6)], 3)
+    t = theta(h)
+    for _ in range(2):
+        res = M.forward(h, params, batch, theta_sp=t, reg_weight=1.0,
+                        training=True, rng=rng)
+        K.backward(res.total_loss, params.parameters())
+    for layout in (h.by_edge, h.by_node, batch.groups, batch.by_row):
+        assert len(layout._walks) == 1
+    # a fresh partner holds the walk over it; the walking layout holds none
+    partner = K.Segments(h.node_of_pair.copy(), h.num_nodes)
+    x = rng.standard_normal((h.num_nodes, 3))
+    got = h.by_edge.gather_sum(x, rows=partner)
+    assert len(h.by_edge._walks) == 1 and list(partner._walks) == [id(h.by_edge.ids)]
+    assert got.tobytes() == h.by_edge.gather_sum(x, rows=h.by_node).tobytes()
+
+
 def test_one_score_tensor_per_layer_feeds_both_directions(monkeypatch):
     h = build_hypergraph([[0, 1, 2], [2, 3]])
     params = toy_model(h, num_layers=2)
