@@ -452,18 +452,18 @@ class Segments:
                                     first[lo].tolist())))
 
     def _walk(self, rows: Segments | None, n: int) -> np.ndarray:
-        """The row of ``x`` each slot of the plan reads: ``rows.ids`` in
-        slot order, or the positions themselves when ``rows`` is None. A
-        layout's ids lie in [0, len(rows)), so one comparison with n checks
-        them all. The walk is built once and held by ``rows``; its entry
-        holds these ids, so its key names no other array."""
+        """The row of an n-row operand that each slot of the plan reads:
+        ``rows.ids`` in slot order, or the positions themselves when
+        ``rows`` is None. A layout's ids lie in [0, len(rows)), so one
+        comparison with n checks them all. The walk is built once and held
+        by ``rows``; its entry holds these ids, so its key names no other
+        array."""
         if rows is None:
             if n < self.size:
                 raise ShapeError(f"gather_sum needs a row per position, got {n} "
                                  f"rows for {self.size}")
             return self.plan.source
-        if len(rows) > n:
-            raise ShapeError(f"gather_sum rows has {len(rows)} groups for {n} rows")
+        _rows_of(rows, n, "gather_sum rows")
         _covers(rows, self.size, "gather_sum rows")
         held = rows._walks.get(id(self.ids))
         if held is None:
@@ -548,12 +548,11 @@ class Segments:
         return out if dot is None else (out, dots[:-1])
 
 
-def _rows_of(layout: Segments, x: Tensor, name: str) -> np.ndarray:
-    """The row of ``x`` that each position of a row layout reads: its ids.
-    Every id is a row of ``x`` when there are no more groups than rows."""
-    if len(layout) > x.data.shape[0]:
-        raise ShapeError(f"{name} has {len(layout)} groups for "
-                         f"{x.data.shape[0]} rows")
+def _rows_of(layout: Segments, n: int, name: str) -> np.ndarray:
+    """The row of an n-row operand that each position of a row layout
+    reads: its ids. Every id is a row when there are no more groups than n."""
+    if len(layout) > n:
+        raise ShapeError(f"{name} has {len(layout)} groups for {n} rows")
     return layout.ids
 
 
@@ -566,7 +565,7 @@ def gather_rows(x: Tensor, by_row: Segments) -> Tensor:
     """Rows ``by_row.ids`` of a 2-D tensor, one per position. The gradient
     sums back over ``by_row``, the grouping of the positions by row."""
     _need_2d("gather_rows input", x)
-    rows = _rows_of(by_row, x, "gather_rows layout")
+    rows = _rows_of(by_row, x.data.shape[0], "gather_rows layout")
 
     def grad_fn(g):
         _accum(x, by_row.gather_sum(g, length=x.data.shape[0]))
@@ -624,8 +623,8 @@ def attention_scores(te: Tensor, tn: Tensor, context: Tensor,
     if tn.data.shape[1] != d or context.data.shape != (d, 1):
         raise ShapeError(f"attention_scores widths differ: {te.data.shape}, "
                          f"{tn.data.shape}, context {context.data.shape}")
-    e = _rows_of(by_edge, te, "attention_scores edge layout")
-    n = _rows_of(by_node, tn, "attention_scores node layout")
+    e = _rows_of(by_edge, te.data.shape[0], "attention_scores edge layout")
+    n = _rows_of(by_node, tn.data.shape[0], "attention_scores node layout")
     _covers(by_node, by_edge.size, "attention_scores node layout")
     dtype = np.result_type(te.data, tn.data, context.data)
     ted, tnd, ctx = (t.data.astype(dtype, copy=False) for t in (te, tn, context))
