@@ -1,7 +1,8 @@
 """Oracles the tests check the package against: central finite
 differences for any taped composition, the dual hypergraph, on which A3's
 exact score duality runs, the restricted pass's score gather as layout ops,
-and the class hyperedge ranking read off a full backbone pass."""
+the class hyperedge ranking read off a full backbone pass, and the cosine
+view as one float64 product."""
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -136,3 +137,17 @@ def full_pass_edge_scores(params: M.ModelParams, h: Hypergraph,
         (np.arange(c)[:, None] * h.num_edges + h.edge_of_pair[at]).ravel(),
         weights=flow.ravel(), minlength=c * h.num_edges
     ).reshape(c, h.num_edges) / carries.sum(axis=0)[:, None]
+
+
+def float64_cosine_matrix(x: np.ndarray) -> np.ndarray:
+    """Row-wise cosine similarities of ``x`` cast to float64, as one
+    ``unit @ unit.T`` product (numpy sends it to syrk); rows of all zeros
+    yield rows and columns of zeros."""
+    x = x.astype(np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    unit = x / safe[:, None]
+    out = unit @ unit.T
+    out[norms == 0, :] = 0.0
+    out[:, norms == 0] = 0.0
+    return out

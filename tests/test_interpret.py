@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +14,8 @@ from hypersub import model as M
 from hypersub.errors import EmptyClass, ShapeError
 from hypersub.hypergraph import build_hypergraph
 
-from conftest import random_hypergraph
-from oracles import full_pass_edge_scores
+from conftest import random_hypergraph, traced_memory
+from oracles import float64_cosine_matrix, full_pass_edge_scores
 
 
 def one_hot(rows, num_classes):
@@ -199,7 +204,8 @@ def test_correlation_of_its_own_pass_matches_the_full_trace(seed, num_layers, dt
     own = I.hyperedge_correlation(params, h)
     with K.no_grad():
         full = M.forward_backbone(h, params, training=False, edges=True)
-    want = I.cosine_matrix(full.final_edge_states.data.astype(np.float64))
+    want = I.cosine_matrix(full.final_edge_states.data)
+    assert own.dtype == dtype
     assert own.tobytes() == want.tobytes()
 
 
@@ -221,7 +227,7 @@ def test_cosine_matrix_hand_values():
     x = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [-1.0, 0.0]])
     got = I.cosine_matrix(x)
     assert np.allclose(got[0], [1.0, 1.0, 0.0, -1.0], atol=1e-12)
-    assert np.allclose(got, got.T, atol=0)
+    assert np.array_equal(got, got.T)
     assert np.allclose(np.diag(got), 1.0, atol=1e-12)
 
 
@@ -239,12 +245,69 @@ def test_hyperedge_correlation_matches_direct_cosine():
     pairs = M.incidence_pairs(h)
     with K.no_grad():
         trace = M.forward_backbone(pairs, params, training=False, edges=True)
-    want = I.cosine_matrix(trace.final_edge_states.data.astype(np.float64))
+    want = I.cosine_matrix(trace.final_edge_states.data)
     got = I.hyperedge_correlation(params, h)
     assert got.shape == (3, 3)
     assert np.array_equal(got, want)
-    assert np.allclose(got, got.T, atol=0)
-    assert np.all(got <= 1.0 + 1e-12) and np.all(got >= -1.0 - 1e-12)
+    assert np.array_equal(got, got.T)
+    assert np.all(np.abs(got) <= 1.0)
+
+
+TILE = I.TILE_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 1]),
+       st.sampled_from([1, 4, 64, 300]), st.sampled_from([np.float32, np.float64]),
+       st.integers(-3, 3), st.floats(0.0, 0.5))
+def test_cosine_matrix_matches_the_float64_product(seed, n, d, dtype, scale, zero_share):
+    # continuous entries of both signs, as model states are: in float32 at
+    # d=300, two near-parallel rows, or rows of a few repeated values, can
+    # be 1e-6 to 3e-6 off, inside the (d + 2) * 2**-24 bound of a float32
+    # dot product of unit rows
+    gen = np.random.default_rng(seed)
+    x = (gen.standard_normal((n, d)) * 10.0 ** scale).astype(dtype)
+    zero = gen.random(n) < zero_share
+    x[zero] = -0.0
+    got = I.cosine_matrix(x)
+    assert got.dtype == dtype
+    assert np.array_equal(got, got.T)
+    assert np.all(np.abs(got) <= 1)
+    assert not np.any(got[zero]) and not np.any(got[:, zero])
+    assert not np.any(np.signbit(got[zero])) and not np.any(np.signbit(got[:, zero]))
+    assert np.all(np.diag(got)[~zero] == 1)
+    tolerance = 1e-6 if dtype == np.float32 else 1e-12
+    assert np.abs(got - float64_cosine_matrix(x)).max() <= tolerance
+
+
+def test_cosine_matrix_allocates_no_wider_matrix():
+    n, d = 2000, 64
+    x = np.random.default_rng(3).standard_normal((n, d)).astype(np.float32)
+    with traced_memory() as probe:
+        I.cosine_matrix(x)
+    assert probe.peak < n * n * 4 + TILE * n * 4 + (1 << 20)
+
+
+COSINE_HASH = """
+import hashlib, numpy as np
+from hypersub import interpret as I
+x = np.random.default_rng(5).standard_normal((3000, 64)).astype(np.float32)
+print(hashlib.sha256(I.cosine_matrix(x).tobytes()).hexdigest())
+"""
+
+
+def test_cosine_matrix_does_not_depend_on_the_blas_thread_count():
+    src = str(pathlib.Path(I.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", COSINE_HASH], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def test_enrichment_tsv_layout():
@@ -262,11 +325,21 @@ def test_enrichment_tsv_layout():
     assert len(lines) == 7
 
 
-def test_correlation_tsv_round_trips():
-    m = np.array([[1.0, 0.125], [0.125, 1.0]])
-    text = I.correlation_tsv(m, ["alpha", "beta"])
-    lines = text.splitlines()
-    assert lines[0] == "hyperedge\talpha\tbeta"
-    back = np.array([[float(v) for v in ln.split("\t")[1:]]
-                     for ln in lines[1:]])
-    assert np.array_equal(back, m)
+def test_correlation_tsv_layout():
+    m = np.array([[1.0, 0.125], [0.125, 1.0]], dtype=np.float32)
+    assert I.correlation_tsv(m, ["alpha", "beta"]) == \
+        "hyperedge\talpha\tbeta\nalpha\t1\t0.125\nbeta\t0.125\t1\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(np.float32, 32), (np.float64, 64)]), st.data())
+def test_correlation_tsv_round_trips(kind, data):
+    dtype, width = kind
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                          width=width), min_size=1, max_size=12))
+    m = np.array(values, dtype=dtype).reshape(1, -1)
+    names = [f"e{k}" for k in range(m.shape[1])]
+    lines = I.correlation_tsv(m, names).splitlines()
+    fields = lines[1].split("\t")[1:]
+    back = np.array([float(v) for v in fields], dtype=dtype)
+    assert back.tobytes() == m[0].tobytes()
