@@ -281,6 +281,16 @@ def test_cosine_matrix_matches_the_float64_product(seed, n, d, dtype, scale, zer
     assert np.abs(got - float64_cosine_matrix(x)).max() <= tolerance
 
 
+def test_cosine_matrix_clamps_parallel_rows():
+    # a row and its double have the same unit row, whose float32 sum of
+    # squares lands on either side of 1: a third of these above it
+    d = 300
+    v = np.random.default_rng(4).standard_normal((100, d)).astype(np.float32)
+    got = I.cosine_matrix(np.concatenate([v, 2 * v]))
+    assert np.all(np.abs(got) <= 1)
+    assert np.all(np.diag(got, k=100) >= 1 - (d + 2) * 2.0 ** -24)
+
+
 def test_cosine_matrix_allocates_no_wider_matrix():
     n, d = 2000, 64
     x = np.random.default_rng(3).standard_normal((n, d)).astype(np.float32)
